@@ -14,30 +14,14 @@ from mcrecon import (
     DenoiserSpec,
     KSpaceData,
     admm_reconstruct,
-    equispaced_mask,
-    gaussian2d_mask,
+    make_mask,
     nmse,
-    pseudo_radial_mask,
-    pseudo_spiral_mask,
     psnr,
-    random_rectilinear_mask,
     ssim,
     zero_filled_init,
 )
 from mcrecon.data import shepp_logan, simulate_coils
-from mcrecon.sampling import achieved_acceleration
-
-
-def make(scheme, n, R, seed):
-    if scheme == "equispaced":
-        return equispaced_mask(n, n, R, 24, seed)
-    if scheme == "random-rectilinear":
-        return random_rectilinear_mask(n, n, R, 24, seed)
-    if scheme == "gaussian2d":
-        return gaussian2d_mask(n, n, R, 8, seed)
-    if scheme == "pseudo-radial":
-        return pseudo_radial_mask(n, n, R, seed)
-    return pseudo_spiral_mask(n, n, R, seed)
+from mcrecon.sampling import GENERATORS, achieved_acceleration
 
 
 def main():
@@ -55,17 +39,13 @@ def main():
     truth = np.abs(img.data[0])
     dr = float(truth.max())
     cfg = AdmmConfig(
-        T=16,
-        inner_iters=14,
-        lam=args.lam,
-        denoiser=DenoiserSpec(kind=args.denoiser, strength=args.strength),
+        lam=args.lam, denoiser=DenoiserSpec(kind=args.denoiser, strength=args.strength)
     )
 
     print(f"{'scheme':<20}{'R':>4}{'R_eff':>8}{'SSIM(zf)':>10}{'SSIM':>8}{'PSNR':>8}{'NMSE':>10}")
-    schemes = ("equispaced", "random-rectilinear", "gaussian2d", "pseudo-radial", "pseudo-spiral")
-    for scheme in schemes:
+    for scheme in GENERATORS:
         for R in (4, 8, 10):
-            mask = make(scheme, args.size, R, args.seed)
+            mask = make_mask(scheme, args.size, args.size, R, args.seed, acs_lines=24, acs_radius=8)
             y = KSpaceData(mask.pattern * kfull.data)
             zf = np.abs(zero_filled_init(y, mask, sens).data[0])
             rec = np.abs(admm_reconstruct(y, mask, sens, cfg).data[0])

@@ -19,6 +19,7 @@ from .sampling import (
     equispaced_mask,
     full_mask,
     gaussian2d_mask,
+    make_mask,
     pseudo_radial_mask,
     pseudo_spiral_mask,
     random_rectilinear_mask,

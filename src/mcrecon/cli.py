@@ -19,33 +19,15 @@ from . import data as dio
 from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps, rss
 from .fourier import ifft2c
 from .metrics import LossWeights, dual_domain_loss, hfen1, nmae, nmse, psnr, ssim, ssim3d
-from .sampling import (
-    achieved_acceleration,
-    equispaced_mask,
-    gaussian2d_mask,
-    pseudo_radial_mask,
-    pseudo_spiral_mask,
-    random_rectilinear_mask,
-)
+from .sampling import GENERATORS, achieved_acceleration, make_mask
 from .sensitivity import estimate_from_acs, refine
-from .solver import DYNAMIC_DEFAULTS, AdmmConfig, DenoiserSpec, admm_reconstruct, zero_filled_init
+from .solver import DENOISER_KINDS, MODE_DEFAULTS, AdmmConfig, DenoiserSpec
+from .solver import admm_reconstruct, zero_filled_init
 
-_MASK_GENERATORS = {
-    "equispaced": equispaced_mask,
-    "random-rectilinear": random_rectilinear_mask,
-    "gaussian2d": gaussian2d_mask,
-    "pseudo-radial": pseudo_radial_mask,
-    "pseudo-spiral": pseudo_spiral_mask,
-}
-
-_DENOISER_ALIASES = {
-    "identity": "identity",
+_DENOISER_ALIASES = {kind: kind for kind in DENOISER_KINDS} | {
     "l1": "l1-soft-threshold",
-    "l1-soft-threshold": "l1-soft-threshold",
     "tikhonov": "tikhonov-smooth",
-    "tikhonov-smooth": "tikhonov-smooth",
     "tv": "tv-chambolle",
-    "tv-chambolle": "tv-chambolle",
 }
 
 
@@ -94,13 +76,9 @@ def _load_as(path, cls):
 
 def cmd_mask(args) -> int:
     h, w = _parse_size(args.size)
-    gen = _MASK_GENERATORS[args.scheme]
-    if args.scheme in ("equispaced", "random-rectilinear"):
-        mask = gen(h, w, args.accel, args.acs, args.seed)
-    elif args.scheme == "gaussian2d":
-        mask = gen(h, w, args.accel, args.acs_radius, args.seed)
-    else:
-        mask = gen(h, w, args.accel, args.seed)
+    mask = make_mask(
+        args.scheme, h, w, args.accel, args.seed, acs_lines=args.acs, acs_radius=args.acs_radius
+    )
     out = Path(args.out)
     dio.write_cks(out, mask)
     dio.write_pgm(out.with_suffix(".pgm"), mask.pattern)
@@ -127,7 +105,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _reconstruct_one(ksp_path, mask, args) -> Path:
+def _reconstruct_one(ksp_path, out: Path, mask, args) -> None:
     ksp = _load_as(ksp_path, KSpaceData)
     if args.estimate_sens:
         sens = refine(estimate_from_acs(ksp, mask))
@@ -137,27 +115,32 @@ def _reconstruct_one(ksp_path, mask, args) -> Path:
     if args.method == "zero-filled":
         recon = zero_filled_init(ksp, mask, sens)
     else:
-        defaults = DYNAMIC_DEFAULTS if args.mode == "dynamic" else {}
-        T = args.T if args.T is not None else defaults.get("T", 16)
-        inner = args.inner if args.inner is not None else defaults.get("inner_iters", 14)
         spec = DenoiserSpec(
             kind=_DENOISER_ALIASES[args.denoiser],
             strength=args.strength,
             iterations=args.tv_iters,
         )
-        cfg = AdmmConfig(
-            T=T, inner_iters=inner, lam=args.lam, step_size=args.step, denoiser=spec
+        cfg = AdmmConfig.for_mode(
+            args.mode, T=args.T, inner_iters=args.inner, lam=args.lam, step_size=args.step,
+            denoiser=spec,
         )
         recon = admm_reconstruct(ksp, mask, sens, cfg)
     elapsed = time.perf_counter() - start
-    stem = Path(ksp_path).stem
-    prefix = Path(args.out_prefix)
-    out = prefix.with_name(prefix.name + f"_{stem}.cks") if len(args.kspace) > 1 else prefix.with_name(prefix.name + ".cks")
     dio.write_cks(out, recon)
     for t in range(recon.n_frames):
         dio.write_pgm(out.with_suffix(f".mag{t}.pgm"), np.abs(recon.data[t]))
     print(f"{ksp_path}: reconstructed in {elapsed:.3f} s")
-    return out
+
+
+def _recon_paths(kspace: list[str], out_prefix: str) -> list[Path]:
+    """<prefix>.cks for one volume, <prefix>_<input stem>.cks for several."""
+    prefix = Path(out_prefix)
+    if len(kspace) == 1:
+        return [prefix.with_name(prefix.name + ".cks")]
+    stems = [Path(p).stem for p in kspace]
+    if len(set(stems)) < len(stems):
+        raise CliError(f"--kspace files need distinct stems to name their outputs, got {stems}")
+    return [prefix.with_name(f"{prefix.name}_{stem}.cks") for stem in stems]
 
 
 def cmd_reconstruct(args) -> int:
@@ -165,13 +148,14 @@ def cmd_reconstruct(args) -> int:
         raise CliError("provide --sens FILE or --estimate-sens")
     if args.denoiser not in _DENOISER_ALIASES:
         raise CliError(f"unknown denoiser {args.denoiser!r}")
+    outs = _recon_paths(args.kspace, args.out_prefix)
     mask = _load_as(args.mask, SamplingMask)
     if args.jobs > 1 and len(args.kspace) > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(lambda p: _reconstruct_one(p, mask, args), args.kspace))
+            list(pool.map(lambda p, o: _reconstruct_one(p, o, mask, args), args.kspace, outs))
     else:
-        for p in args.kspace:
-            _reconstruct_one(p, mask, args)
+        for p, o in zip(args.kspace, outs):
+            _reconstruct_one(p, o, mask, args)
     return 0
 
 
@@ -231,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mask", help="generate an undersampling mask")
-    p.add_argument("--scheme", required=True, choices=sorted(_MASK_GENERATORS))
+    p.add_argument("--scheme", required=True, choices=sorted(GENERATORS))
     p.add_argument("--size", required=True, help="grid size as HxW")
     p.add_argument("--accel", type=float, required=True)
     p.add_argument("--acs", type=int, default=24, help="ACS lines (rectilinear schemes)")
@@ -257,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sens")
     p.add_argument("--estimate-sens", action="store_true")
     p.add_argument("--method", choices=("zero-filled", "admm"), default="admm")
-    p.add_argument("--mode", choices=("static", "dynamic"), default="static")
+    p.add_argument("--mode", choices=tuple(MODE_DEFAULTS), default="static")
     p.add_argument("--denoiser", default="tikhonov")
     p.add_argument("--strength", type=float, default=1e-2)
     p.add_argument("--tv-iters", type=int, default=20)

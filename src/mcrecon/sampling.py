@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .core import SamplingMask
+from .core import RECTILINEAR_SCHEMES, SamplingMask
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -50,18 +50,19 @@ class Lcg:
             items[i], items[j] = items[j], items[i]
 
 
-def _check_rectilinear_args(width: int, accel: float, n_acs: int) -> None:
+def _rectilinear_plan(width: int, accel: float, n_acs: int) -> tuple[set, list, int]:
+    """Check the arguments; return the centered ACS columns, the other
+    columns in order, and how many of those to add for ceil(width / accel)
+    columns in all."""
     if width < 1:
         raise ValueError("width must be >= 1")
     if accel < 1:
         raise ValueError("acceleration must be >= 1")
     if n_acs > width:
         raise ValueError(f"ACS lines ({n_acs}) exceed width ({width})")
-
-
-def _acs_block(width: int, n_acs: int) -> tuple[int, int]:
-    start = (width - n_acs) // 2
-    return start, start + n_acs
+    lo = (width - n_acs) // 2
+    outside = [c for c in range(width) if not lo <= c < lo + n_acs]
+    return set(range(lo, lo + n_acs)), outside, max(math.ceil(width / accel) - n_acs, 0)
 
 
 def _columns_to_mask(height, width, cols, scheme, accel, n_acs) -> SamplingMask:
@@ -72,12 +73,15 @@ def _columns_to_mask(height, width, cols, scheme, accel, n_acs) -> SamplingMask:
     )
 
 
+def _fully_sampled(height, width, scheme, acs_lines=0, acs_radius=0) -> SamplingMask:
+    """The mask every generator returns at acceleration 1, under its own
+    scheme name and ACS metadata."""
+    pattern = np.ones((height, width), dtype=np.uint8)
+    return SamplingMask(pattern, scheme, 1.0, acs_lines=acs_lines, acs_radius=acs_radius)
+
+
 def full_mask(height: int, width: int) -> SamplingMask:
-    return SamplingMask(
-        pattern=np.ones((height, width), dtype=np.uint8),
-        scheme="full",
-        nominal_acceleration=1.0,
-    )
+    return _fully_sampled(height, width, "full")
 
 
 def equispaced_mask(height: int, width: int, accel: float, n_acs: int, seed: int) -> SamplingMask:
@@ -87,15 +91,9 @@ def equispaced_mask(height: int, width: int, accel: float, n_acs: int, seed: int
     (floored at n_acs); the seed chooses the stride offset of the
     non-ACS columns.
     """
-    _check_rectilinear_args(width, accel, n_acs)
+    cols, outside, extra = _rectilinear_plan(width, accel, n_acs)
     if accel == 1:
-        m = full_mask(height, width)
-        return SamplingMask(m.pattern, "equispaced", 1.0, acs_lines=n_acs)
-    lo, hi = _acs_block(width, n_acs)
-    cols = set(range(lo, hi))
-    total = math.ceil(width / accel)
-    extra = max(total - n_acs, 0)
-    outside = [c for c in range(width) if not lo <= c < hi]
+        return _fully_sampled(height, width, "equispaced", acs_lines=n_acs)
     if extra > 0 and outside:
         extra = min(extra, len(outside))
         stride = len(outside) / extra
@@ -111,15 +109,9 @@ def random_rectilinear_mask(
 ) -> SamplingMask:
     """Like :func:`equispaced_mask` but non-ACS columns drawn uniformly
     without replacement to the same total count."""
-    _check_rectilinear_args(width, accel, n_acs)
+    cols, outside, extra = _rectilinear_plan(width, accel, n_acs)
     if accel == 1:
-        m = full_mask(height, width)
-        return SamplingMask(m.pattern, "random-rectilinear", 1.0, acs_lines=n_acs)
-    lo, hi = _acs_block(width, n_acs)
-    cols = set(range(lo, hi))
-    total = math.ceil(width / accel)
-    extra = max(total - n_acs, 0)
-    outside = [c for c in range(width) if not lo <= c < hi]
+        return _fully_sampled(height, width, "random-rectilinear", acs_lines=n_acs)
     if extra > 0 and outside:
         rng = Lcg(seed)
         rng.shuffle(outside)
@@ -139,8 +131,7 @@ def gaussian2d_mask(
     if accel < 1:
         raise ValueError("acceleration must be >= 1")
     if accel == 1:
-        m = full_mask(height, width)
-        return SamplingMask(m.pattern, "gaussian2d", 1.0, acs_radius=acs_radius)
+        return _fully_sampled(height, width, "gaussian2d", acs_radius=acs_radius)
     budget = math.ceil(height * width / accel)
     cy, cx = height // 2, width // 2
     pattern = np.zeros((height, width), dtype=np.uint8)
@@ -194,8 +185,7 @@ def pseudo_radial_mask(height: int, width: int, accel: float, seed: int) -> Samp
     if accel < 1:
         raise ValueError("acceleration must be >= 1")
     if accel == 1:
-        m = full_mask(height, width)
-        return SamplingMask(m.pattern, "pseudo-radial", 1.0)
+        return _fully_sampled(height, width, "pseudo-radial")
     rng = Lcg(seed)
     offset = rng.uniform() * 2 * math.pi
     best = None
@@ -245,8 +235,7 @@ def pseudo_spiral_mask(height: int, width: int, accel: float, seed: int) -> Samp
     if accel < 1:
         raise ValueError("acceleration must be >= 1")
     if accel == 1:
-        m = full_mask(height, width)
-        return SamplingMask(m.pattern, "pseudo-spiral", 1.0)
+        return _fully_sampled(height, width, "pseudo-spiral")
     best = None
     for pitch in _SPIRAL_PITCHES:
         for n_arms in range(1, 17):
@@ -263,6 +252,32 @@ def pseudo_spiral_mask(height: int, width: int, accel: float, seed: int) -> Samp
     return SamplingMask(
         pattern=pattern, scheme="pseudo-spiral", nominal_acceleration=float(accel)
     )
+
+
+GENERATORS = {
+    "equispaced": equispaced_mask,
+    "random-rectilinear": random_rectilinear_mask,
+    "gaussian2d": gaussian2d_mask,
+    "pseudo-radial": pseudo_radial_mask,
+    "pseudo-spiral": pseudo_spiral_mask,
+}
+
+
+def make_mask(
+    scheme: str, height: int, width: int, accel: float, seed: int,
+    acs_lines: int = 0, acs_radius: int = 0,
+) -> SamplingMask:
+    """Mask of the named scheme in :data:`GENERATORS`. Rectilinear schemes
+    use ``acs_lines`` and gaussian2d uses ``acs_radius``; the radial and
+    spiral schemes take neither."""
+    if scheme not in GENERATORS:
+        raise ValueError(f"unknown mask scheme {scheme!r}; expected one of {sorted(GENERATORS)}")
+    gen = GENERATORS[scheme]
+    if scheme in RECTILINEAR_SCHEMES:
+        return gen(height, width, accel, acs_lines, seed)
+    if scheme == "gaussian2d":
+        return gen(height, width, accel, acs_radius, seed)
+    return gen(height, width, accel, seed)
 
 
 def achieved_acceleration(mask: SamplingMask) -> float:

@@ -42,8 +42,10 @@ class DenoiserSpec:
 class AdmmConfig:
     """Hyperparameters of the unrolled solve.
 
-    Defaults follow the static 2D configuration (16 outer steps, 14 inner
-    gradient iterations); dynamic runs conventionally use 10 and 8.
+    The field defaults are the static 2D configuration (16 outer steps, 14
+    inner gradient iterations); :meth:`for_mode` applies a mode's overrides
+    from :data:`MODE_DEFAULTS`, e.g. dynamic 10 and 8. A ``step_size`` of
+    None becomes 1/(1+lam).
     """
 
     T: int = 16
@@ -66,8 +68,17 @@ class AdmmConfig:
         if not 0 < step < 2.0 / (1.0 + self.lam):
             raise ValueError(f"step_size {step} outside (0, 2/(1+lam))")
 
+    @classmethod
+    def for_mode(cls, mode: str, **given) -> "AdmmConfig":
+        """Config with ``mode``'s defaults, overridden by every value in
+        ``given`` that is not None."""
+        if mode not in MODE_DEFAULTS:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(MODE_DEFAULTS)}")
+        explicit = {k: v for k, v in given.items() if v is not None}
+        return cls(**{**MODE_DEFAULTS[mode], **explicit})
 
-DYNAMIC_DEFAULTS = dict(T=10, inner_iters=8)
+
+MODE_DEFAULTS = {"static": {}, "dynamic": {"T": 10, "inner_iters": 8}}
 
 
 @dataclass(frozen=True)
@@ -78,10 +89,6 @@ class AdmmState:
     w: ComplexImage
     m: ComplexImage
     iteration: int
-
-    def __post_init__(self):
-        if not (self.x.data.shape == self.w.data.shape == self.m.data.shape):
-            raise ValueError("x, w, m must share dimensions")
 
 
 def zero_filled_init(y: KSpaceData, mask: SamplingMask, sens: SensitivityMaps) -> ComplexImage:
@@ -142,25 +149,22 @@ def _tv_prox_real(v: np.ndarray, weight: float, iterations: int) -> np.ndarray:
     return v - weight * _div2(p)
 
 
-def denoise_step(w_in: ComplexImage, spec: DenoiserSpec, lam: float) -> ComplexImage:
+def denoise_step(v: np.ndarray, spec: DenoiserSpec, lam: float) -> np.ndarray:
     """Proximal update of the auxiliary variable: prox of the prior (scaled
-    by 1/lam) applied to v = x + m/lam, supplied as ``w_in``."""
-    v = w_in.data
+    by 1/lam) applied to the (frame, row, col) array v = x + m/lam."""
     if spec.kind == "identity":
-        return w_in
+        return v
     if spec.kind == "l1-soft-threshold":
-        return ComplexImage(_soft_threshold(v, spec.strength / lam))
+        return _soft_threshold(v, spec.strength / lam)
     if spec.kind == "tikhonov-smooth":
-        return ComplexImage(_tikhonov_prox(v, spec.strength, lam))
-    if spec.kind == "tv-chambolle":
-        weight = spec.strength / lam
-        out = np.empty_like(v)
-        for t in range(v.shape[0]):
-            out[t] = _tv_prox_real(v[t].real, weight, spec.iterations) + 1j * _tv_prox_real(
-                v[t].imag, weight, spec.iterations
-            )
-        return ComplexImage(out)
-    raise ValueError(f"unknown denoiser kind {spec.kind!r}")
+        return _tikhonov_prox(v, spec.strength, lam)
+    weight = spec.strength / lam  # tv-chambolle, the last kind DenoiserSpec admits
+    out = np.empty_like(v)
+    for t in range(v.shape[0]):
+        out[t] = _tv_prox_real(v[t].real, weight, spec.iterations) + 1j * _tv_prox_real(
+            v[t].imag, weight, spec.iterations
+        )
+    return out
 
 
 def dc_objective(
@@ -193,32 +197,27 @@ def dc_gradient(
 
 
 def data_consistency_step(
-    x_in: ComplexImage,
-    w: ComplexImage,
-    m: ComplexImage,
-    y: KSpaceData,
+    x_in: np.ndarray,
+    w: np.ndarray,
+    m: np.ndarray,
+    y: np.ndarray,
     op: ForwardOperator,
     cfg: AdmmConfig,
-) -> ComplexImage:
+) -> np.ndarray:
     """Fixed-step gradient descent on the data-consistency subproblem,
-    warm-started from x_in, for cfg.inner_iters iterations."""
-    if x_in.data.shape != w.data.shape or x_in.data.shape != m.data.shape:
-        raise ValueError("x, w, m must share dimensions")
-    if (y.height, y.width) != (x_in.height, x_in.width):
-        raise ValueError("k-space grid does not match image grid")
-    x = x_in.data.copy()
+    warm-started from x_in, for cfg.inner_iters iterations. Arrays are raw
+    (frame, row, col) images and (coil, frame, row, col) k-space."""
+    x = x_in.copy()
     for _ in range(cfg.inner_iters):
-        x -= cfg.step_size * dc_gradient(x, w.data, m.data, y.data, op, cfg.lam)
-    return ComplexImage(x)
+        x -= cfg.step_size * dc_gradient(x, w, m, y, op, cfg.lam)
+    return x
 
 
 def multiplier_update(
-    m: ComplexImage, x_new: ComplexImage, w_new: ComplexImage, lam: float
-) -> ComplexImage:
-    """Scaled dual ascent: m + lam * (x_new - w_new)."""
-    if m.data.shape != x_new.data.shape or m.data.shape != w_new.data.shape:
-        raise ValueError("x, w, m must share dimensions")
-    return ComplexImage(m.data + lam * (x_new.data - w_new.data))
+    m: np.ndarray, x_new: np.ndarray, w_new: np.ndarray, lam: float
+) -> np.ndarray:
+    """Scaled dual ascent on raw arrays: m + lam * (x_new - w_new)."""
+    return m + lam * (x_new - w_new)
 
 
 def admm_reconstruct(
@@ -233,15 +232,12 @@ def admm_reconstruct(
     T = 0 returns the zero-filled initialization unchanged.
     """
     op = ForwardOperator(mask=mask, sens=sens)
-    x0 = zero_filled_init(y, mask, sens)
-    x = x0
-    w = x0
-    m = ComplexImage(np.zeros_like(x0.data))
-    for j in range(cfg.T):
-        v = ComplexImage(x.data + m.data / cfg.lam)
-        w = denoise_step(v, cfg.denoiser, cfg.lam)
-        x = data_consistency_step(x, w, m, y, op, cfg)
+    x = w = zero_filled_init(y, mask, sens).data
+    m = np.zeros_like(x)
+    for _ in range(cfg.T):
+        w = denoise_step(x + m / cfg.lam, cfg.denoiser, cfg.lam)
+        x = data_consistency_step(x, w, m, y.data, op, cfg)
         m = multiplier_update(m, x, w, cfg.lam)
     if return_state:
-        return AdmmState(x=x, w=w, m=m, iteration=cfg.T)
-    return x
+        return AdmmState(ComplexImage(x), ComplexImage(w), ComplexImage(m), iteration=cfg.T)
+    return ComplexImage(x)

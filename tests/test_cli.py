@@ -1,4 +1,6 @@
+import argparse
 import csv
+import shutil
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from mcrecon import cli
 from mcrecon.core import ComplexImage, KSpaceData, SamplingMask
 from mcrecon.data import read_cks, write_cks
 from mcrecon.metrics import nmse, ssim
+from mcrecon.sampling import GENERATORS
+from mcrecon.solver import AdmmConfig, DenoiserSpec, admm_reconstruct
 
 
 def run(args):
@@ -119,6 +123,12 @@ class TestMaskCommand:
                  "--acs-radius", "3", "--seed", "11", "--out", out])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_scheme_choices_are_the_registry(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        scheme = next(a for a in sub.choices["mask"]._actions if a.dest == "scheme")
+        assert list(scheme.choices) == sorted(GENERATORS)
+
 
 class TestSimulateCommand:
     def test_outputs_consistent(self, sim_files):
@@ -199,6 +209,54 @@ class TestReconstructCommand:
         rc = run(["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
                   "--out-prefix", tmp_path / "x"])
         assert rc != 0
+
+    def test_duplicate_input_stems_rejected_before_solving(self, sim_files, tmp_path, capsys):
+        inputs = []
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            inputs.append(shutil.copy(sim_files["masked"], tmp_path / d / "k.cks"))
+        rc = run(["reconstruct", "--kspace", *inputs, "--mask", sim_files["mask"],
+                  "--sens", sim_files["sens"], "--out-prefix", tmp_path / "out"])
+        assert rc == 2
+        assert "reconstructed" not in capsys.readouterr().out
+        assert not list(tmp_path.glob("out*"))
+
+    def test_jobs_2_writes_the_same_bytes_as_jobs_1(self, sim_files, tmp_path):
+        for jobs in ("1", "2"):
+            assert run(["reconstruct", "--kspace", sim_files["masked"], sim_files["full"],
+                        "--mask", sim_files["mask"], "--sens", sim_files["sens"],
+                        "--T", "3", "--inner", "4", "--jobs", jobs,
+                        "--out-prefix", tmp_path / f"j{jobs}"]) == 0
+        outs = sorted(p.name.removeprefix("j1") for p in tmp_path.glob("j1_*"))
+        assert len(outs) == 6  # per volume: the CKS image, a magnitude PGM and its scale
+        for name in outs:
+            assert (tmp_path / f"j1{name}").read_bytes() == (tmp_path / f"j2{name}").read_bytes()
+
+    def test_dynamic_mode_defaults_and_overrides(self, sim_files, tmp_path):
+        ksp = read_cks(sim_files["masked"])
+        mask = read_cks(sim_files["mask"])
+        sens = read_cks(sim_files["sens"])
+        spec = DenoiserSpec(kind="tikhonov-smooth", strength=1e-2)
+
+        def library(T, inner):
+            cfg = AdmmConfig(T=T, inner_iters=inner, denoiser=spec)
+            return admm_reconstruct(ksp, mask, sens, cfg).data
+
+        def cli_output(*flags):
+            out = tmp_path / "dyn"
+            assert run(["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
+                        "--sens", sim_files["sens"], "--mode", "dynamic", *flags,
+                        "--out-prefix", out]) == 0
+            return read_cks(tmp_path / "dyn.cks").data
+
+        def close(got, want):  # float32 storage round-off
+            return np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+        got = cli_output()
+        assert close(got, library(10, 8))
+        assert not close(got, library(16, 14))
+        assert close(cli_output("--T", "3"), library(3, 8))
+        assert close(cli_output("--inner", "2"), library(10, 2))
 
 
 class TestEvaluateCommand:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from mcrecon.sampling import (
+    GENERATORS,
     achieved_acceleration,
     equispaced_mask,
     gaussian2d_mask,
+    make_mask,
     pseudo_radial_mask,
     pseudo_spiral_mask,
     random_rectilinear_mask,
@@ -144,3 +146,36 @@ class TestAchievedAcceleration:
     def test_equispaced_paper_case(self):
         m = equispaced_mask(64, 192, 4, 24, 7)
         assert achieved_acceleration(m) == pytest.approx(4.0)
+
+
+# Each scheme's generator called directly, on a non-square grid with ACS
+# values that make_mask passes as acs_lines=6, acs_radius=2.
+DIRECT_CALLS = {
+    "equispaced": lambda accel: equispaced_mask(24, 40, accel, 6, 9),
+    "random-rectilinear": lambda accel: random_rectilinear_mask(24, 40, accel, 6, 9),
+    "gaussian2d": lambda accel: gaussian2d_mask(24, 40, accel, 2, 9),
+    "pseudo-radial": lambda accel: pseudo_radial_mask(24, 40, accel, 9),
+    "pseudo-spiral": lambda accel: pseudo_spiral_mask(24, 40, accel, 9),
+}
+
+
+class TestMakeMask:
+    def test_registry_covers_every_generator(self):
+        assert sorted(GENERATORS) == sorted(DIRECT_CALLS)
+
+    @pytest.mark.parametrize("accel", [1, 3])
+    @pytest.mark.parametrize("scheme", sorted(DIRECT_CALLS))
+    def test_equals_direct_generator_call(self, scheme, accel):
+        got = make_mask(scheme, 24, 40, accel, 9, acs_lines=6, acs_radius=2)
+        want = DIRECT_CALLS[scheme](accel)
+        assert np.array_equal(got.pattern, want.pattern)
+        assert (got.scheme, got.nominal_acceleration, got.acs_lines, got.acs_radius) == (
+            want.scheme,
+            want.nominal_acceleration,
+            want.acs_lines,
+            want.acs_radius,
+        )
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="unknown mask scheme"):
+            make_mask("cartesian", 16, 16, 2, 0)

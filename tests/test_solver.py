@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_mask, random_sens
-from mcrecon.core import ComplexImage, KSpaceData, SensitivityMaps
+from mcrecon.core import KSpaceData, SensitivityMaps
 from mcrecon.fourier import ForwardOperator
 from mcrecon.sampling import full_mask
 from mcrecon.data import shepp_logan, simulate_coils
@@ -62,6 +62,15 @@ class TestConfigs:
         with pytest.raises(ValueError):
             DenoiserSpec(kind="wavelet")
 
+    def test_for_mode_defaults_and_overrides(self):
+        static = AdmmConfig.for_mode("static")
+        assert (static.T, static.inner_iters) == (16, 14)
+        dyn = AdmmConfig.for_mode("dynamic", T=None, inner_iters=3, lam=0.5, step_size=None)
+        assert (dyn.T, dyn.inner_iters, dyn.lam) == (10, 3, 0.5)
+        assert dyn.step_size == pytest.approx(2 / 3)
+        with pytest.raises(ValueError):
+            AdmmConfig.for_mode("cine")
+
 
 class TestZeroFilledInit:
     def test_full_sampling_recovers_truth_on_support(self):
@@ -95,7 +104,7 @@ class TestZeroFilledInit:
 
 class TestDenoiseStep:
     def test_identity_returns_input(self, rng):
-        v = ComplexImage(rand_image(rng, 1, 8, 8))
+        v = rand_image(rng, 1, 8, 8)
         assert denoise_step(v, DenoiserSpec(), 1.0) is v
 
     def test_soft_threshold_values(self):
@@ -103,29 +112,29 @@ class TestDenoiseStep:
         v[0, 0, 0] = 0.3
         v[0, 0, 1] = 2.0 * np.exp(1j * 0.9)
         spec = DenoiserSpec(kind="l1-soft-threshold", strength=0.5)
-        out = denoise_step(ComplexImage(v), spec, 1.0)
-        assert out.data[0, 0, 0] == 0
-        assert abs(out.data[0, 0, 1]) == pytest.approx(1.5)
-        assert np.angle(out.data[0, 0, 1]) == pytest.approx(0.9)
+        out = denoise_step(v, spec, 1.0)
+        assert out[0, 0, 0] == 0
+        assert abs(out[0, 0, 1]) == pytest.approx(1.5)
+        assert np.angle(out[0, 0, 1]) == pytest.approx(0.9)
 
     def test_tikhonov_matches_dense_solve(self, rng):
         v = rand_image(rng, 1, 8, 8)
         alpha, lam = 0.3, 1.7
         spec = DenoiserSpec(kind="tikhonov-smooth", strength=alpha)
-        out = denoise_step(ComplexImage(v), spec, lam)
+        out = denoise_step(v, spec, lam)
         lap = periodic_laplacian(8, 8)
         expected = np.linalg.solve(alpha * lap + lam * np.eye(64), lam * v.ravel())
-        assert np.allclose(out.data.ravel(), expected, atol=1e-8)
+        assert np.allclose(out.ravel(), expected, atol=1e-8)
 
     def test_tv_reduces_total_variation(self, rng):
         v = rand_image(rng, 1, 16, 16)
         spec = DenoiserSpec(kind="tv-chambolle", strength=0.5, iterations=50)
-        out = denoise_step(ComplexImage(v), spec, 1.0)
+        out = denoise_step(v, spec, 1.0)
 
         def tv(u):
             return np.abs(np.diff(u, axis=-1)).sum() + np.abs(np.diff(u, axis=-2)).sum()
 
-        assert tv(out.data.real) < tv(v.real)
+        assert tv(out.real) < tv(v.real)
 
 
 class TestDataConsistency:
@@ -139,15 +148,8 @@ class TestDataConsistency:
         x = rand_image(rng, 1, 6, 6)
         y = op.apply_arr(x)
         cfg = AdmmConfig(T=1, inner_iters=10, lam=1.0)
-        out = data_consistency_step(
-            ComplexImage(x),
-            ComplexImage(x),
-            ComplexImage(np.zeros_like(x)),
-            KSpaceData(y),
-            op,
-            cfg,
-        )
-        assert np.allclose(out.data, x, atol=1e-12)
+        out = data_consistency_step(x, x, np.zeros_like(x), y, op, cfg)
+        assert np.allclose(out, x, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
         op = self._instance(rng)
@@ -179,15 +181,13 @@ class TestDataConsistency:
         y = rand_image(rng, 1, 1, 6, 6)
         lam = 1.0
         cfg = AdmmConfig(T=1, inner_iters=500, lam=lam)
-        out = data_consistency_step(
-            ComplexImage(x0), ComplexImage(w), ComplexImage(m), KSpaceData(y), op, cfg
-        )
+        out = data_consistency_step(x0, w, m, y, op, cfg)
         amat = dense_forward_matrix(op, 6, 6)
         rhs = amat.conj().T @ y.ravel() + lam * (w - m / lam).ravel()
         expected = np.linalg.solve(
             amat.conj().T @ amat + lam * np.eye(36), rhs
         )
-        assert np.allclose(out.data.ravel(), expected, atol=1e-6)
+        assert np.allclose(out.ravel(), expected, atol=1e-6)
 
     def test_objective_nonincreasing(self, rng):
         for trial in range(10):
@@ -199,39 +199,35 @@ class TestDataConsistency:
             lam = 1.0
             cfg = AdmmConfig(T=1, inner_iters=1, lam=lam)
             prev = dc_objective(x, w.copy(), m, y, op, lam)
-            cur = ComplexImage(x)
+            cur = x
             for _ in range(10):
-                cur = data_consistency_step(
-                    cur, ComplexImage(w), ComplexImage(m), KSpaceData(y), op, cfg
-                )
-                obj = dc_objective(cur.data, w, m, y, op, lam)
+                cur = data_consistency_step(cur, w, m, y, op, cfg)
+                obj = dc_objective(cur, w, m, y, op, lam)
                 assert obj <= prev + 1e-10
                 prev = obj
 
 
 class TestMultiplierUpdate:
     def test_no_gap_no_change(self, rng):
-        x = ComplexImage(rand_image(rng, 1, 4, 4))
-        m = ComplexImage(rand_image(rng, 1, 4, 4))
+        x = rand_image(rng, 1, 4, 4)
+        m = rand_image(rng, 1, 4, 4)
         out = multiplier_update(m, x, x, 2.0)
-        assert np.allclose(out.data, m.data, atol=1e-15)
+        assert np.allclose(out, m, atol=1e-15)
 
     def test_constant_gap(self):
-        ones = ComplexImage(np.ones((1, 4, 4), dtype=complex))
-        zeros = ComplexImage(np.zeros((1, 4, 4), dtype=complex))
+        ones = np.ones((1, 4, 4), dtype=complex)
+        zeros = np.zeros((1, 4, 4), dtype=complex)
         out = multiplier_update(zeros, ones, zeros, 2.0)
-        assert np.allclose(out.data, 2.0)
+        assert np.allclose(out, 2.0)
 
     def test_matches_scalar_oracle(self, rng):
         m = rand_image(rng, 1, 4, 4)
         x = rand_image(rng, 1, 4, 4)
         w = rand_image(rng, 1, 4, 4)
         lam = 0.7
-        out = multiplier_update(
-            ComplexImage(m), ComplexImage(x), ComplexImage(w), lam
-        )
+        out = multiplier_update(m, x, w, lam)
         for idx in np.ndindex(1, 4, 4):
-            assert out.data[idx] == pytest.approx(m[idx] + lam * (x[idx] - w[idx]))
+            assert out[idx] == pytest.approx(m[idx] + lam * (x[idx] - w[idx]))
 
 
 class TestAdmmReconstruct:
