@@ -5,7 +5,9 @@
 # whether a change keeps every CLI output byte-identical. It covers all five
 # mask schemes at R=4 and R=1, every denoiser name, zero-filled, --config,
 # --estimate-sens, --mode dynamic with and without --T/--inner, --jobs 1
-# and 2, evaluate, and the exit codes of four rejected inputs.
+# and 2, evaluate, the exit codes of four rejected inputs, and the exit codes
+# (outputs deleted) of --estimate-sens with an R=4 pseudo-radial mask, which
+# has no ACS region, and with an R=1 equispaced mask with 8 ACS lines.
 #
 # Usage: bash scripts/golden_hashes.sh SRC_DIR OUT_DIR   (OUT_DIR empty or absent)
 set -euo pipefail
@@ -50,6 +52,9 @@ $M mask --scheme bogus --size 8x8 --accel 2 --seed 0 --out x.cks >/dev/null 2>&1
 $M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --denoiser wavelet --out-prefix x >/dev/null 2>&1; echo "rc_den=$?" >> rcs.txt
 $M mask --scheme gaussian2d --size 16x16 --accel 8 --acs-radius 6 --seed 0 --out x.cks >/dev/null 2>&1; echo "rc_budget=$?" >> rcs.txt
 $M mask --scheme equispaced --size 16x16 --accel 0.5 --seed 0 --out x.cks >/dev/null 2>&1; echo "rc_acc=$?" >> rcs.txt
+$M reconstruct --kspace g_kspace_full.cks --mask m_pseudo-radial.cks --estimate-sens --T 2 --out-prefix x_rad >/dev/null 2>&1; echo "rc_est_radial=$?" >> rcs.txt
+$M reconstruct --kspace g_kspace_full.cks --mask m1_equispaced.cks --estimate-sens --T 2 --out-prefix x_r1 >/dev/null 2>&1; echo "rc_est_r1=$?" >> rcs.txt
+rm -f x_rad* x_r1*
 set -e
 find . -type f ! -name hashes.txt | sort | xargs sha256sum > hashes.txt
 wc -l hashes.txt

@@ -123,17 +123,25 @@ class SamplingMask:
             raise ValueError("mask has no sampled locations")
         if self.scheme not in MASK_SCHEMES:
             raise ValueError(f"unknown mask scheme {self.scheme!r}")
-        if self.nominal_acceleration <= 0:
-            raise ValueError("nominal acceleration must be positive")
+        if not 0 < self.nominal_acceleration < np.inf:
+            raise ValueError("nominal acceleration must be finite and positive")
         if self.scheme in RECTILINEAR_SCHEMES or self.scheme == "full":
             cols = arr.max(axis=0)
             if not np.array_equal(arr, np.broadcast_to(cols, arr.shape)):
                 raise ValueError("rectilinear mask columns must be constant")
-        if self.acs_lines > 0:
-            w = arr.shape[1]
-            start = (w - self.acs_lines) // 2
-            if not np.all(arr[:, start : start + self.acs_lines] == 1):
-                raise ValueError("ACS columns must be centered and fully sampled")
+        h, w = arr.shape
+        if not 0 <= self.acs_lines <= w:
+            raise ValueError(f"acs_lines must be in [0, {w}], got {self.acs_lines}")
+        if not 0 <= self.acs_radius <= max(h, w):
+            raise ValueError(f"acs_radius must be in [0, {max(h, w)}], got {self.acs_radius}")
+        start = (w - self.acs_lines) // 2
+        if not np.all(arr[:, start : start + self.acs_lines] == 1):
+            raise ValueError("ACS columns must be centered and fully sampled")
+        if self.acs_radius > 0:
+            yy, xx = np.ogrid[:h, :w]
+            disc = (yy - h // 2) ** 2 + (xx - w // 2) ** 2 <= self.acs_radius**2
+            if not np.all(arr[disc] == 1):
+                raise ValueError("ACS disc must be centered and fully sampled")
         object.__setattr__(self, "pattern", _readonly(arr))
 
     @property

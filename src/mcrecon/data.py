@@ -2,9 +2,14 @@
 
 The on-disk CKS container is a fixed little-endian layout:
 magic "CKS1" | u16 version | u8 kind | 4 x u32 dims (coils, frames, rows,
-cols; unused axes 1) | payload. Complex payloads are interleaved (re, im)
-float32 in (coil, frame, row, col) row-major order; masks store one byte
-per element. Kinds: 0 k-space, 1 image, 2 mask, 3 sensitivity maps.
+cols) | payload. Kinds: 0 k-space, 1 image, 2 mask, 3 sensitivity maps.
+Axes a kind does not use must be 1: image coils, mask coils and frames,
+sensitivity frames. Complex payloads (version 1) are interleaved (re, im)
+float32 in (coil, frame, row, col) row-major order. Mask payloads (version
+2) start with a fixed metadata block -- the scheme name as 24 NUL-padded
+ASCII bytes, f64 nominal acceleration, u32 ACS lines, u32 ACS disc radius
+-- followed by one byte per element. Version-1 masks carried no metadata
+and are rejected.
 """
 
 import math
@@ -18,13 +23,22 @@ from .fourier import fft2c, ifft2c
 from .sampling import Lcg
 
 CKS_MAGIC = b"CKS1"
-CKS_VERSION = 1
 KIND_KSPACE = 0
 KIND_IMAGE = 1
 KIND_MASK = 2
 KIND_SENSMAPS = 3
 
 _HEADER = struct.Struct("<4sHB4I")
+_DIMS_OFFSET = 7
+_DIM_NAMES = ("coils", "frames", "rows", "cols")
+_MASK_META = struct.Struct("<24sdII")
+# kind -> (format version, bytes per element, indices of axes that must be 1)
+_LAYOUT = {
+    KIND_KSPACE: (1, 8, ()),
+    KIND_IMAGE: (1, 8, (0,)),
+    KIND_MASK: (2, 1, (0, 1)),
+    KIND_SENSMAPS: (1, 8, (1,)),
+}
 
 
 class FormatError(ValueError):
@@ -145,43 +159,6 @@ def random_kspace_crop(ksp: KSpaceData, crop_h: int, crop_w: int, seed: int) -> 
     return KSpaceData(fft2c(window))
 
 
-def _mask_from_pattern(pattern: np.ndarray) -> SamplingMask:
-    """Rebuild mask metadata from a bare pattern (the CKS mask payload
-    carries no scheme/ACS fields): infer the centered ACS block or disc."""
-    h, w = pattern.shape
-    accel = h * w / max(int(pattern.sum()), 1)
-    if pattern.all():
-        return SamplingMask(pattern=pattern, scheme="full", nominal_acceleration=1.0)
-    cols = pattern.max(axis=0)
-    rectilinear = np.array_equal(pattern, np.broadcast_to(cols, pattern.shape))
-    if rectilinear:
-        full_cols = pattern.min(axis=0).astype(bool)
-        acs = 0
-        for n in range(w, 0, -1):
-            start = (w - n) // 2
-            if full_cols[start : start + n].all():
-                acs = n
-                break
-        return SamplingMask(
-            pattern=pattern,
-            scheme="equispaced",
-            nominal_acceleration=accel,
-            acs_lines=acs,
-        )
-    cy, cx = h // 2, w // 2
-    yy, xx = np.mgrid[0:h, 0:w]
-    r2 = (yy - cy) ** 2 + (xx - cx) ** 2
-    radius = 0
-    while radius + 1 <= min(h, w) // 2 and np.all(pattern[r2 <= (radius + 1) ** 2] == 1):
-        radius += 1
-    return SamplingMask(
-        pattern=pattern,
-        scheme="gaussian2d",
-        nominal_acceleration=accel,
-        acs_radius=radius,
-    )
-
-
 def _complex_payload(arr: np.ndarray) -> bytes:
     inter = np.empty(arr.shape + (2,), dtype="<f4")
     inter[..., 0] = arr.real
@@ -203,7 +180,10 @@ def write_cks(path, obj) -> None:
     elif isinstance(obj, SamplingMask):
         kind = KIND_MASK
         dims = (1, 1, obj.height, obj.width)
-        payload = obj.pattern.astype(np.uint8).tobytes()
+        meta = _MASK_META.pack(
+            obj.scheme.encode("ascii"), obj.nominal_acceleration, obj.acs_lines, obj.acs_radius
+        )
+        payload = meta + obj.pattern.tobytes()
     elif isinstance(obj, SensitivityMaps):
         kind = KIND_SENSMAPS
         dims = (obj.n_coils, 1, obj.height, obj.width)
@@ -211,7 +191,7 @@ def write_cks(path, obj) -> None:
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(CKS_MAGIC, CKS_VERSION, kind, *dims))
+        f.write(_HEADER.pack(CKS_MAGIC, _LAYOUT[kind][0], kind, *dims))
         f.write(payload)
 
 
@@ -225,30 +205,41 @@ def read_cks(path):
     magic, version, kind, *dims = _HEADER.unpack_from(raw)
     if magic != CKS_MAGIC:
         raise FormatError(f"bad magic {magic!r} at byte 0: expected {CKS_MAGIC!r}")
-    if version != CKS_VERSION:
-        raise FormatError(f"unsupported version {version} at byte 4")
-    n_el = int(np.prod(dims))
-    elem_size = 1 if kind == KIND_MASK else 8
-    expected = _HEADER.size + n_el * elem_size
+    if kind not in _LAYOUT:
+        raise FormatError(f"unknown kind {kind} at byte 6")
+    want_version, elem_size, unit_axes = _LAYOUT[kind]
+    if version != want_version:
+        hint = "; regenerate the mask with `mcrecon mask`" if kind == KIND_MASK else ""
+        raise FormatError(
+            f"unsupported version {version} at byte 4 for kind {kind}: "
+            f"expected {want_version}{hint}"
+        )
+    for i in unit_axes:
+        if dims[i] != 1:
+            raise FormatError(
+                f"{_DIM_NAMES[i]} must be 1 for kind {kind}, got {dims[i]} "
+                f"at byte {_DIMS_OFFSET + 4 * i}"
+            )
+    start = _HEADER.size + (_MASK_META.size if kind == KIND_MASK else 0)
+    expected = start + math.prod(dims) * elem_size
     if len(raw) != expected:
         raise FormatError(
             f"payload length mismatch at byte {_HEADER.size}: "
             f"expected {expected} total bytes, got {len(raw)}"
         )
-    body = raw[_HEADER.size :]
     coils, frames, h, w = dims
     if kind == KIND_MASK:
-        pattern = np.frombuffer(body, dtype=np.uint8).reshape(h, w).copy()
-        return _mask_from_pattern(pattern)
-    inter = np.frombuffer(body, dtype="<f4").reshape(coils, frames, h, w, 2)
+        scheme, accel, acs_lines, acs_radius = _MASK_META.unpack_from(raw, _HEADER.size)
+        pattern = np.frombuffer(raw, dtype=np.uint8, offset=start).reshape(h, w)
+        scheme = scheme.rstrip(b"\0").decode("ascii", "backslashreplace")
+        return SamplingMask(pattern, scheme, accel, acs_lines, acs_radius)
+    inter = np.frombuffer(raw, dtype="<f4", offset=start).reshape(coils, frames, h, w, 2)
     arr = inter[..., 0].astype(np.complex128) + 1j * inter[..., 1].astype(np.complex128)
     if kind == KIND_KSPACE:
         return KSpaceData(arr)
     if kind == KIND_IMAGE:
         return ComplexImage(arr[0])
-    if kind == KIND_SENSMAPS:
-        return SensitivityMaps(maps=arr[:, 0])
-    raise FormatError(f"unknown kind {kind} at byte 6")
+    return SensitivityMaps(maps=arr[:, 0])
 
 
 def write_pgm(path, image: np.ndarray, sidecar: bool = True) -> None:

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from mcrecon import cli
 from mcrecon.core import ComplexImage, KSpaceData, SamplingMask
 from mcrecon.data import read_cks, write_cks
 from mcrecon.metrics import nmse, ssim
-from mcrecon.sampling import GENERATORS
+from mcrecon.sampling import GENERATORS, make_mask
+from mcrecon.sensitivity import estimate_from_acs
 from mcrecon.solver import AdmmConfig, DenoiserSpec, admm_reconstruct
 
 
@@ -123,6 +125,12 @@ class TestMaskCommand:
                  "--acs-radius", "3", "--seed", "11", "--out", out])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_acs_is_error(self, tmp_path, capsys):
+        rc = run(["mask", "--scheme", "equispaced", "--size", "16x16", "--accel", "2",
+                  "--acs", "-1", "--seed", "0", "--out", tmp_path / "m.cks"])
+        assert rc == 1
+        assert "acs_lines must be in" in capsys.readouterr().err
+
     def test_scheme_choices_are_the_registry(self):
         parser = cli.build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -204,6 +212,41 @@ class TestReconstructCommand:
                     "--estimate-sens", "--method", "admm", "--T", "2", "--inner", "4",
                     "--out-prefix", tmp_path / "est"]) == 0
         assert (tmp_path / "est.cks").exists()
+
+    def test_estimate_sens_without_acs_fails_like_the_library(self, sim_files, tmp_path, capsys):
+        mask_path = tmp_path / "radial.cks"
+        assert run(["mask", "--scheme", "pseudo-radial", "--size", "64x64", "--accel", "4",
+                    "--seed", "1", "--out", mask_path]) == 0
+        with pytest.raises(ValueError, match="no ACS region"):
+            estimate_from_acs(read_cks(sim_files["full"]), make_mask("pseudo-radial", 64, 64, 4, 1))
+        capsys.readouterr()
+        rc = run(["reconstruct", "--kspace", sim_files["full"], "--mask", mask_path,
+                  "--estimate-sens", "--T", "2", "--out-prefix", tmp_path / "x"])
+        assert rc == 1
+        assert "no ACS region" in capsys.readouterr().err
+        assert not (tmp_path / "x.cks").exists()
+
+    def test_estimate_sens_on_fully_sampled_acs_mask_matches_the_library(self, sim_files, tmp_path):
+        mask_path = tmp_path / "r1.cks"
+        assert run(["mask", "--scheme", "equispaced", "--size", "64x64", "--accel", "1",
+                    "--acs", "8", "--seed", "0", "--out", mask_path]) == 0
+        assert run(["reconstruct", "--kspace", sim_files["masked"], "--mask", mask_path,
+                    "--estimate-sens", "--T", "2", "--inner", "3",
+                    "--out-prefix", tmp_path / "est"]) == 0
+        ksp = read_cks(sim_files["masked"])
+        mask = make_mask("equispaced", 64, 64, 1, 0, acs_lines=8)
+        cfg = AdmmConfig(T=2, inner_iters=3, denoiser=DenoiserSpec("tikhonov-smooth", 1e-2))
+        want = admm_reconstruct(ksp, mask, estimate_from_acs(ksp, mask), cfg).data
+        got = read_cks(tmp_path / "est.cks").data
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    def test_version_1_mask_file_rejected(self, sim_files, tmp_path, capsys):
+        old = tmp_path / "v1.cks"
+        old.write_bytes(struct.pack("<4sHB4I", b"CKS1", 1, 2, 1, 1, 64, 64) + bytes([1] * 64 * 64))
+        rc = run(["reconstruct", "--kspace", sim_files["full"], "--mask", old,
+                  "--sens", sim_files["sens"], "--out-prefix", tmp_path / "x"])
+        assert rc == 1
+        assert "regenerate the mask with `mcrecon mask`" in capsys.readouterr().err
 
     def test_missing_sens_is_usage_error(self, sim_files, tmp_path):
         rc = run(["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],

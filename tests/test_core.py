@@ -106,6 +106,29 @@ class TestSamplingMask:
         with pytest.raises(ValueError):
             SamplingMask(p, "equispaced", 4.0, acs_lines=2)
 
+    @pytest.mark.parametrize("accel", [0.0, -2.0, float("nan"), float("inf")])
+    def test_nominal_acceleration_must_be_finite_and_positive(self, accel):
+        with pytest.raises(ValueError, match="nominal acceleration"):
+            SamplingMask(np.ones((4, 4)), "full", accel)
+
+    @pytest.mark.parametrize(
+        "fields", [{"acs_lines": -1}, {"acs_radius": -1}, {"acs_lines": 5}, {"acs_radius": 5}]
+    )
+    def test_acs_extent_must_fit_the_grid(self, fields):
+        with pytest.raises(ValueError, match="must be in"):
+            SamplingMask(np.ones((4, 4)), "equispaced", 1.0, **fields)
+
+    def test_acs_disc_must_be_full(self):
+        p = np.zeros((9, 9))
+        p[3:6, 3:6] = 1  # covers the radius-1 disc around (4, 4), not radius 2
+        assert SamplingMask(p, "gaussian2d", 9.0, acs_radius=1).acs_radius == 1
+        p[4, 5] = 0
+        with pytest.raises(ValueError, match="ACS disc"):
+            SamplingMask(p, "gaussian2d", 9.0, acs_radius=1)
+        p[4, 5] = 1
+        with pytest.raises(ValueError, match="ACS disc"):
+            SamplingMask(p, "gaussian2d", 9.0, acs_radius=2)
+
 
 class TestSensitivityMaps:
     def test_normalization_enforced(self):

@@ -1,9 +1,16 @@
+import math
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from mcrecon.core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps
 from mcrecon.data import (
     SHEPP_LOGAN_ELLIPSES,
+    CKS_MAGIC,
     FormatError,
     dynamic_phantom,
     random_kspace_crop,
@@ -14,7 +21,7 @@ from mcrecon.data import (
     write_pgm,
 )
 from mcrecon.fourier import fft2c, ifft2c
-from mcrecon.sampling import equispaced_mask
+from mcrecon.sampling import GENERATORS, equispaced_mask, full_mask, make_mask
 
 
 class TestSheppLogan:
@@ -161,6 +168,17 @@ class TestCksFormat:
         back_mask = read_cks(tmp_path / "m.cks")
         assert np.array_equal(back_mask.pattern, mask.pattern)
         assert back_mask.acs_lines == 4
+        masks = [full_mask(24, 32)] + [
+            make_mask(scheme, 24, 32, accel, 3, acs_lines=6, acs_radius=2)
+            for scheme in GENERATORS
+            for accel in (4, 1)
+        ]
+        for mask in masks:
+            write_cks(tmp_path / "m.cks", mask)
+            back = read_cks(tmp_path / "m.cks")
+            assert np.array_equal(back.pattern, mask.pattern)
+            fields = ("scheme", "nominal_acceleration", "acs_lines", "acs_radius")
+            assert [getattr(back, f) for f in fields] == [getattr(mask, f) for f in fields]
 
     def test_truncated_file_rejected_with_lengths(self, tmp_path, rng):
         ksp = KSpaceData(np.ones((1, 1, 4, 4), dtype=complex))
@@ -179,6 +197,125 @@ class TestCksFormat:
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="magic"):
             read_cks(p)
+
+    def test_version_1_mask_rejected(self, tmp_path):
+        p = tmp_path / "m.cks"
+        p.write_bytes(_header(1, 2, (1, 1, 4, 4)) + bytes([1] * 16))
+        with pytest.raises(FormatError, match="version 1 at byte 4.*regenerate.*mcrecon mask"):
+            read_cks(p)
+
+    @pytest.mark.parametrize(
+        "kind, dims, byte",
+        [(1, (2, 1, 4, 4), 7), (2, (2, 1, 4, 4), 7), (2, (1, 3, 4, 4), 11), (3, (1, 2, 4, 4), 11)],
+    )
+    def test_unused_axis_must_be_one(self, tmp_path, kind, dims, byte):
+        p = tmp_path / "x.cks"
+        p.write_bytes(_header(2 if kind == 2 else 1, kind, dims) + bytes(_payload_size(kind, dims)))
+        with pytest.raises(FormatError, match=f"must be 1 for kind {kind}, got .* at byte {byte}"):
+            read_cks(p)
+
+
+def _header(version, kind, dims, magic=CKS_MAGIC):
+    return struct.pack("<4sHB4I", magic, version, kind, *dims)
+
+
+def _payload_size(kind, dims):
+    return 40 + math.prod(dims) if kind == 2 else 8 * math.prod(dims)
+
+
+def _layout_ok(raw):
+    """Independent statement of the CKS layout rules: header fields and the
+    total length implied by the dims."""
+    if len(raw) < 23:
+        return False
+    magic, version, kind, *dims = struct.unpack_from("<4sHB4I", raw)
+    unit = {0: (), 1: (0,), 2: (0, 1), 3: (1,)}.get(kind)
+    if magic != CKS_MAGIC or unit is None or version != (2 if kind == 2 else 1):
+        return False
+    if any(dims[i] != 1 for i in unit):
+        return False
+    return len(raw) == 23 + _payload_size(kind, dims)
+
+
+def _check_read(path):
+    """read_cks returns a core object or raises ValueError (FormatError when
+    the layout is wrong), and allocates nothing the file cannot hold."""
+    raw = path.read_bytes()
+    tracemalloc.start()
+    try:
+        obj = read_cks(path)
+    except FormatError:
+        assert not _layout_ok(raw)
+        return
+    except ValueError:
+        assert _layout_ok(raw)
+        return
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 64 * len(raw) + (1 << 20)
+    assert _layout_ok(raw)
+    assert isinstance(obj, (KSpaceData, ComplexImage, SamplingMask, SensitivityMaps))
+
+
+_FUZZ = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+_DIM = st.one_of(
+    st.integers(0, 4), st.sampled_from([65536, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1)
+)
+
+
+class TestCksFuzz:
+    @_FUZZ
+    @given(
+        magic=st.sampled_from([CKS_MAGIC, b"CKS2", b"\0\0\0\0"]),
+        version=st.integers(0, 3),
+        kind=st.integers(0, 5),
+        dims=st.tuples(_DIM, _DIM, _DIM, _DIM),
+        payload=st.binary(min_size=1, max_size=64),
+        fit=st.booleans(),
+        cut=st.one_of(st.none(), st.integers(0, 240)),
+    )
+    # element counts that overflow int64, an image declaring 2 coils, a valid mask
+    @example(CKS_MAGIC, 1, 0, (65536,) * 4, b"", False, None)
+    @example(CKS_MAGIC, 1, 0, (2**32 - 1,) * 4, b"", False, None)
+    @example(CKS_MAGIC, 1, 1, (2, 1, 2, 2), b"\0", True, None)
+    @example(CKS_MAGIC, 2, 2, (1, 1, 2, 2), struct.pack("<24sdII", b"full", 1, 0, 0) + b"\1" * 4,
+             True, None)
+    def test_random_headers_and_payloads(
+        self, tmp_path, magic, version, kind, dims, payload, fit, cut
+    ):
+        # fit: repeat the payload to the length the dims imply, when that is small
+        size = _payload_size(kind, dims)
+        if fit and size <= 4096:
+            payload = (payload * (size // len(payload) + 1))[:size]
+        p = tmp_path / "f.cks"
+        p.write_bytes((_header(version, kind, dims, magic) + payload)[:cut])
+        _check_read(p)
+
+    @_FUZZ
+    @given(
+        which=st.integers(0, 4),
+        edits=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 255)), max_size=4),
+        cut=st.one_of(st.none(), st.integers(0, 400)),
+    )
+    def test_edited_valid_files(self, tmp_path, which, edits, cut):
+        objs = [
+            KSpaceData(np.ones((2, 2, 4, 4), dtype=complex)),
+            ComplexImage(np.ones((2, 4, 4))),
+            make_mask("equispaced", 4, 6, 2, 0, acs_lines=2),
+            make_mask("gaussian2d", 5, 5, 2, 0, acs_radius=1),
+            SensitivityMaps(maps=np.full((2, 4, 4), 1 / np.sqrt(2), dtype=complex)),
+        ]
+        p = tmp_path / "f.cks"
+        write_cks(p, objs[which])
+        raw = bytearray(p.read_bytes())
+        for offset, value in edits:
+            if offset < len(raw):
+                raw[offset] = value
+        p.write_bytes(bytes(raw[:cut]))
+        _check_read(p)
 
 
 class TestPgm:

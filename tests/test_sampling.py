@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mcrecon.core import MASK_SCHEMES
 from mcrecon.sampling import (
     GENERATORS,
     achieved_acceleration,
@@ -179,3 +180,7 @@ class TestMakeMask:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown mask scheme"):
             make_mask("cartesian", 16, 16, 2, 0)
+
+    def test_core_scheme_names_are_the_registry(self):
+        # scheme names are stored in CKS mask files, so the two lists must agree
+        assert set(MASK_SCHEMES) == set(GENERATORS) | {"full"}
