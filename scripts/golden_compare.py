@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Compare two output directories of scripts/golden_hashes.sh when a change
+may move floating-point round-off but nothing else.
+
+Every file must be byte-identical, except:
+- a reconstruction (an image .cks that has a .mag0.pgm preview beside it)
+  may differ by at most 1e-6 * max|parent|;
+- each min/max value of a .scale.txt may differ by at most 1e-6 * the larger
+  of the parent's two magnitudes;
+- a .pgm may differ by at most 1 grey level, with the same header.
+Any other difference, or a file present on one side only, is named and the
+script exits 1.
+
+Usage: PYTHONPATH=src python3 scripts/golden_compare.py PARENT_OUT CHANGE_OUT
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from mcrecon.core import ComplexImage
+from mcrecon.data import read_cks
+
+CKS_TOL = 1e-6
+SCALE_TOL = 1e-6
+PGM_TOL = 1
+
+
+def _cks_close(a: Path, b: Path) -> str | None:
+    if not a.with_suffix(".mag0.pgm").exists():
+        return "differs and is not a reconstruction"
+    pa, pb = read_cks(a), read_cks(b)
+    if not (isinstance(pa, ComplexImage) and isinstance(pb, ComplexImage)):
+        return "differs and is not an image"
+    if pa.data.shape != pb.data.shape:
+        return f"shape {pa.data.shape} -> {pb.data.shape}"
+    err = np.abs(pa.data - pb.data).max() / np.abs(pa.data).max()
+    return None if err <= CKS_TOL else f"relative difference {err:.3g} > {CKS_TOL}"
+
+
+def _scale_close(a: Path, b: Path) -> str | None:
+    va = dict(line.split("=") for line in a.read_text().split())
+    vb = dict(line.split("=") for line in b.read_text().split())
+    if va.keys() != vb.keys():
+        return f"keys {sorted(va)} -> {sorted(vb)}"
+    # relative to the file's range: a min of 1e-17 is a rounded zero
+    scale = max(abs(float(v)) for v in va.values())
+    for key in va:
+        x, y = float(va[key]), float(vb[key])
+        if abs(x - y) > SCALE_TOL * scale:
+            return f"{key} {x!r} -> {y!r}"
+    return None
+
+
+def _pgm_close(a: Path, b: Path) -> str | None:
+    ra, rb = a.read_bytes(), b.read_bytes()
+    head = len(b"\n".join(ra.split(b"\n", 3)[:3])) + 1
+    if ra[:head] != rb[:head] or len(ra) != len(rb):
+        return "header or size differs"
+    pa, pb = (np.frombuffer(r[head:], np.uint8).astype(int) for r in (ra, rb))
+    diff = np.abs(pa - pb)
+    return None if diff.max() <= PGM_TOL else f"{diff.max()} grey levels apart"
+
+
+def _files(root: Path) -> set[Path]:
+    return {p.relative_to(root) for p in root.rglob("*") if p.is_file()} - {Path("hashes.txt")}
+
+
+def compare(parent: Path, change: Path) -> list[str]:
+    """One message per file that differs by more than round-off."""
+    pf, cf = _files(parent), _files(change)
+    problems = [f"{f}: only in parent" for f in sorted(pf - cf)]
+    problems += [f"{f}: only in change" for f in sorted(cf - pf)]
+    for rel in sorted(pf & cf):
+        a, b = parent / rel, change / rel
+        if a.read_bytes() == b.read_bytes():
+            continue
+        if rel.suffix == ".cks":
+            why = _cks_close(a, b)
+        elif rel.name.endswith(".scale.txt"):
+            why = _scale_close(a, b)
+        elif rel.suffix == ".pgm":
+            why = _pgm_close(a, b)
+        else:
+            why = "differs"
+        if why:
+            problems.append(f"{rel}: {why}")
+    return problems
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        return 2
+    problems = compare(Path(argv[0]), Path(argv[1]))
+    for line in problems:
+        print(line)
+    print("golden outputs agree within round-off" if not problems else f"{len(problems)} differ")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -9,6 +9,10 @@
 # (outputs deleted) of --estimate-sens with an R=4 pseudo-radial mask, which
 # has no ACS region, and with an R=1 equispaced mask with 8 ACS lines.
 #
+# For a change that may move floating-point round-off, compare the two
+# OUT_DIRs with scripts/golden_compare.py instead, which allows small
+# differences in reconstructions, their PGM previews and scale sidecars.
+#
 # Usage: bash scripts/golden_hashes.sh SRC_DIR OUT_DIR   (OUT_DIR empty or absent)
 set -euo pipefail
 SRC=$(cd "$1" && pwd); OUT=$2

@@ -125,7 +125,9 @@ class SamplingMask:
             raise ValueError(f"unknown mask scheme {self.scheme!r}")
         if not 0 < self.nominal_acceleration < np.inf:
             raise ValueError("nominal acceleration must be finite and positive")
-        if self.scheme in RECTILINEAR_SCHEMES or self.scheme == "full":
+        if self.scheme == "full" and not np.all(arr == 1):
+            raise ValueError("a 'full' mask must sample every location")
+        if self.scheme in RECTILINEAR_SCHEMES:
             cols = arr.max(axis=0)
             if not np.array_equal(arr, np.broadcast_to(cols, arr.shape)):
                 raise ValueError("rectilinear mask columns must be constant")

@@ -4,13 +4,27 @@ Convention: unitary transforms (1/sqrt(N) both directions) with the DC
 component at index (h//2, w//2). With RSS-normalized sensitivity maps this
 makes the stacked forward operator nonexpansive and adjoint == inverse for
 the full-sampling case.
+
+:class:`ForwardOperator` computes the same map as ``mask * fft2c(S * x)``
+without shifting on each call. Along an axis of length n with c = n//2, the
+centred transform is a plain FFT between two phase ramps,
+``fft2c(v) == r_k * fft2(r_n * v)`` with r_n[j] = exp(2*pi*i*c*j/n) and
+r_k[p] = exp(2*pi*i*c*(p - c)/n), exact +-1 checkerboards at even n. The
+operator folds r_n into the maps and r_k into the mask once, at
+construction. On a rectilinear (column-constant) mask that leaves columns
+out, the forward map transforms along the width axis over the whole
+grid but along the height axis only in the sampled columns, which it
+scatters into zeros; the adjoint runs the same steps in reverse. Point
+masks (gaussian2d, radial, spiral) and masks that sample every column take
+the full 2D FFT.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 
-from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps
+from .core import RECTILINEAR_SCHEMES, ComplexImage, KSpaceData, SamplingMask, SensitivityMaps
 
 
 def _check_grid(arr: np.ndarray) -> None:
@@ -38,6 +52,21 @@ def ifft2c(k: np.ndarray) -> np.ndarray:
     )
 
 
+def _phase(num: np.ndarray, n: int) -> np.ndarray:
+    """exp(2*pi*i*num/n) for integer num, exactly -1 where num/n is a half."""
+    num = num % n
+    out = np.exp(2j * np.pi * num / n)
+    out[2 * num == n] = -1
+    return out
+
+
+def _ramps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Image-side and k-space-side phase ramps of an axis of length n."""
+    c = n // 2
+    j = np.arange(n)
+    return _phase(c * j, n), _phase(c * (j - c), n)
+
+
 @dataclass(frozen=True)
 class ForwardOperator:
     """Per-coil acquisition operator: mask * fft2c(S_k * x), stacked over coils."""
@@ -51,6 +80,19 @@ class ForwardOperator:
                 f"mask grid {self.mask.pattern.shape} does not match "
                 f"sensitivity grid {self.sens.maps.shape[1:]}"
             )
+        (rn_h, rk_h), (rn_w, rk_w) = _ramps(self.mask.height), _ramps(self.mask.width)
+        maps = self.sens.maps * np.outer(rn_h, rn_w)
+        kmask = self.mask.pattern * np.outer(rk_h, rk_w)
+        cols = None
+        if self.mask.scheme in RECTILINEAR_SCHEMES:
+            sampled = np.flatnonzero(self.mask.pattern[0])
+            if sampled.size < self.mask.width:
+                cols = sampled
+                kmask = kmask[:, cols]
+        object.__setattr__(self, "_cols", cols)
+        for name, arr in (("_maps", maps), ("_kmask", kmask)):
+            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name + "_conj", arr.conj())
 
     @property
     def n_coils(self) -> int:
@@ -58,13 +100,30 @@ class ForwardOperator:
 
     def apply_arr(self, x: np.ndarray) -> np.ndarray:
         """Forward map on a raw (frame, row, col) array -> (coil, frame, row, col)."""
-        coil_imgs = self.sens.maps[:, np.newaxis] * x[np.newaxis]
-        return self.mask.pattern * fft2c(coil_imgs)
+        v = self._maps[:, np.newaxis] * x[np.newaxis]
+        if self._cols is None:
+            k = sfft.fft2(v, norm="ortho", overwrite_x=True)
+            k *= self._kmask
+            return k
+        v = sfft.fft(v, axis=-1, norm="ortho", overwrite_x=True)[..., self._cols]
+        v = sfft.fft(v, axis=-2, norm="ortho", overwrite_x=True)
+        v *= self._kmask
+        k = np.zeros(v.shape[:-1] + (self.mask.width,), dtype=v.dtype)
+        k[..., self._cols] = v
+        return k
 
     def adjoint_arr(self, y: np.ndarray) -> np.ndarray:
         """Adjoint map on a raw (coil, frame, row, col) array -> (frame, row, col)."""
-        imgs = ifft2c(self.mask.pattern * y)
-        return np.sum(np.conj(self.sens.maps)[:, np.newaxis] * imgs, axis=0)
+        if self._cols is None:
+            v = sfft.ifft2(y * self._kmask_conj, norm="ortho", overwrite_x=True)
+        else:
+            k = y[..., self._cols] * self._kmask_conj
+            k = sfft.ifft(k, axis=-2, norm="ortho", overwrite_x=True)
+            v = np.zeros(y.shape, dtype=k.dtype)
+            v[..., self._cols] = k
+            v = sfft.ifft(v, axis=-1, norm="ortho", overwrite_x=True)
+        v *= self._maps_conj[:, np.newaxis]
+        return v.sum(axis=0)
 
 
 def forward(op: ForwardOperator, x: ComplexImage) -> KSpaceData:

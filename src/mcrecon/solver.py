@@ -193,7 +193,9 @@ def dc_gradient(
 ) -> np.ndarray:
     """Gradient of :func:`dc_objective` with respect to x (Wirtinger, scaled
     so gradient descent matches real-valued descent on re/im parts)."""
-    return op.adjoint_arr(op.apply_arr(x) - y) + lam * (x - w + m / lam)
+    resid = op.apply_arr(x)
+    resid -= y
+    return op.adjoint_arr(resid) + lam * (x - w) + m
 
 
 def data_consistency_step(

@@ -13,7 +13,7 @@ from mcrecon.sampling import (
 
 
 def dft2c_oracle(x, inverse=False):
-    """Direct O(n^4) centered unitary 2D DFT for even-sized grids."""
+    """Direct O(n^4) centered unitary 2D DFT, DC at (h//2, w//2), any grid size."""
     h, w = x.shape[-2], x.shape[-1]
     h0, w0 = h // 2, w // 2
     sign = 1j if inverse else -1j

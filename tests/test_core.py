@@ -100,6 +100,13 @@ class TestSamplingMask:
         with pytest.raises(ValueError):
             SamplingMask(p, "equispaced", 4.0)
 
+    def test_full_scheme_must_sample_everything(self):
+        p = np.zeros((4, 4))
+        p[:, 1] = 1  # 4 of 16 locations, columns constant
+        with pytest.raises(ValueError, match="'full' mask must sample every location"):
+            SamplingMask(p, "full", 1.0)
+        assert SamplingMask(p, "equispaced", 4.0).n_sampled == 4
+
     def test_acs_columns_must_be_full(self):
         p = np.zeros((4, 8))
         p[:, 0] = 1

@@ -204,6 +204,17 @@ class TestCksFormat:
         with pytest.raises(FormatError, match="version 1 at byte 4.*regenerate.*mcrecon mask"):
             read_cks(p)
 
+    def test_undersampled_full_mask_rejected_as_content(self, tmp_path):
+        # the layout is valid, so the error is the mask's ValueError, not a FormatError
+        pattern = np.zeros((4, 4), dtype=np.uint8)
+        pattern[:, 1] = 1
+        meta = struct.pack("<24sdII", b"full", 1.0, 0, 0)
+        p = tmp_path / "m.cks"
+        p.write_bytes(_header(2, 2, (1, 1, 4, 4)) + meta + pattern.tobytes())
+        with pytest.raises(ValueError, match="'full' mask must sample every location") as err:
+            read_cks(p)
+        assert not isinstance(err.value, FormatError)
+
     @pytest.mark.parametrize(
         "kind, dims, byte",
         [(1, (2, 1, 4, 4), 7), (2, (2, 1, 4, 4), 7), (2, (1, 3, 4, 4), 11), (3, (1, 2, 4, 4), 11)],

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ALL_SCHEMES, dft2c_oracle, make_mask, random_sens
 from mcrecon.core import ComplexImage, KSpaceData
 from mcrecon.fourier import ForwardOperator, adjoint, fft2c, forward, ifft2c
+from mcrecon import sampling
 from mcrecon.sampling import full_mask
 
 
@@ -169,3 +172,43 @@ class TestForwardAdjoint:
         sens = random_sens(rng, 2, 8, 8)
         with pytest.raises(ValueError):
             ForwardOperator(mask=full_mask(4, 4), sens=sens)
+
+
+class TestOperatorProperties:
+    """Odd, non-square and multi-frame grids: a wrong phase ramp or column
+    gather shows here, not on the square even grids above."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scheme=st.sampled_from(sorted(sampling.GENERATORS) + ["full"]),
+        accel=st.sampled_from([1, 2, 3.3]),
+        height=st.integers(3, 12),
+        width=st.integers(3, 12),
+        n_frames=st.integers(1, 3),
+        n_coils=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_oracle_and_is_adjoint(
+        self, scheme, accel, height, width, n_frames, n_coils, seed
+    ):
+        rng = np.random.default_rng(seed)
+        if scheme == "full":
+            mask = full_mask(height, width)
+        else:
+            mask = sampling.make_mask(scheme, height, width, accel, seed, acs_lines=2)
+        sens = random_sens(rng, n_coils, height, width)
+        op = ForwardOperator(mask=mask, sens=sens)
+        x = rand_image(rng, n_frames, height, width)
+        y = rand_image(rng, n_coils, n_frames, height, width)
+
+        ax = op.apply_arr(x)
+        want = composition_oracle(mask, sens, x)
+        assert ax.dtype == np.complex128
+        assert np.abs(ax - want).max() <= 1e-10 * np.abs(want).max()
+        assert np.all(ax[:, :, mask.pattern == 0] == 0)
+
+        ahy = op.adjoint_arr(y)
+        assert ahy.dtype == np.complex128 and ahy.shape == x.shape
+        # |<y, Ax> - <A^H y, x>| relative to the Cauchy-Schwarz bound (||A|| <= 1)
+        gap = abs(np.vdot(y, ax) - np.vdot(ahy, x))
+        assert gap <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
