@@ -2,7 +2,7 @@
 undersampling schemes, sensitivity estimation, and quality metrics."""
 
 from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps, rss
-from .fourier import ForwardOperator, adjoint, fft2c, forward, ifft2c
+from .fourier import ForwardOperator, fft2c, ifft2c
 from .metrics import (
     LossWeights,
     UndefinedMetricError,
@@ -24,7 +24,7 @@ from .sampling import (
     pseudo_spiral_mask,
     random_rectilinear_mask,
 )
-from .sensitivity import estimate_from_acs, refine
+from .sensitivity import estimate_from_acs
 from .solver import (
     AdmmConfig,
     AdmmState,

@@ -27,6 +27,21 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains non-finite entries")
 
 
+def _complex_array(data, ndim: int, frame_axis: int | None, name: str) -> np.ndarray:
+    """Check and freeze data as complex128, first adding a missing frame axis."""
+    arr = np.asarray(data)
+    if frame_axis is not None and arr.ndim == ndim - 1:
+        arr = np.expand_dims(arr, frame_axis)
+    if arr.ndim != ndim:
+        want = f"{ndim}D" if frame_axis is None else f"{ndim - 1}D or {ndim}D"
+        raise ValueError(f"{name} data must be {want}, got shape {arr.shape}")
+    if min(arr.shape) < 1:
+        raise ValueError(f"{name} axes must be nonempty, got shape {arr.shape}")
+    arr = arr.astype(np.complex128, copy=False)
+    _require_finite(arr, name)
+    return _readonly(arr)
+
+
 @dataclass(frozen=True)
 class ComplexImage:
     """Complex spatial image, indexed (frame, row, col); n_frames >= 1.
@@ -38,16 +53,7 @@ class ComplexImage:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.ndim == 2:
-            arr = arr[np.newaxis]
-        if arr.ndim != 3:
-            raise ValueError(f"image data must be 2D or 3D, got shape {arr.shape}")
-        if min(arr.shape) < 1:
-            raise ValueError(f"image axes must be nonempty, got shape {arr.shape}")
-        arr = arr.astype(np.complex128, copy=False)
-        _require_finite(arr, "image")
-        object.__setattr__(self, "data", _readonly(arr))
+        object.__setattr__(self, "data", _complex_array(self.data, 3, 0, "image"))
 
     @property
     def n_frames(self) -> int:
@@ -69,16 +75,7 @@ class KSpaceData:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.ndim == 3:
-            arr = arr[:, np.newaxis]
-        if arr.ndim != 4:
-            raise ValueError(f"k-space data must be 3D or 4D, got shape {arr.shape}")
-        if min(arr.shape) < 1:
-            raise ValueError(f"k-space axes must be nonempty, got shape {arr.shape}")
-        arr = arr.astype(np.complex128, copy=False)
-        _require_finite(arr, "k-space")
-        object.__setattr__(self, "data", _readonly(arr))
+        object.__setattr__(self, "data", _complex_array(self.data, 4, 1, "k-space"))
 
     @property
     def n_coils(self) -> int:
@@ -171,11 +168,7 @@ class SensitivityMaps:
     support: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        arr = np.asarray(self.maps)
-        if arr.ndim != 3 or min(arr.shape) < 1:
-            raise ValueError(f"sensitivity maps must be 3D (coil, row, col), got {arr.shape}")
-        arr = arr.astype(np.complex128, copy=False)
-        _require_finite(arr, "sensitivity maps")
+        arr = _complex_array(self.maps, 3, None, "sensitivity maps")
         sup = self.support
         if sup is None:
             sup = np.any(arr != 0, axis=0)
@@ -187,7 +180,7 @@ class SensitivityMaps:
             raise ValueError("maps are not RSS-normalized on support")
         if np.any(sq[~sup] != 0):
             raise ValueError("maps must vanish off support")
-        object.__setattr__(self, "maps", _readonly(arr))
+        object.__setattr__(self, "maps", arr)
         object.__setattr__(self, "support", _readonly(sup))
 
     @property

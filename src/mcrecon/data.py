@@ -82,13 +82,7 @@ def _render_ellipse(yy, xx, ellipse, scale: float = 1.0) -> np.ndarray:
 
 def shepp_logan(n: int) -> ComplexImage:
     """Classical 10-ellipse Shepp-Logan phantom, intensities in [0, 1]."""
-    if n < 16:
-        raise ValueError("phantom side length must be >= 16")
-    yy, xx = _phantom_grid(n)
-    img = np.zeros((n, n))
-    for e in SHEPP_LOGAN_ELLIPSES:
-        img += _render_ellipse(yy, xx, e)
-    return ComplexImage(np.clip(img, 0.0, 1.0)[np.newaxis])
+    return dynamic_phantom(n, 1)
 
 
 def dynamic_phantom(n: int, n_frames: int) -> ComplexImage:

@@ -1,9 +1,12 @@
-"""Centered orthonormal 2D FFTs and the per-coil SENSE forward/adjoint pair.
+"""Centered orthonormal 2D FFTs and the per-coil SENSE forward operator.
 
 Convention: unitary transforms (1/sqrt(N) both directions) with the DC
 component at index (h//2, w//2). With RSS-normalized sensitivity maps this
 makes the stacked forward operator nonexpansive and adjoint == inverse for
 the full-sampling case.
+
+:func:`fft2c` / :func:`ifft2c` are the plain shifted ``np.fft`` reference used
+by ``data``, ``sensitivity`` and the tests; :class:`ForwardOperator` does not.
 
 :class:`ForwardOperator` computes the same map as ``mask * fft2c(S * x)``
 without shifting on each call. Along an axis of length n with c = n//2, the
@@ -24,32 +27,27 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .core import RECTILINEAR_SCHEMES, ComplexImage, KSpaceData, SamplingMask, SensitivityMaps
+from .core import RECTILINEAR_SCHEMES, SamplingMask, SensitivityMaps
 
 
-def _check_grid(arr: np.ndarray) -> None:
+def _centred(transform, arr: np.ndarray) -> np.ndarray:
+    arr = np.asarray(arr)
     if arr.ndim < 2 or arr.shape[-1] < 1 or arr.shape[-2] < 1:
         raise ValueError(f"expected a nonempty 2D spatial grid, got shape {arr.shape}")
+    axes = (-2, -1)
+    return np.fft.fftshift(
+        transform(np.fft.ifftshift(arr, axes=axes), axes=axes, norm="ortho"), axes=axes
+    )
 
 
 def fft2c(x: np.ndarray) -> np.ndarray:
     """Centered orthonormal 2D FFT over the trailing two axes."""
-    x = np.asarray(x)
-    _check_grid(x)
-    axes = (-2, -1)
-    return np.fft.fftshift(
-        np.fft.fft2(np.fft.ifftshift(x, axes=axes), axes=axes, norm="ortho"), axes=axes
-    )
+    return _centred(np.fft.fft2, x)
 
 
 def ifft2c(k: np.ndarray) -> np.ndarray:
     """Inverse of :func:`fft2c`."""
-    k = np.asarray(k)
-    _check_grid(k)
-    axes = (-2, -1)
-    return np.fft.fftshift(
-        np.fft.ifft2(np.fft.ifftshift(k, axes=axes), axes=axes, norm="ortho"), axes=axes
-    )
+    return _centred(np.fft.ifft2, k)
 
 
 def _phase(num: np.ndarray, n: int) -> np.ndarray:
@@ -94,10 +92,6 @@ class ForwardOperator:
             object.__setattr__(self, name, arr)
             object.__setattr__(self, name + "_conj", arr.conj())
 
-    @property
-    def n_coils(self) -> int:
-        return self.sens.n_coils
-
     def apply_arr(self, x: np.ndarray) -> np.ndarray:
         """Forward map on a raw (frame, row, col) array -> (coil, frame, row, col)."""
         v = self._maps[:, np.newaxis] * x[np.newaxis]
@@ -124,19 +118,3 @@ class ForwardOperator:
             v = sfft.ifft(v, axis=-1, norm="ortho", overwrite_x=True)
         v *= self._maps_conj[:, np.newaxis]
         return v.sum(axis=0)
-
-
-def forward(op: ForwardOperator, x: ComplexImage) -> KSpaceData:
-    """Apply the multi-coil forward operator; unsampled locations are exactly 0."""
-    if (x.height, x.width) != (op.mask.height, op.mask.width):
-        raise ValueError(f"image grid {x.data.shape[1:]} does not match operator grid")
-    return KSpaceData(op.apply_arr(x.data))
-
-
-def adjoint(op: ForwardOperator, y: KSpaceData) -> ComplexImage:
-    """Apply the adjoint of :func:`forward` (coil-combined zero-filled recon)."""
-    if (y.height, y.width) != (op.mask.height, op.mask.width):
-        raise ValueError(f"k-space grid {y.data.shape[2:]} does not match operator grid")
-    if y.n_coils != op.n_coils:
-        raise ValueError(f"expected {op.n_coils} coils, got {y.n_coils}")
-    return ComplexImage(op.adjoint_arr(y.data))

@@ -40,10 +40,24 @@ class LossWeights:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
 
-def _ssim_windows(u: np.ndarray, v: np.ndarray, window_shape, data_range: float) -> float:
+def _same_shape(u, v, dtype=None) -> tuple[np.ndarray, np.ndarray]:
+    u = np.asarray(u, dtype=dtype)
+    v = np.asarray(v, dtype=dtype)
+    if u.shape != v.shape:
+        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
+    return u, v
+
+
+def _ssim(u, v, ndim: int, data_range: float) -> float:
+    u, v = _same_shape(u, v, float)
+    if u.ndim != ndim or min(u.shape) < SSIM_WINDOW:
+        raise ValueError(f"SSIM needs {ndim}D inputs of at least {SSIM_WINDOW} per axis")
+    if data_range <= 0:
+        raise ValueError("data_range must be positive")
+    window_shape = (SSIM_WINDOW,) * ndim
     wu = sliding_window_view(u, window_shape)
     wv = sliding_window_view(v, window_shape)
-    axes = tuple(range(-len(window_shape), 0))
+    axes = tuple(range(-ndim, 0))
     mu_u = wu.mean(axis=axes)
     mu_v = wv.mean(axis=axes)
     var_u = (wu**2).mean(axis=axes) - mu_u**2
@@ -58,28 +72,12 @@ def _ssim_windows(u: np.ndarray, v: np.ndarray, window_shape, data_range: float)
 
 def ssim(u: np.ndarray, v: np.ndarray, data_range: float = 1.0) -> float:
     """Mean SSIM over dense 7x7 windows of two real 2D images."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    if u.ndim != 2 or min(u.shape) < SSIM_WINDOW:
-        raise ValueError(f"ssim needs 2D inputs of at least {SSIM_WINDOW}x{SSIM_WINDOW}")
-    if data_range <= 0:
-        raise ValueError("data_range must be positive")
-    return _ssim_windows(u, v, (SSIM_WINDOW, SSIM_WINDOW), data_range)
+    return _ssim(u, v, 2, data_range)
 
 
 def ssim3d(u: np.ndarray, v: np.ndarray, data_range: float = 1.0) -> float:
     """Mean SSIM over dense 7x7x7 windows of two real volumes."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    if u.ndim != 3 or min(u.shape) < SSIM_WINDOW:
-        raise ValueError(f"ssim3d needs 3D inputs of at least {SSIM_WINDOW} per axis")
-    if data_range <= 0:
-        raise ValueError("data_range must be positive")
-    return _ssim_windows(u, v, (SSIM_WINDOW,) * 3, data_range)
+    return _ssim(u, v, 3, data_range)
 
 
 def log_kernel(size: int = LOG_SIZE, sigma: float = LOG_SIGMA) -> np.ndarray:
@@ -94,10 +92,7 @@ def log_kernel(size: int = LOG_SIZE, sigma: float = LOG_SIGMA) -> np.ndarray:
 def hfen1(u: np.ndarray, v: np.ndarray) -> float:
     """High-frequency error norm: L1 ratio of LoG-filtered difference to
     LoG-filtered reference."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
+    u, v = _same_shape(u, v, float)
     k = log_kernel()
     gu = ndimage.convolve(u, k, mode="reflect")
     gv = ndimage.convolve(v, k, mode="reflect")
@@ -110,10 +105,7 @@ def hfen1(u: np.ndarray, v: np.ndarray) -> float:
 
 def nmae(u: np.ndarray, v: np.ndarray) -> float:
     """Normalized mean absolute error, ||u - v||_1 / ||u||_1 (complex-aware)."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
+    u, v = _same_shape(u, v)
     denom = np.abs(u).sum()
     if denom == 0:
         raise UndefinedMetricError("nmae undefined: reference has zero L1 norm")
@@ -122,10 +114,7 @@ def nmae(u: np.ndarray, v: np.ndarray) -> float:
 
 def nmse(u: np.ndarray, v: np.ndarray) -> float:
     """Normalized mean squared error, ||u - v||_2^2 / ||u||_2^2."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
+    u, v = _same_shape(u, v)
     denom = float(np.sum(np.abs(u) ** 2))
     if denom == 0:
         raise UndefinedMetricError("nmse undefined: reference has zero energy")
@@ -134,10 +123,7 @@ def nmse(u: np.ndarray, v: np.ndarray) -> float:
 
 def psnr(u: np.ndarray, v: np.ndarray, data_range: float) -> float:
     """Peak signal-to-noise ratio in dB; +inf for identical inputs."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
+    u, v = _same_shape(u, v, float)
     if data_range <= 0:
         raise ValueError("data_range must be positive")
     mse = float(np.mean((u - v) ** 2))
@@ -160,10 +146,7 @@ def dual_domain_loss(
     Image inputs are real magnitudes, 2D or (frame, row, col) stacks;
     SSIM and HFEN are computed per frame and averaged.
     """
-    x_true = np.asarray(x_true, dtype=float)
-    x_pred = np.asarray(x_pred, dtype=float)
-    if x_true.shape != x_pred.shape:
-        raise ValueError(f"shape mismatch: {x_true.shape} vs {x_pred.shape}")
+    x_true, x_pred = _same_shape(x_true, x_pred, float)
     if data_range is None:
         data_range = float(x_true.max())
         if data_range <= 0:

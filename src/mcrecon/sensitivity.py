@@ -2,8 +2,7 @@
 
 Classical pipeline: keep only the fully-sampled central k-space, apodize
 with a raised-cosine window, inverse-transform per coil, and normalize by
-the RSS image on a thresholded support. A ``refine`` hook is exposed for
-drop-in map refiners; the built-in refiner is the identity.
+the RSS image on a thresholded support.
 """
 
 import numpy as np
@@ -58,8 +57,3 @@ def estimate_from_acs(
     np.divide(lowres, mag, out=maps, where=support)
     maps[:, ~support] = 0.0
     return SensitivityMaps(maps=maps, support=support)
-
-
-def refine(maps: SensitivityMaps) -> SensitivityMaps:
-    """Identity refinement stage; stable interface point for learned refiners."""
-    return maps

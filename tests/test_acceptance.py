@@ -18,7 +18,7 @@ from mcrecon.data import (
     write_cks,
 )
 from mcrecon.fourier import ForwardOperator, ifft2c
-from mcrecon.metrics import hfen1, log_kernel, nmae, nmse, psnr, ssim, dual_domain_loss, LossWeights
+from mcrecon.metrics import hfen1, nmae, nmse, psnr, ssim, dual_domain_loss, LossWeights
 from mcrecon.sampling import (
     achieved_acceleration,
     equispaced_mask,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mcrecon import cli
-from mcrecon.core import ComplexImage, KSpaceData, SamplingMask
+from mcrecon.core import ComplexImage, KSpaceData
 from mcrecon.data import read_cks, write_cks
 from mcrecon.metrics import nmse, ssim
 from mcrecon.sampling import GENERATORS, make_mask
@@ -168,6 +168,14 @@ class TestSimulateCommand:
             tmp_path / "sta_truth.cks"
         ).read_bytes()
 
+    @pytest.mark.parametrize("frames", ["0", "-3"])
+    def test_frames_below_one_rejected(self, tmp_path, capsys, frames):
+        rc = run(["simulate", "--size", "32", "--frames", frames, "--coils", "2", "--seed", "4",
+                  "--out-prefix", tmp_path / "bad"])
+        assert rc == 1
+        assert "n_frames must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("bad*"))
+
 
 class TestReconstructCommand:
     def test_zero_filled_on_full_data_recovers_truth(self, sim_files, tmp_path):
@@ -262,6 +270,17 @@ class TestReconstructCommand:
                   "--sens", sim_files["sens"], "--out-prefix", tmp_path / "out"])
         assert rc == 2
         assert "reconstructed" not in capsys.readouterr().out
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, sim_files, tmp_path, capsys, jobs):
+        rc = run(["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
+                  "--sens", sim_files["sens"], "--T", "1", "--jobs", jobs,
+                  "--out-prefix", tmp_path / "out"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--jobs" in captured.err
+        assert "reconstructed" not in captured.out
         assert not list(tmp_path.glob("out*"))
 
     def test_jobs_2_writes_the_same_bytes_as_jobs_1(self, sim_files, tmp_path):

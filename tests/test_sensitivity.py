@@ -4,8 +4,8 @@ import pytest
 from mcrecon.core import KSpaceData
 from mcrecon.data import shepp_logan, simulate_coils
 from mcrecon.fourier import fft2c
-from mcrecon.sampling import equispaced_mask, full_mask, gaussian2d_mask
-from mcrecon.sensitivity import estimate_from_acs, refine
+from mcrecon.sampling import equispaced_mask, gaussian2d_mask
+from mcrecon.sensitivity import estimate_from_acs
 
 
 def phantom_kspace(n=32, n_coils=4, seed=1):
@@ -72,13 +72,3 @@ class TestEstimateFromAcs:
         a = estimate_from_acs(ksp, mask)
         b = estimate_from_acs(stacked, mask)
         assert np.allclose(a.maps, b.maps)
-
-
-class TestRefine:
-    def test_identity(self):
-        _, sens, _ = phantom_kspace()
-        assert refine(sens) is sens
-
-    def test_idempotent(self):
-        _, sens, _ = phantom_kspace()
-        assert refine(refine(sens)) is refine(sens)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_mask, random_sens
-from mcrecon.core import KSpaceData, SensitivityMaps
+from mcrecon.core import KSpaceData
 from mcrecon.fourier import ForwardOperator
 from mcrecon.sampling import full_mask
 from mcrecon.data import shepp_logan, simulate_coils
@@ -73,6 +73,18 @@ class TestConfigs:
 
 
 class TestZeroFilledInit:
+    @pytest.mark.parametrize(
+        "solve",
+        [zero_filled_init, lambda y, mask, sens: admm_reconstruct(y, mask, sens, AdmmConfig(T=1))],
+        ids=["zero_filled_init", "admm_reconstruct"],
+    )
+    @pytest.mark.parametrize("shape", [(2, 1, 4, 4), (2, 1, 8, 4), (3, 1, 8, 8), (1, 1, 8, 8)])
+    def test_kspace_must_match_mask_grid_and_coils(self, rng, solve, shape):
+        sens = random_sens(rng, 2, 8, 8)
+        y = KSpaceData(rand_image(rng, *shape))
+        with pytest.raises(ValueError, match="k-space dimensions do not match"):
+            solve(y, full_mask(8, 8), sens)
+
     def test_full_sampling_recovers_truth_on_support(self):
         img = shepp_logan(32)
         sens, ksp = simulate_coils(img, 4, 0)
