@@ -68,7 +68,10 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 
 def _load_as(path, cls):
-    obj = dio.read_cks(path)
+    try:
+        obj = dio.read_cks(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(obj, cls):
         raise CliError(f"{path}: expected {cls.__name__}, found {type(obj).__name__}")
     return obj
@@ -102,12 +105,27 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _reconstruct_one(ksp_path, out: Path, mask, args) -> None:
-    ksp = _load_as(ksp_path, KSpaceData)
-    if args.estimate_sens:
+def _load_volumes(args, mask) -> tuple[list[KSpaceData], SensitivityMaps | None]:
+    """Read every --kspace file and --sens once, and check their grids and
+    coil counts, so a bad input fails before any volume is solved."""
+    sens = None if args.estimate_sens else _load_as(args.sens, SensitivityMaps)
+    grid = (mask.height, mask.width)
+    if sens is not None and (sens.height, sens.width) != grid:
+        raise ValueError(f"{args.sens}: sensitivity grid {sens.maps.shape[1:]}, mask grid {grid}")
+    volumes = []
+    for path in args.kspace:
+        ksp = _load_as(path, KSpaceData)
+        if (ksp.height, ksp.width) != grid:
+            raise ValueError(f"{path}: k-space grid {ksp.data.shape[2:]}, mask grid {grid}")
+        if sens is not None and ksp.n_coils != sens.n_coils:
+            raise ValueError(f"{path}: {ksp.n_coils} coils, sensitivity maps have {sens.n_coils}")
+        volumes.append(ksp)
+    return volumes, sens
+
+
+def _reconstruct_one(ksp_path, ksp: KSpaceData, out: Path, mask, sens, args) -> None:
+    if sens is None:
         sens = estimate_from_acs(ksp, mask)
-    else:
-        sens = _load_as(args.sens, SensitivityMaps)
     start = time.perf_counter()
     if args.method == "zero-filled":
         recon = zero_filled_init(ksp, mask, sens)
@@ -149,11 +167,13 @@ def cmd_reconstruct(args) -> int:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
     outs = _recon_paths(args.kspace, args.out_prefix)
     mask = _load_as(args.mask, SamplingMask)
+    volumes, sens = _load_volumes(args, mask)
     # One worker or one volume runs on the calling thread: a thread left idle for a
     # whole solve made the next numpy work in the process ~25% slower (2-vCPU box).
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         run = pool.map if args.jobs > 1 and len(outs) > 1 else map
-        list(run(lambda p, o: _reconstruct_one(p, o, mask, args), args.kspace, outs))
+        list(run(lambda p, k, o: _reconstruct_one(p, k, o, mask, sens, args),
+                 args.kspace, volumes, outs))
     return 0
 
 

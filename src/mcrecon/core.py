@@ -2,8 +2,11 @@
 
 All containers are immutable after construction: the wrapped numpy arrays
 are marked read-only, so instances can be shared freely across threads.
-Complex data is stored as complex128 in memory; on-disk storage (see the
-``data`` module) uses interleaved float32.
+Complex containers keep complex64 data as complex64 and store every other
+dtype as complex128. CKS files (see the ``data`` module) hold float32
+components and read back as complex64, so a solve on CKS inputs runs in
+complex64 and a solve on in-memory complex128 data in complex128; there is
+no precision flag.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +31,8 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
 
 
 def _complex_array(data, ndim: int, frame_axis: int | None, name: str) -> np.ndarray:
-    """Check and freeze data as complex128, first adding a missing frame axis."""
+    """Check and freeze data as complex64 if it is complex64, else as
+    complex128, first adding a missing frame axis."""
     arr = np.asarray(data)
     if frame_axis is not None and arr.ndim == ndim - 1:
         arr = np.expand_dims(arr, frame_axis)
@@ -37,7 +41,7 @@ def _complex_array(data, ndim: int, frame_axis: int | None, name: str) -> np.nda
         raise ValueError(f"{name} data must be {want}, got shape {arr.shape}")
     if min(arr.shape) < 1:
         raise ValueError(f"{name} axes must be nonempty, got shape {arr.shape}")
-    arr = arr.astype(np.complex128, copy=False)
+    arr = arr.astype(np.complex64 if arr.dtype == np.complex64 else np.complex128, copy=False)
     _require_finite(arr, name)
     return _readonly(arr)
 
@@ -175,7 +179,7 @@ class SensitivityMaps:
         sup = np.asarray(sup).astype(bool)
         if sup.shape != arr.shape[1:]:
             raise ValueError("support shape must match the spatial grid")
-        sq = np.sum(np.abs(arr) ** 2, axis=0)
+        sq = np.sum(np.square(np.abs(arr), dtype=np.float64), axis=0)
         if sup.any() and np.max(np.abs(sq[sup] - 1.0)) > SENS_NORMALIZATION_TOL:
             raise ValueError("maps are not RSS-normalized on support")
         if np.any(sq[~sup] != 0):

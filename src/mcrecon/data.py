@@ -5,7 +5,9 @@ magic "CKS1" | u16 version | u8 kind | 4 x u32 dims (coils, frames, rows,
 cols) | payload. Kinds: 0 k-space, 1 image, 2 mask, 3 sensitivity maps.
 Axes a kind does not use must be 1: image coils, mask coils and frames,
 sensitivity frames. Complex payloads (version 1) are interleaved (re, im)
-float32 in (coil, frame, row, col) row-major order. Mask payloads (version
+float32 in (coil, frame, row, col) row-major order, i.e. little-endian
+complex64: writing rounds complex128 data to it, and reading returns
+complex64 containers that view the file's bytes. Mask payloads (version
 2) start with a fixed metadata block -- the scheme name as 24 NUL-padded
 ASCII bytes, f64 nominal acceleration, u32 ACS lines, u32 ACS disc radius
 -- followed by one byte per element. Version-1 masks carried no metadata
@@ -154,10 +156,7 @@ def random_kspace_crop(ksp: KSpaceData, crop_h: int, crop_w: int, seed: int) -> 
 
 
 def _complex_payload(arr: np.ndarray) -> bytes:
-    inter = np.empty(arr.shape + (2,), dtype="<f4")
-    inter[..., 0] = arr.real
-    inter[..., 1] = arr.imag
-    return inter.tobytes()
+    return np.asarray(arr, dtype="<c8").tobytes()
 
 
 def write_cks(path, obj) -> None:
@@ -227,8 +226,7 @@ def read_cks(path):
         pattern = np.frombuffer(raw, dtype=np.uint8, offset=start).reshape(h, w)
         scheme = scheme.rstrip(b"\0").decode("ascii", "backslashreplace")
         return SamplingMask(pattern, scheme, accel, acs_lines, acs_radius)
-    inter = np.frombuffer(raw, dtype="<f4", offset=start).reshape(coils, frames, h, w, 2)
-    arr = inter[..., 0].astype(np.complex128) + 1j * inter[..., 1].astype(np.complex128)
+    arr = np.frombuffer(raw, dtype="<c8", offset=start).reshape(coils, frames, h, w)
     if kind == KIND_KSPACE:
         return KSpaceData(arr)
     if kind == KIND_IMAGE:

@@ -20,6 +20,12 @@ grid but along the height axis only in the sampled columns, which it
 scatters into zeros; the adjoint runs the same steps in reverse. Point
 masks (gaussian2d, radial, spiral) and masks that sample every column take
 the full 2D FFT.
+
+The operator computes in one complex dtype, by default that of the maps:
+it casts the ramped maps and mask to it once, and ``apply_arr`` /
+``adjoint_arr`` then return arrays of that dtype for inputs of it. The
+solver builds it in the dtype of the k-space, so complex64 CKS data runs
+single-precision FFTs.
 """
 
 from dataclasses import dataclass
@@ -67,10 +73,12 @@ def _ramps(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ForwardOperator:
-    """Per-coil acquisition operator: mask * fft2c(S_k * x), stacked over coils."""
+    """Per-coil acquisition operator: mask * fft2c(S_k * x), stacked over coils,
+    computed in ``dtype`` (complex64 or complex128; None means the maps' dtype)."""
 
     mask: SamplingMask
     sens: SensitivityMaps
+    dtype: np.dtype | None = None
 
     def __post_init__(self):
         if (self.mask.height, self.mask.width) != (self.sens.height, self.sens.width):
@@ -78,9 +86,13 @@ class ForwardOperator:
                 f"mask grid {self.mask.pattern.shape} does not match "
                 f"sensitivity grid {self.sens.maps.shape[1:]}"
             )
+        dtype = self.sens.maps.dtype if self.dtype is None else np.dtype(self.dtype)
+        if dtype not in (np.complex64, np.complex128):
+            raise ValueError(f"operator dtype must be complex64 or complex128, got {dtype}")
+        object.__setattr__(self, "dtype", dtype)
         (rn_h, rk_h), (rn_w, rk_w) = _ramps(self.mask.height), _ramps(self.mask.width)
-        maps = self.sens.maps * np.outer(rn_h, rn_w)
-        kmask = self.mask.pattern * np.outer(rk_h, rk_w)
+        maps = (self.sens.maps * np.outer(rn_h, rn_w)).astype(dtype, copy=False)
+        kmask = (self.mask.pattern * np.outer(rk_h, rk_w)).astype(dtype, copy=False)
         cols = None
         if self.mask.scheme in RECTILINEAR_SCHEMES:
             sampled = np.flatnonzero(self.mask.pattern[0])

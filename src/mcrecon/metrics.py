@@ -5,7 +5,8 @@ population statistics and stabilizers C1 = (0.01 * data_range)^2,
 C2 = (0.03 * data_range)^2; with inputs normalized to [0, 1] and
 data_range = 1 this reduces to raw constants 0.01 and 0.03. HFEN uses a
 15x15 Laplacian-of-Gaussian filter (sigma 2.5, zero-sum) with symmetric
-boundary padding.
+boundary padding. Every metric computes in double precision, whatever the
+precision of its inputs.
 """
 
 from dataclasses import dataclass
@@ -41,11 +42,13 @@ class LossWeights:
 
 
 def _same_shape(u, v, dtype=None) -> tuple[np.ndarray, np.ndarray]:
-    u = np.asarray(u, dtype=dtype)
-    v = np.asarray(v, dtype=dtype)
+    """u and v as arrays of one shape in ``dtype``, by default in double
+    precision (float64 or complex128), so sums never run in float32."""
+    u, v = np.asarray(u), np.asarray(v)
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    return u, v
+    dtype = dtype or np.result_type(u, v, np.float64)
+    return u.astype(dtype, copy=False), v.astype(dtype, copy=False)
 
 
 def _ssim(u, v, ndim: int, data_range: float) -> float:

@@ -7,6 +7,11 @@ m <- m + lam * (x - w). Multipliers start at zero; x and w start from the
 zero-filled (adjoint) reconstruction. The denoiser is pluggable: identity,
 complex soft-thresholding, a closed-form Tikhonov smoother, or a
 fixed-iteration Chambolle TV prox.
+
+The solve runs in the dtype of the k-space: the operator casts the maps to
+it once, and every step and denoiser returns the dtype it is given, so
+complex64 data (as read from CKS files) is solved in complex64 and
+complex128 data in complex128.
 """
 
 from dataclasses import dataclass, field
@@ -93,7 +98,7 @@ class AdmmState:
 
 def zero_filled_init(y: KSpaceData, mask: SamplingMask, sens: SensitivityMaps) -> ComplexImage:
     """Coil-combined adjoint of the measured data; the solver's x^(0) and w^(0)."""
-    op = ForwardOperator(mask=mask, sens=sens)
+    op = ForwardOperator(mask=mask, sens=sens, dtype=y.data.dtype)
     if (y.height, y.width) != (mask.height, mask.width) or y.n_coils != sens.n_coils:
         raise ValueError("k-space dimensions do not match mask/sensitivities")
     return ComplexImage(op.adjoint_arr(y.data))
@@ -113,7 +118,7 @@ def _tikhonov_prox(v: np.ndarray, alpha: float, lam: float) -> np.ndarray:
     h, w = v.shape[-2], v.shape[-1]
     ky = 2 * np.pi * np.fft.fftfreq(h)
     kx = 2 * np.pi * np.fft.fftfreq(w)
-    eig = (2 - 2 * np.cos(ky))[:, None] + (2 - 2 * np.cos(kx))[None, :]
+    eig = ((2 - 2 * np.cos(ky))[:, None] + (2 - 2 * np.cos(kx))[None, :]).astype(v.real.dtype)
     vk = np.fft.fft2(v, axes=(-2, -1))
     return np.fft.ifft2(lam * vk / (lam + alpha * eig), axes=(-2, -1))
 
@@ -141,7 +146,7 @@ def _tv_prox_real(v: np.ndarray, weight: float, iterations: int) -> np.ndarray:
     if weight == 0:
         return v.copy()
     tau = 0.25
-    p = np.zeros((2,) + v.shape)
+    p = np.zeros((2,) + v.shape, dtype=v.dtype)
     for _ in range(iterations):
         g = _grad2(_div2(p) - v / weight)
         mag = np.sqrt(np.sum(g**2, axis=0))
@@ -229,11 +234,12 @@ def admm_reconstruct(
     cfg: AdmmConfig,
     return_state: bool = False,
 ):
-    """Run the full unrolled solve and return the final image.
+    """Run the full unrolled solve, in the dtype of ``y``, and return the
+    final image.
 
     T = 0 returns the zero-filled initialization unchanged.
     """
-    op = ForwardOperator(mask=mask, sens=sens)
+    op = ForwardOperator(mask=mask, sens=sens, dtype=y.data.dtype)
     x = w = zero_filled_init(y, mask, sens).data
     m = np.zeros_like(x)
     for _ in range(cfg.T):

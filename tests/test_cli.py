@@ -283,6 +283,32 @@ class TestReconstructCommand:
         assert "reconstructed" not in captured.out
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "fault, estimate",
+        [("truncated", False), ("truncated", True), ("wrong-grid", False), ("wrong-grid", True),
+         ("wrong-coils", False)],  # estimated maps have the coils of each volume
+    )
+    def test_bad_middle_input_fails_before_any_solve(
+        self, sim_files, tmp_path, capsys, fault, estimate, jobs
+    ):
+        a = shutil.copy(sim_files["masked"], tmp_path / "a.cks")
+        c = shutil.copy(sim_files["masked"], tmp_path / "c.cks")
+        bad = tmp_path / "bad.cks"
+        if fault == "truncated":
+            bad.write_bytes(a.read_bytes()[:-5])
+        else:
+            shape = (4, 1, 32, 64) if fault == "wrong-grid" else (3, 1, 64, 64)
+            write_cks(bad, KSpaceData(np.ones(shape, dtype=complex)))
+        sens = ["--estimate-sens"] if estimate else ["--sens", sim_files["sens"]]
+        rc = run(["reconstruct", "--kspace", a, bad, c, "--mask", sim_files["mask"], *sens,
+                  "--T", "1", "--inner", "1", "--jobs", jobs, "--out-prefix", tmp_path / "r"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "bad.cks" in captured.err
+        assert "reconstructed" not in captured.out
+        assert not list(tmp_path.glob("r_*"))
+
     def test_jobs_2_writes_the_same_bytes_as_jobs_1(self, sim_files, tmp_path):
         for jobs in ("1", "2"):
             assert run(["reconstruct", "--kspace", sim_files["masked"], sim_files["full"],
