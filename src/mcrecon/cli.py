@@ -22,7 +22,7 @@ from .metrics import LossWeights, dual_domain_loss, hfen1, nmae, nmse, psnr, ssi
 from .sampling import GENERATORS, achieved_acceleration, make_mask
 from .sensitivity import estimate_from_acs
 from .solver import DENOISER_KINDS, MODE_DEFAULTS, AdmmConfig, DenoiserSpec
-from .solver import admm_reconstruct, zero_filled_init
+from .solver import admm_reconstruct, check_inputs, zero_filled_init
 
 _DENOISER_ALIASES = {kind: kind for kind in DENOISER_KINDS} | {
     "l1": "l1-soft-threshold",
@@ -109,16 +109,13 @@ def _load_volumes(args, mask) -> tuple[list[KSpaceData], SensitivityMaps | None]
     """Read every --kspace file and --sens once, and check their grids and
     coil counts, so a bad input fails before any volume is solved."""
     sens = None if args.estimate_sens else _load_as(args.sens, SensitivityMaps)
-    grid = (mask.height, mask.width)
-    if sens is not None and (sens.height, sens.width) != grid:
-        raise ValueError(f"{args.sens}: sensitivity grid {sens.maps.shape[1:]}, mask grid {grid}")
     volumes = []
     for path in args.kspace:
         ksp = _load_as(path, KSpaceData)
-        if (ksp.height, ksp.width) != grid:
-            raise ValueError(f"{path}: k-space grid {ksp.data.shape[2:]}, mask grid {grid}")
-        if sens is not None and ksp.n_coils != sens.n_coils:
-            raise ValueError(f"{path}: {ksp.n_coils} coils, sensitivity maps have {sens.n_coils}")
+        try:
+            check_inputs(ksp, mask, sens)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         volumes.append(ksp)
     return volumes, sens
 
@@ -168,12 +165,14 @@ def cmd_reconstruct(args) -> int:
     outs = _recon_paths(args.kspace, args.out_prefix)
     mask = _load_as(args.mask, SamplingMask)
     volumes, sens = _load_volumes(args, mask)
+    volumes.reverse()  # popped in input order, so each volume is freed once it is solved
+    todo = (volumes.pop() for _ in outs)
     # One worker or one volume runs on the calling thread: a thread left idle for a
     # whole solve made the next numpy work in the process ~25% slower (2-vCPU box).
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         run = pool.map if args.jobs > 1 and len(outs) > 1 else map
         list(run(lambda p, k, o: _reconstruct_one(p, k, o, mask, sens, args),
-                 args.kspace, volumes, outs))
+                 args.kspace, todo, outs))
     return 0
 
 

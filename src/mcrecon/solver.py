@@ -96,11 +96,24 @@ class AdmmState:
     iteration: int
 
 
+def check_inputs(y: KSpaceData, mask: SamplingMask, sens: SensitivityMaps | None = None) -> None:
+    """Raise ValueError unless ``y`` and ``sens`` (if given) lie on the mask's
+    grid and ``y`` has as many coils as ``sens``."""
+    grid = (mask.height, mask.width)
+    if sens is not None and (sens.height, sens.width) != grid:
+        raise ValueError(f"sensitivity grid {(sens.height, sens.width)}, mask grid {grid}")
+    if (y.height, y.width) != grid or (sens is not None and y.n_coils != sens.n_coils):
+        maps = "" if sens is None else f", maps with {sens.n_coils} coils"
+        raise ValueError(
+            f"k-space dimensions do not match mask/sensitivities: k-space with "
+            f"{y.n_coils} coils on grid {(y.height, y.width)}, mask grid {grid}{maps}"
+        )
+
+
 def zero_filled_init(y: KSpaceData, mask: SamplingMask, sens: SensitivityMaps) -> ComplexImage:
     """Coil-combined adjoint of the measured data; the solver's x^(0) and w^(0)."""
+    check_inputs(y, mask, sens)
     op = ForwardOperator(mask=mask, sens=sens, dtype=y.data.dtype)
-    if (y.height, y.width) != (mask.height, mask.width) or y.n_coils != sens.n_coils:
-        raise ValueError("k-space dimensions do not match mask/sensitivities")
     return ComplexImage(op.adjoint_arr(y.data))
 
 

@@ -1,7 +1,9 @@
 import argparse
 import csv
+import gc
 import shutil
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -308,6 +310,20 @@ class TestReconstructCommand:
         assert "bad.cks" in captured.err
         assert "reconstructed" not in captured.out
         assert not list(tmp_path.glob("r_*"))
+
+    def test_each_volume_is_freed_once_solved(self, sim_files, tmp_path, monkeypatch):
+        solved = []
+
+        def solve(path, ksp, *rest):
+            gc.collect()
+            assert all(ref() is None for ref in solved)
+            solved.append(weakref.ref(ksp))
+
+        monkeypatch.setattr(cli, "_reconstruct_one", solve)
+        assert run(["reconstruct", "--kspace", sim_files["masked"], sim_files["full"],
+                    "--mask", sim_files["mask"], "--sens", sim_files["sens"],
+                    "--out-prefix", tmp_path / "r"]) == 0
+        assert len(solved) == 2
 
     def test_jobs_2_writes_the_same_bytes_as_jobs_1(self, sim_files, tmp_path):
         for jobs in ("1", "2"):

@@ -96,6 +96,7 @@ def test_cks_complex_kinds_read_back_as_complex64(tmp_path, rng):
         back = read_cks(tmp_path / "f.cks")
         arr = back.maps if isinstance(back, SensitivityMaps) else back.data
         assert type(back) is type(obj) and arr.dtype == np.complex64
+        assert arr.flags.aligned  # the payload starts at an odd byte of the file
 
 
 @pytest.mark.parametrize("given", [np.float32, np.float64, np.complex128])
