@@ -7,13 +7,17 @@ Every file must be byte-identical, except:
   may differ by at most 1e-6 * max|parent|;
 - each min/max value of a .scale.txt may differ by at most 1e-6 * the larger
   of the parent's two magnitudes;
-- a .pgm may differ by at most 1 grey level, with the same header.
+- a .pgm may differ by at most 1 grey level, with the same header;
+- an evaluate .csv must have the same header and rows with the same keys
+  (every column but the last), and each last-column value may differ by at
+  most 1e-12 * |parent value|.
 Any other difference, or a file present on one side only, is named and the
 script exits 1.
 
 Usage: PYTHONPATH=src python3 scripts/golden_compare.py PARENT_OUT CHANGE_OUT
 """
 
+import csv
 import sys
 from pathlib import Path
 
@@ -25,6 +29,7 @@ from mcrecon.data import read_cks
 CKS_TOL = 1e-6
 SCALE_TOL = 1e-6
 PGM_TOL = 1
+CSV_TOL = 1e-12
 
 
 def _cks_close(a: Path, b: Path) -> str | None:
@@ -63,6 +68,19 @@ def _pgm_close(a: Path, b: Path) -> str | None:
     return None if diff.max() <= PGM_TOL else f"{diff.max()} grey levels apart"
 
 
+def _csv_close(a: Path, b: Path) -> str | None:
+    ra, rb = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
+    if ra[:1] != rb[:1] or len(ra) != len(rb):
+        return "header or row count differs"
+    for la, lb in zip(ra[1:], rb[1:]):
+        if la[:-1] != lb[:-1]:
+            return f"row {la[:-1]} -> {lb[:-1]}"
+        x, y = float(la[-1]), float(lb[-1])
+        if x != y and not abs(x - y) <= CSV_TOL * abs(x):
+            return f"{','.join(la[:-1])} {x!r} -> {y!r}"
+    return None
+
+
 def _files(root: Path) -> set[Path]:
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file()} - {Path("hashes.txt")}
 
@@ -82,6 +100,8 @@ def compare(parent: Path, change: Path) -> list[str]:
             why = _scale_close(a, b)
         elif rel.suffix == ".pgm":
             why = _pgm_close(a, b)
+        elif rel.suffix == ".csv":
+            why = _csv_close(a, b)
         else:
             why = "differs"
         if why:

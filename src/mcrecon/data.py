@@ -7,14 +7,16 @@ Axes a kind does not use must be 1: image coils, mask coils and frames,
 sensitivity frames. Complex payloads (version 1) are interleaved (re, im)
 float32 in (coil, frame, row, col) row-major order, i.e. little-endian
 complex64: writing rounds complex128 data to it, and reading returns
-complex64 containers holding one aligned copy of the payload. Mask payloads (version
-2) start with a fixed metadata block -- the scheme name as 24 NUL-padded
-ASCII bytes, f64 nominal acceleration, u32 ACS lines, u32 ACS disc radius
--- followed by one byte per element. Version-1 masks carried no metadata
+complex64 containers holding an aligned array the payload is read into
+(no intermediate copy). Mask payloads (version 2) start with a fixed
+metadata block -- the scheme name as 24 NUL-padded ASCII bytes, f64
+nominal acceleration, u32 ACS lines, u32 ACS disc radius -- followed by
+one byte per element. Version-1 masks carried no metadata
 and are rejected.
 """
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -190,46 +192,55 @@ def write_cks(path, obj) -> None:
 
 def read_cks(path):
     """Deserialize a CKS file back into the corresponding core object."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise FormatError(
-            f"truncated header at byte {len(raw)}: expected {_HEADER.size} header bytes"
-        )
-    magic, version, kind, *dims = _HEADER.unpack_from(raw)
-    if magic != CKS_MAGIC:
-        raise FormatError(f"bad magic {magic!r} at byte 0: expected {CKS_MAGIC!r}")
-    if kind not in _LAYOUT:
-        raise FormatError(f"unknown kind {kind} at byte 6")
-    want_version, elem_size, unit_axes = _LAYOUT[kind]
-    if version != want_version:
-        hint = "; regenerate the mask with `mcrecon mask`" if kind == KIND_MASK else ""
-        raise FormatError(
-            f"unsupported version {version} at byte 4 for kind {kind}: "
-            f"expected {want_version}{hint}"
-        )
-    for i in unit_axes:
-        if dims[i] != 1:
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
             raise FormatError(
-                f"{_DIM_NAMES[i]} must be 1 for kind {kind}, got {dims[i]} "
-                f"at byte {_DIMS_OFFSET + 4 * i}"
+                f"truncated header at byte {len(head)}: expected {_HEADER.size} header bytes"
             )
-    start = _HEADER.size + (_MASK_META.size if kind == KIND_MASK else 0)
-    expected = start + math.prod(dims) * elem_size
-    if len(raw) != expected:
-        raise FormatError(
-            f"payload length mismatch at byte {_HEADER.size}: "
-            f"expected {expected} total bytes, got {len(raw)}"
-        )
-    coils, frames, h, w = dims
-    if kind == KIND_MASK:
-        scheme, accel, acs_lines, acs_radius = _MASK_META.unpack_from(raw, _HEADER.size)
-        pattern = np.frombuffer(raw, dtype=np.uint8, offset=start).reshape(h, w)
-        scheme = scheme.rstrip(b"\0").decode("ascii", "backslashreplace")
-        return SamplingMask(pattern, scheme, accel, acs_lines, acs_radius)
-    # The payload starts at an odd byte; the solver reads it every iteration,
-    # and numpy is up to 1.8x slower on unaligned complex64 operands.
-    arr = np.require(np.frombuffer(raw, dtype="<c8", offset=start), requirements="A")
-    arr = arr.reshape(coils, frames, h, w)
+        magic, version, kind, *dims = _HEADER.unpack(head)
+        if magic != CKS_MAGIC:
+            raise FormatError(f"bad magic {magic!r} at byte 0: expected {CKS_MAGIC!r}")
+        if kind not in _LAYOUT:
+            raise FormatError(f"unknown kind {kind} at byte 6")
+        want_version, elem_size, unit_axes = _LAYOUT[kind]
+        if version != want_version:
+            hint = "; regenerate the mask with `mcrecon mask`" if kind == KIND_MASK else ""
+            raise FormatError(
+                f"unsupported version {version} at byte 4 for kind {kind}: "
+                f"expected {want_version}{hint}"
+            )
+        for i in unit_axes:
+            if dims[i] != 1:
+                raise FormatError(
+                    f"{_DIM_NAMES[i]} must be 1 for kind {kind}, got {dims[i]} "
+                    f"at byte {_DIMS_OFFSET + 4 * i}"
+                )
+        start = _HEADER.size + (_MASK_META.size if kind == KIND_MASK else 0)
+        expected = start + math.prod(dims) * elem_size
+
+        def length_mismatch(got):
+            return FormatError(
+                f"payload length mismatch at byte {_HEADER.size}: "
+                f"expected {expected} total bytes, got {got}"
+            )
+
+        if size != expected:
+            raise length_mismatch(size)
+        coils, frames, h, w = dims
+        if kind == KIND_MASK:
+            meta = f.read(_MASK_META.size)
+            scheme, accel, acs_lines, acs_radius = _MASK_META.unpack(meta)
+            pattern = np.frombuffer(f.read(), dtype=np.uint8).reshape(h, w)
+            scheme = scheme.rstrip(b"\0").decode("ascii", "backslashreplace")
+            return SamplingMask(pattern, scheme, accel, acs_lines, acs_radius)
+        # Read straight into a fresh (aligned) array: the payload starts at an
+        # odd byte, and numpy is up to 1.8x slower on unaligned complex64 operands.
+        arr = np.empty((coils, frames, h, w), dtype="<c8")
+        got = f.readinto(arr.reshape(-1).view(np.uint8))
+        if got != arr.nbytes:
+            raise length_mismatch(start + got)
     if kind == KIND_KSPACE:
         return KSpaceData(arr)
     if kind == KIND_IMAGE:

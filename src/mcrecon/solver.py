@@ -213,7 +213,13 @@ def dc_gradient(
     so gradient descent matches real-valued descent on re/im parts)."""
     resid = op.apply_arr(x)
     resid -= y
-    return op.adjoint_arr(resid) + lam * (x - w) + m
+    # adjoint(resid) + lam * (x - w) + m, in that order, accumulated in place
+    g = op.adjoint_arr(resid)
+    d = x - w
+    d *= lam
+    g += d
+    g += m
+    return g
 
 
 def data_consistency_step(
@@ -229,7 +235,9 @@ def data_consistency_step(
     (frame, row, col) images and (coil, frame, row, col) k-space."""
     x = x_in.copy()
     for _ in range(cfg.inner_iters):
-        x -= cfg.step_size * dc_gradient(x, w, m, y, op, cfg.lam)
+        g = dc_gradient(x, w, m, y, op, cfg.lam)
+        g *= cfg.step_size
+        x -= g
     return x
 
 

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcrecon.metrics import (
+    _log_factors,
     LossWeights,
     UndefinedMetricError,
     dual_domain_loss,
@@ -144,10 +147,72 @@ class TestHfen1:
         with pytest.raises(UndefinedMetricError):
             hfen1(np.ones((16, 16)), np.random.default_rng(0).random((16, 16)))
 
+    @pytest.mark.parametrize("shape", [(16,), (2, 16, 16)])
+    def test_non_2d_rejected(self, shape):
+        with pytest.raises(ValueError, match="2D"):
+            hfen1(np.ones(shape), np.ones(shape))
+
     def test_scale_invariance(self, rng):
         u = rng.random((16, 16))
         v = rng.random((16, 16))
         assert hfen1(3.0 * u, 3.0 * v) == pytest.approx(hfen1(u, v), rel=1e-10)
+
+
+axis_len = st.integers(7, 13)
+
+
+@st.composite
+def image_pairs(draw, ndim):
+    """(u, v) of one shape with 7 to 13 per axis (odd, even, non-square),
+    random or both constant."""
+    shape = tuple(draw(st.lists(axis_len, min_size=ndim, max_size=ndim)))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return np.full(shape, r.random()), np.full(shape, r.random())
+    return r.random(shape), r.random(shape)
+
+
+class TestAgainstLoopOracles:
+    """The box-sum SSIM windows and the separable LoG equal the dense
+    definitions up to round-off, on any grid the metrics accept."""
+
+    @given(pair=image_pairs(2))
+    @settings(max_examples=40, deadline=None)
+    def test_ssim(self, pair):
+        u, v = pair
+        assert abs(ssim(u, v, 1.0) - ssim_oracle(u, v, 1.0)) <= 1e-12
+
+    @given(pair=image_pairs(3))
+    @settings(max_examples=25, deadline=None)
+    def test_ssim3d(self, pair):
+        u, v = pair
+        assert abs(ssim3d(u, v, 1.0) - ssim3d_oracle(u, v, 1.0)) <= 1e-12
+
+    @given(pair=image_pairs(2))
+    @settings(max_examples=40, deadline=None)
+    def test_hfen1(self, pair):
+        u, v = pair
+        if np.ptp(u) == 0:
+            with pytest.raises(UndefinedMetricError):
+                hfen1(u, v)
+        else:
+            assert abs(hfen1(u, v) - hfen1_oracle(u, v)) <= 1e-12
+
+    def test_log_factors_rebuild_the_kernel(self):
+        c, g, q, mean = _log_factors()
+        rebuilt = c * (np.outer(g, g) - np.outer(q, g) - np.outer(g, q)) - mean
+        assert np.abs(rebuilt - log_kernel()).max() <= 1e-15
+
+    def test_ssim3d_peak_memory(self, rng):
+        # measured 12 MiB at 12x128^2; the dense window view peaked at 237 MiB
+        u, v = rng.random((12, 128, 128)), rng.random((12, 128, 128))
+        tracemalloc.start()
+        try:
+            ssim3d(u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestNmae:
