@@ -14,12 +14,19 @@ centred transform is a plain FFT between two phase ramps,
 ``fft2c(v) == r_k * fft2(r_n * v)`` with r_n[j] = exp(2*pi*i*c*j/n) and
 r_k[p] = exp(2*pi*i*c*(p - c)/n), exact +-1 checkerboards at even n. The
 operator folds r_n into the maps and r_k into the mask once, at
-construction. On a rectilinear (column-constant) mask that leaves columns
-out, the forward map transforms along the width axis over the whole
-grid but along the height axis only in the sampled columns, which it
-scatters into zeros; the adjoint runs the same steps in reverse. Point
-masks (gaussian2d, radial, spiral) and masks that sample every column take
-the full 2D FFT.
+construction. ``apply_arr`` / ``adjoint_arr`` take one ``scipy.fft``
+transform over the operator's axes: (-2, -1), or (-1,) for the
+data-consistency operator below.
+
+Data consistency needs only ``A^H (A x - y)`` and ``||A x - y||``. On a
+rectilinear mask every column is sampled fully or not at all, so the mask
+M commutes with the unitary centred height transform F_h, and
+A = M F_h F_w S = F_h B with B = M F_w S (F_w the centred width transform).
+Hence ``A^H (A x - y) == B^H (B x - F_h^H y)`` and
+``||A x - y|| == ||B x - F_h^H y||``. :meth:`ForwardOperator.for_data_consistency`
+returns B, which maps into row-image space (k-space along the width, image
+space along the height) with FFTs over the width axis alone, and F_h^H y,
+computed once; point masks (gaussian2d, radial, spiral, full) keep A and y.
 
 The operator computes in one complex dtype, by default that of the maps:
 it casts the ramped maps and mask to it once, and ``apply_arr`` /
@@ -28,6 +35,7 @@ solver builds it in the dtype of the k-space, so complex64 CKS data runs
 single-precision FFTs.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +44,10 @@ import scipy.fft as sfft
 from .core import RECTILINEAR_SCHEMES, SamplingMask, SensitivityMaps
 
 
-def _centred(transform, arr: np.ndarray) -> np.ndarray:
+def _centred(transform, arr: np.ndarray, axes=(-2, -1)) -> np.ndarray:
     arr = np.asarray(arr)
     if arr.ndim < 2 or arr.shape[-1] < 1 or arr.shape[-2] < 1:
         raise ValueError(f"expected a nonempty 2D spatial grid, got shape {arr.shape}")
-    axes = (-2, -1)
     return np.fft.fftshift(
         transform(np.fft.ifftshift(arr, axes=axes), axes=axes, norm="ortho"), axes=axes
     )
@@ -91,42 +98,37 @@ class ForwardOperator:
             raise ValueError(f"operator dtype must be complex64 or complex128, got {dtype}")
         object.__setattr__(self, "dtype", dtype)
         (rn_h, rk_h), (rn_w, rk_w) = _ramps(self.mask.height), _ramps(self.mask.width)
-        maps = (self.sens.maps * np.outer(rn_h, rn_w)).astype(dtype, copy=False)
-        kmask = (self.mask.pattern * np.outer(rk_h, rk_w)).astype(dtype, copy=False)
-        cols = None
-        if self.mask.scheme in RECTILINEAR_SCHEMES:
-            sampled = np.flatnonzero(self.mask.pattern[0])
-            if sampled.size < self.mask.width:
-                cols = sampled
-                kmask = kmask[:, cols]
-        object.__setattr__(self, "_cols", cols)
+        self._fold((-2, -1), np.outer(rn_h, rn_w), self.mask.pattern * np.outer(rk_h, rk_w))
+
+    def _fold(self, axes: tuple[int, ...], ramp: np.ndarray, kmask: np.ndarray) -> None:
+        """Set the FFT axes, the maps times ``ramp`` and the k-space mask, in ``dtype``."""
+        object.__setattr__(self, "_axes", axes)
+        maps = self.sens.maps * ramp
         for name, arr in (("_maps", maps), ("_kmask", kmask)):
+            arr = arr.astype(self.dtype, copy=False)
             object.__setattr__(self, name, arr)
             object.__setattr__(self, name + "_conj", arr.conj())
+
+    def for_data_consistency(self, y: np.ndarray) -> tuple["ForwardOperator", np.ndarray]:
+        """``(op, y)`` with the same ``A^H (A x - y)`` and ``||A x - y||`` as
+        this operator and ``y``: on a rectilinear mask, the width-axis
+        operator B and F_h^H y (see the module docstring); else self and y."""
+        if self.mask.scheme not in RECTILINEAR_SCHEMES:
+            return self, y
+        rn_w, rk_w = _ramps(self.mask.width)
+        op = copy.copy(self)
+        op._fold((-1,), rn_w, self.mask.pattern[:1] * rk_w)
+        return op, _centred(sfft.ifftn, y, axes=(-2,))
 
     def apply_arr(self, x: np.ndarray) -> np.ndarray:
         """Forward map on a raw (frame, row, col) array -> (coil, frame, row, col)."""
         v = self._maps[:, np.newaxis] * x[np.newaxis]
-        if self._cols is None:
-            k = sfft.fft2(v, norm="ortho", overwrite_x=True)
-            k *= self._kmask
-            return k
-        v = sfft.fft(v, axis=-1, norm="ortho", overwrite_x=True)[..., self._cols]
-        v = sfft.fft(v, axis=-2, norm="ortho", overwrite_x=True)
-        v *= self._kmask
-        k = np.zeros(v.shape[:-1] + (self.mask.width,), dtype=v.dtype)
-        k[..., self._cols] = v
+        k = sfft.fftn(v, axes=self._axes, norm="ortho", overwrite_x=True)
+        k *= self._kmask
         return k
 
     def adjoint_arr(self, y: np.ndarray) -> np.ndarray:
         """Adjoint map on a raw (coil, frame, row, col) array -> (frame, row, col)."""
-        if self._cols is None:
-            v = sfft.ifft2(y * self._kmask_conj, norm="ortho", overwrite_x=True)
-        else:
-            k = y[..., self._cols] * self._kmask_conj
-            k = sfft.ifft(k, axis=-2, norm="ortho", overwrite_x=True)
-            v = np.zeros(y.shape, dtype=k.dtype)
-            v[..., self._cols] = k
-            v = sfft.ifft(v, axis=-1, norm="ortho", overwrite_x=True)
+        v = sfft.ifftn(y * self._kmask_conj, axes=self._axes, norm="ortho", overwrite_x=True)
         v *= self._maps_conj[:, np.newaxis]
         return v.sum(axis=0)

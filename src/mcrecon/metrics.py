@@ -201,19 +201,30 @@ def dual_domain_loss(
             data_range = 1.0
     frames_t = x_true[np.newaxis] if x_true.ndim == 2 else x_true
     frames_p = x_pred[np.newaxis] if x_pred.ndim == 2 else x_pred
-
-    ssim_loss = np.mean(
-        [1.0 - ssim(ft, fp, data_range) for ft, fp in zip(frames_t, frames_p)]
+    return loss_from_terms(
+        x_true,
+        x_pred,
+        [ssim(ft, fp, data_range) for ft, fp in zip(frames_t, frames_p)],
+        [hfen1(ft, fp) for ft, fp in zip(frames_t, frames_p)],
+        ssim3d(frames_t, frames_p, data_range) if frames_t.shape[0] > 1 else None,
+        nmae(y_true, y_pred),
+        weights,
     )
-    hfen_loss = np.mean([hfen1(ft, fp) for ft, fp in zip(frames_t, frames_p)])
-    l1_loss = float(np.abs(x_true - x_pred).sum())
 
+
+def loss_from_terms(
+    x_true, x_pred, frame_ssims, frame_hfens, ssim3d_value, nmae_value, weights: LossWeights
+) -> float:
+    """:func:`dual_domain_loss` of the magnitudes x_true, x_pred from the lists
+    of their per-frame SSIM (on the loss's data range) and HFEN1 values, their
+    SSIM3D (None for a single frame) and the k-space NMAE."""
+    x_true, x_pred = _same_shape(x_true, x_pred, float)
     total = (
-        weights.w_ssim * ssim_loss
-        + weights.w_l1 * l1_loss
-        + weights.w_hfen1 * hfen_loss
+        weights.w_ssim * np.mean([1.0 - s for s in frame_ssims])
+        + weights.w_l1 * float(np.abs(x_true - x_pred).sum())
+        + weights.w_hfen1 * np.mean(frame_hfens)
     )
-    if frames_t.shape[0] > 1:
-        total += weights.w_ssim3d * (1.0 - ssim3d(frames_t, frames_p, data_range))
-    total += weights.w_nmae * nmae(y_true, y_pred)
+    if ssim3d_value is not None:
+        total += weights.w_ssim3d * (1.0 - ssim3d_value)
+    total += weights.w_nmae * nmae_value
     return float(total)

@@ -6,7 +6,9 @@ consistency on x, and the scaled Lagrange-multiplier update
 m <- m + lam * (x - w). Multipliers start at zero; x and w start from the
 zero-filled (adjoint) reconstruction. The denoiser is pluggable: identity,
 complex soft-thresholding, a closed-form Tikhonov smoother, or a
-fixed-iteration Chambolle TV prox.
+fixed-iteration Chambolle TV prox. The gradient steps use the operator
+and data of ``ForwardOperator.for_data_consistency``: on rectilinear masks
+they transform along the width axis only, with the same gradient.
 
 The solve runs in the dtype of the k-space: the operator casts the maps to
 it once, and every step and denoiser returns the dtype it is given, so
@@ -261,11 +263,12 @@ def admm_reconstruct(
     T = 0 returns the zero-filled initialization unchanged.
     """
     op = ForwardOperator(mask=mask, sens=sens, dtype=y.data.dtype)
+    op, y_dc = op.for_data_consistency(y.data)
     x = w = zero_filled_init(y, mask, sens).data
     m = np.zeros_like(x)
     for _ in range(cfg.T):
         w = denoise_step(x + m / cfg.lam, cfg.denoiser, cfg.lam)
-        x = data_consistency_step(x, w, m, y.data, op, cfg)
+        x = data_consistency_step(x, w, m, y_dc, op, cfg)
         m = multiplier_update(m, x, w, cfg.lam)
     if return_state:
         return AdmmState(ComplexImage(x), ComplexImage(w), ComplexImage(m), iteration=cfg.T)

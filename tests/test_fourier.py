@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_SCHEMES, dft2c_oracle, make_mask, random_sens
+from mcrecon.core import RECTILINEAR_SCHEMES
 from mcrecon.fourier import ForwardOperator, fft2c, ifft2c
 from mcrecon import sampling
 from mcrecon.sampling import full_mask
+from mcrecon.solver import dc_objective
 
 
 def rand_image(rng, *shape):
@@ -203,3 +205,58 @@ class TestOperatorProperties:
         # |<y, Ax> - <A^H y, x>| relative to the Cauchy-Schwarz bound (||A|| <= 1)
         gap = abs(np.vdot(y, ax) - np.vdot(ahy, x))
         assert gap <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
+
+
+class TestDataConsistencyOperator:
+    """``for_data_consistency`` on rectilinear masks gives a width-axis
+    operator B and F_h^H y with the gradient and objective of A and y, on
+    odd, even and non-square grids; point masks keep A and y."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scheme=st.sampled_from(RECTILINEAR_SCHEMES),
+        accel=st.sampled_from([1, 2, 3.3]),
+        height=st.integers(3, 12),
+        width=st.integers(3, 12),
+        n_frames=st.integers(1, 3),
+        n_coils=st.integers(1, 3),
+        dtype=st.sampled_from([np.complex128, np.complex64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_rectilinear_gradient_and_objective_agree(
+        self, scheme, accel, height, width, n_frames, n_coils, dtype, seed
+    ):
+        rng = np.random.default_rng(seed)
+        mask = sampling.make_mask(scheme, height, width, accel, seed, acs_lines=2)
+        op = ForwardOperator(mask=mask, sens=random_sens(rng, n_coils, height, width), dtype=dtype)
+        x, w, m = (rand_image(rng, n_frames, height, width).astype(dtype) for _ in range(3))
+        # y off the mask too: the identities hold for any y
+        y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
+        op_dc, y_dc = op.for_data_consistency(y)
+        assert type(op_dc) is ForwardOperator and op_dc is not op
+        assert y_dc.dtype == dtype and y_dc.shape == y.shape
+        tol = 1e-10 if dtype == np.complex128 else 1e-5
+
+        # B x is A x taken back along the height: k-space along the width only
+        bx, ax = op_dc.apply_arr(x), op.apply_arr(x)
+        row_image = np.fft.fftshift(
+            np.fft.ifft(np.fft.ifftshift(ax, axes=-2), axis=-2, norm="ortho"), axes=-2
+        )
+        assert bx.dtype == dtype
+        assert np.abs(bx - row_image).max() <= tol * np.abs(ax).max()
+
+        want = op.adjoint_arr(ax - y)
+        got = op_dc.adjoint_arr(bx - y_dc)
+        assert got.dtype == dtype
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        lam = 0.3
+        assert dc_objective(x, w, m, y_dc, op_dc, lam) == pytest.approx(
+            dc_objective(x, w, m, y, op, lam), rel=tol
+        )
+
+    @pytest.mark.parametrize("scheme", ["gaussian2d", "pseudo-radial", "pseudo-spiral", "full"])
+    def test_point_masks_keep_the_operator_and_data(self, rng, scheme):
+        op = ForwardOperator(mask=make_mask(scheme, 10, 12, 2, 3), sens=random_sens(rng, 2, 10, 12))
+        y = rand_image(rng, 2, 1, 10, 12)
+        op_dc, y_dc = op.for_data_consistency(y)
+        assert op_dc is op and y_dc is y

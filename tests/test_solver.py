@@ -296,3 +296,24 @@ class TestAdmmReconstruct:
         for t in range(4):
             single = admm_reconstruct(KSpaceData(y.data[:, t : t + 1]), mask, sens, cfg)
             assert np.allclose(joint.data[t], single.data[0], atol=1e-9)
+
+
+class TestOperatorCalls:
+    @pytest.mark.parametrize("scheme", ["equispaced", "gaussian2d"])
+    def test_one_normal_operator_application_per_gradient(self, rng, monkeypatch, scheme):
+        """adjoint_arr once per inner iteration plus the zero-filled start,
+        apply_arr once per inner iteration, counted on the class as a
+        tracer that wraps the methods sees them."""
+        calls = {"apply_arr": 0, "adjoint_arr": 0}
+        for name, method in [(n, getattr(ForwardOperator, n)) for n in calls]:
+
+            def counted(self, arr, name=name, method=method):
+                calls[name] += 1
+                return method(self, arr)
+
+            monkeypatch.setattr(ForwardOperator, name, counted)
+        sens = random_sens(rng, 2, 16, 16)
+        mask = make_mask(scheme, 16, 16, 4, 1)
+        y = KSpaceData(mask.pattern * rand_image(rng, 2, 2, 16, 16))
+        admm_reconstruct(y, mask, sens, AdmmConfig(T=3, inner_iters=5))
+        assert calls == {"apply_arr": 3 * 5, "adjoint_arr": 3 * 5 + 1}
