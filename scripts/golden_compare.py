@@ -8,9 +8,13 @@ Every file must be byte-identical, except:
 - each min/max value of a .scale.txt may differ by at most 1e-6 * the larger
   of the parent's two magnitudes;
 - a .pgm may differ by at most 1 grey level, with the same header;
-- an evaluate .csv must have the same header and rows with the same keys
-  (every column but the last), and each last-column value may differ by at
-  most 1e-12 * |parent value|.
+- an evaluate .csv must have the parent's header and row keys (every column
+  but the last). Its values score the change's reconstructions, which may
+  have moved, so they are not compared; instead the evaluate that wrote the
+  parent's CSV (its arguments are in the .csv.argv file beside it) is run
+  again with the mcrecon sources this script imports, on the parent's
+  files, and each of its last-column values may differ from the parent's
+  by at most 1e-12 * |parent value|.
 Any other difference, or a file present on one side only, is named and the
 script exits 1.
 
@@ -18,11 +22,15 @@ Usage: PYTHONPATH=src python3 scripts/golden_compare.py PARENT_OUT CHANGE_OUT
 """
 
 import csv
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
+import mcrecon
 from mcrecon.core import ComplexImage
 from mcrecon.data import read_cks
 
@@ -68,7 +76,7 @@ def _pgm_close(a: Path, b: Path) -> str | None:
     return None if diff.max() <= PGM_TOL else f"{diff.max()} grey levels apart"
 
 
-def _csv_close(a: Path, b: Path) -> str | None:
+def _csv_close(a: Path, b: Path, values: bool = True) -> str | None:
     ra, rb = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
     if ra[:1] != rb[:1] or len(ra) != len(rb):
         return "header or row count differs"
@@ -76,9 +84,29 @@ def _csv_close(a: Path, b: Path) -> str | None:
         if la[:-1] != lb[:-1]:
             return f"row {la[:-1]} -> {lb[:-1]}"
         x, y = float(la[-1]), float(lb[-1])
-        if x != y and not abs(x - y) <= CSV_TOL * abs(x):
+        if values and x != y and not abs(x - y) <= CSV_TOL * abs(x):
             return f"{','.join(la[:-1])} {x!r} -> {y!r}"
     return None
+
+
+def _csv_rescored(a: Path, b: Path) -> str | None:
+    """``b`` has a's rows, and this checkout's evaluate, run on the parent's
+    files with the arguments recorded beside ``a``, reproduces ``a``."""
+    why = _csv_close(a, b, values=False)
+    argv = a.with_name(a.name + ".argv")
+    if why or not argv.exists():
+        return why or "differs and has no recorded evaluate arguments"
+    src = Path(mcrecon.__file__).resolve().parents[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / a.name
+        args = [*argv.read_text().splitlines(), "--out", str(out)]
+        cmd = [sys.executable, "-m", "mcrecon.cli", *args]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        run = subprocess.run(cmd, cwd=a.parent, env=env, capture_output=True, text=True)
+        if run.returncode != 0:
+            return f"re-scoring the parent's files exited {run.returncode}: {run.stderr.strip()}"
+        why = _csv_close(a, out)
+    return why and f"re-scored on the parent's files: {why}"
 
 
 def _files(root: Path) -> set[Path]:
@@ -101,7 +129,7 @@ def compare(parent: Path, change: Path) -> list[str]:
         elif rel.suffix == ".pgm":
             why = _pgm_close(a, b)
         elif rel.suffix == ".csv":
-            why = _csv_close(a, b)
+            why = _csv_rescored(a, b)
         else:
             why = "differs"
         if why:

@@ -47,9 +47,12 @@ $M reconstruct --kspace a/v1.cks a/v3.cks --mask m_equispaced.cks --sens s_sens.
 $M reconstruct --kspace a/v1.cks a/v3.cks --mask m_equispaced.cks --sens s_sens.cks --jobs 2 --out-prefix j2 >/dev/null
 printf 'denoiser=tv\nstrength=1e-3\nlam=0.1\nT=5\n' > rc.conf
 $M reconstruct --config rc.conf --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --inner 3 --out-prefix r_conf >/dev/null
-$M evaluate --truth s_truth.cks --pred r_tv.cks --kspace-truth s_kspace_full.cks --kspace-pred s_kspace_full.cks --out e_static.csv >/dev/null
-$M evaluate --truth d_truth.cks --pred r_dyn.cks --kspace-truth d_kspace_full.cks --kspace-pred d_kspace_full.cks --normalize frame --out e_dyn.csv >/dev/null
-$M evaluate --truth s_truth.cks --pred r_zf.cks --out e_zf.csv >/dev/null
+# evaluate writes CSV $1 and records its other arguments in $1.argv, one a
+# line, from which golden_compare.py re-scores the parent's files
+ev() { local out=$1; shift; printf '%s\n' evaluate "$@" > "$out.argv"; $M evaluate "$@" --out "$out" >/dev/null; }
+ev e_static.csv --truth s_truth.cks --pred r_tv.cks --kspace-truth s_kspace_full.cks --kspace-pred s_kspace_full.cks
+ev e_dyn.csv --truth d_truth.cks --pred r_dyn.cks --kspace-truth d_kspace_full.cks --kspace-pred d_kspace_full.cks --normalize frame
+ev e_zf.csv --truth s_truth.cks --pred r_zf.cks
 # error exits must stay the same too
 set +e
 $M mask --scheme bogus --size 8x8 --accel 2 --seed 0 --out x.cks >/dev/null 2>&1; echo "rc_bogus=$?" > rcs.txt

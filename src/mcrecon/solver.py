@@ -8,7 +8,7 @@ zero-filled (adjoint) reconstruction. The denoiser is pluggable: identity,
 complex soft-thresholding, a closed-form Tikhonov smoother, or a
 fixed-iteration Chambolle TV prox. The gradient steps use the operator
 and data of ``ForwardOperator.for_data_consistency``: on rectilinear masks
-they transform along the width axis only, with the same gradient.
+they map image rows onto the sampled columns, with the same gradient.
 
 The solve runs in the dtype of the k-space: the operator casts the maps to
 it once, and every step and denoiser returns the dtype it is given, so
@@ -112,10 +112,14 @@ def check_inputs(y: KSpaceData, mask: SamplingMask, sens: SensitivityMaps | None
         )
 
 
-def zero_filled_init(y: KSpaceData, mask: SamplingMask, sens: SensitivityMaps) -> ComplexImage:
-    """Coil-combined adjoint of the measured data; the solver's x^(0) and w^(0)."""
+def zero_filled_init(
+    y: KSpaceData, mask: SamplingMask, sens: SensitivityMaps, op: ForwardOperator | None = None
+) -> ComplexImage:
+    """Coil-combined adjoint of the measured data; the solver's x^(0) and w^(0).
+    ``op``, if given, is the operator of ``mask`` and ``sens`` in y's dtype."""
     check_inputs(y, mask, sens)
-    op = ForwardOperator(mask=mask, sens=sens, dtype=y.data.dtype)
+    if op is None:
+        op = ForwardOperator(mask=mask, sens=sens, dtype=y.data.dtype)
     return ComplexImage(op.adjoint_arr(y.data))
 
 
@@ -162,8 +166,9 @@ def _tv_prox_real(v: np.ndarray, weight: float, iterations: int) -> np.ndarray:
         return v.copy()
     tau = 0.25
     p = np.zeros((2,) + v.shape, dtype=v.dtype)
+    v_scaled = v / weight
     for _ in range(iterations):
-        g = _grad2(_div2(p) - v / weight)
+        g = _grad2(_div2(p) - v_scaled)
         mag = np.sqrt(np.sum(g**2, axis=0))
         p = (p + tau * g) / (1.0 + tau * mag)
     return v - weight * _div2(p)
@@ -263,8 +268,8 @@ def admm_reconstruct(
     T = 0 returns the zero-filled initialization unchanged.
     """
     op = ForwardOperator(mask=mask, sens=sens, dtype=y.data.dtype)
+    x = w = zero_filled_init(y, mask, sens, op).data
     op, y_dc = op.for_data_consistency(y.data)
-    x = w = zero_filled_init(y, mask, sens).data
     m = np.zeros_like(x)
     for _ in range(cfg.T):
         w = denoise_step(x + m / cfg.lam, cfg.denoiser, cfg.lam)

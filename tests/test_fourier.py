@@ -208,9 +208,11 @@ class TestOperatorProperties:
 
 
 class TestDataConsistencyOperator:
-    """``for_data_consistency`` on rectilinear masks gives a width-axis
-    operator B and F_h^H y with the gradient and objective of A and y, on
-    odd, even and non-square grids; point masks keep A and y."""
+    """``for_data_consistency`` on rectilinear masks gives an operator B onto
+    the K sampled columns and the sampled columns of F_h^H y, with the
+    gradient of A and y, the objective less y's off-mask part, and B^H the
+    adjoint of B, on odd, even and non-square grids; point masks keep A
+    and y."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -230,29 +232,43 @@ class TestDataConsistencyOperator:
         mask = sampling.make_mask(scheme, height, width, accel, seed, acs_lines=2)
         op = ForwardOperator(mask=mask, sens=random_sens(rng, n_coils, height, width), dtype=dtype)
         x, w, m = (rand_image(rng, n_frames, height, width).astype(dtype) for _ in range(3))
-        # y off the mask too: the identities hold for any y
+        # y off the mask too: the gradient identity holds for any y
         y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
         op_dc, y_dc = op.for_data_consistency(y)
         assert type(op_dc) is ForwardOperator and op_dc is not op
-        assert y_dc.dtype == dtype and y_dc.shape == y.shape
+        cols = np.flatnonzero(mask.pattern[0])
+        assert y_dc.dtype == dtype and y_dc.shape == y.shape[:-1] + (cols.size,)
         tol = 1e-10 if dtype == np.complex128 else 1e-5
 
-        # B x is A x taken back along the height: k-space along the width only
+        # B x is A x taken back along the height, at the sampled columns
         bx, ax = op_dc.apply_arr(x), op.apply_arr(x)
         row_image = np.fft.fftshift(
             np.fft.ifft(np.fft.ifftshift(ax, axes=-2), axis=-2, norm="ortho"), axes=-2
         )
-        assert bx.dtype == dtype
-        assert np.abs(bx - row_image).max() <= tol * np.abs(ax).max()
+        assert bx.dtype == dtype and bx.shape == y_dc.shape
+        assert np.abs(bx - row_image[..., cols]).max() <= tol * np.abs(ax).max()
 
         want = op.adjoint_arr(ax - y)
         got = op_dc.adjoint_arr(bx - y_dc)
         assert got.dtype == dtype
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+        # ||B x - y_dc||^2 == ||A x - y||^2 - ||(1 - M) y||^2
+        off_mask_sq = np.vdot(y, (1 - mask.pattern) * y).real
+        assert np.vdot(bx - y_dc, bx - y_dc).real == pytest.approx(
+            np.vdot(ax - y, ax - y).real - off_mask_sq, rel=tol
+        )
         lam = 0.3
         assert dc_objective(x, w, m, y_dc, op_dc, lam) == pytest.approx(
-            dc_objective(x, w, m, y, op, lam), rel=tol
+            dc_objective(x, w, m, y, op, lam) - 0.5 * off_mask_sq, rel=tol
         )
+
+        # <B x, r> == <x, B^H r>, relative to the Cauchy-Schwarz bound (||B|| <= 1)
+        r = rand_image(rng, *bx.shape).astype(dtype)
+        bhr = op_dc.adjoint_arr(r)
+        assert bhr.dtype == dtype and bhr.shape == x.shape
+        gap = abs(np.vdot(r, bx) - np.vdot(bhr, x))
+        assert gap <= tol * np.linalg.norm(x) * np.linalg.norm(r)
 
     @pytest.mark.parametrize("scheme", ["gaussian2d", "pseudo-radial", "pseudo-spiral", "full"])
     def test_point_masks_keep_the_operator_and_data(self, rng, scheme):

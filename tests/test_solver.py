@@ -317,3 +317,15 @@ class TestOperatorCalls:
         y = KSpaceData(mask.pattern * rand_image(rng, 2, 2, 16, 16))
         admm_reconstruct(y, mask, sens, AdmmConfig(T=3, inner_iters=5))
         assert calls == {"apply_arr": 3 * 5, "adjoint_arr": 3 * 5 + 1}
+
+    @pytest.mark.parametrize("scheme", ["equispaced", "gaussian2d"])
+    def test_one_operator_built_per_solve(self, rng, monkeypatch, scheme):
+        """The zero-filled start reuses the solve's 2D operator."""
+        built = []
+        post_init = ForwardOperator.__post_init__
+        monkeypatch.setattr(ForwardOperator, "__post_init__", lambda o: built.append(post_init(o)))
+        sens = random_sens(rng, 2, 16, 16)
+        mask = make_mask(scheme, 16, 16, 4, 1)
+        y = KSpaceData(mask.pattern * rand_image(rng, 2, 2, 16, 16))
+        admm_reconstruct(y, mask, sens, AdmmConfig(T=2, inner_iters=2))
+        assert len(built) == 1
