@@ -4,7 +4,8 @@
 # Running it on two checkouts and diffing the two hashes.txt files shows
 # whether a change keeps every CLI output byte-identical. It covers all five
 # mask schemes at R=4 and R=1, every denoiser name, zero-filled, --config,
-# --estimate-sens, --mode dynamic with and without --T/--inner, --jobs 1
+# --estimate-sens, --mode dynamic with and without --T/--inner, a dynamic
+# TV solve with --estimate-sens on a random-rectilinear mask, --jobs 1
 # and 2, evaluate, the exit codes of four rejected inputs, and the exit codes
 # (outputs deleted) of --estimate-sens with an R=4 pseudo-radial mask, which
 # has no ACS region, and with an R=1 equispaced mask with 8 ACS lines.
@@ -28,6 +29,7 @@ $M mask --scheme random-rectilinear --size 40x56 --accel 3.3 --acs 6 --seed 9 --
 $M simulate --size 48 --coils 4 --seed 3 --mask m_equispaced.cks --out-prefix s >/dev/null
 $M simulate --size 48 --coils 4 --seed 4 --mask m_gaussian2d.cks --out-prefix g >/dev/null
 $M simulate --size 48 --frames 7 --coils 4 --seed 6 --mask m_equispaced.cks --out-prefix d >/dev/null
+$M simulate --size 48 --frames 3 --coils 4 --seed 7 --mask m_random-rectilinear.cks --out-prefix dr >/dev/null
 mkdir -p a; cp s_kspace_masked.cks a/v1.cks
 $M simulate --size 48 --coils 4 --seed 8 --mask m_equispaced.cks --out-prefix s8 >/dev/null
 cp s8_kspace_masked.cks a/v3.cks
@@ -43,6 +45,7 @@ $M reconstruct --kspace g_kspace_full.cks --mask m1_pseudo-radial.cks --sens g_s
 $M reconstruct --kspace d_kspace_masked.cks --mask m_equispaced.cks --sens d_sens.cks --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_dyn >/dev/null
 $M reconstruct --kspace d_kspace_masked.cks --mask m_equispaced.cks --estimate-sens --mode dynamic --T 3 --out-prefix r_dynT >/dev/null
 $M reconstruct --kspace d_kspace_masked.cks --mask m_equispaced.cks --sens d_sens.cks --mode dynamic --inner 2 --out-prefix r_dynI >/dev/null
+$M reconstruct --kspace dr_kspace_masked.cks --mask m_random-rectilinear.cks --estimate-sens --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_dynR >/dev/null
 $M reconstruct --kspace a/v1.cks a/v3.cks --mask m_equispaced.cks --sens s_sens.cks --jobs 1 --out-prefix j1 >/dev/null
 $M reconstruct --kspace a/v1.cks a/v3.cks --mask m_equispaced.cks --sens s_sens.cks --jobs 2 --out-prefix j2 >/dev/null
 printf 'denoiser=tv\nstrength=1e-3\nlam=0.1\nT=5\n' > rc.conf

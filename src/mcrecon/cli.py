@@ -189,7 +189,7 @@ def cmd_evaluate(args) -> int:
     ssims, hfens = [], []
     vol_range = float(mag_t.max()) or 1.0
     for t in range(truth.n_frames):
-        rng = float(mag_t[t].max()) or 1.0 if args.normalize == "frame" else vol_range
+        rng = (float(mag_t[t].max()) or 1.0) if args.normalize == "frame" else vol_range
         ssims.append(ssim(mag_t[t], mag_p[t], rng))
         hfens.append(hfen1(mag_t[t], mag_p[t]))
         rows.append((args.volume_id, t, "ssim", ssims[-1]))

@@ -6,7 +6,11 @@ consistency on x, and the scaled Lagrange-multiplier update
 m <- m + lam * (x - w). Multipliers start at zero; x and w start from the
 zero-filled (adjoint) reconstruction. The denoiser is pluggable: identity,
 complex soft-thresholding, a closed-form Tikhonov smoother, or a
-fixed-iteration Chambolle TV prox. The gradient steps use the operator
+fixed-iteration Chambolle TV prox. The TV prox runs frame by frame on
+the frame's real and imaginary parts stacked as one (2, row, col) array,
+with its dual, gradient, divergence and magnitude buffers allocated once
+per frame and updated in place, in the order of the plain expressions, so
+the values are theirs bit for bit. The gradient steps use the operator
 and data of ``ForwardOperator.for_data_consistency``: on rectilinear masks
 they map image rows onto the sampled columns, with the same gradient.
 
@@ -142,36 +146,61 @@ def _tikhonov_prox(v: np.ndarray, alpha: float, lam: float) -> np.ndarray:
     return np.fft.ifft2(lam * vk / (lam + alpha * eig), axes=(-2, -1))
 
 
-def _grad2(u: np.ndarray) -> np.ndarray:
-    g = np.zeros((2,) + u.shape, dtype=u.dtype)
-    g[0, :-1] = u[1:] - u[:-1]
-    g[1, :, :-1] = u[:, 1:] - u[:, :-1]
-    return g
+def _grad2(u: np.ndarray, out: np.ndarray) -> None:
+    """Forward differences of u (..., row, col) along rows into out[0] and along
+    columns into out[1]; out[0]'s last row and out[1]'s last column are left
+    as they are."""
+    np.subtract(u[..., 1:, :], u[..., :-1, :], out=out[0, ..., :-1, :])
+    np.subtract(u[..., 1:], u[..., :-1], out=out[1, ..., :-1])
 
 
-def _div2(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p[0])
-    out[0] = p[0, 0]
-    out[1:-1] = p[0, 1:-1] - p[0, :-2]
-    out[-1] = -p[0, -2]
-    out[:, 0] += p[1, :, 0]
-    out[:, 1:-1] += p[1, :, 1:-1] - p[1, :, :-2]
-    out[:, -1] += -p[1, :, -2]
-    return out
+def _div2(p: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """Divergence of p = (row part, column part) into out, the negative adjoint
+    of :func:`_grad2`; tmp is scratch of out's shape. The gradient along an axis
+    of length 1 is zero, so such an axis adds nothing."""
+    rows, cols = p
+    if out.shape[-2] > 1:
+        out[..., 0, :] = rows[..., 0, :]
+        np.subtract(rows[..., 1:-1, :], rows[..., :-2, :], out=out[..., 1:-1, :])
+        # not np.negative(out=): numpy 2.4 misreads float32 (n, 1) views there
+        out[..., -1, :] = -rows[..., -2, :]
+    else:
+        out.fill(0)
+    if out.shape[-1] > 1:
+        out[..., 0] += cols[..., 0]
+        np.subtract(cols[..., 1:-1], cols[..., :-2], out=tmp[..., 1:-1])
+        out[..., 1:-1] += tmp[..., 1:-1]
+        out[..., -1] -= cols[..., -2]
 
 
 def _tv_prox_real(v: np.ndarray, weight: float, iterations: int) -> np.ndarray:
-    # Chambolle dual projection for prox of weight * TV, fixed iterations.
+    # Chambolle dual projection for prox of weight * TV on each (row, col)
+    # image of the real (channel, row, col) stack v, fixed iterations, in place
+    # on buffers allocated once per call.
     if weight == 0:
         return v.copy()
     tau = 0.25
     p = np.zeros((2,) + v.shape, dtype=v.dtype)
+    g = np.zeros_like(p)  # g[0]'s last row and g[1]'s last column stay zero
+    d, mag = np.empty_like(v), np.empty_like(v)
     v_scaled = v / weight
     for _ in range(iterations):
-        g = _grad2(_div2(p) - v_scaled)
-        mag = np.sqrt(np.sum(g**2, axis=0))
-        p = (p + tau * g) / (1.0 + tau * mag)
-    return v - weight * _div2(p)
+        # p = (p + tau * g) / (1 + tau * |g|), g = grad(div(p) - v / weight)
+        _div2(p, d, mag)
+        d -= v_scaled
+        _grad2(d, g)
+        np.multiply(g[0], g[0], out=mag)
+        np.multiply(g[1], g[1], out=d)
+        mag += d
+        np.sqrt(mag, out=mag)
+        g *= tau
+        p += g
+        mag *= tau
+        mag += 1.0
+        p /= mag
+    _div2(p, d, mag)
+    d *= weight
+    return v - d
 
 
 def denoise_step(v: np.ndarray, spec: DenoiserSpec, lam: float) -> np.ndarray:
@@ -186,9 +215,8 @@ def denoise_step(v: np.ndarray, spec: DenoiserSpec, lam: float) -> np.ndarray:
     weight = spec.strength / lam  # tv-chambolle, the last kind DenoiserSpec admits
     out = np.empty_like(v)
     for t in range(v.shape[0]):
-        out[t] = _tv_prox_real(v[t].real, weight, spec.iterations) + 1j * _tv_prox_real(
-            v[t].imag, weight, spec.iterations
-        )
+        re, im = _tv_prox_real(np.stack((v[t].real, v[t].imag)), weight, spec.iterations)
+        out[t] = re + 1j * im
     return out
 
 

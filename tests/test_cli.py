@@ -11,7 +11,7 @@ import pytest
 from mcrecon import cli
 from mcrecon.core import ComplexImage, KSpaceData
 from mcrecon.data import read_cks, write_cks
-from mcrecon.metrics import nmse, ssim
+from mcrecon.metrics import nmse, psnr, ssim
 from mcrecon.sampling import GENERATORS, make_mask
 from mcrecon.sensitivity import estimate_from_acs
 from mcrecon.solver import AdmmConfig, DenoiserSpec, admm_reconstruct
@@ -390,6 +390,28 @@ class TestEvaluateCommand:
         mp = np.abs(read_cks(pred_path).data[0])  # compare post float32 round-trip
         assert vals["ssim"] == pytest.approx(ssim(mt, mp, float(mt.max())), abs=1e-12)
         assert vals["nmse"] == pytest.approx(nmse(mt, mp), abs=1e-12)
+
+    @pytest.mark.parametrize("normalize", ["volume", "frame"])
+    def test_normalize_sets_each_frames_range(self, tmp_path, normalize):
+        """Volume mode scores every frame on the volume's maximum, frame mode
+        on the frame's own; the truth frames peak at 1.0 down to 0.25."""
+        rng = np.random.default_rng(1)
+        peaks = np.linspace(1.0, 0.25, 7)  # ssim3d needs 7 frames
+        truth = rng.random((7, 16, 16)) * peaks[:, None, None]
+        truth[:, 3, 4] = peaks
+        pred = truth + 0.02 * rng.standard_normal(truth.shape)
+        paths = [tmp_path / "t.cks", tmp_path / "p.cks"]
+        for path, arr in zip(paths, (truth, pred)):
+            write_cks(path, ComplexImage(arr.astype(complex)))
+        out = tmp_path / "m.csv"
+        assert run(["evaluate", "--truth", paths[0], "--pred", paths[1],
+                    "--normalize", normalize, "--out", out]) == 0
+        got = {(r["frame"], r["metric"]): float(r["value"]) for r in csv.DictReader(out.open())}
+        mt, mp = (np.abs(read_cks(path).data) for path in paths)
+        for t in range(7):
+            want = float(mt.max()) if normalize == "volume" else float(mt[t].max())
+            assert got[(str(t), "ssim")] == pytest.approx(ssim(mt[t], mp[t], want), abs=1e-12)
+            assert got[(str(t), "psnr")] == pytest.approx(psnr(mt[t], mp[t], want), abs=1e-9)
 
     def test_dim_mismatch_is_error(self, sim_files, tmp_path):
         small = tmp_path / "small.cks"

@@ -1,12 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_mask, random_sens
 from mcrecon.core import KSpaceData
 from mcrecon.fourier import ForwardOperator
 from mcrecon.sampling import full_mask
-from mcrecon.data import shepp_logan, simulate_coils
+from mcrecon.data import dynamic_phantom, shepp_logan, simulate_coils
 from mcrecon.solver import (
+    DENOISER_KINDS,
     AdmmConfig,
     DenoiserSpec,
     admm_reconstruct,
@@ -148,6 +153,30 @@ class TestDenoiseStep:
 
         assert tv(out.real) < tv(v.real)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.integers(1, 6),
+        w=st.integers(1, 6),
+        frames=st.integers(1, 2),
+        dtype=st.sampled_from([np.complex64, np.complex128]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_tv_on_any_small_grid(self, h, w, frames, dtype, seed):
+        """Length-1 axes included: finite, same dtype and shape, the same
+        result on the transposed grid, and along a length-1 axis (whose
+        gradient is zero) the result of the grid with that axis doubled."""
+        v = rand_image(np.random.default_rng(seed), frames, h, w).astype(dtype)
+        spec = DenoiserSpec(kind="tv-chambolle", strength=0.3, iterations=7)
+        out = denoise_step(v, spec, 0.5)
+        assert out.dtype == dtype and out.shape == v.shape
+        assert np.isfinite(out).all()
+        flipped = denoise_step(v.transpose(0, 2, 1).copy(), spec, 0.5)
+        assert np.array_equal(flipped, out.transpose(0, 2, 1))
+        for axis in (1, 2):
+            if v.shape[axis] == 1:
+                doubled = denoise_step(np.repeat(v, 2, axis=axis), spec, 0.5)
+                assert np.array_equal(doubled, np.repeat(out, 2, axis=axis))
+
 
 class TestDataConsistency:
     def _instance(self, rng, h=6, w=6, n_coils=1, scheme="equispaced"):
@@ -284,18 +313,59 @@ class TestAdmmReconstruct:
         assert gap(16) < gap(1)
 
     def test_frame_separability(self):
-        from mcrecon.data import dynamic_phantom
-
+        """A joint solve of several frames equals, bit for bit, the solves of
+        each frame alone, for l1 and TV, on equispaced and random-rectilinear
+        masks, in complex64 and complex128: nothing in the operator or the
+        denoisers couples frames."""
         img = dynamic_phantom(32, 4)
         sens, ksp = simulate_coils(img, 2, 3)
-        mask = make_mask("equispaced", 32, 32, 2, 2)
-        y = KSpaceData(mask.pattern * ksp.data)
-        spec = DenoiserSpec(kind="l1-soft-threshold", strength=1e-3)
-        cfg = AdmmConfig(T=4, inner_iters=6, denoiser=spec)
-        joint = admm_reconstruct(y, mask, sens, cfg)
-        for t in range(4):
-            single = admm_reconstruct(KSpaceData(y.data[:, t : t + 1]), mask, sens, cfg)
-            assert np.allclose(joint.data[t], single.data[0], atol=1e-9)
+        for kind, scheme, dtype in itertools.product(
+            ["l1-soft-threshold", "tv-chambolle"],
+            ["equispaced", "random-rectilinear"],
+            [np.complex64, np.complex128],
+        ):
+            mask = make_mask(scheme, 32, 32, 2, 2)
+            y = KSpaceData((mask.pattern * ksp.data).astype(dtype))
+            spec = DenoiserSpec(kind=kind, strength=1e-3, iterations=5)
+            cfg = AdmmConfig(T=4, inner_iters=6, denoiser=spec)
+            joint = admm_reconstruct(y, mask, sens, cfg)
+            assert joint.data.dtype == dtype
+            for t in range(4):
+                single = admm_reconstruct(KSpaceData(y.data[:, t : t + 1]), mask, sens, cfg)
+                assert np.array_equal(joint.data[t], single.data[0]), (kind, scheme, dtype, t)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("scheme", ["equispaced", "gaussian2d"])
+def test_operator_and_denoisers_neither_mutate_nor_alias(rng, scheme, dtype):
+    """apply_arr, adjoint_arr (2D FFT path on gaussian2d, column-DFT path on
+    equispaced) and every denoiser but identity leave their input as it was
+    and return a fresh array, so callers may modify it in place."""
+    sens = random_sens(rng, 3, 12, 10)
+    mask = make_mask(scheme, 12, 10, 2, 1)
+    op, _ = ForwardOperator(mask=mask, sens=sens, dtype=dtype).for_data_consistency(
+        np.zeros((3, 2, 12, 10), dtype)
+    )
+    x = rand_image(rng, 2, 12, 10).astype(dtype)
+    r = op.apply_arr(x).copy()
+    held = [a for a in vars(op).values() if isinstance(a, np.ndarray)]
+    calls = [(op.apply_arr, x), (op.adjoint_arr, r)]
+    calls += [
+        (lambda v, k=k: denoise_step(v, DenoiserSpec(kind=k, strength=0.1, iterations=3), 0.5), x)
+        for k in DENOISER_KINDS
+        if k != "identity"
+    ]
+    for fn, arg in calls:
+        before = arg.copy()
+        out = fn(arg)
+        assert arg.tobytes() == before.tobytes()
+        assert out.flags.writeable
+        assert not any(np.shares_memory(out, a) for a in [arg, *held])
+        want = out.copy()
+        out += 1
+        again = fn(arg)
+        assert not np.shares_memory(again, out)
+        assert again.tobytes() == want.tobytes() and arg.tobytes() == before.tobytes()
 
 
 class TestOperatorCalls:
