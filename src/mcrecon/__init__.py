@@ -27,7 +27,6 @@ from .sampling import (
 from .sensitivity import estimate_from_acs
 from .solver import (
     AdmmConfig,
-    AdmmState,
     DenoiserSpec,
     admm_reconstruct,
     data_consistency_step,

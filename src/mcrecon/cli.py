@@ -44,8 +44,12 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 
 def _expand_config(argv: list[str]) -> list[str]:
-    """Replace '--config FILE' with the file's key=value pairs as flags,
-    inserted before the remaining flags so explicit flags win."""
+    """Replace '--config FILE' (or '--config=FILE') with the file's key=value
+    pairs as flags, inserted before the remaining flags so explicit flags win.
+    A second --config is an error."""
+    argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--config=") else [a])]
+    if argv.count("--config") > 1:
+        raise CliError("--config may be given only once")
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -295,6 +299,8 @@ def main(argv=None) -> int:
     try:
         argv = _expand_config(argv)
         args = parser.parse_args(argv)
+        if args.config is not None:  # argparse took a form not expanded above, e.g. '--conf'
+            raise CliError(f"--config {args.config} was not read; give it as --config FILE")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -104,7 +104,8 @@ class SamplingMask:
 
     ``acs_lines`` counts contiguous fully-sampled central columns
     (rectilinear schemes); ``acs_radius`` is the fully-sampled central
-    disc radius for 2D point schemes. Whichever does not apply is 0.
+    disc radius for 2D point schemes. Whichever does not apply is 0. A
+    ``nominal_acceleration`` of 1 requires a pattern that samples everywhere.
     """
 
     pattern: np.ndarray
@@ -124,10 +125,12 @@ class SamplingMask:
             raise ValueError("mask has no sampled locations")
         if self.scheme not in MASK_SCHEMES:
             raise ValueError(f"unknown mask scheme {self.scheme!r}")
-        if not 0 < self.nominal_acceleration < np.inf:
-            raise ValueError("nominal acceleration must be finite and positive")
-        if self.scheme == "full" and not np.all(arr == 1):
+        if not 1 <= self.nominal_acceleration < np.inf:
+            raise ValueError("nominal acceleration must be finite and at least 1")
+        if self.scheme == "full" and not arr.all():
             raise ValueError("a 'full' mask must sample every location")
+        if self.nominal_acceleration == 1 and not arr.all():
+            raise ValueError("a mask of nominal acceleration 1 must sample every location")
         if self.scheme in RECTILINEAR_SCHEMES:
             cols = arr.max(axis=0)
             if not np.array_equal(arr, np.broadcast_to(cols, arr.shape)):

@@ -248,7 +248,7 @@ def read_cks(path):
     return SensitivityMaps(maps=arr[:, 0])
 
 
-def write_pgm(path, image: np.ndarray, sidecar: bool = True) -> None:
+def write_pgm(path, image: np.ndarray) -> None:
     """8-bit binary PGM export; min-max scaling recorded in a sidecar file.
 
     Binary {0,1} masks map to {0, 255} with no sidecar.
@@ -267,7 +267,7 @@ def write_pgm(path, image: np.ndarray, sidecar: bool = True) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode())
         f.write(scaled.tobytes())
-    if sidecar and not is_binary:
+    if not is_binary:
         path.with_suffix(path.suffix + ".scale.txt").write_text(
             f"min={lo!r}\nmax={hi!r}\n"
         )

@@ -97,19 +97,20 @@ def ssim3d(u: np.ndarray, v: np.ndarray, data_range: float = 1.0) -> float:
     return _ssim(u, v, 3, data_range)
 
 
-def log_kernel(size: int = LOG_SIZE, sigma: float = LOG_SIGMA) -> np.ndarray:
-    """Laplacian-of-Gaussian kernel, mean-subtracted so it sums to zero."""
-    half = (size - 1) / 2
-    yy, xx = np.mgrid[0:size, 0:size] - half
+def log_kernel() -> np.ndarray:
+    """Laplacian-of-Gaussian kernel (LOG_SIZE, LOG_SIGMA), mean-subtracted to sum to 0."""
+    size, sigma = LOG_SIZE, LOG_SIGMA
+    yy, xx = np.mgrid[0:size, 0:size] - (size - 1) / 2
     r2 = yy**2 + xx**2
     k = -(1.0 / (np.pi * sigma**4)) * (1.0 - r2 / (2 * sigma**2)) * np.exp(-r2 / (2 * sigma**2))
     return k - k.mean()
 
 
-def _log_factors(size: int = LOG_SIZE, sigma: float = LOG_SIGMA):
-    """(c, g, q, mean) with log_kernel(size, sigma) equal to
+def _log_factors():
+    """(c, g, q, mean) with log_kernel() equal to
     c * (g(x)g - q(x)g - g(x)q) - mean, where (x) is the outer product,
     g(t) = exp(-t^2 / (2 sigma^2)) and q(t) = t^2 / (2 sigma^2) * g(t)."""
+    size, sigma = LOG_SIZE, LOG_SIGMA
     t = np.arange(size) - (size - 1) / 2
     g = np.exp(-(t**2) / (2 * sigma**2))
     q = t**2 / (2 * sigma**2) * g
@@ -186,19 +187,18 @@ def dual_domain_loss(
     y_true: np.ndarray,
     y_pred: np.ndarray,
     weights: LossWeights = LossWeights(),
-    data_range: float | None = None,
 ) -> float:
     """Weighted image-domain (SSIM, L1, HFEN1, optionally SSIM3D for
     multi-frame stacks) plus frequency-domain (NMAE on k-space) loss.
 
     Image inputs are real magnitudes, 2D or (frame, row, col) stacks;
-    SSIM and HFEN are computed per frame and averaged.
+    SSIM and HFEN are computed per frame and averaged. SSIM's data range is
+    the reference's maximum, or 1 if that is not positive.
     """
     x_true, x_pred = _same_shape(x_true, x_pred, float)
-    if data_range is None:
-        data_range = float(x_true.max())
-        if data_range <= 0:
-            data_range = 1.0
+    data_range = float(x_true.max())
+    if data_range <= 0:
+        data_range = 1.0
     frames_t = x_true[np.newaxis] if x_true.ndim == 2 else x_true
     frames_p = x_pred[np.newaxis] if x_pred.ndim == 2 else x_pred
     return loss_from_terms(

@@ -2,7 +2,8 @@
 
 Classical pipeline: keep only the fully-sampled central k-space, apodize
 with a raised-cosine window, inverse-transform per coil, and normalize by
-the RSS image on a thresholded support.
+the RSS image on its support, where it exceeds SUPPORT_THRESHOLD times its
+maximum; the maps are zero elsewhere.
 """
 
 import numpy as np
@@ -39,9 +40,7 @@ def _acs_window(mask: SamplingMask) -> np.ndarray:
     raise ValueError("mask has no ACS region (acs_lines and acs_radius are both 0)")
 
 
-def estimate_from_acs(
-    ksp: KSpaceData, mask: SamplingMask, threshold: float = SUPPORT_THRESHOLD
-) -> SensitivityMaps:
+def estimate_from_acs(ksp: KSpaceData, mask: SamplingMask) -> SensitivityMaps:
     """Estimate RSS-normalized sensitivity maps from the ACS data.
 
     Dynamic inputs use frame 0; the mask (and hence the ACS region) is
@@ -52,7 +51,7 @@ def estimate_from_acs(
     window = _acs_window(mask)
     lowres = ifft2c(window * ksp.data[:, 0])
     mag = rss(lowres)
-    support = mag > threshold * mag.max()
+    support = mag > SUPPORT_THRESHOLD * mag.max()
     maps = np.zeros_like(lowres)
     np.divide(lowres, mag, out=maps, where=support)
     maps[:, ~support] = 0.0

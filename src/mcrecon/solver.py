@@ -10,7 +10,9 @@ fixed-iteration Chambolle TV prox. The TV prox runs frame by frame on
 the frame's real and imaginary parts stacked as one (2, row, col) array,
 with its dual, gradient, divergence and magnitude buffers allocated once
 per frame and updated in place, in the order of the plain expressions, so
-the values are theirs bit for bit. The gradient steps use the operator
+the values are theirs bit for bit; the dual's row part keeps a zero last row
+and its column part a zero last column, which the divergence relies on. The
+solve returns the final image x only. The gradient steps use the operator
 and data of ``ForwardOperator.for_data_consistency``: on rectilinear masks
 they map image rows onto the sampled columns, with the same gradient.
 
@@ -92,16 +94,6 @@ class AdmmConfig:
 MODE_DEFAULTS = {"static": {}, "dynamic": {"T": 10, "inner_iters": 8}}
 
 
-@dataclass(frozen=True)
-class AdmmState:
-    """Iterate triple (x, w, m) after ``iteration`` outer steps."""
-
-    x: ComplexImage
-    w: ComplexImage
-    m: ComplexImage
-    iteration: int
-
-
 def check_inputs(y: KSpaceData, mask: SamplingMask, sens: SensitivityMaps | None = None) -> None:
     """Raise ValueError unless ``y`` and ``sens`` (if given) lie on the mask's
     grid and ``y`` has as many coils as ``sens``."""
@@ -156,21 +148,15 @@ def _grad2(u: np.ndarray, out: np.ndarray) -> None:
 
 def _div2(p: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     """Divergence of p = (row part, column part) into out, the negative adjoint
-    of :func:`_grad2`; tmp is scratch of out's shape. The gradient along an axis
-    of length 1 is zero, so such an axis adds nothing."""
+    of :func:`_grad2` for p whose row part has a zero last row and whose column
+    part has a zero last column, as :func:`_tv_prox_real` keeps them; tmp is
+    scratch of out's shape."""
     rows, cols = p
-    if out.shape[-2] > 1:
-        out[..., 0, :] = rows[..., 0, :]
-        np.subtract(rows[..., 1:-1, :], rows[..., :-2, :], out=out[..., 1:-1, :])
-        # not np.negative(out=): numpy 2.4 misreads float32 (n, 1) views there
-        out[..., -1, :] = -rows[..., -2, :]
-    else:
-        out.fill(0)
-    if out.shape[-1] > 1:
-        out[..., 0] += cols[..., 0]
-        np.subtract(cols[..., 1:-1], cols[..., :-2], out=tmp[..., 1:-1])
-        out[..., 1:-1] += tmp[..., 1:-1]
-        out[..., -1] -= cols[..., -2]
+    out[..., 0, :] = rows[..., 0, :]
+    np.subtract(rows[..., 1:, :], rows[..., :-1, :], out=out[..., 1:, :])
+    tmp[..., 0] = cols[..., 0]
+    np.subtract(cols[..., 1:], cols[..., :-1], out=tmp[..., 1:])
+    out += tmp
 
 
 def _tv_prox_real(v: np.ndarray, weight: float, iterations: int) -> np.ndarray:
@@ -288,10 +274,9 @@ def admm_reconstruct(
     mask: SamplingMask,
     sens: SensitivityMaps,
     cfg: AdmmConfig,
-    return_state: bool = False,
-):
+) -> ComplexImage:
     """Run the full unrolled solve, in the dtype of ``y``, and return the
-    final image.
+    final image x.
 
     T = 0 returns the zero-filled initialization unchanged.
     """
@@ -303,6 +288,4 @@ def admm_reconstruct(
         w = denoise_step(x + m / cfg.lam, cfg.denoiser, cfg.lam)
         x = data_consistency_step(x, w, m, y_dc, op, cfg)
         m = multiplier_update(m, x, w, cfg.lam)
-    if return_state:
-        return AdmmState(ComplexImage(x), ComplexImage(w), ComplexImage(m), iteration=cfg.T)
     return ComplexImage(x)

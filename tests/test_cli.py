@@ -120,6 +120,27 @@ class TestMaskCommand:
         # accel=4 from the flag, not accel=2 from the config
         assert int((mask.pattern.max(axis=0) == 1).sum()) == 8
 
+    @pytest.mark.parametrize("form", [["--config", "{}"], ["--config={}"]])
+    def test_config_file_given_with_or_without_equals(self, tmp_path, form):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text("acs=8\n")
+        out = tmp_path / "m.cks"
+        given = [f.format(cfg) for f in form]
+        assert run(["mask", *given, "--scheme", "equispaced", "--size", "64x64",
+                    "--accel", "4", "--seed", "1", "--out", out]) == 0
+        assert read_cks(out).acs_lines == 8  # not the flag default 24
+
+    @pytest.mark.parametrize("second", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]])
+    def test_second_or_abbreviated_config_is_usage_error(self, tmp_path, capsys, second):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text("acs=8\n")
+        out = tmp_path / "m.cks"
+        rc = run(["mask", "--config", cfg, *[f.format(cfg) for f in second], "--scheme",
+                  "equispaced", "--size", "64x64", "--accel", "4", "--seed", "1", "--out", out])
+        assert rc == 2
+        assert "--config" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_per_seed(self, tmp_path):
         a, b = tmp_path / "a.cks", tmp_path / "b.cks"
         for out in (a, b):

@@ -10,6 +10,7 @@ from mcrecon.core import (
     SensitivityMaps,
     rss,
 )
+from mcrecon.sampling import make_mask
 
 
 def rand_coils(rng, n_coils, h, w):
@@ -113,10 +114,20 @@ class TestSamplingMask:
         with pytest.raises(ValueError):
             SamplingMask(p, "equispaced", 4.0, acs_lines=2)
 
-    @pytest.mark.parametrize("accel", [0.0, -2.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("accel", [0.0, -2.0, float("nan"), float("inf"), 0.5, 0.999])
     def test_nominal_acceleration_must_be_finite_and_positive(self, accel):
         with pytest.raises(ValueError, match="nominal acceleration"):
             SamplingMask(np.ones((4, 4)), "full", accel)
+
+    def test_nominal_acceleration_one_must_sample_everything(self):
+        p = np.zeros((4, 4))
+        p[0] = 1  # 4 of 16 locations, achieved R = 4
+        with pytest.raises(ValueError, match="nominal acceleration 1 must sample every"):
+            SamplingMask(p, "pseudo-radial", 1.0)
+        assert SamplingMask(np.ones((4, 4)), "pseudo-radial", 1.0).n_sampled == 16
+        # a nominal R above 1 is not tied to the achieved one: R4 with 24 ACS
+        # lines on 64 columns samples 24 columns, R = 2.67
+        assert make_mask("equispaced", 8, 64, 4, 1, acs_lines=24).n_sampled == 8 * 24
 
     @pytest.mark.parametrize(
         "fields", [{"acs_lines": -1}, {"acs_radius": -1}, {"acs_lines": 5}, {"acs_radius": 5}]

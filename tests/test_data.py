@@ -215,6 +215,16 @@ class TestCksFormat:
             read_cks(p)
         assert not isinstance(err.value, FormatError)
 
+    def test_nominal_r1_on_undersampled_pattern_rejected_as_content(self, tmp_path):
+        pattern = np.zeros((4, 4), dtype=np.uint8)
+        pattern[0] = 1
+        meta = struct.pack("<24sdII", b"pseudo-radial", 1.0, 0, 0)
+        p = tmp_path / "m.cks"
+        p.write_bytes(_header(2, 2, (1, 1, 4, 4)) + meta + pattern.tobytes())
+        with pytest.raises(ValueError, match="nominal acceleration 1") as err:
+            read_cks(p)
+        assert not isinstance(err.value, FormatError)
+
     @pytest.mark.parametrize(
         "kind, dims, byte",
         [(1, (2, 1, 4, 4), 7), (2, (2, 1, 4, 4), 7), (2, (1, 3, 4, 4), 11), (3, (1, 2, 4, 4), 11)],

@@ -1,4 +1,5 @@
-"""Every name a library module imports must be used in that module.
+"""Every name a library module, script or test file imports must be used in
+that file.
 
 ``__init__`` is skipped: its imports are the package's exports. An import
 line marked ``# noqa: F401`` is a deliberate re-export and is skipped too.
@@ -11,9 +12,11 @@ import pytest
 
 import mcrecon
 
+REPO = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     p for p in Path(mcrecon.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+OTHERS = sorted(REPO.glob("scripts/*.py")) + sorted(REPO.glob("tests/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +43,13 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", OTHERS, ids=lambda p: str(p.relative_to(REPO)))
+def test_no_unused_imports_in_scripts_and_tests(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_scripts_and_tests_are_found():
+    names = {str(p.relative_to(REPO)) for p in OTHERS}
+    assert {"scripts/golden_compare.py", "tests/conftest.py", "tests/test_solver.py"} <= names
