@@ -3,12 +3,14 @@
 # SRC_DIR and write the SHA-256 of every output file to OUT_DIR/hashes.txt.
 # Running it on two checkouts and diffing the two hashes.txt files shows
 # whether a change keeps every CLI output byte-identical. It covers all five
-# mask schemes at R=4 and R=1, every denoiser name, zero-filled, --config,
+# mask schemes at R=4 and R=1, a 64x64 R=8 pseudo-radial mask (many more
+# spokes than 48x48 R=4), every denoiser name, zero-filled, --config,
 # --estimate-sens, --mode dynamic with and without --T/--inner, a dynamic
 # TV solve with --estimate-sens on a random-rectilinear mask, --jobs 1
-# and 2, evaluate, the exit codes of four rejected inputs, and the exit codes
-# (outputs deleted) of --estimate-sens with an R=4 pseudo-radial mask, which
-# has no ACS region, and with an R=1 equispaced mask with 8 ACS lines.
+# and 2, evaluate, the exit codes of six rejected inputs (among them a 0x0
+# grid and --strength nan), and the exit codes (outputs deleted) of
+# --estimate-sens with an R=4 pseudo-radial mask, which has no ACS region,
+# and with an R=1 equispaced mask with 8 ACS lines.
 #
 # For a change that may move floating-point round-off, compare the two
 # OUT_DIRs with scripts/golden_compare.py instead, which allows small
@@ -25,6 +27,7 @@ for s in equispaced random-rectilinear gaussian2d pseudo-radial pseudo-spiral; d
   $M mask --scheme $s --size 48x48 --accel 4 --acs 8 --acs-radius 3 --seed 5 --out m_$s.cks >/dev/null
   $M mask --scheme $s --size 48x48 --accel 1 --acs 8 --acs-radius 3 --seed 5 --out m1_$s.cks >/dev/null
 done
+$M mask --scheme pseudo-radial --size 64x64 --accel 8 --seed 5 --out m64_pseudo-radial.cks >/dev/null
 $M mask --scheme random-rectilinear --size 40x56 --accel 3.3 --acs 6 --seed 9 --out mr.cks >/dev/null
 $M simulate --size 48 --coils 4 --seed 3 --mask m_equispaced.cks --out-prefix s >/dev/null
 $M simulate --size 48 --coils 4 --seed 4 --mask m_gaussian2d.cks --out-prefix g >/dev/null
@@ -62,9 +65,11 @@ $M mask --scheme bogus --size 8x8 --accel 2 --seed 0 --out x.cks >/dev/null 2>&1
 $M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --denoiser wavelet --out-prefix x >/dev/null 2>&1; echo "rc_den=$?" >> rcs.txt
 $M mask --scheme gaussian2d --size 16x16 --accel 8 --acs-radius 6 --seed 0 --out x.cks >/dev/null 2>&1; echo "rc_budget=$?" >> rcs.txt
 $M mask --scheme equispaced --size 16x16 --accel 0.5 --seed 0 --out x.cks >/dev/null 2>&1; echo "rc_acc=$?" >> rcs.txt
+$M mask --scheme pseudo-radial --size 0x0 --accel 4 --seed 0 --out x.cks >/dev/null 2>&1; echo "rc_grid=$?" >> rcs.txt
+$M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --denoiser tv --strength nan --out-prefix x_nan >/dev/null 2>&1; echo "rc_nan=$?" >> rcs.txt
 $M reconstruct --kspace g_kspace_full.cks --mask m_pseudo-radial.cks --estimate-sens --T 2 --out-prefix x_rad >/dev/null 2>&1; echo "rc_est_radial=$?" >> rcs.txt
 $M reconstruct --kspace g_kspace_full.cks --mask m1_equispaced.cks --estimate-sens --T 2 --out-prefix x_r1 >/dev/null 2>&1; echo "rc_est_r1=$?" >> rcs.txt
-rm -f x_rad* x_r1*
+rm -f x_rad* x_r1* x_nan*
 set -e
 find . -type f ! -name hashes.txt | sort | xargs sha256sum > hashes.txt
 wc -l hashes.txt

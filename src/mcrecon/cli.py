@@ -124,22 +124,14 @@ def _load_volumes(args, mask) -> tuple[list[KSpaceData], SensitivityMaps | None]
     return volumes, sens
 
 
-def _reconstruct_one(ksp_path, ksp: KSpaceData, out: Path, mask, sens, args) -> None:
+def _reconstruct_one(ksp_path, ksp: KSpaceData, out: Path, mask, sens, cfg) -> None:
+    """Solve one volume with ``cfg``, or zero-fill it if ``cfg`` is None."""
     if sens is None:
         sens = estimate_from_acs(ksp, mask)
     start = time.perf_counter()
-    if args.method == "zero-filled":
+    if cfg is None:
         recon = zero_filled_init(ksp, mask, sens)
     else:
-        spec = DenoiserSpec(
-            kind=_DENOISER_ALIASES[args.denoiser],
-            strength=args.strength,
-            iterations=args.tv_iters,
-        )
-        cfg = AdmmConfig.for_mode(
-            args.mode, T=args.T, inner_iters=args.inner, lam=args.lam, step_size=args.step,
-            denoiser=spec,
-        )
         recon = admm_reconstruct(ksp, mask, sens, cfg)
     elapsed = time.perf_counter() - start
     dio.write_cks(out, recon)
@@ -167,6 +159,13 @@ def cmd_reconstruct(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
     outs = _recon_paths(args.kspace, args.out_prefix)
+    cfg = None
+    if args.method == "admm":  # zero-filled ignores the solver flags
+        spec = DenoiserSpec(_DENOISER_ALIASES[args.denoiser], args.strength, args.tv_iters)
+        cfg = AdmmConfig.for_mode(
+            args.mode, T=args.T, inner_iters=args.inner, lam=args.lam, step_size=args.step,
+            denoiser=spec,
+        )
     mask = _load_as(args.mask, SamplingMask)
     volumes, sens = _load_volumes(args, mask)
     volumes.reverse()  # popped in input order, so each volume is freed once it is solved
@@ -175,7 +174,7 @@ def cmd_reconstruct(args) -> int:
     # whole solve made the next numpy work in the process ~25% slower (2-vCPU box).
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         run = pool.map if args.jobs > 1 and len(outs) > 1 else map
-        list(run(lambda p, k, o: _reconstruct_one(p, k, o, mask, sens, args),
+        list(run(lambda p, k, o: _reconstruct_one(p, k, o, mask, sens, cfg),
                  args.kspace, todo, outs))
     return 0
 

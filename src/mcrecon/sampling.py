@@ -50,14 +50,17 @@ class Lcg:
             items[i], items[j] = items[j], items[i]
 
 
-def _rectilinear_plan(width: int, accel: float, n_acs: int) -> tuple[set, list, int]:
+def _check_grid(height: int, width: int, accel: float) -> None:
+    """Raise ValueError unless the grid is at least 1x1 and accel is a finite R >= 1."""
+    if not (height >= 1 and width >= 1 and 1 <= accel < math.inf):
+        raise ValueError(f"need a grid >= 1x1 and finite R >= 1, got {height}x{width}, R={accel}")
+
+
+def _rectilinear_plan(height: int, width: int, accel: float, n_acs: int) -> tuple[set, list, int]:
     """Check the arguments; return the centered ACS columns, the other
     columns in order, and how many of those to add for ceil(width / accel)
     columns in all."""
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    if accel < 1:
-        raise ValueError("acceleration must be >= 1")
+    _check_grid(height, width, accel)
     if n_acs > width:
         raise ValueError(f"ACS lines ({n_acs}) exceed width ({width})")
     lo = (width - n_acs) // 2
@@ -91,7 +94,7 @@ def equispaced_mask(height: int, width: int, accel: float, n_acs: int, seed: int
     (floored at n_acs); the seed chooses the stride offset of the
     non-ACS columns.
     """
-    cols, outside, extra = _rectilinear_plan(width, accel, n_acs)
+    cols, outside, extra = _rectilinear_plan(height, width, accel, n_acs)
     if accel == 1:
         return _fully_sampled(height, width, "equispaced", acs_lines=n_acs)
     if extra > 0 and outside:
@@ -109,7 +112,7 @@ def random_rectilinear_mask(
 ) -> SamplingMask:
     """Like :func:`equispaced_mask` but non-ACS columns drawn uniformly
     without replacement to the same total count."""
-    cols, outside, extra = _rectilinear_plan(width, accel, n_acs)
+    cols, outside, extra = _rectilinear_plan(height, width, accel, n_acs)
     if accel == 1:
         return _fully_sampled(height, width, "random-rectilinear", acs_lines=n_acs)
     if extra > 0 and outside:
@@ -128,8 +131,7 @@ def gaussian2d_mask(
     A centered disc of ``acs_radius`` is fully sampled and counts toward
     the budget.
     """
-    if accel < 1:
-        raise ValueError("acceleration must be >= 1")
+    _check_grid(height, width, accel)
     if accel == 1:
         return _fully_sampled(height, width, "gaussian2d", acs_radius=acs_radius)
     budget = math.ceil(height * width / accel)
@@ -161,46 +163,39 @@ def gaussian2d_mask(
     )
 
 
-def _rasterize_spokes(height: int, width: int, n_spokes: int, offset: float) -> np.ndarray:
+def pseudo_radial_mask(height: int, width: int, accel: float, seed: int) -> SamplingMask:
+    """Union of golden-angle digital spokes through the grid center.
+
+    Spoke i lies at angle offset + i * GOLDEN_ANGLE, with the offset drawn
+    from the seed, so n spokes are n - 1 spokes plus one. The search adds
+    one spoke per step and keeps the first spoke count whose achieved
+    acceleration (total/sampled) is closest to nominal. It stops once the
+    achieved acceleration falls below accel / 1.5, or at 2 * max(h, w)
+    spokes.
+    """
+    _check_grid(height, width, accel)
+    if accel == 1:
+        return _fully_sampled(height, width, "pseudo-radial")
+    rng = Lcg(seed)
+    offset = rng.uniform() * 2 * math.pi
     cy, cx = height // 2, width // 2
-    pattern = np.zeros((height, width), dtype=np.uint8)
     half = math.hypot(height, width)
     ts = np.arange(-2 * half, 2 * half + 1) * 0.5
-    for i in range(n_spokes):
+    pattern = np.zeros((height, width), dtype=np.uint8)
+    best_gap = math.inf
+    for i in range(2 * max(height, width)):
         theta = offset + i * GOLDEN_ANGLE
         ys = np.round(cy + ts * math.sin(theta)).astype(int)
         xs = np.round(cx + ts * math.cos(theta)).astype(int)
         ok = (ys >= 0) & (ys < height) & (xs >= 0) & (xs < width)
         pattern[ys[ok], xs[ok]] = 1
-    return pattern
-
-
-def pseudo_radial_mask(height: int, width: int, accel: float, seed: int) -> SamplingMask:
-    """Union of golden-angle digital spokes through the grid center.
-
-    The spoke count is chosen by deterministic search so the achieved
-    acceleration (total/sampled) is as close to nominal as rasterization
-    allows.
-    """
-    if accel < 1:
-        raise ValueError("acceleration must be >= 1")
-    if accel == 1:
-        return _fully_sampled(height, width, "pseudo-radial")
-    rng = Lcg(seed)
-    offset = rng.uniform() * 2 * math.pi
-    best = None
-    max_spokes = 2 * max(height, width)
-    for n_spokes in range(1, max_spokes + 1):
-        pattern = _rasterize_spokes(height, width, n_spokes, offset)
         achieved = height * width / pattern.sum()
         gap = abs(achieved - accel)
-        if best is None or gap < best[0]:
-            best = (gap, pattern)
+        if gap < best_gap:
+            best_gap, best = gap, pattern.copy()
         if achieved < accel / 1.5:
             break
-    return SamplingMask(
-        pattern=best[1], scheme="pseudo-radial", nominal_acceleration=float(accel)
-    )
+    return SamplingMask(pattern=best, scheme="pseudo-radial", nominal_acceleration=float(accel))
 
 
 def _rasterize_spiral(
@@ -232,8 +227,7 @@ def pseudo_spiral_mask(height: int, width: int, accel: float, seed: int) -> Samp
     the nominal acceleration; the seed only rotates the arm phase, so the
     sampled-point count is stable across seeds.
     """
-    if accel < 1:
-        raise ValueError("acceleration must be >= 1")
+    _check_grid(height, width, accel)
     if accel == 1:
         return _fully_sampled(height, width, "pseudo-spiral")
     best = None

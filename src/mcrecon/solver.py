@@ -22,6 +22,7 @@ complex64 data (as read from CKS files) is solved in complex64 and
 complex128 data in complex128.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +44,8 @@ class DenoiserSpec:
     def __post_init__(self):
         if self.kind not in DENOISER_KINDS:
             raise ValueError(f"unknown denoiser kind {self.kind!r}")
-        if self.strength < 0:
-            raise ValueError("denoiser strength must be nonnegative")
+        if not 0 <= self.strength < math.inf:
+            raise ValueError(f"denoiser strength must be finite and >= 0, got {self.strength}")
         if self.kind == "identity" and self.strength != 0:
             raise ValueError("identity denoiser requires strength 0")
         if self.iterations < 1:
@@ -72,8 +73,8 @@ class AdmmConfig:
             raise ValueError("T must be >= 0")
         if self.inner_iters < 1:
             raise ValueError("inner_iters must be >= 1")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
         step = self.step_size
         if step is None:
             step = 1.0 / (1.0 + self.lam)

@@ -295,6 +295,31 @@ class TestReconstructCommand:
         assert "reconstructed" not in capsys.readouterr().out
         assert not list(tmp_path.glob("out*"))
 
+    def test_nan_strength_rejected_before_solving(self, sim_files, tmp_path, capsys):
+        rc = run(["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
+                  "--sens", sim_files["sens"], "--denoiser", "tv", "--strength", "nan",
+                  "--out-prefix", tmp_path / "out"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "strength" in captured.err
+        assert "reconstructed" not in captured.out
+        assert not list(tmp_path.glob("out*"))
+
+    def test_solver_flags_checked_before_any_input_is_read(self, sim_files, tmp_path, capsys):
+        rc = run(["reconstruct", "--kspace", tmp_path / "missing.cks", "--mask", sim_files["mask"],
+                  "--sens", sim_files["sens"], "--lam", "0", "--out-prefix", tmp_path / "out"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "lam" in err and "missing.cks" not in err
+
+    def test_zero_filled_ignores_solver_flags(self, sim_files, tmp_path):
+        args = ["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
+                "--sens", sim_files["sens"], "--method", "zero-filled"]
+        assert run([*args, "--out-prefix", tmp_path / "a"]) == 0
+        assert run([*args, "--lam", "0", "--strength", "nan", "--step", "9",
+                    "--out-prefix", tmp_path / "b"]) == 0
+        assert (tmp_path / "a.cks").read_bytes() == (tmp_path / "b.cks").read_bytes()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, sim_files, tmp_path, capsys, jobs):
         rc = run(["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,38 @@ class TestMakeMask:
     def test_core_scheme_names_are_the_registry(self):
         # scheme names are stored in CKS mask files, so the two lists must agree
         assert set(MASK_SCHEMES) == set(GENERATORS) | {"full"}
+
+    @pytest.mark.parametrize(
+        "height, width, accel", [(0, 0, 4), (0, 5, 4), (5, 0, 4), (5, 5, float("nan"))]
+    )
+    @pytest.mark.parametrize("scheme", sorted(GENERATORS))
+    def test_empty_grid_or_nan_acceleration_rejected(self, scheme, height, width, accel):
+        with pytest.raises(ValueError, match="need a grid >= 1x1 and finite R >= 1"):
+            make_mask(scheme, height, width, accel, 0)
+
+
+# SHA-256 of the pattern bytes, recorded with the generators of this version:
+# a mask's (dims, R, ACS, seed) tuple must give the same bits on any platform
+# and in any later version.
+PINNED_PATTERNS = [
+    ("equispaced", 48, 48, 4, "c850e03764193f383adfd3f0fa4dee293e93c66ed075785c5efb179e157d0f35"),
+    ("random-rectilinear", 48, 48, 4,
+     "691d525664cb185d19d90e53846bf08deacaf8cfaca2cf63b9e499219dc5e61b"),
+    ("gaussian2d", 48, 48, 4, "64da815c92005d4e68daaa3720090e6c29ad830e80c3c4a8dc516398bacf4111"),
+    ("pseudo-radial", 48, 48, 4,
+     "4dbe1c4e9e0b5842e86ae61cb53857880a0efc492900e52acaf442aa0cec8096"),
+    ("pseudo-spiral", 48, 48, 4,
+     "8894c5a466b3e0580f8ea3f6dcad0f95679b89b43decf7fb786a1d857f7d9274"),
+    ("pseudo-radial", 64, 64, 8,
+     "f84e3fcdcd4d6cd3ec73b0060b3c280117ef7f4321c96cd79b769235f6e7c4d4"),
+    ("pseudo-radial", 40, 56, 3.3,
+     "6ff1db71300b24ba9ce9f39c9d27381ba713b537132ea18e23994bb22989228a"),
+    ("pseudo-spiral", 40, 56, 3.3,
+     "6eb1066caa43db9b9898868bf7ff0dc36d057dd4f6a94612bb38c1b8fd070cb2"),
+]
+
+
+@pytest.mark.parametrize("scheme, height, width, accel, digest", PINNED_PATTERNS)
+def test_mask_bits_are_pinned(scheme, height, width, accel, digest):
+    m = make_mask(scheme, height, width, accel, 5, acs_lines=8, acs_radius=3)
+    assert hashlib.sha256(m.pattern.tobytes()).hexdigest() == digest

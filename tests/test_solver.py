@@ -65,6 +65,17 @@ class TestConfigs:
         with pytest.raises(ValueError):
             DenoiserSpec(kind="identity", strength=0.5)
 
+    @pytest.mark.parametrize("strength", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind", ["l1-soft-threshold", "tikhonov-smooth", "tv-chambolle"])
+    def test_strength_must_be_finite_and_nonnegative(self, kind, strength):
+        with pytest.raises(ValueError, match="strength"):
+            DenoiserSpec(kind=kind, strength=strength)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+    def test_lam_must_be_finite_and_positive(self, lam):
+        with pytest.raises(ValueError, match="lam must be"):
+            AdmmConfig(lam=lam)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             DenoiserSpec(kind="wavelet")
