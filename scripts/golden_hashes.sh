@@ -6,7 +6,9 @@
 # mask schemes at R=4 and R=1, a 64x64 R=8 pseudo-radial mask (many more
 # spokes than 48x48 R=4), every denoiser name, zero-filled, --config,
 # --estimate-sens, --mode dynamic with and without --T/--inner, a dynamic
-# TV solve with --estimate-sens on a random-rectilinear mask, --jobs 1
+# TV solve with --estimate-sens on a random-rectilinear mask, one with
+# --sens at 6 frames (fourier.GRAM_MIN_FRAMES, the fewest that take the row
+# Gram path; the 7-frame dynamic solves take it too), --jobs 1
 # and 2, evaluate, the exit codes of six rejected inputs (among them a 0x0
 # grid and --strength nan), and the exit codes (outputs deleted) of
 # --estimate-sens with an R=4 pseudo-radial mask, which has no ACS region,
@@ -33,6 +35,7 @@ $M simulate --size 48 --coils 4 --seed 3 --mask m_equispaced.cks --out-prefix s 
 $M simulate --size 48 --coils 4 --seed 4 --mask m_gaussian2d.cks --out-prefix g >/dev/null
 $M simulate --size 48 --frames 7 --coils 4 --seed 6 --mask m_equispaced.cks --out-prefix d >/dev/null
 $M simulate --size 48 --frames 3 --coils 4 --seed 7 --mask m_random-rectilinear.cks --out-prefix dr >/dev/null
+$M simulate --size 48 --frames 6 --coils 4 --seed 10 --mask m_random-rectilinear.cks --out-prefix dg >/dev/null
 mkdir -p a; cp s_kspace_masked.cks a/v1.cks
 $M simulate --size 48 --coils 4 --seed 8 --mask m_equispaced.cks --out-prefix s8 >/dev/null
 cp s8_kspace_masked.cks a/v3.cks
@@ -49,6 +52,7 @@ $M reconstruct --kspace d_kspace_masked.cks --mask m_equispaced.cks --sens d_sen
 $M reconstruct --kspace d_kspace_masked.cks --mask m_equispaced.cks --estimate-sens --mode dynamic --T 3 --out-prefix r_dynT >/dev/null
 $M reconstruct --kspace d_kspace_masked.cks --mask m_equispaced.cks --sens d_sens.cks --mode dynamic --inner 2 --out-prefix r_dynI >/dev/null
 $M reconstruct --kspace dr_kspace_masked.cks --mask m_random-rectilinear.cks --estimate-sens --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_dynR >/dev/null
+$M reconstruct --kspace dg_kspace_masked.cks --mask m_random-rectilinear.cks --sens dg_sens.cks --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_dynG >/dev/null
 $M reconstruct --kspace a/v1.cks a/v3.cks --mask m_equispaced.cks --sens s_sens.cks --jobs 1 --out-prefix j1 >/dev/null
 $M reconstruct --kspace a/v1.cks a/v3.cks --mask m_equispaced.cks --sens s_sens.cks --jobs 2 --out-prefix j2 >/dev/null
 printf 'denoiser=tv\nstrength=1e-3\nlam=0.1\nT=5\n' > rc.conf

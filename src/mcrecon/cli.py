@@ -19,7 +19,7 @@ from . import data as dio
 from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps
 from .fourier import ifft2c  # noqa: F401  (perfbench's tracer test looks it up here)
 from .metrics import LossWeights, hfen1, loss_from_terms, nmae, nmse, psnr, ssim, ssim3d
-from .sampling import GENERATORS, achieved_acceleration, make_mask
+from .sampling import GENERATORS, DrawLimitError, achieved_acceleration, make_mask
 from .sensitivity import estimate_from_acs
 from .solver import DENOISER_KINDS, MODE_DEFAULTS, AdmmConfig, DenoiserSpec
 from .solver import admm_reconstruct, check_inputs, zero_filled_init
@@ -83,9 +83,12 @@ def _load_as(path, cls):
 
 def cmd_mask(args) -> int:
     h, w = _parse_size(args.size)
-    mask = make_mask(
-        args.scheme, h, w, args.accel, args.seed, acs_lines=args.acs, acs_radius=args.acs_radius
-    )
+    try:
+        mask = make_mask(
+            args.scheme, h, w, args.accel, args.seed, acs_lines=args.acs, acs_radius=args.acs_radius
+        )
+    except DrawLimitError as exc:  # an R the scheme cannot reach
+        raise CliError(str(exc)) from exc
     out = Path(args.out)
     dio.write_cks(out, mask)
     dio.write_pgm(out.with_suffix(".pgm"), mask.pattern)

@@ -18,6 +18,15 @@ _MASK64 = (1 << 64) - 1
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
+# gaussian2d_mask gives up after this many draws per point of its budget.
+# The pinned and benchmark masks need under 2; an R of 1.3 on 64x64 needs
+# about 15, and 1.01 would need hundreds.
+GAUSS_DRAWS_PER_POINT = 16
+
+
+class DrawLimitError(ValueError):
+    """A rejection sampler used up its draws before filling its budget."""
+
 
 class Lcg:
     """Minimal splittable-by-seed 64-bit LCG used by every mask generator."""
@@ -129,7 +138,8 @@ def gaussian2d_mask(
     without replacement, up to a budget of ceil(h*w / accel) points.
 
     A centered disc of ``acs_radius`` is fully sampled and counts toward
-    the budget.
+    the budget. Raises :class:`DrawLimitError` if GAUSS_DRAWS_PER_POINT
+    draws per budgeted point leave the budget unfilled (R just above 1).
     """
     _check_grid(height, width, accel)
     if accel == 1:
@@ -148,13 +158,20 @@ def gaussian2d_mask(
     remaining = budget - disc_size
     rng = Lcg(seed)
     sy, sx = height / 6.0, width / 6.0
-    while remaining > 0:
+    for _ in range(GAUSS_DRAWS_PER_POINT * budget):
+        if remaining == 0:
+            break
         g1, g2 = rng.gauss_pair()
         r = int(round(cy + sy * g1))
         c = int(round(cx + sx * g2))
         if 0 <= r < height and 0 <= c < width and pattern[r, c] == 0:
             pattern[r, c] = 1
             remaining -= 1
+    if remaining:
+        raise DrawLimitError(
+            f"gaussian2d: {GAUSS_DRAWS_PER_POINT * budget} draws filled {budget - remaining} of "
+            f"{budget} points at R={accel} on a {height}x{width} grid; use a larger R"
+        )
     return SamplingMask(
         pattern=pattern,
         scheme="gaussian2d",

@@ -16,6 +16,17 @@ solve returns the final image x only. The gradient steps use the operator
 and data of ``ForwardOperator.for_data_consistency``: on rectilinear masks
 they map image rows onto the sampled columns, with the same gradient.
 
+With ``fourier.GRAM_MIN_FRAMES`` frames or more on a rectilinear mask, the
+steps run on the row Gram form instead (``fourier.RowGram``: N = B^H B as one
+(W, W) matrix per image row, b = B^H y_dc, and Q = (1 - s*lam) I - s N). The
+gradient at x0 + d is c + d (N + lam I), with the anchor
+c = (x0 N - b) + lam (x0 - w) + m, so each outer step computes c once in
+complex128 from its start x0 and runs the inner iterations on the correction
+d, in (row, frame, col) layout, as d <- d Q - s c from d = 0: one batched GEMM
+and one add each, with no operator call. That is the same iterate in exact
+arithmetic. The anchor keeps out the complex64 cancellation of the plain
+``x N - b`` form, which moved a 12x128x128 solve by 7.8e-6 of its maximum.
+
 The solve runs in the dtype of the k-space: the operator casts the maps to
 it once, and every step and denoiser returns the dtype it is given, so
 complex64 data (as read from CKS files) is solved in complex64 and
@@ -28,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps
-from .fourier import ForwardOperator
+from .fourier import ForwardOperator, RowGram
 
 DENOISER_KINDS = ("identity", "l1-soft-threshold", "tikhonov-smooth", "tv-chambolle")
 
@@ -249,18 +260,45 @@ def data_consistency_step(
     w: np.ndarray,
     m: np.ndarray,
     y: np.ndarray,
-    op: ForwardOperator,
+    op: ForwardOperator | RowGram,
     cfg: AdmmConfig,
 ) -> np.ndarray:
     """Fixed-step gradient descent on the data-consistency subproblem,
     warm-started from x_in, for cfg.inner_iters iterations. Arrays are raw
-    (frame, row, col) images and (coil, frame, row, col) k-space."""
+    (frame, row, col) images and (coil, frame, row, col) k-space; with a
+    :class:`RowGram` of ``cfg``'s step and lam, y is b = B^H y_dc."""
+    if isinstance(op, RowGram):
+        return _row_gram_descent(x_in, w, m, y, op, cfg)
     x = x_in.copy()
     for _ in range(cfg.inner_iters):
         g = dc_gradient(x, w, m, y, op, cfg.lam)
         g *= cfg.step_size
         x -= g
     return x
+
+
+def _row_gram_descent(
+    x0: np.ndarray, w: np.ndarray, m: np.ndarray, b: np.ndarray, gram: RowGram, cfg: AdmmConfig
+) -> np.ndarray:
+    # d <- d Q - s c from d = 0 on d = x - x0, anchored in complex128 (module docstring)
+    def rows(a):
+        return np.ascontiguousarray(a.transpose(1, 0, 2), dtype=np.complex128)
+
+    x0r = rows(x0)
+    c = x0r @ gram.normal
+    c -= b
+    x0r -= rows(w)
+    x0r *= cfg.lam
+    c += x0r
+    c += rows(m)
+    c *= -cfg.step_size
+    neg_sc = c.astype(x0.dtype)
+    d, nxt = neg_sc.copy(), np.empty_like(neg_sc)
+    for _ in range(cfg.inner_iters - 1):
+        np.matmul(d, gram.step, out=nxt)
+        nxt += neg_sc
+        d, nxt = nxt, d
+    return x0 + d.transpose(1, 0, 2)
 
 
 def multiplier_update(
@@ -283,7 +321,7 @@ def admm_reconstruct(
     """
     op = ForwardOperator(mask=mask, sens=sens, dtype=y.data.dtype)
     x = w = zero_filled_init(y, mask, sens, op).data
-    op, y_dc = op.for_data_consistency(y.data)
+    op, y_dc = op.for_data_consistency(y.data, cfg.step_size, cfg.lam)
     m = np.zeros_like(x)
     for _ in range(cfg.T):
         w = denoise_step(x + m / cfg.lam, cfg.denoiser, cfg.lam)

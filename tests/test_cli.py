@@ -10,7 +10,8 @@ import pytest
 
 from mcrecon import cli
 from mcrecon.core import ComplexImage, KSpaceData
-from mcrecon.data import read_cks, write_cks
+from mcrecon.data import dynamic_phantom, read_cks, simulate_coils, write_cks
+from mcrecon.fourier import GRAM_MIN_FRAMES
 from mcrecon.metrics import nmse, psnr, ssim
 from mcrecon.sampling import GENERATORS, make_mask
 from mcrecon.sensitivity import estimate_from_acs
@@ -147,6 +148,14 @@ class TestMaskCommand:
             run(["mask", "--scheme", "gaussian2d", "--size", "32x32", "--accel", "4",
                  "--acs-radius", "3", "--seed", "11", "--out", out])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unreachable_gaussian_budget_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "m.cks"
+        rc = run(["mask", "--scheme", "gaussian2d", "--size", "64x64", "--accel", "1.01",
+                  "--seed", "0", "--out", out])
+        assert rc == 2
+        assert "R=1.01 on a 64x64 grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_acs_is_error(self, tmp_path, capsys):
         rc = run(["mask", "--scheme", "equispaced", "--size", "16x16", "--accel", "2",
@@ -407,6 +416,35 @@ class TestReconstructCommand:
         assert not close(got, library(16, 14))
         assert close(cli_output("--T", "3"), library(3, 8))
         assert close(cli_output("--inner", "2"), library(10, 2))
+
+    @pytest.mark.parametrize("height, width", [(21, 21), (21, 17)])
+    def test_row_gram_solve_matches_the_library(self, tmp_path, height, width):
+        """simulate -> reconstruct --mode dynamic --estimate-sens --denoiser tv
+        on an odd grid with GRAM_MIN_FRAMES frames (the row Gram path) gives
+        admm_reconstruct of the files' contents within float32 round-off.
+        simulate renders square phantoms, so the 21x17 k-space is that of a
+        cropped phantom, written with write_cks."""
+        mask_path, prefix = tmp_path / "m.cks", tmp_path / "sim"
+        assert run(["mask", "--scheme", "random-rectilinear", "--size", f"{height}x{width}",
+                    "--accel", "2", "--acs", "6", "--seed", "3", "--out", mask_path]) == 0
+        if height == width:
+            assert run(["simulate", "--size", height, "--frames", GRAM_MIN_FRAMES, "--coils", "4",
+                        "--seed", "5", "--mask", mask_path, "--out-prefix", prefix]) == 0
+        else:
+            crop = ComplexImage(dynamic_phantom(height, GRAM_MIN_FRAMES).data[..., :width])
+            _, full = simulate_coils(crop, 4, 5)
+            masked = KSpaceData(read_cks(mask_path).pattern * full.data)
+            write_cks(tmp_path / "sim_kspace_masked.cks", masked)
+        kspace = tmp_path / "sim_kspace_masked.cks"
+        assert run(["reconstruct", "--kspace", kspace, "--mask", mask_path, "--estimate-sens",
+                    "--mode", "dynamic", "--denoiser", "tv", "--strength", "1e-3", "--lam", "0.1",
+                    "--out-prefix", tmp_path / "r"]) == 0
+        ksp, mask = read_cks(kspace), read_cks(mask_path)
+        assert ksp.data.shape == (4, GRAM_MIN_FRAMES, height, width)
+        cfg = AdmmConfig.for_mode("dynamic", lam=0.1, denoiser=DenoiserSpec("tv-chambolle", 1e-3))
+        want = admm_reconstruct(ksp, mask, estimate_from_acs(ksp, mask), cfg).data
+        got = read_cks(tmp_path / "r.cks").data
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
 class TestEvaluateCommand:

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import ALL_SCHEMES, dft2c_oracle, make_mask, random_sens
 from mcrecon.core import RECTILINEAR_SCHEMES
-from mcrecon.fourier import ForwardOperator, fft2c, ifft2c
+from mcrecon.fourier import GRAM_MIN_FRAMES, ForwardOperator, RowGram, fft2c, ifft2c
 from mcrecon import sampling
 from mcrecon.sampling import full_mask
-from mcrecon.solver import dc_objective
+from mcrecon.solver import dc_gradient, dc_objective
 
 
 def rand_image(rng, *shape):
@@ -270,9 +270,60 @@ class TestDataConsistencyOperator:
         gap = abs(np.vdot(r, bx) - np.vdot(bhr, x))
         assert gap <= tol * np.linalg.norm(x) * np.linalg.norm(r)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scheme=st.sampled_from(RECTILINEAR_SCHEMES),
+        accel=st.sampled_from([1, 2, 3.3]),
+        height=st.integers(3, 24),
+        width=st.integers(3, 24),
+        extra_frames=st.integers(0, 2),
+        n_coils=st.integers(1, 3),
+        dtype=st.sampled_from([np.complex128, np.complex64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_row_gram_gradient_equals_the_column_gradient(
+        self, scheme, accel, height, width, extra_frames, n_coils, dtype, seed
+    ):
+        """With the step size and lam, GRAM_MIN_FRAMES or more frames give the
+        row Gram form: N (row, col, col) and b = B^H y_dc (row, frame, col) in
+        complex128 with x N - b + lam (x - w) + m equal to dc_gradient through
+        apply_arr / adjoint_arr, N Hermitian, and the step matrix
+        (1 - s lam) I - s N cast once to the solve's dtype."""
+        rng = np.random.default_rng(seed)
+        n_frames = GRAM_MIN_FRAMES + extra_frames
+        mask = sampling.make_mask(scheme, height, width, accel, seed, acs_lines=2)
+        op = ForwardOperator(mask=mask, sens=random_sens(rng, n_coils, height, width), dtype=dtype)
+        x, w, m = (rand_image(rng, n_frames, height, width).astype(dtype) for _ in range(3))
+        y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
+        step, lam = 0.7, 0.3
+        gram, b = op.for_data_consistency(y, step, lam)
+        assert type(gram) is RowGram
+        assert gram.normal.dtype == b.dtype == np.complex128 and gram.step.dtype == dtype
+        assert gram.normal.shape == (height, width, width) == gram.step.shape
+        assert b.shape == (height, n_frames, width)
+        assert np.allclose(gram.normal, gram.normal.conj().transpose(0, 2, 1), rtol=0, atol=1e-14)
+        eye = np.eye(width)
+        assert np.array_equal(gram.step, ((1 - step * lam) * eye - step * gram.normal).astype(dtype))
+
+        def rows(a):
+            return a.transpose(1, 0, 2).astype(np.complex128)
+
+        got = (rows(x) @ gram.normal - b + lam * (rows(x) - rows(w)) + rows(m)).transpose(1, 0, 2)
+        op_dc, y_dc = op.for_data_consistency(y)
+        want = dc_gradient(x, w, m, y_dc, op_dc, lam)
+        tol = 1e-10 if dtype == np.complex128 else 1e-5
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        # fewer frames, or no step size, keep the column-DFT operator
+        few = y[:, : GRAM_MIN_FRAMES - 1]
+        assert type(op.for_data_consistency(few, step, lam)[0]) is ForwardOperator
+        assert type(op_dc) is ForwardOperator
+
     @pytest.mark.parametrize("scheme", ["gaussian2d", "pseudo-radial", "pseudo-spiral", "full"])
     def test_point_masks_keep_the_operator_and_data(self, rng, scheme):
         op = ForwardOperator(mask=make_mask(scheme, 10, 12, 2, 3), sens=random_sens(rng, 2, 10, 12))
         y = rand_image(rng, 2, 1, 10, 12)
         op_dc, y_dc = op.for_data_consistency(y)
         assert op_dc is op and y_dc is y
+        many = rand_image(rng, 2, GRAM_MIN_FRAMES, 10, 12)
+        op_dc, y_dc = op.for_data_consistency(many, 0.5, 1.0)
+        assert op_dc is op and y_dc is many

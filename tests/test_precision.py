@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from mcrecon.core import ComplexImage, KSpaceData, SensitivityMaps
-from mcrecon.data import read_cks, shepp_logan, simulate_coils, write_cks
-from mcrecon.fourier import ForwardOperator
+from mcrecon.data import dynamic_phantom, read_cks, shepp_logan, simulate_coils, write_cks
+from mcrecon.fourier import GRAM_MIN_FRAMES, ForwardOperator
 from mcrecon.metrics import hfen1, nmae, nmse, psnr, ssim, ssim3d
 from mcrecon.sampling import make_mask
 from mcrecon.solver import (
@@ -162,13 +162,21 @@ def test_kspace_payload_is_read_in_place(tmp_path, rng):
 
 # A complex64 solve of float32-representable data against the complex128
 # solve of the same values (16 outer steps of 6 inner iterations): measured
-# at most 5e-7 * max over the cases below.
+# at most 5e-7 * max over the cases below (3.1e-7 on the row Gram path).
 SOLVE_TOL = 1e-5
 
 
 @pytest.fixture(scope="module")
 def phantom64():
-    truth = shepp_logan(64)
+    return _phantom(shepp_logan(64))
+
+
+@pytest.fixture(scope="module")
+def cine64():
+    return _phantom(dynamic_phantom(64, GRAM_MIN_FRAMES))
+
+
+def _phantom(truth):
     sens, full = simulate_coils(truth, 8, 2)
     maps = SensitivityMaps(sens.maps.astype(np.complex64), sens.support)
     return np.abs(truth.data), maps, full.data.astype(np.complex64)
@@ -180,10 +188,8 @@ def _quality(mag, truth):
             "nmse": nmse(truth[0], mag[0])}
 
 
-@pytest.mark.parametrize("scheme", ["equispaced", "random-rectilinear", "gaussian2d"])
-@pytest.mark.parametrize("kind", DENOISER_KINDS)
-def test_complex64_solve_matches_complex128(phantom64, scheme, kind):
-    truth, maps64, full64 = phantom64
+def _check_complex64_solve(phantom, scheme, kind):
+    truth, maps64, full64 = phantom
     mask = make_mask(scheme, 64, 64, 4, 1, acs_lines=12, acs_radius=4)
     y64 = KSpaceData(mask.pattern * full64)
     y128 = KSpaceData(y64.data.astype(np.complex128))
@@ -197,6 +203,20 @@ def test_complex64_solve_matches_complex128(phantom64, scheme, kind):
     q64, q128 = _quality(np.abs(x64), truth), _quality(np.abs(x128), truth)
     for key, ref in q128.items():
         assert abs(q64[key] - ref) <= QUALITY_BOUNDS[key] * abs(ref), key
+
+
+@pytest.mark.parametrize("scheme", ["equispaced", "random-rectilinear", "gaussian2d"])
+@pytest.mark.parametrize("kind", DENOISER_KINDS)
+def test_complex64_solve_matches_complex128(phantom64, scheme, kind):
+    _check_complex64_solve(phantom64, scheme, kind)
+
+
+@pytest.mark.parametrize("scheme", ["equispaced", "random-rectilinear"])
+@pytest.mark.parametrize("kind", DENOISER_KINDS)
+def test_complex64_row_gram_solve_matches_complex128(cine64, scheme, kind):
+    # GRAM_MIN_FRAMES frames on a rectilinear mask: data consistency runs on
+    # the row Gram form, anchored in complex128 once per outer step
+    _check_complex64_solve(cine64, scheme, kind)
 
 
 METRICS = {

@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from mcrecon.core import MASK_SCHEMES
 from mcrecon.sampling import (
     GENERATORS,
+    DrawLimitError,
     achieved_acceleration,
     equispaced_mask,
     gaussian2d_mask,
@@ -93,6 +95,15 @@ class TestGaussian2d:
             inner += center.sum() / center.size
             outer += (m.sum() - center.sum()) / (m.size - center.size)
         assert inner > outer
+
+    def test_unreachable_budget_fails_fast(self):
+        # R just above 1 must hit nearly every pixel, corners included; the
+        # draw cap stops it (7.2 s to a mask before the cap, 2 vCPUs)
+        start = time.perf_counter()
+        with pytest.raises(DrawLimitError, match=r"R=1\.01 on a 64x64 grid"):
+            gaussian2d_mask(64, 64, 1.01, 0, 0)
+        assert time.perf_counter() - start < 1.0
+        assert issubclass(DrawLimitError, ValueError)
 
     def test_deterministic(self):
         a = gaussian2d_mask(48, 48, 6, 4, 77)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_mask, random_sens
 from mcrecon.core import KSpaceData
-from mcrecon.fourier import ForwardOperator
+from mcrecon.fourier import GRAM_MIN_FRAMES, ForwardOperator
 from mcrecon.sampling import full_mask
 from mcrecon.data import dynamic_phantom, shepp_logan, simulate_coils
 from mcrecon.solver import (
@@ -271,6 +271,26 @@ class TestDataConsistency:
         )
         assert np.allclose(out.ravel(), expected, atol=1e-6)
 
+    @pytest.mark.parametrize("inner", [1, 5])
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_row_gram_steps_equal_the_column_steps(self, rng, dtype, inner):
+        """On a RowGram, data_consistency_step runs the same iterate as on the
+        column-DFT operator, to the round-off of its dtype, from a start off
+        the solution and data on the mask."""
+        h, w, frames = 9, 14, GRAM_MIN_FRAMES
+        mask = make_mask("random-rectilinear", h, w, 2, 4)
+        op = ForwardOperator(mask=mask, sens=random_sens(rng, 3, h, w), dtype=dtype)
+        x, wv, m = (rand_image(rng, frames, h, w).astype(dtype) for _ in range(3))
+        y = (mask.pattern * rand_image(rng, 3, frames, h, w)).astype(dtype)
+        cfg = AdmmConfig(T=1, inner_iters=inner, lam=0.3)
+        gram, b = op.for_data_consistency(y, cfg.step_size, cfg.lam)
+        column, y_dc = op.for_data_consistency(y)
+        got = data_consistency_step(x, wv, m, b, gram, cfg)
+        want = data_consistency_step(x, wv, m, y_dc, column, cfg)
+        assert got.dtype == dtype and got.shape == x.shape and got.flags.c_contiguous
+        tol = 1e-12 if dtype == np.complex128 else 1e-5
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
     def test_objective_nonincreasing(self, rng):
         for trial in range(10):
             op = self._instance(rng, n_coils=2, scheme="gaussian2d")
@@ -357,12 +377,16 @@ class TestAdmmReconstruct:
         assert len(gaps) == 16
         assert gaps[-1] < gaps[0]
 
-    def test_frame_separability(self):
-        """A joint solve of several frames equals, bit for bit, the solves of
-        each frame alone, for l1 and TV, on equispaced and random-rectilinear
-        masks, in complex64 and complex128: nothing in the operator or the
-        denoisers couples frames."""
-        img = dynamic_phantom(32, 4)
+    def test_frame_separability(self, monkeypatch):
+        """Nothing in the operator or the denoisers couples frames, for l1 and
+        TV, on equispaced and random-rectilinear masks, in complex64 and
+        complex128. On the column-DFT path (fewer than GRAM_MIN_FRAMES
+        frames) a joint solve equals, bit for bit, the solves of each frame
+        alone. On the row Gram path a joint solve of 2 * GRAM_MIN_FRAMES
+        frames equals, bit for bit, the joint solves of each half, and is
+        within 1e-6 * max of the column-DFT solve of the same frames."""
+        few, gram = GRAM_MIN_FRAMES - 1, 2 * GRAM_MIN_FRAMES
+        img = dynamic_phantom(32, gram)
         sens, ksp = simulate_coils(img, 2, 3)
         for kind, scheme, dtype in itertools.product(
             ["l1-soft-threshold", "tv-chambolle"],
@@ -370,14 +394,27 @@ class TestAdmmReconstruct:
             [np.complex64, np.complex128],
         ):
             mask = make_mask(scheme, 32, 32, 2, 2)
-            y = KSpaceData((mask.pattern * ksp.data).astype(dtype))
+            y = (mask.pattern * ksp.data).astype(dtype)
             spec = DenoiserSpec(kind=kind, strength=1e-3, iterations=5)
             cfg = AdmmConfig(T=4, inner_iters=6, denoiser=spec)
-            joint = admm_reconstruct(y, mask, sens, cfg)
-            assert joint.data.dtype == dtype
-            for t in range(4):
-                single = admm_reconstruct(KSpaceData(y.data[:, t : t + 1]), mask, sens, cfg)
-                assert np.array_equal(joint.data[t], single.data[0]), (kind, scheme, dtype, t)
+
+            def solve(frames):
+                return admm_reconstruct(KSpaceData(y[:, frames]), mask, sens, cfg).data
+
+            joint = solve(slice(0, few))
+            assert joint.dtype == dtype
+            for t in range(few):
+                single = solve(slice(t, t + 1))
+                assert np.array_equal(joint[t], single[0]), (kind, scheme, dtype, t)
+
+            joint = solve(slice(0, gram))
+            assert joint.dtype == dtype
+            halves = [solve(slice(0, GRAM_MIN_FRAMES)), solve(slice(GRAM_MIN_FRAMES, gram))]
+            assert np.array_equal(joint, np.concatenate(halves)), (kind, scheme, dtype)
+            with monkeypatch.context() as patch:
+                patch.setattr("mcrecon.fourier.GRAM_MIN_FRAMES", gram + 1)
+                column = solve(slice(0, gram))
+            assert np.abs(joint - column).max() <= 1e-6 * np.abs(column).max()
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
@@ -443,4 +480,27 @@ class TestOperatorCalls:
         mask = make_mask(scheme, 16, 16, 4, 1)
         y = KSpaceData(mask.pattern * rand_image(rng, 2, 2, 16, 16))
         admm_reconstruct(y, mask, sens, AdmmConfig(T=2, inner_iters=2))
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("scheme", ["equispaced", "random-rectilinear"])
+    def test_row_gram_path_calls_only_the_zero_filled_adjoint(self, rng, monkeypatch, scheme):
+        """With GRAM_MIN_FRAMES frames on a rectilinear mask the gradients run
+        on the row Gram form: adjoint_arr once (the zero-filled start),
+        apply_arr never, and one ForwardOperator built per solve."""
+        calls = {"apply_arr": 0, "adjoint_arr": 0}
+        for name, method in [(n, getattr(ForwardOperator, n)) for n in calls]:
+
+            def counted(self, arr, name=name, method=method):
+                calls[name] += 1
+                return method(self, arr)
+
+            monkeypatch.setattr(ForwardOperator, name, counted)
+        built = []
+        post_init = ForwardOperator.__post_init__
+        monkeypatch.setattr(ForwardOperator, "__post_init__", lambda o: built.append(post_init(o)))
+        sens = random_sens(rng, 2, 16, 16)
+        mask = make_mask(scheme, 16, 16, 4, 1)
+        y = KSpaceData(mask.pattern * rand_image(rng, 2, GRAM_MIN_FRAMES, 16, 16))
+        admm_reconstruct(y, mask, sens, AdmmConfig(T=3, inner_iters=5))
+        assert calls == {"apply_arr": 0, "adjoint_arr": 1}
         assert len(built) == 1
