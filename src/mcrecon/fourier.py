@@ -38,17 +38,21 @@ On a rectilinear mask B^H B also splits into independent image rows
 (Pruessmann et al. 1999): row h of ``B^H B x`` is ``x_h N_h`` with one
 Hermitian (W, W) matrix ``N_h = (sum_c S_ch S_ch^H) * (D D^H)`` (elementwise
 product), the same for every frame (a Gram normal operator, Fessler et al.
-2005). Given the solve's step size s and lam, ``for_data_consistency``
-returns for a y of at least :data:`GRAM_MIN_FRAMES` frames a
-:class:`RowGram` and ``b = B^H y_dc`` instead of B and y_dc. N and b are
+2005). ``for_data_consistency`` returns for a y of at least
+:data:`GRAM_MIN_FRAMES` frames, on a grid at most :data:`GRAM_MAX_SIDE`
+on each side, a :class:`RowGram` for the solve's step size s and lam and
+``b = B^H y_dc`` instead of B and y_dc. N and b are
 complex128, built from the unramped maps, a complex128 D and y_dc taken
 back along the height in complex128; the step matrix
 ``Q = (1 - s*lam) I - s N`` is cast once to the operator's dtype. The
 solver anchors each outer step in complex128 and runs its inner iterations
 as one batched (row, frame, col) GEMM with Q each (see ``solver``). The
 path holds H*W^2*(16 + itemsize) bytes more: 48 MiB at 128x128 and
-384 MiB at 256x256 in complex64. One-frame solves and point masks never
-take it.
+384 MiB at 256x256 in complex64. Its memory grows with W^2 where the
+column path's does not, and its crossover rises with W, so it is taken
+only on the grids measured below: H and W at most GRAM_MAX_SIDE = 256,
+which caps N and Q at 384 MiB (complex64) or 512 MiB (complex128).
+Larger grids, one-frame solves and point masks keep the column path.
 
 GRAM_MIN_FRAMES is the measured crossover of whole solves: seconds for the
 column-DFT path / the row Gram path, T=10, 8 inner iterations, identity
@@ -79,9 +83,11 @@ import scipy.fft as sfft
 
 from .core import RECTILINEAR_SCHEMES, SamplingMask, SensitivityMaps
 
-# Solves of at least this many frames on a rectilinear mask run data
-# consistency through RowGram; the module docstring has the crossover.
+# Solves of at least GRAM_MIN_FRAMES frames on a rectilinear mask of at most
+# GRAM_MAX_SIDE rows and columns run data consistency through RowGram; the
+# module docstring has the crossover and the memory bound.
 GRAM_MIN_FRAMES = 6
+GRAM_MAX_SIDE = 256
 
 
 def _centred(transform, arr: np.ndarray, axes=(-2, -1)) -> np.ndarray:
@@ -123,10 +129,13 @@ class RowGram:
     """Data consistency of a rectilinear-mask operator B as one Hermitian
     (W, W) matrix per image row: ``normal`` is N = B^H B, (H, W, W) in
     complex128, and ``step`` the gradient step's matrix (1 - s*lam) I - s N
-    in the solve's dtype (see the module docstring)."""
+    in the solve's dtype for ``step_size`` s and ``lam`` (see the module
+    docstring)."""
 
     normal: np.ndarray
     step: np.ndarray
+    step_size: float
+    lam: float
 
 
 @dataclass(frozen=True)
@@ -159,20 +168,21 @@ class ForwardOperator:
             object.__setattr__(self, name + "_conj", None if arr is None else arr.conj())
 
     def for_data_consistency(
-        self, y: np.ndarray, step: float | None = None, lam: float | None = None
+        self, y: np.ndarray, step: float, lam: float
     ) -> tuple["ForwardOperator | RowGram", np.ndarray]:
-        """``(op, y_dc)`` with this operator's ``A^H (A x - y)``: on a rectilinear
-        mask, B (image rows onto the K sampled columns) and the sampled columns
-        of F_h^H y (see the module docstring); else self and y. Given the
-        solve's step size and lam, a rectilinear y of at least
-        :data:`GRAM_MIN_FRAMES` frames gives the :class:`RowGram` of B and
-        ``b = B^H y_dc`` (row, frame, col) in complex128 instead."""
+        """``(op, y_dc)`` with this operator's ``A^H (A x - y)`` for a solve
+        of step size ``step`` and ``lam``: on a rectilinear mask, B (image rows
+        onto the K sampled columns) and the sampled columns of F_h^H y (see
+        the module docstring); else self and y. A rectilinear y of at least
+        :data:`GRAM_MIN_FRAMES` frames on a grid at most :data:`GRAM_MAX_SIDE`
+        on each side gives the :class:`RowGram` of B and ``b = B^H y_dc``
+        (row, frame, col) in complex128 instead."""
         if self.mask.scheme not in RECTILINEAR_SCHEMES:
             return self, y
         w, c = self.mask.width, self.mask.width // 2
         cols = np.flatnonzero(self.mask.pattern[0])
         dft = _phase(-np.outer(np.arange(w) - c, cols - c), w) / np.sqrt(w)
-        if step is None or y.shape[1] < GRAM_MIN_FRAMES:
+        if y.shape[1] < GRAM_MIN_FRAMES or max(self.mask.height, w) > GRAM_MAX_SIDE:
             op = copy.copy(self)
             op._fold(self.sens.maps, None, dft)
             return op, _centred(sfft.ifftn, y[..., cols], axes=(-2,))
@@ -188,7 +198,7 @@ class ForwardOperator:
         q = np.multiply(normal, -step, out=np.empty(normal.shape, self.dtype), casting="same_kind")
         diag = np.arange(w)
         q[:, diag, diag] = (1 - step * lam) - step * normal[:, diag, diag]
-        return RowGram(normal, q), b
+        return RowGram(normal, q, step, lam), b
 
     def apply_arr(self, x: np.ndarray) -> np.ndarray:
         """Forward map on a raw (frame, row, col) array -> (coil, frame, row, col or K)."""

@@ -16,9 +16,11 @@ solve returns the final image x only. The gradient steps use the operator
 and data of ``ForwardOperator.for_data_consistency``: on rectilinear masks
 they map image rows onto the sampled columns, with the same gradient.
 
-With ``fourier.GRAM_MIN_FRAMES`` frames or more on a rectilinear mask, the
-steps run on the row Gram form instead (``fourier.RowGram``: N = B^H B as one
-(W, W) matrix per image row, b = B^H y_dc, and Q = (1 - s*lam) I - s N). The
+With ``fourier.GRAM_MIN_FRAMES`` frames or more on a rectilinear mask of at
+most ``fourier.GRAM_MAX_SIDE`` rows and columns, the steps run on the row
+Gram form instead (``fourier.RowGram``: N = B^H B as one (W, W) matrix per
+image row, b = B^H y_dc, and Q = (1 - s*lam) I - s N for the solve's s and
+lam, which ``data_consistency_step`` checks against its config). The
 gradient at x0 + d is c + d (N + lam I), with the anchor
 c = (x0 N - b) + lam (x0 - w) + m, so each outer step computes c once in
 complex128 from its start x0 and runs the inner iterations on the correction
@@ -266,8 +268,14 @@ def data_consistency_step(
     """Fixed-step gradient descent on the data-consistency subproblem,
     warm-started from x_in, for cfg.inner_iters iterations. Arrays are raw
     (frame, row, col) images and (coil, frame, row, col) k-space; with a
-    :class:`RowGram` of ``cfg``'s step and lam, y is b = B^H y_dc."""
+    :class:`RowGram`, y is b = B^H y_dc, and the RowGram's step size and
+    lam must be ``cfg``'s (ValueError otherwise)."""
     if isinstance(op, RowGram):
+        if (op.step_size, op.lam) != (cfg.step_size, cfg.lam):
+            raise ValueError(
+                f"RowGram built for step_size {op.step_size}, lam {op.lam}; "
+                f"config has step_size {cfg.step_size}, lam {cfg.lam}"
+            )
         return _row_gram_descent(x_in, w, m, y, op, cfg)
     x = x_in.copy()
     for _ in range(cfg.inner_iters):

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from conftest import ALL_SCHEMES, dft2c_oracle, make_mask, random_sens
 from mcrecon.core import RECTILINEAR_SCHEMES
-from mcrecon.fourier import GRAM_MIN_FRAMES, ForwardOperator, RowGram, fft2c, ifft2c
+from mcrecon.fourier import (
+    GRAM_MAX_SIDE,
+    GRAM_MIN_FRAMES,
+    ForwardOperator,
+    RowGram,
+    fft2c,
+    ifft2c,
+)
 from mcrecon import sampling
 from mcrecon.sampling import full_mask
 from mcrecon.solver import dc_gradient, dc_objective
@@ -234,7 +241,7 @@ class TestDataConsistencyOperator:
         x, w, m = (rand_image(rng, n_frames, height, width).astype(dtype) for _ in range(3))
         # y off the mask too: the gradient identity holds for any y
         y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
-        op_dc, y_dc = op.for_data_consistency(y)
+        op_dc, y_dc = op.for_data_consistency(y, 0.5, 0.3)
         assert type(op_dc) is ForwardOperator and op_dc is not op
         cols = np.flatnonzero(mask.pattern[0])
         assert y_dc.dtype == dtype and y_dc.shape == y.shape[:-1] + (cols.size,)
@@ -297,7 +304,7 @@ class TestDataConsistencyOperator:
         y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
         step, lam = 0.7, 0.3
         gram, b = op.for_data_consistency(y, step, lam)
-        assert type(gram) is RowGram
+        assert type(gram) is RowGram and (gram.step_size, gram.lam) == (step, lam)
         assert gram.normal.dtype == b.dtype == np.complex128 and gram.step.dtype == dtype
         assert gram.normal.shape == (height, width, width) == gram.step.shape
         assert b.shape == (height, n_frames, width)
@@ -309,20 +316,38 @@ class TestDataConsistencyOperator:
             return a.transpose(1, 0, 2).astype(np.complex128)
 
         got = (rows(x) @ gram.normal - b + lam * (rows(x) - rows(w)) + rows(m)).transpose(1, 0, 2)
-        op_dc, y_dc = op.for_data_consistency(y)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("mcrecon.fourier.GRAM_MIN_FRAMES", n_frames + 1)
+            op_dc, y_dc = op.for_data_consistency(y, step, lam)
         want = dc_gradient(x, w, m, y_dc, op_dc, lam)
         tol = 1e-10 if dtype == np.complex128 else 1e-5
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
-        # fewer frames, or no step size, keep the column-DFT operator
+        # fewer frames keep the column-DFT operator
         few = y[:, : GRAM_MIN_FRAMES - 1]
         assert type(op.for_data_consistency(few, step, lam)[0]) is ForwardOperator
         assert type(op_dc) is ForwardOperator
+
+    @pytest.mark.parametrize(
+        "height, width, gram",
+        [(2, GRAM_MAX_SIDE, True), (GRAM_MAX_SIDE, 2, True),
+         (2, GRAM_MAX_SIDE + 1, False), (GRAM_MAX_SIDE + 1, 2, False)],
+    )
+    def test_grids_past_the_measured_side_keep_the_column_path(self, rng, height, width, gram):
+        """The row Gram path holds H * W^2 entries of N and Q, so with
+        GRAM_MIN_FRAMES frames it is taken only on grids of at most
+        GRAM_MAX_SIDE rows and columns; a wider or taller grid keeps the
+        column-DFT operator."""
+        mask = make_mask("equispaced", height, width, 1, 0)
+        op = ForwardOperator(mask=mask, sens=random_sens(rng, 1, height, width))
+        y = rand_image(rng, 1, GRAM_MIN_FRAMES, height, width)
+        op_dc, _ = op.for_data_consistency(y, 0.5, 1.0)
+        assert type(op_dc) is (RowGram if gram else ForwardOperator)
 
     @pytest.mark.parametrize("scheme", ["gaussian2d", "pseudo-radial", "pseudo-spiral", "full"])
     def test_point_masks_keep_the_operator_and_data(self, rng, scheme):
         op = ForwardOperator(mask=make_mask(scheme, 10, 12, 2, 3), sens=random_sens(rng, 2, 10, 12))
         y = rand_image(rng, 2, 1, 10, 12)
-        op_dc, y_dc = op.for_data_consistency(y)
+        op_dc, y_dc = op.for_data_consistency(y, 0.5, 1.0)
         assert op_dc is op and y_dc is y
         many = rand_image(rng, 2, GRAM_MIN_FRAMES, 10, 12)
         op_dc, y_dc = op.for_data_consistency(many, 0.5, 1.0)

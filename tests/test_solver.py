@@ -273,7 +273,7 @@ class TestDataConsistency:
 
     @pytest.mark.parametrize("inner", [1, 5])
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-    def test_row_gram_steps_equal_the_column_steps(self, rng, dtype, inner):
+    def test_row_gram_steps_equal_the_column_steps(self, rng, monkeypatch, dtype, inner):
         """On a RowGram, data_consistency_step runs the same iterate as on the
         column-DFT operator, to the round-off of its dtype, from a start off
         the solution and data on the mask."""
@@ -284,12 +284,29 @@ class TestDataConsistency:
         y = (mask.pattern * rand_image(rng, 3, frames, h, w)).astype(dtype)
         cfg = AdmmConfig(T=1, inner_iters=inner, lam=0.3)
         gram, b = op.for_data_consistency(y, cfg.step_size, cfg.lam)
-        column, y_dc = op.for_data_consistency(y)
+        monkeypatch.setattr("mcrecon.fourier.GRAM_MIN_FRAMES", frames + 1)
+        column, y_dc = op.for_data_consistency(y, cfg.step_size, cfg.lam)
         got = data_consistency_step(x, wv, m, b, gram, cfg)
         want = data_consistency_step(x, wv, m, y_dc, column, cfg)
         assert got.dtype == dtype and got.shape == x.shape and got.flags.c_contiguous
         tol = 1e-12 if dtype == np.complex128 else 1e-5
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    @pytest.mark.parametrize("given", [{"lam": 0.5}, {"step_size": 0.7}])
+    def test_row_gram_of_another_config_is_rejected(self, rng, given):
+        """A RowGram folds its step size and lam into Q, so running it with a
+        config of another step size or lam raises instead of mixing the two."""
+        h, w, frames = 6, 8, GRAM_MIN_FRAMES
+        mask = make_mask("equispaced", h, w, 2, 0)
+        op = ForwardOperator(mask=mask, sens=random_sens(rng, 2, h, w))
+        x = rand_image(rng, frames, h, w)
+        y = mask.pattern * rand_image(rng, 2, frames, h, w)
+        built = AdmmConfig(T=1, inner_iters=2, lam=0.3, step_size=0.6)
+        gram, b = op.for_data_consistency(y, built.step_size, built.lam)
+        cfg = AdmmConfig(**{**vars(built), **given})
+        with pytest.raises(ValueError, match="step_size"):
+            data_consistency_step(x, x, x, b, gram, cfg)
+        assert data_consistency_step(x, x, x, b, gram, built).shape == x.shape
 
     def test_objective_nonincreasing(self, rng):
         for trial in range(10):
@@ -426,7 +443,7 @@ def test_operator_and_denoisers_neither_mutate_nor_alias(rng, scheme, dtype):
     sens = random_sens(rng, 3, 12, 10)
     mask = make_mask(scheme, 12, 10, 2, 1)
     op, _ = ForwardOperator(mask=mask, sens=sens, dtype=dtype).for_data_consistency(
-        np.zeros((3, 2, 12, 10), dtype)
+        np.zeros((3, 2, 12, 10), dtype), 0.5, 1.0
     )
     x = rand_image(rng, 2, 12, 10).astype(dtype)
     r = op.apply_arr(x).copy()
