@@ -9,10 +9,13 @@
 # TV solve with --estimate-sens on a random-rectilinear mask, one with
 # --sens at 6 frames (fourier.GRAM_MIN_FRAMES, the fewest that take the row
 # Gram path; the 7-frame dynamic solves take it too), --jobs 1
-# and 2, evaluate, the exit codes of six rejected inputs (among them a 0x0
-# grid and --strength nan), and the exit codes (outputs deleted) of
+# and 2, evaluate, and the exit codes in rcs.txt. Six are bad arguments and
+# exit 2: an unknown scheme (rc_bogus), an unknown denoiser (rc_den), a
+# gaussian2d budget below its ACS disc (rc_budget), R=0.5 (rc_acc), a 0x0
+# grid (rc_grid) and --strength nan (rc_nan). Two have their outputs deleted:
 # --estimate-sens with an R=4 pseudo-radial mask, which has no ACS region,
-# and with an R=1 equispaced mask with 8 ACS lines.
+# fails its solve and exits 1 (rc_est_radial), and with an R=1 equispaced
+# mask with 8 ACS lines it exits 0 (rc_est_r1).
 #
 # For a change that may move floating-point round-off, compare the two
 # OUT_DIRs with scripts/golden_compare.py instead, which allows small

@@ -7,6 +7,7 @@ flags always win.
 """
 
 import argparse
+import contextlib
 import csv
 import sys
 import time
@@ -19,7 +20,7 @@ from . import data as dio
 from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps
 from .fourier import ifft2c  # noqa: F401  (perfbench's tracer test looks it up here)
 from .metrics import LossWeights, hfen1, loss_from_terms, nmae, nmse, psnr, ssim, ssim3d
-from .sampling import GENERATORS, DrawLimitError, achieved_acceleration, make_mask
+from .sampling import GENERATORS, achieved_acceleration, make_mask
 from .sensitivity import estimate_from_acs
 from .solver import DENOISER_KINDS, MODE_DEFAULTS, AdmmConfig, DenoiserSpec
 from .solver import admm_reconstruct, check_inputs, zero_filled_init
@@ -33,6 +34,15 @@ _DENOISER_ALIASES = {kind: kind for kind in DENOISER_KINDS} | {
 
 class CliError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _from_flags():
+    """Report a ValueError raised while building from flags as a usage error (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -83,12 +93,9 @@ def _load_as(path, cls):
 
 def cmd_mask(args) -> int:
     h, w = _parse_size(args.size)
-    try:
-        mask = make_mask(
-            args.scheme, h, w, args.accel, args.seed, acs_lines=args.acs, acs_radius=args.acs_radius
-        )
-    except DrawLimitError as exc:  # an R the scheme cannot reach
-        raise CliError(str(exc)) from exc
+    with _from_flags():
+        mask = make_mask(args.scheme, h, w, args.accel, args.seed, acs_lines=args.acs,
+                         acs_radius=args.acs_radius)
     out = Path(args.out)
     dio.write_cks(out, mask)
     dio.write_pgm(out.with_suffix(".pgm"), mask.pattern)
@@ -97,8 +104,9 @@ def cmd_mask(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    truth = dio.dynamic_phantom(args.size, args.frames)
-    sens, ksp_full = dio.simulate_coils(truth, args.coils, args.seed)
+    with _from_flags():
+        truth = dio.dynamic_phantom(args.size, args.frames)
+        sens, ksp_full = dio.simulate_coils(truth, args.coils, args.seed)
     prefix = Path(args.out_prefix)
     dio.write_cks(prefix.with_name(prefix.name + "_truth.cks"), truth)
     dio.write_cks(prefix.with_name(prefix.name + "_sens.cks"), sens)
@@ -164,11 +172,10 @@ def cmd_reconstruct(args) -> int:
     outs = _recon_paths(args.kspace, args.out_prefix)
     cfg = None
     if args.method == "admm":  # zero-filled ignores the solver flags
-        spec = DenoiserSpec(_DENOISER_ALIASES[args.denoiser], args.strength, args.tv_iters)
-        cfg = AdmmConfig.for_mode(
-            args.mode, T=args.T, inner_iters=args.inner, lam=args.lam, step_size=args.step,
-            denoiser=spec,
-        )
+        with _from_flags():
+            spec = DenoiserSpec(_DENOISER_ALIASES[args.denoiser], args.strength, args.tv_iters)
+            cfg = AdmmConfig.for_mode(args.mode, T=args.T, inner_iters=args.inner, lam=args.lam,
+                                      step_size=args.step, denoiser=spec)
     mask = _load_as(args.mask, SamplingMask)
     volumes, sens = _load_volumes(args, mask)
     volumes.reverse()  # popped in input order, so each volume is freed once it is solved
@@ -183,6 +190,9 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if bool(args.kspace_truth) != bool(args.kspace_pred):
+        missing = "--kspace-truth" if args.kspace_pred else "--kspace-pred"
+        raise CliError(f"{missing} is missing: --kspace-truth and --kspace-pred go together")
     truth = _load_as(args.truth, ComplexImage)
     pred = _load_as(args.pred, ComplexImage)
     if truth.data.shape != pred.data.shape:
@@ -205,7 +215,7 @@ def cmd_evaluate(args) -> int:
     s3 = ssim3d(mag_t, mag_p, vol_range) if truth.n_frames > 1 else None
     if s3 is not None:
         rows.append((args.volume_id, "all", "ssim3d", s3))
-    if args.kspace_truth and args.kspace_pred:
+    if args.kspace_truth:
         y_t = _load_as(args.kspace_truth, KSpaceData)
         y_p = _load_as(args.kspace_pred, KSpaceData)
         nm = nmae(y_t.data, y_p.data)

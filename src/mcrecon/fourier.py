@@ -38,17 +38,16 @@ On a rectilinear mask B^H B also splits into independent image rows
 (Pruessmann et al. 1999): row h of ``B^H B x`` is ``x_h N_h`` with one
 Hermitian (W, W) matrix ``N_h = (sum_c S_ch S_ch^H) * (D D^H)`` (elementwise
 product), the same for every frame (a Gram normal operator, Fessler et al.
-2005). ``for_data_consistency`` returns for a y of at least
-:data:`GRAM_MIN_FRAMES` frames, on a grid at most :data:`GRAM_MAX_SIDE`
-on each side, a :class:`RowGram` for the solve's step size s and lam and
-``b = B^H y_dc`` instead of B and y_dc. N and b are
+2005). :meth:`ForwardOperator.row_gram` returns N and ``b = B^H y_dc`` for
+a y of at least :data:`GRAM_MIN_FRAMES` frames on a grid at most
+:data:`GRAM_MAX_SIDE` on each side, and None otherwise. N and b are
 complex128, built from the unramped maps, a complex128 D and y_dc taken
-back along the height in complex128; the step matrix
-``Q = (1 - s*lam) I - s N`` is cast once to the operator's dtype. The
-solver anchors each outer step in complex128 and runs its inner iterations
-as one batched (row, frame, col) GEMM with Q each (see ``solver``). The
-path holds H*W^2*(16 + itemsize) bytes more: 48 MiB at 128x128 and
-384 MiB at 256x256 in complex64. Its memory grows with W^2 where the
+back along the height in complex128. The solver casts the step matrix
+``Q = (1 - s*lam) I - s N`` once to the operator's dtype, anchors each
+outer step in complex128 and runs its inner iterations as one batched
+(row, frame, col) GEMM with Q each (see ``solver``). The path holds
+H*W^2*(16 + itemsize) bytes more: 48 MiB at 128x128 and 384 MiB at
+256x256 in complex64. Its memory grows with W^2 where the
 column path's does not, and its crossover rises with W, so it is taken
 only on the grids measured below: H and W at most GRAM_MAX_SIDE = 256,
 which caps N and Q at 384 MiB (complex64) or 512 MiB (complex128).
@@ -83,9 +82,8 @@ import scipy.fft as sfft
 
 from .core import RECTILINEAR_SCHEMES, SamplingMask, SensitivityMaps
 
-# Solves of at least GRAM_MIN_FRAMES frames on a rectilinear mask of at most
-# GRAM_MAX_SIDE rows and columns run data consistency through RowGram; the
-# module docstring has the crossover and the memory bound.
+# The row Gram path's rule (row_gram); the module docstring has the measured
+# crossover and the memory bound.
 GRAM_MIN_FRAMES = 6
 GRAM_MAX_SIDE = 256
 
@@ -125,20 +123,6 @@ def _ramps(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class RowGram:
-    """Data consistency of a rectilinear-mask operator B as one Hermitian
-    (W, W) matrix per image row: ``normal`` is N = B^H B, (H, W, W) in
-    complex128, and ``step`` the gradient step's matrix (1 - s*lam) I - s N
-    in the solve's dtype for ``step_size`` s and ``lam`` (see the module
-    docstring)."""
-
-    normal: np.ndarray
-    step: np.ndarray
-    step_size: float
-    lam: float
-
-
-@dataclass(frozen=True)
 class ForwardOperator:
     """Per-coil acquisition operator: mask * fft2c(S_k * x), stacked over coils,
     computed in ``dtype`` (complex64 or complex128; None means the maps' dtype)."""
@@ -167,38 +151,41 @@ class ForwardOperator:
             object.__setattr__(self, name, arr)
             object.__setattr__(self, name + "_conj", None if arr is None else arr.conj())
 
-    def for_data_consistency(
-        self, y: np.ndarray, step: float, lam: float
-    ) -> tuple["ForwardOperator | RowGram", np.ndarray]:
-        """``(op, y_dc)`` with this operator's ``A^H (A x - y)`` for a solve
-        of step size ``step`` and ``lam``: on a rectilinear mask, B (image rows
-        onto the K sampled columns) and the sampled columns of F_h^H y (see
-        the module docstring); else self and y. A rectilinear y of at least
-        :data:`GRAM_MIN_FRAMES` frames on a grid at most :data:`GRAM_MAX_SIDE`
-        on each side gives the :class:`RowGram` of B and ``b = B^H y_dc``
-        (row, frame, col) in complex128 instead."""
-        if self.mask.scheme not in RECTILINEAR_SCHEMES:
-            return self, y
+    def _sampled_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sampled columns of a rectilinear mask and D, their (W, K) centred DFT."""
         w, c = self.mask.width, self.mask.width // 2
         cols = np.flatnonzero(self.mask.pattern[0])
-        dft = _phase(-np.outer(np.arange(w) - c, cols - c), w) / np.sqrt(w)
-        if y.shape[1] < GRAM_MIN_FRAMES or max(self.mask.height, w) > GRAM_MAX_SIDE:
-            op = copy.copy(self)
-            op._fold(self.sens.maps, None, dft)
-            return op, _centred(sfft.ifftn, y[..., cols], axes=(-2,))
+        return cols, _phase(-np.outer(np.arange(w) - c, cols - c), w) / np.sqrt(w)
+
+    def for_data_consistency(self, y: np.ndarray) -> tuple["ForwardOperator", np.ndarray]:
+        """``(op, y_dc)`` with this operator's ``A^H (A x - y)``: on a
+        rectilinear mask, B (image rows onto the K sampled columns) and the
+        sampled columns of F_h^H y (see the module docstring); else self and y."""
+        if self.mask.scheme not in RECTILINEAR_SCHEMES:
+            return self, y
+        cols, dft = self._sampled_columns()
+        op = copy.copy(self)
+        op._fold(self.sens.maps, None, dft)
+        return op, _centred(sfft.ifftn, y[..., cols], axes=(-2,))
+
+    def row_gram(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(N, b)`` in complex128: N = B^H B (row, col, col) and
+        ``b = B^H y_dc`` (row, frame, col), for a rectilinear y of at least
+        :data:`GRAM_MIN_FRAMES` frames on a grid at most :data:`GRAM_MAX_SIDE`
+        on each side; else None (see the module docstring)."""
+        large = max(self.mask.height, self.mask.width) > GRAM_MAX_SIDE
+        if large or self.mask.scheme not in RECTILINEAR_SCHEMES or y.shape[1] < GRAM_MIN_FRAMES:
+            return None
+        cols, dft = self._sampled_columns()
         # N_h = (sum_c S_ch S_ch^H) * (D D^H) and b, in complex128
         y_dc = _centred(sfft.ifftn, y[..., cols].astype(np.complex128), axes=(-2,))
         maps = self.sens.maps.astype(np.complex128, copy=False)
         rows = maps.transpose(1, 2, 0)  # (H, W, coil)
         normal = rows @ rows.conj().transpose(0, 2, 1)
         normal *= dft @ dft.conj().T
-        v = (y_dc.reshape(-1, cols.size) @ dft.conj().T).reshape(*y_dc.shape[:-1], w)
+        v = (y_dc.reshape(-1, cols.size) @ dft.conj().T).reshape(*y_dc.shape[:-1], -1)
         v *= maps.conj()[:, np.newaxis]
-        b = np.ascontiguousarray(v.sum(axis=0).transpose(1, 0, 2))
-        q = np.multiply(normal, -step, out=np.empty(normal.shape, self.dtype), casting="same_kind")
-        diag = np.arange(w)
-        q[:, diag, diag] = (1 - step * lam) - step * normal[:, diag, diag]
-        return RowGram(normal, q, step, lam), b
+        return normal, np.ascontiguousarray(v.sum(axis=0).transpose(1, 0, 2))
 
     def apply_arr(self, x: np.ndarray) -> np.ndarray:
         """Forward map on a raw (frame, row, col) array -> (coil, frame, row, col or K)."""

@@ -24,10 +24,6 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 GAUSS_DRAWS_PER_POINT = 16
 
 
-class DrawLimitError(ValueError):
-    """A rejection sampler used up its draws before filling its budget."""
-
-
 class Lcg:
     """Minimal splittable-by-seed 64-bit LCG used by every mask generator."""
 
@@ -138,7 +134,7 @@ def gaussian2d_mask(
     without replacement, up to a budget of ceil(h*w / accel) points.
 
     A centered disc of ``acs_radius`` is fully sampled and counts toward
-    the budget. Raises :class:`DrawLimitError` if GAUSS_DRAWS_PER_POINT
+    the budget. Raises ValueError if GAUSS_DRAWS_PER_POINT
     draws per budgeted point leave the budget unfilled (R just above 1).
     """
     _check_grid(height, width, accel)
@@ -168,7 +164,7 @@ def gaussian2d_mask(
             pattern[r, c] = 1
             remaining -= 1
     if remaining:
-        raise DrawLimitError(
+        raise ValueError(
             f"gaussian2d: {GAUSS_DRAWS_PER_POINT * budget} draws filled {budget - remaining} of "
             f"{budget} points at R={accel} on a {height}x{width} grid; use a larger R"
         )

@@ -12,15 +12,16 @@ with its dual, gradient, divergence and magnitude buffers allocated once
 per frame and updated in place, in the order of the plain expressions, so
 the values are theirs bit for bit; the dual's row part keeps a zero last row
 and its column part a zero last column, which the divergence relies on. The
-solve returns the final image x only. The gradient steps use the operator
-and data of ``ForwardOperator.for_data_consistency``: on rectilinear masks
-they map image rows onto the sampled columns, with the same gradient.
+solve returns the final image x only.
 
-With ``fourier.GRAM_MIN_FRAMES`` frames or more on a rectilinear mask of at
-most ``fourier.GRAM_MAX_SIDE`` rows and columns, the steps run on the row
-Gram form instead (``fourier.RowGram``: N = B^H B as one (W, W) matrix per
-image row, b = B^H y_dc, and Q = (1 - s*lam) I - s N for the solve's s and
-lam, which ``data_consistency_step`` checks against its config). The
+Data consistency is one object per solve, whose ``descend`` runs the inner
+iterations: :class:`GradientSteps` on the operator and data of
+``ForwardOperator.for_data_consistency`` (on rectilinear masks they map
+image rows onto the sampled columns, with the same gradient), or, with
+``fourier.GRAM_MIN_FRAMES`` frames or more on a rectilinear mask of at most
+``fourier.GRAM_MAX_SIDE`` rows and columns, :class:`RowGramSteps` on the
+N = B^H B (one (W, W) matrix per image row) and b = B^H y_dc of
+``ForwardOperator.row_gram``, with Q = (1 - s*lam) I - s N. The
 gradient at x0 + d is c + d (N + lam I), with the anchor
 c = (x0 N - b) + lam (x0 - w) + m, so each outer step computes c once in
 complex128 from its start x0 and runs the inner iterations on the correction
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps
-from .fourier import ForwardOperator, RowGram
+from .fourier import ForwardOperator
 
 DENOISER_KINDS = ("identity", "l1-soft-threshold", "tikhonov-smooth", "tv-chambolle")
 
@@ -257,56 +258,59 @@ def dc_gradient(
     return g
 
 
-def data_consistency_step(
-    x_in: np.ndarray,
-    w: np.ndarray,
-    m: np.ndarray,
-    y: np.ndarray,
-    op: ForwardOperator | RowGram,
-    cfg: AdmmConfig,
-) -> np.ndarray:
-    """Fixed-step gradient descent on the data-consistency subproblem,
-    warm-started from x_in, for cfg.inner_iters iterations. Arrays are raw
-    (frame, row, col) images and (coil, frame, row, col) k-space; with a
-    :class:`RowGram`, y is b = B^H y_dc, and the RowGram's step size and
-    lam must be ``cfg``'s (ValueError otherwise)."""
-    if isinstance(op, RowGram):
-        if (op.step_size, op.lam) != (cfg.step_size, cfg.lam):
-            raise ValueError(
-                f"RowGram built for step_size {op.step_size}, lam {op.lam}; "
-                f"config has step_size {cfg.step_size}, lam {cfg.lam}"
-            )
-        return _row_gram_descent(x_in, w, m, y, op, cfg)
-    x = x_in.copy()
-    for _ in range(cfg.inner_iters):
-        g = dc_gradient(x, w, m, y, op, cfg.lam)
-        g *= cfg.step_size
-        x -= g
-    return x
+class GradientSteps:
+    """Data consistency by :func:`dc_gradient` on an operator and its data:
+    A and y, or the B and y_dc of ``ForwardOperator.for_data_consistency``."""
+
+    def __init__(self, op: ForwardOperator, y: np.ndarray, cfg: AdmmConfig):
+        self.op, self.y, self.cfg = op, y, cfg
+
+    def descend(self, x0: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
+        x = x0.copy()
+        for _ in range(self.cfg.inner_iters):
+            g = dc_gradient(x, w, m, self.y, self.op, self.cfg.lam)
+            g *= self.cfg.step_size
+            x -= g
+        return x
 
 
-def _row_gram_descent(
-    x0: np.ndarray, w: np.ndarray, m: np.ndarray, b: np.ndarray, gram: RowGram, cfg: AdmmConfig
-) -> np.ndarray:
-    # d <- d Q - s c from d = 0 on d = x - x0, anchored in complex128 (module docstring)
-    def rows(a):
-        return np.ascontiguousarray(a.transpose(1, 0, 2), dtype=np.complex128)
+class RowGramSteps:
+    """Data consistency on the N and b of ``ForwardOperator.row_gram``, with
+    ``cfg``'s step matrix Q = (1 - s*lam) I - s N cast once to ``dtype``."""
 
-    x0r = rows(x0)
-    c = x0r @ gram.normal
-    c -= b
-    x0r -= rows(w)
-    x0r *= cfg.lam
-    c += x0r
-    c += rows(m)
-    c *= -cfg.step_size
-    neg_sc = c.astype(x0.dtype)
-    d, nxt = neg_sc.copy(), np.empty_like(neg_sc)
-    for _ in range(cfg.inner_iters - 1):
-        np.matmul(d, gram.step, out=nxt)
-        nxt += neg_sc
-        d, nxt = nxt, d
-    return x0 + d.transpose(1, 0, 2)
+    def __init__(self, normal: np.ndarray, b: np.ndarray, cfg: AdmmConfig, dtype: np.dtype):
+        self.normal, self.b, self.cfg, s = normal, b, cfg, cfg.step_size
+        self.step = np.multiply(normal, -s, out=np.empty(normal.shape, dtype), casting="same_kind")
+        diag = np.arange(normal.shape[-1])
+        self.step[:, diag, diag] = (1 - s * cfg.lam) - s * normal[:, diag, diag]
+
+    def descend(self, x0: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
+        # d <- d Q - s c from d = 0 on d = x - x0, anchored in complex128 (module docstring)
+        def rows(a):
+            return np.ascontiguousarray(a.transpose(1, 0, 2), dtype=np.complex128)
+
+        x0r = rows(x0)
+        c = x0r @ self.normal
+        c -= self.b
+        x0r -= rows(w)
+        x0r *= self.cfg.lam
+        c += x0r
+        c += rows(m)
+        c *= -self.cfg.step_size
+        neg_sc = c.astype(x0.dtype)
+        d, nxt = neg_sc.copy(), np.empty_like(neg_sc)
+        for _ in range(self.cfg.inner_iters - 1):
+            np.matmul(d, self.step, out=nxt)
+            nxt += neg_sc
+            d, nxt = nxt, d
+        return x0 + d.transpose(1, 0, 2)
+
+
+def data_consistency_step(x_in: np.ndarray, w: np.ndarray, m: np.ndarray, dc) -> np.ndarray:
+    """``dc.cfg.inner_iters`` fixed-step gradient-descent iterations on the
+    data-consistency subproblem from x_in, on raw (frame, row, col) images,
+    by the solve's :class:`GradientSteps` or :class:`RowGramSteps` ``dc``."""
+    return dc.descend(x_in, w, m)
 
 
 def multiplier_update(
@@ -329,10 +333,12 @@ def admm_reconstruct(
     """
     op = ForwardOperator(mask=mask, sens=sens, dtype=y.data.dtype)
     x = w = zero_filled_init(y, mask, sens, op).data
-    op, y_dc = op.for_data_consistency(y.data, cfg.step_size, cfg.lam)
+    gram = op.row_gram(y.data)
+    dc = (GradientSteps(*op.for_data_consistency(y.data), cfg) if gram is None
+          else RowGramSteps(*gram, cfg, op.dtype))
     m = np.zeros_like(x)
     for _ in range(cfg.T):
         w = denoise_step(x + m / cfg.lam, cfg.denoiser, cfg.lam)
-        x = data_consistency_step(x, w, m, y_dc, op, cfg)
+        x = data_consistency_step(x, w, m, dc)
         m = multiplier_update(m, x, w, cfg.lam)
     return ComplexImage(x)

@@ -30,6 +30,7 @@ from mcrecon.sampling import (
 from mcrecon.solver import (
     AdmmConfig,
     DenoiserSpec,
+    GradientSteps,
     admm_reconstruct,
     data_consistency_step,
     dc_gradient,
@@ -114,7 +115,7 @@ def test_criterion_3_oracle_equivalence():
         y = rand_image(rng, 1, 1, 6, 6)
         lam = 1.0
         cfg = AdmmConfig(T=1, inner_iters=500, lam=lam)
-        out = data_consistency_step(x0, w, m, y, op, cfg)
+        out = data_consistency_step(x0, w, m, GradientSteps(op, y, cfg))
         amat = dense_forward_matrix(op, 6, 6)
         expected = np.linalg.solve(
             amat.conj().T @ amat + lam * np.eye(36),

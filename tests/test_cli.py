@@ -157,11 +157,20 @@ class TestMaskCommand:
         assert "R=1.01 on a 64x64 grid" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_acs_is_error(self, tmp_path, capsys):
-        rc = run(["mask", "--scheme", "equispaced", "--size", "16x16", "--accel", "2",
-                  "--acs", "-1", "--seed", "0", "--out", tmp_path / "m.cks"])
-        assert rc == 1
-        assert "acs_lines must be in" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--scheme", "equispaced", "--size", "16x16", "--accel", "2", "--acs", "-1"],
+          "acs_lines must be in"),
+         (["--scheme", "equispaced", "--size", "16x16", "--accel", "0.5"], "finite R >= 1"),
+         (["--scheme", "pseudo-radial", "--size", "0x0", "--accel", "4"], "grid >= 1x1"),
+         (["--scheme", "gaussian2d", "--size", "16x16", "--accel", "8", "--acs-radius", "6"],
+          "smaller than ACS disc")],
+    )
+    def test_bad_mask_arguments_are_usage_errors(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "m.cks"
+        assert run(["mask", *flags, "--seed", "0", "--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scheme_choices_are_the_registry(self):
         parser = cli.build_parser()
@@ -200,12 +209,18 @@ class TestSimulateCommand:
             tmp_path / "sta_truth.cks"
         ).read_bytes()
 
-    @pytest.mark.parametrize("frames", ["0", "-3"])
-    def test_frames_below_one_rejected(self, tmp_path, capsys, frames):
-        rc = run(["simulate", "--size", "32", "--frames", frames, "--coils", "2", "--seed", "4",
+    @pytest.mark.parametrize(
+        "size, frames, coils, message",
+        [("32", "0", "2", "n_frames must be >= 1"), ("32", "-3", "2", "n_frames must be >= 1"),
+         ("8", "1", "2", "side length must be >= 16"), ("32", "1", "0", "n_coils must be >= 1")],
+    )
+    def test_bad_phantom_arguments_are_usage_errors(
+        self, tmp_path, capsys, size, frames, coils, message
+    ):
+        rc = run(["simulate", "--size", size, "--frames", frames, "--coils", coils, "--seed", "4",
                   "--out-prefix", tmp_path / "bad"])
-        assert rc == 1
-        assert "n_frames must be >= 1" in capsys.readouterr().err
+        assert rc == 2
+        assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("bad*"))
 
 
@@ -308,7 +323,7 @@ class TestReconstructCommand:
         rc = run(["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
                   "--sens", sim_files["sens"], "--denoiser", "tv", "--strength", "nan",
                   "--out-prefix", tmp_path / "out"])
-        assert rc == 1
+        assert rc == 2
         captured = capsys.readouterr()
         assert "strength" in captured.err
         assert "reconstructed" not in captured.out
@@ -317,7 +332,7 @@ class TestReconstructCommand:
     def test_solver_flags_checked_before_any_input_is_read(self, sim_files, tmp_path, capsys):
         rc = run(["reconstruct", "--kspace", tmp_path / "missing.cks", "--mask", sim_files["mask"],
                   "--sens", sim_files["sens"], "--lam", "0", "--out-prefix", tmp_path / "out"])
-        assert rc == 1
+        assert rc == 2
         err = capsys.readouterr().err
         assert "lam" in err and "missing.cks" not in err
 
@@ -460,6 +475,18 @@ class TestEvaluateCommand:
         assert vals["nmse"] == 0.0
         assert vals["hfen1"] == 0.0
         assert vals["dual_domain_loss"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("given, missing", [("--kspace-truth", "--kspace-pred"),
+                                                ("--kspace-pred", "--kspace-truth")])
+    def test_one_kspace_file_is_usage_error(self, sim_files, tmp_path, capsys, given, missing):
+        """The k-space metrics (nmae, dual_domain_loss) score a pair, so one
+        k-space file without the other is rejected instead of leaving them out."""
+        out = tmp_path / "metrics.csv"
+        rc = run(["evaluate", "--truth", sim_files["truth"], "--pred", sim_files["truth"],
+                  given, sim_files["full"], "--out", out])
+        assert rc == 2
+        assert f"{missing} is missing" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_values_match_library_calls(self, sim_files, tmp_path):
         pred_path = tmp_path / "pred.cks"

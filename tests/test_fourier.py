@@ -9,13 +9,12 @@ from mcrecon.fourier import (
     GRAM_MAX_SIDE,
     GRAM_MIN_FRAMES,
     ForwardOperator,
-    RowGram,
     fft2c,
     ifft2c,
 )
 from mcrecon import sampling
 from mcrecon.sampling import full_mask
-from mcrecon.solver import dc_gradient, dc_objective
+from mcrecon.solver import AdmmConfig, RowGramSteps, dc_gradient, dc_objective
 
 
 def rand_image(rng, *shape):
@@ -241,7 +240,7 @@ class TestDataConsistencyOperator:
         x, w, m = (rand_image(rng, n_frames, height, width).astype(dtype) for _ in range(3))
         # y off the mask too: the gradient identity holds for any y
         y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
-        op_dc, y_dc = op.for_data_consistency(y, 0.5, 0.3)
+        op_dc, y_dc = op.for_data_consistency(y)
         assert type(op_dc) is ForwardOperator and op_dc is not op
         cols = np.flatnonzero(mask.pattern[0])
         assert y_dc.dtype == dtype and y_dc.shape == y.shape[:-1] + (cols.size,)
@@ -291,11 +290,11 @@ class TestDataConsistencyOperator:
     def test_row_gram_gradient_equals_the_column_gradient(
         self, scheme, accel, height, width, extra_frames, n_coils, dtype, seed
     ):
-        """With the step size and lam, GRAM_MIN_FRAMES or more frames give the
-        row Gram form: N (row, col, col) and b = B^H y_dc (row, frame, col) in
-        complex128 with x N - b + lam (x - w) + m equal to dc_gradient through
-        apply_arr / adjoint_arr, N Hermitian, and the step matrix
-        (1 - s lam) I - s N cast once to the solve's dtype."""
+        """GRAM_MIN_FRAMES or more frames give the row Gram form: N
+        (row, col, col) and b = B^H y_dc (row, frame, col) in complex128 with
+        x N - b + lam (x - w) + m equal to dc_gradient through apply_arr /
+        adjoint_arr, N Hermitian, and RowGramSteps' step matrix
+        (1 - s lam) I - s N for its config, cast once to the solve's dtype."""
         rng = np.random.default_rng(seed)
         n_frames = GRAM_MIN_FRAMES + extra_frames
         mask = sampling.make_mask(scheme, height, width, accel, seed, acs_lines=2)
@@ -303,28 +302,30 @@ class TestDataConsistencyOperator:
         x, w, m = (rand_image(rng, n_frames, height, width).astype(dtype) for _ in range(3))
         y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
         step, lam = 0.7, 0.3
-        gram, b = op.for_data_consistency(y, step, lam)
-        assert type(gram) is RowGram and (gram.step_size, gram.lam) == (step, lam)
-        assert gram.normal.dtype == b.dtype == np.complex128 and gram.step.dtype == dtype
-        assert gram.normal.shape == (height, width, width) == gram.step.shape
+        normal, b = op.row_gram(y)
+        cfg = AdmmConfig(T=1, inner_iters=1, lam=lam, step_size=step)
+        gram = RowGramSteps(normal, b, cfg, op.dtype)
+        assert gram.normal is normal and gram.b is b and gram.cfg is cfg
+        assert (gram.cfg.step_size, gram.cfg.lam) == (step, lam)
+        assert normal.dtype == b.dtype == np.complex128 and gram.step.dtype == dtype
+        assert normal.shape == (height, width, width) == gram.step.shape
         assert b.shape == (height, n_frames, width)
-        assert np.allclose(gram.normal, gram.normal.conj().transpose(0, 2, 1), rtol=0, atol=1e-14)
+        assert np.allclose(normal, normal.conj().transpose(0, 2, 1), rtol=0, atol=1e-14)
         eye = np.eye(width)
-        assert np.array_equal(gram.step, ((1 - step * lam) * eye - step * gram.normal).astype(dtype))
+        assert np.array_equal(gram.step, ((1 - step * lam) * eye - step * normal).astype(dtype))
 
         def rows(a):
             return a.transpose(1, 0, 2).astype(np.complex128)
 
-        got = (rows(x) @ gram.normal - b + lam * (rows(x) - rows(w)) + rows(m)).transpose(1, 0, 2)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("mcrecon.fourier.GRAM_MIN_FRAMES", n_frames + 1)
-            op_dc, y_dc = op.for_data_consistency(y, step, lam)
+        got = (rows(x) @ normal - b + lam * (rows(x) - rows(w)) + rows(m)).transpose(1, 0, 2)
+        op_dc, y_dc = op.for_data_consistency(y)
         want = dc_gradient(x, w, m, y_dc, op_dc, lam)
         tol = 1e-10 if dtype == np.complex128 else 1e-5
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
         # fewer frames keep the column-DFT operator
         few = y[:, : GRAM_MIN_FRAMES - 1]
-        assert type(op.for_data_consistency(few, step, lam)[0]) is ForwardOperator
+        assert op.row_gram(few) is None
+        assert type(op.for_data_consistency(few)[0]) is ForwardOperator
         assert type(op_dc) is ForwardOperator
 
     @pytest.mark.parametrize(
@@ -340,15 +341,15 @@ class TestDataConsistencyOperator:
         mask = make_mask("equispaced", height, width, 1, 0)
         op = ForwardOperator(mask=mask, sens=random_sens(rng, 1, height, width))
         y = rand_image(rng, 1, GRAM_MIN_FRAMES, height, width)
-        op_dc, _ = op.for_data_consistency(y, 0.5, 1.0)
-        assert type(op_dc) is (RowGram if gram else ForwardOperator)
+        assert (op.row_gram(y) is not None) == gram
 
     @pytest.mark.parametrize("scheme", ["gaussian2d", "pseudo-radial", "pseudo-spiral", "full"])
     def test_point_masks_keep_the_operator_and_data(self, rng, scheme):
         op = ForwardOperator(mask=make_mask(scheme, 10, 12, 2, 3), sens=random_sens(rng, 2, 10, 12))
         y = rand_image(rng, 2, 1, 10, 12)
-        op_dc, y_dc = op.for_data_consistency(y, 0.5, 1.0)
+        op_dc, y_dc = op.for_data_consistency(y)
         assert op_dc is op and y_dc is y
         many = rand_image(rng, 2, GRAM_MIN_FRAMES, 10, 12)
-        op_dc, y_dc = op.for_data_consistency(many, 0.5, 1.0)
+        op_dc, y_dc = op.for_data_consistency(many)
         assert op_dc is op and y_dc is many
+        assert op.row_gram(y) is None and op.row_gram(many) is None

@@ -23,6 +23,7 @@ from mcrecon.solver import (
     DENOISER_KINDS,
     AdmmConfig,
     DenoiserSpec,
+    GradientSteps,
     admm_reconstruct,
     data_consistency_step,
     dc_gradient,
@@ -107,7 +108,7 @@ def test_dc_steps_equal_the_out_of_place_expressions(rng, dtype, scheme):
     expected = x.copy()
     for _ in range(cfg.inner_iters):
         expected -= cfg.step_size * gradient(expected)
-    out = data_consistency_step(x, w, m, y, op, cfg)
+    out = data_consistency_step(x, w, m, GradientSteps(op, y, cfg))
     assert out.dtype == dtype and np.array_equal(out, expected)
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_mask, random_sens
-from mcrecon.core import KSpaceData
+from mcrecon import sampling
+from mcrecon.core import RECTILINEAR_SCHEMES, KSpaceData
 from mcrecon.fourier import GRAM_MIN_FRAMES, ForwardOperator
 from mcrecon.sampling import full_mask
 from mcrecon.data import dynamic_phantom, shepp_logan, simulate_coils
@@ -14,6 +15,8 @@ from mcrecon.solver import (
     DENOISER_KINDS,
     AdmmConfig,
     DenoiserSpec,
+    GradientSteps,
+    RowGramSteps,
     _div2,
     _grad2,
     admm_reconstruct,
@@ -230,7 +233,7 @@ class TestDataConsistency:
         x = rand_image(rng, 1, 6, 6)
         y = op.apply_arr(x)
         cfg = AdmmConfig(T=1, inner_iters=10, lam=1.0)
-        out = data_consistency_step(x, x, np.zeros_like(x), y, op, cfg)
+        out = data_consistency_step(x, x, np.zeros_like(x), GradientSteps(op, y, cfg))
         assert np.allclose(out, x, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -263,7 +266,7 @@ class TestDataConsistency:
         y = rand_image(rng, 1, 1, 6, 6)
         lam = 1.0
         cfg = AdmmConfig(T=1, inner_iters=500, lam=lam)
-        out = data_consistency_step(x0, w, m, y, op, cfg)
+        out = data_consistency_step(x0, w, m, GradientSteps(op, y, cfg))
         amat = dense_forward_matrix(op, 6, 6)
         rhs = amat.conj().T @ y.ravel() + lam * (w - m / lam).ravel()
         expected = np.linalg.solve(
@@ -271,57 +274,66 @@ class TestDataConsistency:
         )
         assert np.allclose(out.ravel(), expected, atol=1e-6)
 
-    @pytest.mark.parametrize("inner", [1, 5])
-    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-    def test_row_gram_steps_equal_the_column_steps(self, rng, monkeypatch, dtype, inner):
-        """On a RowGram, data_consistency_step runs the same iterate as on the
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scheme=st.sampled_from(RECTILINEAR_SCHEMES),
+        height=st.integers(3, 24),
+        width=st.integers(3, 24),
+        extra_frames=st.integers(0, 2),
+        n_coils=st.integers(1, 3),
+        inner=st.integers(1, 5),
+        dtype=st.sampled_from([np.complex64, np.complex128]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_row_gram_steps_equal_the_column_steps(
+        self, scheme, height, width, extra_frames, n_coils, inner, dtype, seed
+    ):
+        """RowGramSteps runs the same iterate as GradientSteps on the
         column-DFT operator, to the round-off of its dtype, from a start off
-        the solution and data on the mask."""
-        h, w, frames = 9, 14, GRAM_MIN_FRAMES
-        mask = make_mask("random-rectilinear", h, w, 2, 4)
-        op = ForwardOperator(mask=mask, sens=random_sens(rng, 3, h, w), dtype=dtype)
-        x, wv, m = (rand_image(rng, frames, h, w).astype(dtype) for _ in range(3))
-        y = (mask.pattern * rand_image(rng, 3, frames, h, w)).astype(dtype)
+        the solution and data on the mask, on odd, even and non-square grids
+        (whose (row, frame, col) views are transposed)."""
+        rng = np.random.default_rng(seed)
+        frames = GRAM_MIN_FRAMES + extra_frames
+        mask = sampling.make_mask(scheme, height, width, 2, seed, acs_lines=2)
+        sens = random_sens(rng, n_coils, height, width)
+        op = ForwardOperator(mask=mask, sens=sens, dtype=dtype)
+        x, wv, m = (rand_image(rng, frames, height, width).astype(dtype) for _ in range(3))
+        y = (mask.pattern * rand_image(rng, n_coils, frames, height, width)).astype(dtype)
         cfg = AdmmConfig(T=1, inner_iters=inner, lam=0.3)
-        gram, b = op.for_data_consistency(y, cfg.step_size, cfg.lam)
-        monkeypatch.setattr("mcrecon.fourier.GRAM_MIN_FRAMES", frames + 1)
-        column, y_dc = op.for_data_consistency(y, cfg.step_size, cfg.lam)
-        got = data_consistency_step(x, wv, m, b, gram, cfg)
-        want = data_consistency_step(x, wv, m, y_dc, column, cfg)
+        got = data_consistency_step(x, wv, m, RowGramSteps(*op.row_gram(y), cfg, op.dtype))
+        want = data_consistency_step(x, wv, m, GradientSteps(*op.for_data_consistency(y), cfg))
         assert got.dtype == dtype and got.shape == x.shape and got.flags.c_contiguous
         tol = 1e-12 if dtype == np.complex128 else 1e-5
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
-    @pytest.mark.parametrize("given", [{"lam": 0.5}, {"step_size": 0.7}])
-    def test_row_gram_of_another_config_is_rejected(self, rng, given):
-        """A RowGram folds its step size and lam into Q, so running it with a
-        config of another step size or lam raises instead of mixing the two."""
-        h, w, frames = 6, 8, GRAM_MIN_FRAMES
-        mask = make_mask("equispaced", h, w, 2, 0)
-        op = ForwardOperator(mask=mask, sens=random_sens(rng, 2, h, w))
-        x = rand_image(rng, frames, h, w)
-        y = mask.pattern * rand_image(rng, 2, frames, h, w)
-        built = AdmmConfig(T=1, inner_iters=2, lam=0.3, step_size=0.6)
-        gram, b = op.for_data_consistency(y, built.step_size, built.lam)
-        cfg = AdmmConfig(**{**vars(built), **given})
-        with pytest.raises(ValueError, match="step_size"):
-            data_consistency_step(x, x, x, b, gram, cfg)
-        assert data_consistency_step(x, x, x, b, gram, built).shape == x.shape
-
-    def test_objective_nonincreasing(self, rng):
+    @pytest.mark.parametrize(
+        "scheme, frames", [("gaussian2d", 1), ("equispaced", 1), ("equispaced", GRAM_MIN_FRAMES)]
+    )
+    def test_objective_nonincreasing(self, rng, scheme, frames):
+        """Each call of the solve's data-consistency object lowers the
+        objective on the point path (A, y), the column path (B, y_dc) and the
+        row Gram path, whose iterate is scored on (B, y_dc)."""
         for trial in range(10):
-            op = self._instance(rng, n_coils=2, scheme="gaussian2d")
-            x = rand_image(rng, 1, 6, 6)
-            w = rand_image(rng, 1, 6, 6)
-            m = rand_image(rng, 1, 6, 6)
-            y = rand_image(rng, 2, 1, 6, 6)
+            op = self._instance(rng, n_coils=2, scheme=scheme)
+            x = rand_image(rng, frames, 6, 6)
+            w = rand_image(rng, frames, 6, 6)
+            m = rand_image(rng, frames, 6, 6)
+            y = rand_image(rng, 2, frames, 6, 6)
             lam = 1.0
             cfg = AdmmConfig(T=1, inner_iters=1, lam=lam)
-            prev = dc_objective(x, w.copy(), m, y, op, lam)
+            gram = op.row_gram(y)
+            assert (gram is not None) == (frames == GRAM_MIN_FRAMES)
+            op_dc, y_dc = op.for_data_consistency(y)
+            assert (op_dc is op) == (scheme == "gaussian2d")
+            if gram is None:
+                dc = GradientSteps(op_dc, y_dc, cfg)
+            else:
+                dc = RowGramSteps(*gram, cfg, op.dtype)
+            prev = dc_objective(x, w.copy(), m, y_dc, op_dc, lam)
             cur = x
             for _ in range(10):
-                cur = data_consistency_step(cur, w, m, y, op, cfg)
-                obj = dc_objective(cur, w, m, y, op, lam)
+                cur = data_consistency_step(cur, w, m, dc)
+                obj = dc_objective(cur, w, m, y_dc, op_dc, lam)
                 assert obj <= prev + 1e-10
                 prev = obj
 
@@ -443,7 +455,7 @@ def test_operator_and_denoisers_neither_mutate_nor_alias(rng, scheme, dtype):
     sens = random_sens(rng, 3, 12, 10)
     mask = make_mask(scheme, 12, 10, 2, 1)
     op, _ = ForwardOperator(mask=mask, sens=sens, dtype=dtype).for_data_consistency(
-        np.zeros((3, 2, 12, 10), dtype), 0.5, 1.0
+        np.zeros((3, 2, 12, 10), dtype)
     )
     x = rand_image(rng, 2, 12, 10).astype(dtype)
     r = op.apply_arr(x).copy()
