@@ -8,7 +8,9 @@
 # --estimate-sens, --mode dynamic with and without --T/--inner, a dynamic
 # TV solve with --estimate-sens on a random-rectilinear mask, one with
 # --sens at 6 frames (fourier.GRAM_MIN_FRAMES, the fewest that take the row
-# Gram path; the 7-frame dynamic solves take it too), --jobs 1
+# Gram path; the 7-frame dynamic solves take it too), a 3-frame dynamic TV
+# solve on a 45x45 grid (an odd row length for the TV prox's flat passes),
+# --jobs 1
 # and 2, evaluate, and the exit codes in rcs.txt. Six are bad arguments and
 # exit 2: an unknown scheme (rc_bogus), an unknown denoiser (rc_den), a
 # gaussian2d budget below its ACS disc (rc_budget), R=0.5 (rc_acc), a 0x0
@@ -39,6 +41,8 @@ $M simulate --size 48 --coils 4 --seed 4 --mask m_gaussian2d.cks --out-prefix g 
 $M simulate --size 48 --frames 7 --coils 4 --seed 6 --mask m_equispaced.cks --out-prefix d >/dev/null
 $M simulate --size 48 --frames 3 --coils 4 --seed 7 --mask m_random-rectilinear.cks --out-prefix dr >/dev/null
 $M simulate --size 48 --frames 6 --coils 4 --seed 10 --mask m_random-rectilinear.cks --out-prefix dg >/dev/null
+$M mask --scheme equispaced --size 45x45 --accel 4 --acs 8 --seed 11 --out m45.cks >/dev/null
+$M simulate --size 45 --frames 3 --coils 4 --seed 12 --mask m45.cks --out-prefix o >/dev/null
 mkdir -p a; cp s_kspace_masked.cks a/v1.cks
 $M simulate --size 48 --coils 4 --seed 8 --mask m_equispaced.cks --out-prefix s8 >/dev/null
 cp s8_kspace_masked.cks a/v3.cks
@@ -56,6 +60,7 @@ $M reconstruct --kspace d_kspace_masked.cks --mask m_equispaced.cks --estimate-s
 $M reconstruct --kspace d_kspace_masked.cks --mask m_equispaced.cks --sens d_sens.cks --mode dynamic --inner 2 --out-prefix r_dynI >/dev/null
 $M reconstruct --kspace dr_kspace_masked.cks --mask m_random-rectilinear.cks --estimate-sens --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_dynR >/dev/null
 $M reconstruct --kspace dg_kspace_masked.cks --mask m_random-rectilinear.cks --sens dg_sens.cks --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_dynG >/dev/null
+$M reconstruct --kspace o_kspace_masked.cks --mask m45.cks --sens o_sens.cks --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_odd >/dev/null
 $M reconstruct --kspace a/v1.cks a/v3.cks --mask m_equispaced.cks --sens s_sens.cks --jobs 1 --out-prefix j1 >/dev/null
 $M reconstruct --kspace a/v1.cks a/v3.cks --mask m_equispaced.cks --sens s_sens.cks --jobs 2 --out-prefix j2 >/dev/null
 printf 'denoiser=tv\nstrength=1e-3\nlam=0.1\nT=5\n' > rc.conf

@@ -107,14 +107,15 @@ def cmd_simulate(args) -> int:
     with _from_flags():
         truth = dio.dynamic_phantom(args.size, args.frames)
         sens, ksp_full = dio.simulate_coils(truth, args.coils, args.seed)
+    mask = _load_as(args.mask, SamplingMask) if args.mask else None
+    grid = (truth.height, truth.width)
+    if mask is not None and (mask.height, mask.width) != grid:
+        raise ValueError(f"{args.mask}: mask grid {(mask.height, mask.width)}, phantom grid {grid}")
     prefix = Path(args.out_prefix)
     dio.write_cks(prefix.with_name(prefix.name + "_truth.cks"), truth)
     dio.write_cks(prefix.with_name(prefix.name + "_sens.cks"), sens)
     dio.write_cks(prefix.with_name(prefix.name + "_kspace_full.cks"), ksp_full)
-    if args.mask:
-        mask = _load_as(args.mask, SamplingMask)
-        if (mask.height, mask.width) != (truth.height, truth.width):
-            raise CliError("mask grid does not match phantom grid")
+    if mask is not None:
         masked = KSpaceData(mask.pattern * ksp_full.data)
         dio.write_cks(prefix.with_name(prefix.name + "_kspace_masked.cks"), masked)
     return 0

@@ -7,12 +7,15 @@ m <- m + lam * (x - w). Multipliers start at zero; x and w start from the
 zero-filled (adjoint) reconstruction. The denoiser is pluggable: identity,
 complex soft-thresholding, a closed-form Tikhonov smoother, or a
 fixed-iteration Chambolle TV prox. The TV prox runs frame by frame on
-the frame's real and imaginary parts stacked as one (2, row, col) array,
-with its dual, gradient, divergence and magnitude buffers allocated once
-per frame and updated in place, in the order of the plain expressions, so
-the values are theirs bit for bit; the dual's row part keeps a zero last row
-and its column part a zero last column, which the divergence relies on. The
-solve returns the final image x only.
+the frame's real and imaginary parts, with its dual, gradient, divergence and
+magnitude buffers allocated once per frame as flat contiguous arrays and
+updated in place, in the order of the plain expressions, so the values are
+theirs bit for bit. Each difference is one pass over a flat buffer: a row
+difference is a shift by the row length, a column difference a shift by one.
+Where such a shift crosses a row or channel edge, the gradient sets the entry
+to zero, and the divergence subtracts an exact zero, because the dual's row
+part keeps a zero last row and its column part a zero last column. The solve
+returns the final image x only.
 
 Data consistency is one object per solve, whose ``descend`` runs the inner
 iterations: :class:`GradientSteps` on the operator and data of
@@ -153,45 +156,55 @@ def _tikhonov_prox(v: np.ndarray, alpha: float, lam: float) -> np.ndarray:
     return np.fft.ifft2(lam * vk / (lam + alpha * eig), axes=(-2, -1))
 
 
-def _grad2(u: np.ndarray, out: np.ndarray) -> None:
-    """Forward differences of u (..., row, col) along rows into out[0] and along
-    columns into out[1]; out[0]'s last row and out[1]'s last column are left
-    as they are."""
-    np.subtract(u[..., 1:, :], u[..., :-1, :], out=out[0, ..., :-1, :])
-    np.subtract(u[..., 1:], u[..., :-1], out=out[1, ..., :-1])
+def _grad2(u: np.ndarray, out: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Forward differences of the flat (channel, row, col) image u of ``shape``
+    along rows into out[0] and along columns into out[1], both flat. The flat
+    passes also difference across a channel or row edge; those entries, each
+    channel's last row in out[0] and each row's last column in out[1], are set
+    to zero."""
+    w = shape[-1]
+    np.subtract(u[w:], u[:-w], out=out[0, :-w])
+    np.subtract(u[1:], u[:-1], out=out[1, :-1])
+    out[0].reshape(shape[0], -1)[:, -w:] = 0
+    out[1, w - 1 :: w] = 0
 
 
-def _div2(p: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """Divergence of p = (row part, column part) into out, the negative adjoint
-    of :func:`_grad2` for p whose row part has a zero last row and whose column
-    part has a zero last column, as :func:`_tv_prox_real` keeps them; tmp is
-    scratch of out's shape."""
+def _div2(p: np.ndarray, out: np.ndarray, tmp: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Divergence of the flat p = (row part, column part) of (channel, row, col)
+    images of ``shape`` into the flat out, the negative adjoint of
+    :func:`_grad2` for p whose row part has a zero last row and whose column
+    part has a zero last column, as :func:`_tv_prox_real` keeps them. The flat
+    passes then subtract, at each channel's first row and each row's first
+    column, an exact zero from the previous channel or row; tmp is scratch of
+    out's shape."""
     rows, cols = p
-    out[..., 0, :] = rows[..., 0, :]
-    np.subtract(rows[..., 1:, :], rows[..., :-1, :], out=out[..., 1:, :])
-    tmp[..., 0] = cols[..., 0]
-    np.subtract(cols[..., 1:], cols[..., :-1], out=tmp[..., 1:])
+    w = shape[-1]
+    out[:w] = rows[:w]
+    np.subtract(rows[w:], rows[:-w], out=out[w:])
+    tmp[0] = cols[0]
+    np.subtract(cols[1:], cols[:-1], out=tmp[1:])
     out += tmp
 
 
 def _tv_prox_real(v: np.ndarray, weight: float, iterations: int) -> np.ndarray:
     # Chambolle dual projection for prox of weight * TV on each (row, col)
     # image of the real (channel, row, col) stack v, fixed iterations, in place
-    # on buffers allocated once per call.
+    # on flat contiguous buffers allocated once per call. The unary out= calls
+    # (np.square, np.sqrt) see only contiguous 1-D arrays.
     if weight == 0:
         return v.copy()
     tau = 0.25
-    p = np.zeros((2,) + v.shape, dtype=v.dtype)
-    g = np.zeros_like(p)  # g[0]'s last row and g[1]'s last column stay zero
-    d, mag = np.empty_like(v), np.empty_like(v)
-    v_scaled = v / weight
+    p = np.zeros((2, v.size), dtype=v.dtype)
+    g = np.empty_like(p)
+    d, mag = np.empty(v.size, v.dtype), np.empty(v.size, v.dtype)
+    v_scaled = v.ravel() / weight
     for _ in range(iterations):
         # p = (p + tau * g) / (1 + tau * |g|), g = grad(div(p) - v / weight)
-        _div2(p, d, mag)
+        _div2(p, d, mag, v.shape)
         d -= v_scaled
-        _grad2(d, g)
-        np.multiply(g[0], g[0], out=mag)
-        np.multiply(g[1], g[1], out=d)
+        _grad2(d, g, v.shape)
+        np.square(g[0], out=mag)
+        np.square(g[1], out=d)
         mag += d
         np.sqrt(mag, out=mag)
         g *= tau
@@ -199,9 +212,9 @@ def _tv_prox_real(v: np.ndarray, weight: float, iterations: int) -> np.ndarray:
         mag *= tau
         mag += 1.0
         p /= mag
-    _div2(p, d, mag)
+    _div2(p, d, mag, v.shape)
     d *= weight
-    return v - d
+    return v - d.reshape(v.shape)
 
 
 def denoise_step(v: np.ndarray, spec: DenoiserSpec, lam: float) -> np.ndarray:

@@ -223,6 +223,20 @@ class TestSimulateCommand:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("bad*"))
 
+    @pytest.mark.parametrize("kind", ["truncated", "other grid"])
+    def test_bad_mask_file_writes_nothing(self, tmp_path, mask_file, capsys, kind):
+        """The mask is read and checked against the phantom grid before any output is written."""
+        bad = tmp_path / "bad_mask.cks"
+        if kind == "truncated":
+            bad.write_bytes(b"hello")
+        else:
+            shutil.copy(mask_file, bad)  # 64x64, the phantom below is 32x32
+        rc = run(["simulate", "--size", "32", "--coils", "2", "--seed", "1", "--mask", bad,
+                  "--out-prefix", tmp_path / "s"])
+        assert rc == 1
+        assert str(bad) in capsys.readouterr().err
+        assert not list(tmp_path.glob("s_*"))
+
 
 class TestReconstructCommand:
     def test_zero_filled_on_full_data_recovers_truth(self, sim_files, tmp_path):

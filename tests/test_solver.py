@@ -19,6 +19,7 @@ from mcrecon.solver import (
     RowGramSteps,
     _div2,
     _grad2,
+    _tv_prox_real,
     admm_reconstruct,
     data_consistency_step,
     dc_gradient,
@@ -203,23 +204,73 @@ class TestDenoiseStep:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_div2_is_negative_adjoint_of_grad2(h, w, channels, dtype, seed):
-    """<grad u, p> = -<u, div p> for every p with a zero last row in its row
-    part and a zero last column in its column part, the duals the TV prox
-    keeps; div writes every entry of its output."""
+    """On the flat buffers the TV prox uses: <grad u, p> = -<u, div p> for
+    every p with a zero last row in its row part and a zero last column in its
+    column part, the duals the TV prox keeps; grad sets each channel's last row
+    of its row part and each row's last column of its column part to exactly
+    0, and grad and div write every entry of their outputs."""
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal((channels, h, w)).astype(dtype)
-    p = rng.standard_normal((2, channels, h, w)).astype(dtype)
+    shape = (channels, h, w)
+    u = rng.standard_normal(shape).astype(dtype).ravel()
+    p = rng.standard_normal((2,) + shape).astype(dtype)
     p[0, :, -1, :] = 0
     p[1, :, :, -1] = 0
-    g = np.zeros_like(p)
-    _grad2(u, g)
+    p = p.reshape(2, -1)
+    g = np.full_like(p, np.nan)
+    _grad2(u, g, shape)
+    assert np.all(g[0].reshape(shape)[:, -1, :] == 0)
+    assert np.all(g[1].reshape(shape)[..., -1] == 0)
     d, tmp = np.full_like(u, np.nan), np.full_like(u, np.nan)
-    _div2(p, d, tmp)
+    _div2(p, d, tmp, shape)
+    assert np.isfinite(g).all() and np.isfinite(d).all()
     lhs = np.sum(g.astype(np.float64) * p)
     rhs = -np.sum(u.astype(np.float64) * d)
     scale = np.abs(g * p).sum(dtype=np.float64) + np.abs(u * d).sum(dtype=np.float64)
     tol = 1e-12 if dtype == np.float64 else 1e-5
     assert abs(lhs - rhs) <= tol * scale
+
+
+def _tv_prox_reference(v, weight, iterations):
+    """Chambolle's iteration as plain expressions, allocating every array anew."""
+    if weight == 0:
+        return v.copy()
+    tau = 0.25
+
+    def grad(u):
+        rows = np.concatenate((u[:, 1:] - u[:, :-1], np.zeros_like(u[:, :1])), axis=1)
+        cols = np.concatenate((u[..., 1:] - u[..., :-1], np.zeros_like(u[..., :1])), axis=2)
+        return np.stack((rows, cols))
+
+    def div(p):
+        rows = np.concatenate((p[0][:, :1], p[0][:, 1:] - p[0][:, :-1]), axis=1)
+        cols = np.concatenate((p[1][..., :1], p[1][..., 1:] - p[1][..., :-1]), axis=2)
+        return rows + cols
+
+    p = np.zeros((2,) + v.shape, dtype=v.dtype)
+    for _ in range(iterations):
+        g = grad(div(p) - v / weight)
+        p = (p + tau * g) / (1 + tau * np.sqrt(g[0] ** 2 + g[1] ** 2))
+    return v - weight * div(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    h=st.integers(1, 24),
+    w=st.integers(1, 24),
+    channels=st.integers(1, 3),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    weight=st.sampled_from([0.0, 1e-3, 0.3]),
+    scale=st.sampled_from([1.0, 1e-38]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tv_prox_equals_the_plain_expressions(h, w, channels, dtype, weight, scale, seed):
+    """The in-place prox gives the reference's values bit for bit, on odd and
+    non-square grids and on inputs near float32's smallest normal number."""
+    v = (scale * np.random.default_rng(seed).standard_normal((channels, h, w))).astype(dtype)
+    out = _tv_prox_real(v, weight, 5)
+    ref = _tv_prox_reference(v, weight, 5)
+    assert out.dtype == ref.dtype == dtype and out.shape == v.shape
+    assert out.tobytes() == ref.tobytes()
 
 
 class TestDataConsistency:
