@@ -17,7 +17,9 @@
 # grid (rc_grid) and --strength nan (rc_nan). Two have their outputs deleted:
 # --estimate-sens with an R=4 pseudo-radial mask, which has no ACS region,
 # fails its solve and exits 1 (rc_est_radial), and with an R=1 equispaced
-# mask with 8 ACS lines it exits 0 (rc_est_r1).
+# mask with 8 ACS lines it exits 0 (rc_est_r1). Two are bad input files and
+# exit 1: the 48x48 equispaced mask given as --kspace (rc_kind), and
+# evaluate of the 48x48 truth against the 45x45 3-frame one (rc_eval_shape).
 #
 # For a change that may move floating-point round-off, compare the two
 # OUT_DIRs with scripts/golden_compare.py instead, which allows small
@@ -81,6 +83,8 @@ $M mask --scheme pseudo-radial --size 0x0 --accel 4 --seed 0 --out x.cks >/dev/n
 $M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --denoiser tv --strength nan --out-prefix x_nan >/dev/null 2>&1; echo "rc_nan=$?" >> rcs.txt
 $M reconstruct --kspace g_kspace_full.cks --mask m_pseudo-radial.cks --estimate-sens --T 2 --out-prefix x_rad >/dev/null 2>&1; echo "rc_est_radial=$?" >> rcs.txt
 $M reconstruct --kspace g_kspace_full.cks --mask m1_equispaced.cks --estimate-sens --T 2 --out-prefix x_r1 >/dev/null 2>&1; echo "rc_est_r1=$?" >> rcs.txt
+$M reconstruct --kspace m_equispaced.cks --mask m_equispaced.cks --sens s_sens.cks --out-prefix x_kind >/dev/null 2>&1; echo "rc_kind=$?" >> rcs.txt
+$M evaluate --truth s_truth.cks --pred o_truth.cks --out x_eval.csv >/dev/null 2>&1; echo "rc_eval_shape=$?" >> rcs.txt
 rm -f x_rad* x_r1* x_nan*
 set -e
 find . -type f ! -name hashes.txt | sort | xargs sha256sum > hashes.txt

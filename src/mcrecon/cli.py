@@ -81,14 +81,25 @@ def _expand_config(argv: list[str]) -> list[str]:
     return [rest[0]] + extra + rest[1:] if rest else extra
 
 
-def _load_as(path, cls):
+def _load_as(path, cls, check=lambda obj: None):
+    """Read a CKS file that must hold a ``cls`` and pass ``check``. Any fault in
+    the file becomes a ValueError that names it, so every bad input file exits 1."""
     try:
         obj = dio.read_cks(path)
+        if not isinstance(obj, cls):
+            raise ValueError(f"expected {cls.__name__}, found {type(obj).__name__}")
+        check(obj)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    if not isinstance(obj, cls):
-        raise CliError(f"{path}: expected {cls.__name__}, found {type(obj).__name__}")
     return obj
+
+
+def _shaped_like(ref):
+    """A ``_load_as`` check that the data has the shape of ``ref``'s."""
+    def check(obj):
+        if obj.data.shape != ref.data.shape:
+            raise ValueError(f"shape {obj.data.shape} does not match {ref.data.shape}")
+    return check
 
 
 def cmd_mask(args) -> int:
@@ -107,10 +118,8 @@ def cmd_simulate(args) -> int:
     with _from_flags():
         truth = dio.dynamic_phantom(args.size, args.frames)
         sens, ksp_full = dio.simulate_coils(truth, args.coils, args.seed)
-    mask = _load_as(args.mask, SamplingMask) if args.mask else None
-    grid = (truth.height, truth.width)
-    if mask is not None and (mask.height, mask.width) != grid:
-        raise ValueError(f"{args.mask}: mask grid {(mask.height, mask.width)}, phantom grid {grid}")
+    mask = (_load_as(args.mask, SamplingMask, lambda m: check_inputs(ksp_full, m))
+            if args.mask else None)
     prefix = Path(args.out_prefix)
     dio.write_cks(prefix.with_name(prefix.name + "_truth.cks"), truth)
     dio.write_cks(prefix.with_name(prefix.name + "_sens.cks"), sens)
@@ -119,21 +128,6 @@ def cmd_simulate(args) -> int:
         masked = KSpaceData(mask.pattern * ksp_full.data)
         dio.write_cks(prefix.with_name(prefix.name + "_kspace_masked.cks"), masked)
     return 0
-
-
-def _load_volumes(args, mask) -> tuple[list[KSpaceData], SensitivityMaps | None]:
-    """Read every --kspace file and --sens once, and check their grids and
-    coil counts, so a bad input fails before any volume is solved."""
-    sens = None if args.estimate_sens else _load_as(args.sens, SensitivityMaps)
-    volumes = []
-    for path in args.kspace:
-        ksp = _load_as(path, KSpaceData)
-        try:
-            check_inputs(ksp, mask, sens)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        volumes.append(ksp)
-    return volumes, sens
 
 
 def _reconstruct_one(ksp_path, ksp: KSpaceData, out: Path, mask, sens, cfg) -> None:
@@ -177,8 +171,10 @@ def cmd_reconstruct(args) -> int:
             spec = DenoiserSpec(_DENOISER_ALIASES[args.denoiser], args.strength, args.tv_iters)
             cfg = AdmmConfig.for_mode(args.mode, T=args.T, inner_iters=args.inner, lam=args.lam,
                                       step_size=args.step, denoiser=spec)
+    # every input is read and checked before any volume is solved
     mask = _load_as(args.mask, SamplingMask)
-    volumes, sens = _load_volumes(args, mask)
+    sens = None if args.estimate_sens else _load_as(args.sens, SensitivityMaps)
+    volumes = [_load_as(p, KSpaceData, lambda k: check_inputs(k, mask, sens)) for p in args.kspace]
     volumes.reverse()  # popped in input order, so each volume is freed once it is solved
     todo = (volumes.pop() for _ in outs)
     # One worker or one volume runs on the calling thread: a thread left idle for a
@@ -195,11 +191,10 @@ def cmd_evaluate(args) -> int:
         missing = "--kspace-truth" if args.kspace_pred else "--kspace-pred"
         raise CliError(f"{missing} is missing: --kspace-truth and --kspace-pred go together")
     truth = _load_as(args.truth, ComplexImage)
-    pred = _load_as(args.pred, ComplexImage)
-    if truth.data.shape != pred.data.shape:
-        raise CliError(
-            f"dimension mismatch: truth {truth.data.shape} vs prediction {pred.data.shape}"
-        )
+    pred = _load_as(args.pred, ComplexImage, _shaped_like(truth))
+    if args.kspace_truth:
+        y_t = _load_as(args.kspace_truth, KSpaceData)
+        y_p = _load_as(args.kspace_pred, KSpaceData, _shaped_like(y_t))
     mag_t = np.abs(truth.data)
     mag_p = np.abs(pred.data)
     rows: list[tuple] = []
@@ -217,8 +212,6 @@ def cmd_evaluate(args) -> int:
     if s3 is not None:
         rows.append((args.volume_id, "all", "ssim3d", s3))
     if args.kspace_truth:
-        y_t = _load_as(args.kspace_truth, KSpaceData)
-        y_p = _load_as(args.kspace_pred, KSpaceData)
         nm = nmae(y_t.data, y_p.data)
         rows.append((args.volume_id, "all", "nmae", nm))
         if args.normalize == "frame":  # the loss scores every frame on the volume's range

@@ -167,26 +167,20 @@ class SamplingMask:
 class SensitivityMaps:
     """Per-coil complex sensitivity maps, RSS-normalized on their support.
 
-    ``support`` marks voxels where the calibration RSS exceeded the
-    estimation threshold; maps are exactly zero off support.
+    ``support`` is derived, not given: the voxels where any coil's map is
+    nonzero. Estimated maps are zero where the calibration RSS fell below
+    the estimation threshold; simulated maps are nonzero everywhere.
     """
 
     maps: np.ndarray
-    support: np.ndarray = field(default=None)
+    support: np.ndarray = field(init=False)
 
     def __post_init__(self):
         arr = _complex_array(self.maps, 3, None, "sensitivity maps")
-        sup = self.support
-        if sup is None:
-            sup = np.any(arr != 0, axis=0)
-        sup = np.asarray(sup).astype(bool)
-        if sup.shape != arr.shape[1:]:
-            raise ValueError("support shape must match the spatial grid")
+        sup = np.any(arr != 0, axis=0)
         sq = np.sum(np.square(np.abs(arr), dtype=np.float64), axis=0)
         if sup.any() and np.max(np.abs(sq[sup] - 1.0)) > SENS_NORMALIZATION_TOL:
             raise ValueError("maps are not RSS-normalized on support")
-        if np.any(sq[~sup] != 0):
-            raise ValueError("maps must vanish off support")
         object.__setattr__(self, "maps", arr)
         object.__setattr__(self, "support", _readonly(sup))
 

@@ -2,13 +2,13 @@
 
 The on-disk CKS container is a fixed little-endian layout:
 magic "CKS1" | u16 version | u8 kind | 4 x u32 dims (coils, frames, rows,
-cols) | payload. Kinds: 0 k-space, 1 image, 2 mask, 3 sensitivity maps.
-Axes a kind does not use must be 1: image coils, mask coils and frames,
-sensitivity frames. Complex payloads (version 1) are interleaved (re, im)
-float32 in (coil, frame, row, col) row-major order, i.e. little-endian
-complex64: writing rounds complex128 data to it, and reading returns
-complex64 containers holding an aligned array the payload is read into
-(no intermediate copy). Mask payloads (version 2) start with a fixed
+cols) | payload. ``_LAYOUT`` is the one table of kinds: for each, its
+format version, bytes per element, the dims that must be 1, and the core
+container and array it holds. Complex payloads (version 1) are interleaved
+(re, im) float32 in (coil, frame, row, col) row-major order, i.e.
+little-endian complex64: writing rounds complex128 data to it, and reading
+returns complex64 containers holding an aligned array the payload is read
+into (no intermediate copy). Mask payloads (version 2) start with a fixed
 metadata block -- the scheme name as 24 NUL-padded ASCII bytes, f64
 nominal acceleration, u32 ACS lines, u32 ACS disc radius -- followed by
 one byte per element. Version-1 masks carried no metadata
@@ -19,6 +19,7 @@ import math
 import os
 import struct
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,12 +37,21 @@ _HEADER = struct.Struct("<4sHB4I")
 _DIMS_OFFSET = 7
 _DIM_NAMES = ("coils", "frames", "rows", "cols")
 _MASK_META = struct.Struct("<24sdII")
-# kind -> (format version, bytes per element, indices of axes that must be 1)
+
+
+class _Layout(NamedTuple):
+    version: int
+    elem_size: int  # bytes per element
+    unit_axes: tuple[int, ...]  # indices of the dims that must be 1
+    container: type
+    field: str  # the container's array; the dims are its shape with unit_axes added
+
+
 _LAYOUT = {
-    KIND_KSPACE: (1, 8, ()),
-    KIND_IMAGE: (1, 8, (0,)),
-    KIND_MASK: (2, 1, (0, 1)),
-    KIND_SENSMAPS: (1, 8, (1,)),
+    KIND_KSPACE: _Layout(1, 8, (), KSpaceData, "data"),
+    KIND_IMAGE: _Layout(1, 8, (0,), ComplexImage, "data"),
+    KIND_MASK: _Layout(2, 1, (0, 1), SamplingMask, "pattern"),
+    KIND_SENSMAPS: _Layout(1, 8, (1,), SensitivityMaps, "maps"),
 }
 
 
@@ -134,7 +144,7 @@ def simulate_coils(
         phase = 0.5 * k * (xx * math.cos(ang) + yy * math.sin(ang))
         profiles[k] = mag * np.exp(1j * phase)
     norm = np.sqrt(np.sum(np.abs(profiles) ** 2, axis=0))
-    maps = SensitivityMaps(maps=profiles / norm, support=np.ones((n_h, n_w), bool))
+    maps = SensitivityMaps(profiles / norm)
     ksp = fft2c(maps.maps[:, np.newaxis] * img.data[np.newaxis])
     return maps, KSpaceData(ksp)
 
@@ -157,36 +167,23 @@ def random_kspace_crop(ksp: KSpaceData, crop_h: int, crop_w: int, seed: int) -> 
     return KSpaceData(fft2c(window))
 
 
-def _complex_payload(arr: np.ndarray) -> bytes:
-    return np.asarray(arr, dtype="<c8").tobytes()
-
-
 def write_cks(path, obj) -> None:
     """Serialize a core object to the CKS binary format."""
-    path = Path(path)
-    if isinstance(obj, KSpaceData):
-        kind = KIND_KSPACE
-        dims = (obj.n_coils, obj.n_frames, obj.height, obj.width)
-        payload = _complex_payload(obj.data)
-    elif isinstance(obj, ComplexImage):
-        kind = KIND_IMAGE
-        dims = (1, obj.n_frames, obj.height, obj.width)
-        payload = _complex_payload(obj.data)
-    elif isinstance(obj, SamplingMask):
-        kind = KIND_MASK
-        dims = (1, 1, obj.height, obj.width)
+    kind = next((k for k, lay in _LAYOUT.items() if isinstance(obj, lay.container)), None)
+    if kind is None:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    layout = _LAYOUT[kind]
+    arr = getattr(obj, layout.field)
+    if kind == KIND_MASK:
         meta = _MASK_META.pack(
             obj.scheme.encode("ascii"), obj.nominal_acceleration, obj.acs_lines, obj.acs_radius
         )
-        payload = meta + obj.pattern.tobytes()
-    elif isinstance(obj, SensitivityMaps):
-        kind = KIND_SENSMAPS
-        dims = (obj.n_coils, 1, obj.height, obj.width)
-        payload = _complex_payload(obj.maps)
+        payload = meta + arr.tobytes()
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        payload = np.asarray(arr, dtype="<c8").tobytes()
+    dims = np.expand_dims(arr, layout.unit_axes).shape
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(CKS_MAGIC, _LAYOUT[kind][0], kind, *dims))
+        f.write(_HEADER.pack(CKS_MAGIC, layout.version, kind, *dims))
         f.write(payload)
 
 
@@ -204,21 +201,21 @@ def read_cks(path):
             raise FormatError(f"bad magic {magic!r} at byte 0: expected {CKS_MAGIC!r}")
         if kind not in _LAYOUT:
             raise FormatError(f"unknown kind {kind} at byte 6")
-        want_version, elem_size, unit_axes = _LAYOUT[kind]
-        if version != want_version:
+        layout = _LAYOUT[kind]
+        if version != layout.version:
             hint = "; regenerate the mask with `mcrecon mask`" if kind == KIND_MASK else ""
             raise FormatError(
                 f"unsupported version {version} at byte 4 for kind {kind}: "
-                f"expected {want_version}{hint}"
+                f"expected {layout.version}{hint}"
             )
-        for i in unit_axes:
+        for i in layout.unit_axes:
             if dims[i] != 1:
                 raise FormatError(
                     f"{_DIM_NAMES[i]} must be 1 for kind {kind}, got {dims[i]} "
                     f"at byte {_DIMS_OFFSET + 4 * i}"
                 )
         start = _HEADER.size + (_MASK_META.size if kind == KIND_MASK else 0)
-        expected = start + math.prod(dims) * elem_size
+        expected = start + math.prod(dims) * layout.elem_size
 
         def length_mismatch(got):
             return FormatError(
@@ -228,24 +225,19 @@ def read_cks(path):
 
         if size != expected:
             raise length_mismatch(size)
-        coils, frames, h, w = dims
         if kind == KIND_MASK:
             meta = f.read(_MASK_META.size)
             scheme, accel, acs_lines, acs_radius = _MASK_META.unpack(meta)
-            pattern = np.frombuffer(f.read(), dtype=np.uint8).reshape(h, w)
+            pattern = np.frombuffer(f.read(), dtype=np.uint8).reshape(dims[2:])
             scheme = scheme.rstrip(b"\0").decode("ascii", "backslashreplace")
             return SamplingMask(pattern, scheme, accel, acs_lines, acs_radius)
         # Read straight into a fresh (aligned) array: the payload starts at an
         # odd byte, and numpy is up to 1.8x slower on unaligned complex64 operands.
-        arr = np.empty((coils, frames, h, w), dtype="<c8")
+        arr = np.empty(dims, dtype="<c8")
         got = f.readinto(arr.reshape(-1).view(np.uint8))
         if got != arr.nbytes:
             raise length_mismatch(start + got)
-    if kind == KIND_KSPACE:
-        return KSpaceData(arr)
-    if kind == KIND_IMAGE:
-        return ComplexImage(arr[0])
-    return SensitivityMaps(maps=arr[:, 0])
+    return layout.container(np.squeeze(arr, layout.unit_axes))
 
 
 def write_pgm(path, image: np.ndarray) -> None:

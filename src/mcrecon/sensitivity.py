@@ -54,5 +54,4 @@ def estimate_from_acs(ksp: KSpaceData, mask: SamplingMask) -> SensitivityMaps:
     support = mag > SUPPORT_THRESHOLD * mag.max()
     maps = np.zeros_like(lowres)
     np.divide(lowres, mag, out=maps, where=support)
-    maps[:, ~support] = 0.0
-    return SensitivityMaps(maps=maps, support=support)
+    return SensitivityMaps(maps)

@@ -36,7 +36,7 @@ def random_sens(rng, n_coils, h, w):
     maps = rng.standard_normal((n_coils, h, w)) + 1j * rng.standard_normal((n_coils, h, w))
     maps += 0.5  # keep RSS bounded away from zero
     norm = np.sqrt(np.sum(np.abs(maps) ** 2, axis=0))
-    return SensitivityMaps(maps=maps / norm, support=np.ones((h, w), bool))
+    return SensitivityMaps(maps=maps / norm)
 
 
 def make_mask(scheme, h, w, accel, seed):

@@ -7,15 +7,17 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mcrecon import cli
 from mcrecon.core import ComplexImage, KSpaceData
 from mcrecon.data import dynamic_phantom, read_cks, simulate_coils, write_cks
 from mcrecon.fourier import GRAM_MIN_FRAMES
-from mcrecon.metrics import nmse, psnr, ssim
+from mcrecon.metrics import dual_domain_loss, hfen1, nmae, nmse, psnr, ssim, ssim3d
 from mcrecon.sampling import GENERATORS, make_mask
 from mcrecon.sensitivity import estimate_from_acs
-from mcrecon.solver import AdmmConfig, DenoiserSpec, admm_reconstruct
+from mcrecon.solver import DENOISER_KINDS, AdmmConfig, DenoiserSpec, admm_reconstruct
 
 
 def run(args):
@@ -543,4 +545,129 @@ class TestEvaluateCommand:
         write_cks(small, ComplexImage(np.ones((1, 16, 16), dtype=complex)))
         rc = run(["evaluate", "--truth", sim_files["truth"], "--pred", small,
                   "--out", tmp_path / "m.csv"])
-        assert rc != 0
+        assert rc == 1
+
+
+class TestInputFiles:
+    """Every input file is read through one loader: a file of the wrong kind
+    or shape exits 1, names the file and writes no output."""
+
+    @pytest.mark.parametrize(
+        "command, flag, wrong",
+        [("reconstruct", "--kspace", "mask"), ("reconstruct", "--mask", "sens"),
+         ("reconstruct", "--sens", "masked"), ("simulate", "--mask", "sens"),
+         ("evaluate", "--truth", "masked"), ("evaluate", "--pred", "mask")],
+    )
+    def test_file_of_another_kind(self, sim_files, tmp_path, capsys, command, flag, wrong):
+        bad = shutil.copy(sim_files[wrong], tmp_path / "wrong_kind.cks")
+        out = tmp_path / "out"
+        flags = {
+            "reconstruct": {"--kspace": sim_files["masked"], "--mask": sim_files["mask"],
+                            "--sens": sim_files["sens"], "--out-prefix": out},
+            "simulate": {"--size": 64, "--coils": 4, "--seed": 3, "--mask": sim_files["mask"],
+                         "--out-prefix": out},
+            "evaluate": {"--truth": sim_files["truth"], "--pred": sim_files["truth"], "--out": out},
+        }[command] | {flag: bad}
+        assert run([command, *(t for item in flags.items() for t in item)]) == 1
+        assert str(bad) in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+
+    def test_images_of_different_shapes(self, tmp_path, capsys):
+        truth, pred, out = tmp_path / "t.cks", tmp_path / "p.cks", tmp_path / "m.csv"
+        write_cks(truth, dynamic_phantom(32, 1))
+        write_cks(pred, dynamic_phantom(48, 1))
+        assert run(["evaluate", "--truth", truth, "--pred", pred, "--out", out]) == 1
+        assert str(pred) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kspace_of_different_shapes(self, sim_files, tmp_path, capsys):
+        small, out = tmp_path / "small.cks", tmp_path / "m.csv"
+        write_cks(small, KSpaceData(np.ones((4, 1, 32, 64), dtype=complex)))
+        rc = run(["evaluate", "--truth", sim_files["truth"], "--pred", sim_files["truth"],
+                  "--kspace-truth", sim_files["full"], "--kspace-pred", small, "--out", out])
+        assert rc == 1
+        assert str(small) in capsys.readouterr().err
+        assert not out.exists()
+
+
+# every --denoiser name and the library kind it stands for, stated apart from cli's table
+_DENOISER_NAMES = {kind: kind for kind in DENOISER_KINDS} | {
+    "l1": "l1-soft-threshold", "tikhonov": "tikhonov-smooth", "tv": "tv-chambolle"
+}
+
+
+class TestLibraryMatchesCli:
+    def test_denoiser_names(self):
+        assert _DENOISER_NAMES == cli._DENOISER_ALIASES
+
+    @settings(
+        max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        height=st.integers(16, 24),
+        width=st.integers(16, 24),
+        scheme=st.sampled_from(["equispaced", "random-rectilinear", "gaussian2d"]),
+        denoiser=st.sampled_from(sorted(_DENOISER_NAMES)),
+        mode=st.sampled_from(["static", "dynamic"]),
+        estimate=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    def test_mask_simulate_reconstruct_evaluate(
+        self, tmp_path_factory, height, width, scheme, denoiser, mode, estimate, seed
+    ):
+        """mask -> simulate -> reconstruct -> evaluate through cli.main agrees
+        with the library on the files' contents. simulate renders square
+        phantoms, so a non-square grid's files are those of a cropped phantom,
+        written with write_cks."""
+        tmp = tmp_path_factory.mktemp("pipeline")
+        frames = 7 if mode == "dynamic" else 1  # evaluate's ssim3d needs 7 frames
+        mask_path, prefix = tmp / "m.cks", tmp / "sim"
+        assert run(["mask", "--scheme", scheme, "--size", f"{height}x{width}", "--accel", "3",
+                    "--acs", "6", "--acs-radius", "2", "--seed", seed, "--out", mask_path]) == 0
+        phantom = dynamic_phantom(max(height, width), frames).data[:, :height, :width]
+        sens, full = simulate_coils(ComplexImage(phantom), 4, seed)
+        if height == width:
+            assert run(["simulate", "--size", height, "--frames", frames, "--coils", "4",
+                        "--seed", seed, "--mask", mask_path, "--out-prefix", prefix]) == 0
+        else:
+            write_cks(tmp / "sim_truth.cks", ComplexImage(phantom))
+            write_cks(tmp / "sim_sens.cks", sens)
+            write_cks(tmp / "sim_kspace_full.cks", full)
+            write_cks(tmp / "sim_kspace_masked.cks",
+                      KSpaceData(read_cks(mask_path).pattern * full.data))
+        assert np.array_equal(read_cks(tmp / "sim_sens.cks").support, sens.support)
+
+        strength = "0" if denoiser == "identity" else "1e-3"
+        sens_flags = ["--estimate-sens"] if estimate else ["--sens", tmp / "sim_sens.cks"]
+        assert run(["reconstruct", "--kspace", tmp / "sim_kspace_masked.cks", "--mask", mask_path,
+                    *sens_flags, "--mode", mode, "--denoiser", denoiser, "--strength", strength,
+                    "--lam", "0.1", "--T", "3", "--inner", "4", "--out-prefix", tmp / "r"]) == 0
+        ksp, mask = read_cks(tmp / "sim_kspace_masked.cks"), read_cks(mask_path)
+        maps = estimate_from_acs(ksp, mask) if estimate else read_cks(tmp / "sim_sens.cks")
+        spec = DenoiserSpec(_DENOISER_NAMES[denoiser], float(strength))
+        cfg = AdmmConfig.for_mode(mode, T=3, inner_iters=4, lam=0.1, denoiser=spec)
+        want = admm_reconstruct(ksp, mask, maps, cfg).data
+        got = read_cks(tmp / "r.cks").data
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+        out = tmp / "e.csv"
+        assert run(["evaluate", "--truth", tmp / "sim_truth.cks", "--pred", tmp / "r.cks",
+                    "--kspace-truth", tmp / "sim_kspace_full.cks",
+                    "--kspace-pred", tmp / "sim_kspace_masked.cks", "--out", out]) == 0
+        mt, mp = np.abs(read_cks(tmp / "sim_truth.cks").data), np.abs(got)
+        yt, yp = read_cks(tmp / "sim_kspace_full.cks").data, ksp.data
+        rng = float(mt.max()) or 1.0
+        library = {}
+        for t in range(frames):
+            library[(str(t), "ssim")] = ssim(mt[t], mp[t], rng)
+            library[(str(t), "nmse")] = nmse(mt[t], mp[t])
+            library[(str(t), "psnr")] = psnr(mt[t], mp[t], rng)
+            library[(str(t), "hfen1")] = hfen1(mt[t], mp[t])
+        if frames > 1:
+            library[("all", "ssim3d")] = ssim3d(mt, mp, rng)
+        library[("all", "nmae")] = nmae(yt, yp)
+        library[("all", "dual_domain_loss")] = dual_domain_loss(mt, mp, yt, yp)
+        rows = {(r["frame"], r["metric"]): float(r["value"]) for r in csv.DictReader(out.open())}
+        assert rows.keys() == library.keys()
+        for key, value in library.items():
+            assert rows[key] == pytest.approx(value, rel=1e-12), key

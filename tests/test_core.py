@@ -159,8 +159,13 @@ class TestSensitivityMaps:
         s = SensitivityMaps(maps=maps)
         assert s.support.all()
 
-    def test_off_support_must_vanish(self):
-        maps = np.full((1, 4, 4), 1.0, dtype=complex)
-        sup = np.zeros((4, 4), bool)
-        with pytest.raises(ValueError):
-            SensitivityMaps(maps=maps, support=sup)
+    def test_support_is_the_nonzero_pattern(self):
+        maps = np.full((2, 4, 4), 1 / np.sqrt(2), dtype=complex)
+        maps[:, 0, :3] = 0
+        maps[0, 1, 1] = 0
+        maps[1, 1, 1] = 1
+        want = np.ones((4, 4), bool)
+        want[0, :3] = False
+        assert np.array_equal(SensitivityMaps(maps).support, want)
+        with pytest.raises(TypeError):
+            SensitivityMaps(maps, want)

@@ -236,6 +236,85 @@ class TestCksFormat:
             read_cks(p)
 
 
+# kind -> (container, axes of (coils, frames, rows, cols) that must be 1),
+# stated apart from the data module's own table
+_KINDS = {
+    0: (KSpaceData, ()),
+    1: (ComplexImage, (0,)),
+    2: (SamplingMask, (0, 1)),
+    3: (SensitivityMaps, (1,)),
+}
+_MASK_FIELDS = ("scheme", "nominal_acceleration", "acs_lines", "acs_radius")
+
+
+def _layout_object(kind, dims, dtype, rng, draw):
+    """A container of ``kind`` on ``dims`` (unit axes already 1); complex
+    values are float32-representable, held as ``dtype``."""
+    rows, cols = dims[2:]
+    if kind == 2:
+        pattern = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+        acs_lines = draw(st.integers(0, cols))
+        acs_radius = draw(st.integers(0, max(rows, cols)))
+        start = (cols - acs_lines) // 2
+        pattern[:, start : start + acs_lines] = 1
+        yy, xx = np.ogrid[:rows, :cols]
+        pattern[(yy - rows // 2) ** 2 + (xx - cols // 2) ** 2 <= acs_radius**2] = 1
+        scheme = draw(st.sampled_from(["gaussian2d", "pseudo-radial", "pseudo-spiral"]))
+        accel = draw(st.floats(1.5, 20.0))
+        return SamplingMask(pattern, scheme, accel, acs_lines, acs_radius)
+    shape = tuple(n for i, n in enumerate(dims) if i not in _KINDS[kind][1])
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == 3:  # zero some pixels on every coil, RSS-normalize the rest
+        arr[:, rng.random(shape[1:]) < 0.3] = 0
+        norm = np.sqrt(np.sum(np.abs(arr) ** 2, axis=0))
+        arr = np.divide(arr, norm, out=np.zeros_like(arr), where=norm > 0)
+    arr = arr.astype(np.complex64).astype(dtype)
+    return _KINDS[kind][0](arr)
+
+
+class TestCksLayout:
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        kind=st.sampled_from(sorted(_KINDS)),
+        sizes=st.lists(st.integers(1, 7), min_size=4, max_size=4, unique=True),
+        dtype=st.sampled_from([np.complex64, np.complex128]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_header_dims_and_round_trip(self, tmp_path, kind, sizes, dtype, seed, data):
+        """Every kind on distinct axis sizes writes dims (coils, frames, rows,
+        cols) with 1 on exactly its unit axes, and reads back bit for bit."""
+        cls, unit_axes = _KINDS[kind]
+        dims = tuple(1 if i in unit_axes else n for i, n in enumerate(sizes))
+        obj = _layout_object(kind, dims, dtype, np.random.default_rng(seed), data.draw)
+        p = tmp_path / "x.cks"
+        write_cks(p, obj)
+        magic, version, got_kind, *got_dims = struct.unpack_from("<4sHB4I", p.read_bytes())
+        want_version = 2 if kind == 2 else 1
+        assert (magic, version, got_kind, tuple(got_dims)) == (CKS_MAGIC, want_version, kind, dims)
+        back = read_cks(p)
+        assert type(back) is cls
+        if kind == 2:
+            assert back.pattern.shape == obj.pattern.shape
+            assert back.pattern.tobytes() == obj.pattern.tobytes()
+            assert [getattr(back, f) for f in _MASK_FIELDS] == [getattr(obj, f) for f in _MASK_FIELDS]
+            return
+        want = obj.maps if kind == 3 else obj.data
+        got = back.maps if kind == 3 else back.data
+        assert got.shape == want.shape
+        assert got.astype(want.dtype).tobytes() == want.tobytes()
+        if kind == 3:
+            assert np.array_equal(back.support, obj.support)
+
+    @pytest.mark.parametrize("obj", [object(), np.ones((1, 1, 2, 2), dtype=complex), None])
+    def test_non_container_is_type_error(self, tmp_path, obj):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            write_cks(tmp_path / "x.cks", obj)
+        assert not (tmp_path / "x.cks").exists()
+
+
 def _header(version, kind, dims, magic=CKS_MAGIC):
     return struct.pack("<4sHB4I", magic, version, kind, *dims)
 

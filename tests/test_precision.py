@@ -65,7 +65,7 @@ def test_operator_keeps_the_input_dtype(rng, dtype, scheme):
 def test_operator_dtype_defaults_to_the_maps_and_must_be_complex(rng):
     mask, sens, _, _ = _problem(rng, np.complex128)
     assert ForwardOperator(mask=mask, sens=sens).dtype == np.complex128
-    maps64 = SensitivityMaps(sens.maps.astype(np.complex64), sens.support)
+    maps64 = SensitivityMaps(sens.maps.astype(np.complex64))
     assert ForwardOperator(mask=mask, sens=maps64).dtype == np.complex64
     with pytest.raises(ValueError, match="complex64 or complex128"):
         ForwardOperator(mask=mask, sens=sens, dtype=np.float64)
@@ -179,7 +179,7 @@ def cine64():
 
 def _phantom(truth):
     sens, full = simulate_coils(truth, 8, 2)
-    maps = SensitivityMaps(sens.maps.astype(np.complex64), sens.support)
+    maps = SensitivityMaps(sens.maps.astype(np.complex64))
     return np.abs(truth.data), maps, full.data.astype(np.complex64)
 
 
@@ -194,7 +194,7 @@ def _check_complex64_solve(phantom, scheme, kind):
     mask = make_mask(scheme, 64, 64, 4, 1, acs_lines=12, acs_radius=4)
     y64 = KSpaceData(mask.pattern * full64)
     y128 = KSpaceData(y64.data.astype(np.complex128))
-    maps128 = SensitivityMaps(maps64.maps.astype(np.complex128), maps64.support)
+    maps128 = SensitivityMaps(maps64.maps.astype(np.complex128))
     cfg = AdmmConfig(T=16, inner_iters=6, lam=0.1, denoiser=_spec(kind))
     x64 = admm_reconstruct(y64, mask, maps64, cfg).data
     x128 = admm_reconstruct(y128, mask, maps128, cfg).data
