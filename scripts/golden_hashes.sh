@@ -20,6 +20,9 @@
 # mask with 8 ACS lines it exits 0 (rc_est_r1). Two are bad input files and
 # exit 1: the 48x48 equispaced mask given as --kspace (rc_kind), and
 # evaluate of the 48x48 truth against the 45x45 3-frame one (rc_eval_shape).
+# The 45x45 maps given with the 48x48 mask exit 1 (rc_sens_grid). The 3-frame
+# 45x45 solve is scored by evaluate (e_odd.csv, rc_eval_odd), with no ssim3d
+# row since it has fewer frames than the SSIM window.
 #
 # For a change that may move floating-point round-off, compare the two
 # OUT_DIRs with scripts/golden_compare.py instead, which allows small
@@ -85,6 +88,8 @@ $M reconstruct --kspace g_kspace_full.cks --mask m_pseudo-radial.cks --estimate-
 $M reconstruct --kspace g_kspace_full.cks --mask m1_equispaced.cks --estimate-sens --T 2 --out-prefix x_r1 >/dev/null 2>&1; echo "rc_est_r1=$?" >> rcs.txt
 $M reconstruct --kspace m_equispaced.cks --mask m_equispaced.cks --sens s_sens.cks --out-prefix x_kind >/dev/null 2>&1; echo "rc_kind=$?" >> rcs.txt
 $M evaluate --truth s_truth.cks --pred o_truth.cks --out x_eval.csv >/dev/null 2>&1; echo "rc_eval_shape=$?" >> rcs.txt
+$M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens o_sens.cks --out-prefix x_grid >/dev/null 2>&1; echo "rc_sens_grid=$?" >> rcs.txt
+ev e_odd.csv --truth o_truth.cks --pred r_odd.cks --kspace-truth o_kspace_full.cks --kspace-pred o_kspace_full.cks 2>/dev/null; echo "rc_eval_odd=$?" >> rcs.txt
 rm -f x_rad* x_r1* x_nan*
 set -e
 find . -type f ! -name hashes.txt | sort | xargs sha256sum > hashes.txt

@@ -19,11 +19,12 @@ import numpy as np
 from . import data as dio
 from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps
 from .fourier import ifft2c  # noqa: F401  (perfbench's tracer test looks it up here)
-from .metrics import LossWeights, hfen1, loss_from_terms, nmae, nmse, psnr, ssim, ssim3d
+from .metrics import SSIM_WINDOW, LossWeights, hfen1, loss_from_terms, nmae, nmse, psnr, ssim
+from .metrics import ssim3d
 from .sampling import GENERATORS, achieved_acceleration, make_mask
 from .sensitivity import estimate_from_acs
 from .solver import DENOISER_KINDS, MODE_DEFAULTS, AdmmConfig, DenoiserSpec
-from .solver import admm_reconstruct, check_inputs, zero_filled_init
+from .solver import admm_reconstruct, check_inputs, check_maps, zero_filled_init
 
 _DENOISER_ALIASES = {kind: kind for kind in DENOISER_KINDS} | {
     "l1": "l1-soft-threshold",
@@ -173,7 +174,8 @@ def cmd_reconstruct(args) -> int:
                                       step_size=args.step, denoiser=spec)
     # every input is read and checked before any volume is solved
     mask = _load_as(args.mask, SamplingMask)
-    sens = None if args.estimate_sens else _load_as(args.sens, SensitivityMaps)
+    sens = None if args.estimate_sens else _load_as(args.sens, SensitivityMaps,
+                                                    lambda s: check_maps(mask, s))
     volumes = [_load_as(p, KSpaceData, lambda k: check_inputs(k, mask, sens)) for p in args.kspace]
     volumes.reverse()  # popped in input order, so each volume is freed once it is solved
     todo = (volumes.pop() for _ in outs)
@@ -208,7 +210,7 @@ def cmd_evaluate(args) -> int:
         rows.append((args.volume_id, t, "nmse", nmse(mag_t[t], mag_p[t])))
         rows.append((args.volume_id, t, "psnr", psnr(mag_t[t], mag_p[t], rng)))
         rows.append((args.volume_id, t, "hfen1", hfens[-1]))
-    s3 = ssim3d(mag_t, mag_p, vol_range) if truth.n_frames > 1 else None
+    s3 = ssim3d(mag_t, mag_p, vol_range) if truth.n_frames >= SSIM_WINDOW else None
     if s3 is not None:
         rows.append((args.volume_id, "all", "ssim3d", s3))
     if args.kspace_truth:

@@ -14,8 +14,9 @@ centred transform is a plain FFT between two phase ramps,
 ``fft2c(v) == r_k * fft2(r_n * v)`` with r_n[j] = exp(2*pi*i*c*j/n) and
 r_k[p] = exp(2*pi*i*c*(p - c)/n), exact +-1 checkerboards at even n. The
 operator folds r_n into the maps and r_k into the mask once, at
-construction, and ``apply_arr`` / ``adjoint_arr`` take one ``scipy.fft``
-transform over (-2, -1).
+construction, and ``apply_arr`` / ``adjoint_arr`` take one ``numpy.fft``
+transform over (-2, -1), written over a buffer of their own (``out=``), never
+over the caller's array.
 
 Data consistency needs only ``A^H (A x - y)``. On a rectilinear mask every
 column is sampled fully or not at all, so M commutes with the centred
@@ -78,7 +79,6 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .core import RECTILINEAR_SCHEMES, SamplingMask, SensitivityMaps
 
@@ -166,7 +166,7 @@ class ForwardOperator:
         cols, dft = self._sampled_columns()
         op = copy.copy(self)
         op._fold(self.sens.maps, None, dft)
-        return op, _centred(sfft.ifftn, y[..., cols], axes=(-2,))
+        return op, _centred(np.fft.ifftn, y[..., cols], axes=(-2,))
 
     def row_gram(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """``(N, b)`` in complex128: N = B^H B (row, col, col) and
@@ -178,7 +178,7 @@ class ForwardOperator:
             return None
         cols, dft = self._sampled_columns()
         # N_h = (sum_c S_ch S_ch^H) * (D D^H) and b, in complex128
-        y_dc = _centred(sfft.ifftn, y[..., cols].astype(np.complex128), axes=(-2,))
+        y_dc = _centred(np.fft.ifftn, y[..., cols].astype(np.complex128), axes=(-2,))
         maps = self.sens.maps.astype(np.complex128, copy=False)
         rows = maps.transpose(1, 2, 0)  # (H, W, coil)
         normal = rows @ rows.conj().transpose(0, 2, 1)
@@ -192,7 +192,7 @@ class ForwardOperator:
         v = self._maps[:, np.newaxis] * x[np.newaxis]
         if self._dft is not None:
             return (v.reshape(-1, v.shape[-1]) @ self._dft).reshape(*v.shape[:-1], -1)
-        k = sfft.fftn(v, axes=(-2, -1), norm="ortho", overwrite_x=True)
+        k = np.fft.fftn(v, axes=(-2, -1), norm="ortho", out=v)
         k *= self._kmask
         return k
 
@@ -201,6 +201,7 @@ class ForwardOperator:
         if self._dft is not None:
             v = (y.reshape(-1, y.shape[-1]) @ self._dft_conj.T).reshape(*y.shape[:-1], -1)
         else:
-            v = sfft.ifftn(y * self._kmask_conj, axes=(-2, -1), norm="ortho", overwrite_x=True)
+            v = y * self._kmask_conj
+            np.fft.ifftn(v, axes=(-2, -1), norm="ortho", out=v)
         v *= self._maps_conj[:, np.newaxis]
         return v.sum(axis=0)

@@ -112,12 +112,19 @@ class AdmmConfig:
 MODE_DEFAULTS = {"static": {}, "dynamic": {"T": 10, "inner_iters": 8}}
 
 
+def check_maps(mask: SamplingMask, sens: SensitivityMaps) -> None:
+    """Raise ValueError unless ``sens`` lies on the mask's grid."""
+    if (sens.height, sens.width) != (mask.height, mask.width):
+        raise ValueError(f"sensitivity grid {(sens.height, sens.width)}, "
+                         f"mask grid {(mask.height, mask.width)}")
+
+
 def check_inputs(y: KSpaceData, mask: SamplingMask, sens: SensitivityMaps | None = None) -> None:
     """Raise ValueError unless ``y`` and ``sens`` (if given) lie on the mask's
     grid and ``y`` has as many coils as ``sens``."""
     grid = (mask.height, mask.width)
-    if sens is not None and (sens.height, sens.width) != grid:
-        raise ValueError(f"sensitivity grid {(sens.height, sens.width)}, mask grid {grid}")
+    if sens is not None:
+        check_maps(mask, sens)
     if (y.height, y.width) != grid or (sens is not None and y.n_coils != sens.n_coils):
         maps = "" if sens is None else f", maps with {sens.n_coils} coils"
         raise ValueError(

@@ -1,8 +1,11 @@
 import argparse
 import csv
 import gc
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -22,6 +25,15 @@ from mcrecon.solver import DENOISER_KINDS, AdmmConfig, DenoiserSpec, admm_recons
 
 def run(args):
     return cli.main([str(a) for a in args])
+
+
+def test_import_loads_no_scipy():
+    """A CLI process starts on numpy alone: importing the CLI loads no scipy module."""
+    code = "import sys, mcrecon.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.fixture
@@ -540,6 +552,33 @@ class TestEvaluateCommand:
             assert got[(str(t), "ssim")] == pytest.approx(ssim(mt[t], mp[t], want), abs=1e-12)
             assert got[(str(t), "psnr")] == pytest.approx(psnr(mt[t], mp[t], want), abs=1e-9)
 
+    @pytest.mark.parametrize("with_kspace", [False, True])
+    def test_fewer_frames_than_the_ssim_window(self, tmp_path, with_kspace):
+        """A 3-frame volume is scored frame by frame with no ssim3d row, and
+        its loss is dual_domain_loss's, which leaves out the SSIM3D term too."""
+        rng = np.random.default_rng(5)
+        truth = rng.random((3, 16, 16))
+        pred = truth + 0.05 * rng.standard_normal(truth.shape)
+        y_t = rng.standard_normal((2, 3, 16, 16)) + 1j * rng.standard_normal((2, 3, 16, 16))
+        y_p = y_t + 0.1 * rng.standard_normal(y_t.shape)
+        paths = {name: tmp_path / f"{name}.cks" for name in ("t", "p", "yt", "yp")}
+        write_cks(paths["t"], ComplexImage(truth.astype(complex)))
+        write_cks(paths["p"], ComplexImage(pred.astype(complex)))
+        write_cks(paths["yt"], KSpaceData(y_t))
+        write_cks(paths["yp"], KSpaceData(y_p))
+        out = tmp_path / "m.csv"
+        kspace = ["--kspace-truth", paths["yt"], "--kspace-pred", paths["yp"]]
+        assert run(["evaluate", "--truth", paths["t"], "--pred", paths["p"],
+                    *(kspace if with_kspace else []), "--out", out]) == 0
+        got = {(r["frame"], r["metric"]): float(r["value"]) for r in csv.DictReader(out.open())}
+        assert {f for f, _ in got} == {"0", "1", "2"} | ({"all"} if with_kspace else set())
+        assert "ssim3d" not in {m for _, m in got}
+        if with_kspace:
+            mt, mp = (np.abs(read_cks(paths[k]).data) for k in ("t", "p"))
+            yt, yp = (read_cks(paths[k]).data for k in ("yt", "yp"))
+            want = dual_domain_loss(mt, mp, yt, yp)
+            assert got[("all", "dual_domain_loss")] == pytest.approx(want, rel=1e-12)
+
     def test_dim_mismatch_is_error(self, sim_files, tmp_path):
         small = tmp_path / "small.cks"
         write_cks(small, ComplexImage(np.ones((1, 16, 16), dtype=complex)))
@@ -570,6 +609,19 @@ class TestInputFiles:
         }[command] | {flag: bad}
         assert run([command, *(t for item in flags.items() for t in item)]) == 1
         assert str(bad) in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+
+    def test_maps_on_another_grid(self, sim_files, tmp_path, capsys):
+        """Maps on a grid other than the mask's are named when they are read,
+        before any --kspace file: the first one here does not exist."""
+        assert run(["simulate", "--size", 48, "--coils", 4, "--seed", 3,
+                    "--out-prefix", tmp_path / "small"]) == 0
+        maps = tmp_path / "small_sens.cks"
+        rc = run(["reconstruct", "--kspace", tmp_path / "missing.cks", sim_files["masked"],
+                  "--mask", sim_files["mask"], "--sens", maps, "--out-prefix", tmp_path / "out"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{maps}: sensitivity grid (48, 48), mask grid (64, 64)" in err
         assert not list(tmp_path.glob("out*"))
 
     def test_images_of_different_shapes(self, tmp_path, capsys):

@@ -212,6 +212,39 @@ class TestOperatorProperties:
         gap = abs(np.vdot(y, ax) - np.vdot(ahy, x))
         assert gap <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(y)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scheme=st.sampled_from(sorted(sampling.GENERATORS) + ["full"]),
+        height=st.integers(3, 12),
+        width=st.integers(3, 12),
+        n_frames=st.integers(1, 3),
+        n_coils=st.integers(1, 3),
+        dtype=st.sampled_from([np.complex128, np.complex64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_inputs_are_left_unchanged(
+        self, scheme, height, width, n_frames, n_coils, dtype, seed
+    ):
+        """apply_arr and adjoint_arr transform in place over buffers of their
+        own: the caller's x and y keep every byte, on the 2D FFT path and on
+        the column path of a rectilinear mask."""
+        rng = np.random.default_rng(seed)
+        if scheme == "full":
+            mask = full_mask(height, width)
+        else:
+            mask = sampling.make_mask(scheme, height, width, 2, seed, acs_lines=2)
+        op = ForwardOperator(mask=mask, sens=random_sens(rng, n_coils, height, width), dtype=dtype)
+        y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
+        ops = [(op, y)]
+        if scheme in RECTILINEAR_SCHEMES:
+            ops.append(op.for_data_consistency(y))
+        for o, data in ops:
+            x = rand_image(rng, n_frames, height, width).astype(dtype)
+            for fn, arg in ((o.apply_arr, x), (o.adjoint_arr, data)):
+                before = arg.tobytes()
+                fn(arg)
+                assert arg.tobytes() == before
+
 
 class TestDataConsistencyOperator:
     """``for_data_consistency`` on rectilinear masks gives an operator B onto

@@ -162,10 +162,10 @@ axis_len = st.integers(7, 13)
 
 
 @st.composite
-def image_pairs(draw, ndim):
-    """(u, v) of one shape with 7 to 13 per axis (odd, even, non-square),
-    random or both constant."""
-    shape = tuple(draw(st.lists(axis_len, min_size=ndim, max_size=ndim)))
+def image_pairs(draw, ndim, sides=axis_len):
+    """(u, v) of one shape with ``sides`` per axis, by default 7 to 13 (odd,
+    even, non-square), random or both constant."""
+    shape = tuple(draw(st.lists(sides, min_size=ndim, max_size=ndim)))
     r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         return np.full(shape, r.random()), np.full(shape, r.random())
@@ -191,6 +191,18 @@ class TestAgainstLoopOracles:
     @given(pair=image_pairs(2))
     @settings(max_examples=40, deadline=None)
     def test_hfen1(self, pair):
+        u, v = pair
+        if np.ptp(u) == 0:
+            with pytest.raises(UndefinedMetricError):
+                hfen1(u, v)
+        else:
+            assert abs(hfen1(u, v) - hfen1_oracle(u, v)) <= 1e-12
+
+    @given(pair=image_pairs(2, st.integers(1, 13)))
+    @settings(max_examples=60, deadline=None)
+    def test_hfen1_on_grids_smaller_than_the_kernel(self, pair):
+        """Sides 1 to 13: the 7-wide reflect padding is wider than the image
+        on sides below 7 and must repeat it as symmetric padding does."""
         u, v = pair
         if np.ptp(u) == 0:
             with pytest.raises(UndefinedMetricError):
@@ -325,6 +337,20 @@ class TestDualDomainLoss:
         )
         got = dual_domain_loss(x, xp, y, yp)
         assert got == pytest.approx(expected, abs=1e-8)
+
+    def test_fewer_frames_than_the_window_leave_out_ssim3d(self, rng):
+        x = rng.random((3, 16, 16))
+        xp = x + 0.05 * rng.random((3, 16, 16))
+        y = rng.standard_normal((1, 3, 16, 16)) + 0.5
+        yp = y + 0.1
+        d = float(x.max())
+        expected = (
+            np.mean([1 - ssim(x[t], xp[t], d) for t in range(3)])
+            + np.abs(x - xp).sum()
+            + np.mean([hfen1(x[t], xp[t]) for t in range(3)])
+            + 3.0 * nmae(y, yp)
+        )
+        assert dual_domain_loss(x, xp, y, yp) == pytest.approx(expected, abs=1e-8)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
