@@ -11,10 +11,11 @@
 # Gram path; the 7-frame dynamic solves take it too), a 3-frame dynamic TV
 # solve on a 45x45 grid (an odd row length for the TV prox's flat passes),
 # --jobs 1
-# and 2, evaluate, and the exit codes in rcs.txt. Six are bad arguments and
+# and 2, evaluate, and the exit codes in rcs.txt. Seven are bad arguments and
 # exit 2: an unknown scheme (rc_bogus), an unknown denoiser (rc_den), a
 # gaussian2d budget below its ACS disc (rc_budget), R=0.5 (rc_acc), a 0x0
-# grid (rc_grid) and --strength nan (rc_nan). Two have their outputs deleted:
+# grid (rc_grid), --strength nan (rc_nan) and an evaluate with k-space files
+# and --w-nmae -1 (rc_weight). Two have their outputs deleted:
 # --estimate-sens with an R=4 pseudo-radial mask, which has no ACS region,
 # fails its solve and exits 1 (rc_est_radial), and with an R=1 equispaced
 # mask with 8 ACS lines it exits 0 (rc_est_r1). Two are bad input files and
@@ -90,6 +91,7 @@ $M reconstruct --kspace m_equispaced.cks --mask m_equispaced.cks --sens s_sens.c
 $M evaluate --truth s_truth.cks --pred o_truth.cks --out x_eval.csv >/dev/null 2>&1; echo "rc_eval_shape=$?" >> rcs.txt
 $M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens o_sens.cks --out-prefix x_grid >/dev/null 2>&1; echo "rc_sens_grid=$?" >> rcs.txt
 ev e_odd.csv --truth o_truth.cks --pred r_odd.cks --kspace-truth o_kspace_full.cks --kspace-pred o_kspace_full.cks 2>/dev/null; echo "rc_eval_odd=$?" >> rcs.txt
+$M evaluate --truth s_truth.cks --pred r_tv.cks --kspace-truth s_kspace_full.cks --kspace-pred s_kspace_full.cks --w-nmae -1 --out x_weight.csv >/dev/null 2>&1; echo "rc_weight=$?" >> rcs.txt
 rm -f x_rad* x_r1* x_nan*
 set -e
 find . -type f ! -name hashes.txt | sort | xargs sha256sum > hashes.txt

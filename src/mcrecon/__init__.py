@@ -11,6 +11,7 @@ from .metrics import (
     nmae,
     nmse,
     psnr,
+    score_volume,
     ssim,
     ssim3d,
 )

@@ -17,14 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import data as dio
-from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps
+from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps, check_inputs, check_maps
 from .fourier import ifft2c  # noqa: F401  (perfbench's tracer test looks it up here)
-from .metrics import SSIM_WINDOW, LossWeights, hfen1, loss_from_terms, nmae, nmse, psnr, ssim
-from .metrics import ssim3d
+from .metrics import LossWeights, score_volume
 from .sampling import GENERATORS, achieved_acceleration, make_mask
 from .sensitivity import estimate_from_acs
 from .solver import DENOISER_KINDS, MODE_DEFAULTS, AdmmConfig, DenoiserSpec
-from .solver import admm_reconstruct, check_inputs, check_maps, zero_filled_init
+from .solver import admm_reconstruct, zero_filled_init
 
 _DENOISER_ALIASES = {kind: kind for kind in DENOISER_KINDS} | {
     "l1": "l1-soft-threshold",
@@ -161,8 +160,6 @@ def _recon_paths(kspace: list[str], out_prefix: str) -> list[Path]:
 def cmd_reconstruct(args) -> int:
     if not args.estimate_sens and not args.sens:
         raise CliError("provide --sens FILE or --estimate-sens")
-    if args.denoiser not in _DENOISER_ALIASES:
-        raise CliError(f"unknown denoiser {args.denoiser!r}")
     if args.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
     outs = _recon_paths(args.kspace, args.out_prefix)
@@ -192,45 +189,24 @@ def cmd_evaluate(args) -> int:
     if bool(args.kspace_truth) != bool(args.kspace_pred):
         missing = "--kspace-truth" if args.kspace_pred else "--kspace-pred"
         raise CliError(f"{missing} is missing: --kspace-truth and --kspace-pred go together")
+    with _from_flags():
+        weights = LossWeights(w_ssim=args.w_ssim, w_ssim3d=args.w_ssim3d, w_l1=args.w_l1,
+                              w_hfen1=args.w_hfen1, w_nmae=args.w_nmae)
     truth = _load_as(args.truth, ComplexImage)
     pred = _load_as(args.pred, ComplexImage, _shaped_like(truth))
+    kspace = []
     if args.kspace_truth:
         y_t = _load_as(args.kspace_truth, KSpaceData)
-        y_p = _load_as(args.kspace_pred, KSpaceData, _shaped_like(y_t))
-    mag_t = np.abs(truth.data)
-    mag_p = np.abs(pred.data)
-    rows: list[tuple] = []
-    ssims, hfens = [], []
-    vol_range = float(mag_t.max()) or 1.0
-    for t in range(truth.n_frames):
-        rng = (float(mag_t[t].max()) or 1.0) if args.normalize == "frame" else vol_range
-        ssims.append(ssim(mag_t[t], mag_p[t], rng))
-        hfens.append(hfen1(mag_t[t], mag_p[t]))
-        rows.append((args.volume_id, t, "ssim", ssims[-1]))
-        rows.append((args.volume_id, t, "nmse", nmse(mag_t[t], mag_p[t])))
-        rows.append((args.volume_id, t, "psnr", psnr(mag_t[t], mag_p[t], rng)))
-        rows.append((args.volume_id, t, "hfen1", hfens[-1]))
-    s3 = ssim3d(mag_t, mag_p, vol_range) if truth.n_frames >= SSIM_WINDOW else None
-    if s3 is not None:
-        rows.append((args.volume_id, "all", "ssim3d", s3))
-    if args.kspace_truth:
-        nm = nmae(y_t.data, y_p.data)
-        rows.append((args.volume_id, "all", "nmae", nm))
-        if args.normalize == "frame":  # the loss scores every frame on the volume's range
-            ssims = [ssim(ft, fp, vol_range) for ft, fp in zip(mag_t, mag_p)]
-        weights = LossWeights(
-            w_ssim=args.w_ssim,
-            w_ssim3d=args.w_ssim3d,
-            w_l1=args.w_l1,
-            w_hfen1=args.w_hfen1,
-            w_nmae=args.w_nmae,
-        )
-        loss = loss_from_terms(mag_t, mag_p, ssims, hfens, s3, nm, weights)
-        rows.append((args.volume_id, "all", "dual_domain_loss", loss))
+        kspace = [y_t.data, _load_as(args.kspace_pred, KSpaceData, _shaped_like(y_t)).data]
+    try:
+        rows = score_volume(np.abs(truth.data), np.abs(pred.data), *kspace, weights=weights,
+                            frame_range=args.normalize == "frame")
+    except ValueError as exc:
+        raise ValueError(f"scoring {args.pred} against {args.truth}: {exc}") from exc
     with open(args.out, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["volume_id", "frame", "metric", "value"])
-        writer.writerows(rows)
+        writer.writerows((args.volume_id, *row) for row in rows)
     print(f"wrote {len(rows)} metric rows to {args.out}")
     return 0
 
@@ -270,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimate-sens", action="store_true")
     p.add_argument("--method", choices=("zero-filled", "admm"), default="admm")
     p.add_argument("--mode", choices=tuple(MODE_DEFAULTS), default="static")
-    p.add_argument("--denoiser", default="tikhonov")
+    p.add_argument("--denoiser", choices=sorted(_DENOISER_ALIASES), default="tikhonov")
     p.add_argument("--strength", type=float, default=1e-2)
     p.add_argument("--tv-iters", type=int, default=20)
     p.add_argument("--lam", type=float, default=1.0)

@@ -7,6 +7,9 @@ dtype as complex128. CKS files (see the ``data`` module) hold float32
 components and read back as complex64, so a solve on CKS inputs runs in
 complex64 and a solve on in-memory complex128 data in complex128; there is
 no precision flag.
+
+Grids are compared only in :func:`check_maps` and :func:`check_inputs`,
+which the operator, the solver, ACS calibration and the CLI call.
 """
 
 from dataclasses import dataclass, field
@@ -195,6 +198,27 @@ class SensitivityMaps:
     @property
     def width(self) -> int:
         return self.maps.shape[2]
+
+
+def check_maps(mask: SamplingMask, sens: SensitivityMaps) -> None:
+    """Raise ValueError unless ``sens`` lies on the mask's grid."""
+    if (sens.height, sens.width) != (mask.height, mask.width):
+        raise ValueError(f"sensitivity grid {(sens.height, sens.width)}, "
+                         f"mask grid {(mask.height, mask.width)}")
+
+
+def check_inputs(y: KSpaceData, mask: SamplingMask, sens: SensitivityMaps | None = None) -> None:
+    """Raise ValueError unless ``y`` and ``sens`` (if given) lie on the mask's
+    grid and ``y`` has as many coils as ``sens``."""
+    grid = (mask.height, mask.width)
+    if sens is not None:
+        check_maps(mask, sens)
+    if (y.height, y.width) != grid or (sens is not None and y.n_coils != sens.n_coils):
+        maps = "" if sens is None else f", maps with {sens.n_coils} coils"
+        raise ValueError(
+            f"k-space dimensions do not match mask/sensitivities: k-space with "
+            f"{y.n_coils} coils on grid {(y.height, y.width)}, mask grid {grid}{maps}"
+        )
 
 
 def rss(coil_images: np.ndarray) -> np.ndarray:

@@ -80,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RECTILINEAR_SCHEMES, SamplingMask, SensitivityMaps
+from .core import RECTILINEAR_SCHEMES, SamplingMask, SensitivityMaps, check_maps
 
 # The row Gram path's rule (row_gram); the module docstring has the measured
 # crossover and the memory bound.
@@ -132,11 +132,7 @@ class ForwardOperator:
     dtype: np.dtype | None = None
 
     def __post_init__(self):
-        if (self.mask.height, self.mask.width) != (self.sens.height, self.sens.width):
-            raise ValueError(
-                f"mask grid {self.mask.pattern.shape} does not match "
-                f"sensitivity grid {self.sens.maps.shape[1:]}"
-            )
+        check_maps(self.mask, self.sens)
         dtype = self.sens.maps.dtype if self.dtype is None else np.dtype(self.dtype)
         if dtype not in (np.complex64, np.complex128):
             raise ValueError(f"operator dtype must be complex64 or complex128, got {dtype}")

@@ -14,6 +14,10 @@ separable terms, so it is applied as six 1D passes along rows and columns,
 each a matrix product of the padded axis's 15-wide windows with the taps.
 Both equal the dense definitions up to round-off. Every metric computes in double precision,
 whatever the precision of its inputs.
+
+:func:`score_volume` holds every rule of scoring a volume: the data ranges,
+SSIM3D only for at least SSIM_WINDOW frames, and the loss sum. ``mcrecon
+evaluate`` writes its rows, and :func:`dual_domain_loss` is its loss row.
 """
 
 from dataclasses import dataclass
@@ -194,50 +198,54 @@ def psnr(u: np.ndarray, v: np.ndarray, data_range: float) -> float:
     return 10.0 * np.log10(data_range**2 / mse)
 
 
-def dual_domain_loss(
-    x_true: np.ndarray,
-    x_pred: np.ndarray,
-    y_true: np.ndarray,
-    y_pred: np.ndarray,
-    weights: LossWeights = LossWeights(),
-) -> float:
-    """Weighted image-domain (SSIM, L1, HFEN1, and SSIM3D for stacks of at
-    least SSIM_WINDOW frames) plus frequency-domain (NMAE on k-space) loss.
+def _data_range(mag: np.ndarray) -> float:
+    """The SSIM and PSNR data range of reference magnitudes: their maximum,
+    or 1 if that is not positive."""
+    peak = float(mag.max())
+    return peak if peak > 0 else 1.0
 
-    Image inputs are real magnitudes, 2D or (frame, row, col) stacks;
-    SSIM and HFEN are computed per frame and averaged. SSIM's data range is
-    the reference's maximum, or 1 if that is not positive.
-    """
+
+def score_volume(x_true: np.ndarray, x_pred: np.ndarray, y_true=None, y_pred=None,
+                 weights: LossWeights = LossWeights(), frame_range: bool = False) -> list[tuple]:
+    """``mcrecon evaluate``'s ``(frame, metric, value)`` rows for the real
+    magnitudes x_true, x_pred (2D or (frame, row, col)): per frame ssim, nmse,
+    psnr and hfen1; ssim3d for at least SSIM_WINDOW frames; and, given the
+    k-space pair, nmae and dual_domain_loss, the sum w_ssim * mean(1 - SSIM)
+    + w_l1 * ||x_true - x_pred||_1 + w_hfen1 * mean(HFEN1) + w_ssim3d *
+    (1 - SSIM3D) + w_nmae * NMAE (the SSIM3D term only with its row). SSIM
+    and PSNR use the volume's data range, or each frame's with
+    ``frame_range``; SSIM3D and the loss always use the volume's."""
     x_true, x_pred = _same_shape(x_true, x_pred, float)
-    data_range = float(x_true.max())
-    if data_range <= 0:
-        data_range = 1.0
     frames_t = x_true[np.newaxis] if x_true.ndim == 2 else x_true
     frames_p = x_pred[np.newaxis] if x_pred.ndim == 2 else x_pred
-    return loss_from_terms(
-        x_true,
-        x_pred,
-        [ssim(ft, fp, data_range) for ft, fp in zip(frames_t, frames_p)],
-        [hfen1(ft, fp) for ft, fp in zip(frames_t, frames_p)],
-        ssim3d(frames_t, frames_p, data_range) if len(frames_t) >= SSIM_WINDOW else None,
-        nmae(y_true, y_pred),
-        weights,
-    )
+    vol_range = _data_range(x_true)
+    rows: list[tuple] = []
+    ssims, hfens = [], []
+    for t, (ft, fp) in enumerate(zip(frames_t, frames_p)):
+        rng = _data_range(ft) if frame_range else vol_range
+        ssims.append(ssim(ft, fp, rng))
+        hfens.append(hfen1(ft, fp))
+        rows += [(t, "ssim", ssims[-1]), (t, "nmse", nmse(ft, fp)), (t, "psnr", psnr(ft, fp, rng)),
+                 (t, "hfen1", hfens[-1])]
+    s3 = ssim3d(frames_t, frames_p, vol_range) if len(frames_t) >= SSIM_WINDOW else None
+    if s3 is not None:
+        rows.append(("all", "ssim3d", s3))
+    if y_true is None:
+        return rows
+    nm = nmae(y_true, y_pred)
+    if frame_range:
+        ssims = [ssim(ft, fp, vol_range) for ft, fp in zip(frames_t, frames_p)]
+    loss = (weights.w_ssim * np.mean([1.0 - s for s in ssims])
+            + weights.w_l1 * float(np.abs(x_true - x_pred).sum())
+            + weights.w_hfen1 * np.mean(hfens))
+    if s3 is not None:
+        loss += weights.w_ssim3d * (1.0 - s3)
+    loss += weights.w_nmae * nm
+    return rows + [("all", "nmae", nm), ("all", "dual_domain_loss", float(loss))]
 
 
-def loss_from_terms(
-    x_true, x_pred, frame_ssims, frame_hfens, ssim3d_value, nmae_value, weights: LossWeights
-) -> float:
-    """:func:`dual_domain_loss` of the magnitudes x_true, x_pred from the lists
-    of their per-frame SSIM (on the loss's data range) and HFEN1 values, their
-    SSIM3D (None for fewer than SSIM_WINDOW frames) and the k-space NMAE."""
-    x_true, x_pred = _same_shape(x_true, x_pred, float)
-    total = (
-        weights.w_ssim * np.mean([1.0 - s for s in frame_ssims])
-        + weights.w_l1 * float(np.abs(x_true - x_pred).sum())
-        + weights.w_hfen1 * np.mean(frame_hfens)
-    )
-    if ssim3d_value is not None:
-        total += weights.w_ssim3d * (1.0 - ssim3d_value)
-    total += weights.w_nmae * nmae_value
-    return float(total)
+def dual_domain_loss(x_true: np.ndarray, x_pred: np.ndarray, y_true: np.ndarray,
+                     y_pred: np.ndarray, weights: LossWeights = LossWeights()) -> float:
+    """The dual-domain loss of real magnitudes (2D or (frame, row, col)) and
+    their k-space: the ``dual_domain_loss`` row of :func:`score_volume`."""
+    return score_volume(x_true, x_pred, y_true, y_pred, weights)[-1][2]

@@ -81,11 +81,12 @@ def _columns_to_mask(height, width, cols, scheme, accel, n_acs) -> SamplingMask:
     )
 
 
-def _fully_sampled(height, width, scheme, acs_lines=0, acs_radius=0) -> SamplingMask:
-    """The mask every generator returns at acceleration 1, under its own
-    scheme name and ACS metadata."""
+def _fully_sampled(height, width, scheme, acs_radius=0) -> SamplingMask:
+    """The fully sampled mask of :func:`full_mask`, and of the point
+    generators at acceleration 1, which their sampling cannot fill. The
+    rectilinear generators reach it on their general path."""
     pattern = np.ones((height, width), dtype=np.uint8)
-    return SamplingMask(pattern, scheme, 1.0, acs_lines=acs_lines, acs_radius=acs_radius)
+    return SamplingMask(pattern, scheme, 1.0, acs_radius=acs_radius)
 
 
 def full_mask(height: int, width: int) -> SamplingMask:
@@ -100,8 +101,6 @@ def equispaced_mask(height: int, width: int, accel: float, n_acs: int, seed: int
     non-ACS columns.
     """
     cols, outside, extra = _rectilinear_plan(height, width, accel, n_acs)
-    if accel == 1:
-        return _fully_sampled(height, width, "equispaced", acs_lines=n_acs)
     if extra > 0 and outside:
         extra = min(extra, len(outside))
         stride = len(outside) / extra
@@ -118,8 +117,6 @@ def random_rectilinear_mask(
     """Like :func:`equispaced_mask` but non-ACS columns drawn uniformly
     without replacement to the same total count."""
     cols, outside, extra = _rectilinear_plan(height, width, accel, n_acs)
-    if accel == 1:
-        return _fully_sampled(height, width, "random-rectilinear", acs_lines=n_acs)
     if extra > 0 and outside:
         rng = Lcg(seed)
         rng.shuffle(outside)

@@ -3,12 +3,13 @@
 Classical pipeline: keep only the fully-sampled central k-space, apodize
 with a raised-cosine window, inverse-transform per coil, and normalize by
 the RSS image on its support, where it exceeds SUPPORT_THRESHOLD times its
-maximum; the maps are zero elsewhere.
+maximum; the maps are zero elsewhere. The k-space must lie on the mask's
+grid, which ``core.check_inputs`` checks.
 """
 
 import numpy as np
 
-from .core import KSpaceData, SamplingMask, SensitivityMaps, rss
+from .core import KSpaceData, SamplingMask, SensitivityMaps, check_inputs, rss
 from .fourier import ifft2c
 
 SUPPORT_THRESHOLD = 0.05
@@ -46,8 +47,7 @@ def estimate_from_acs(ksp: KSpaceData, mask: SamplingMask) -> SensitivityMaps:
     Dynamic inputs use frame 0; the mask (and hence the ACS region) is
     shared across frames.
     """
-    if (ksp.height, ksp.width) != (mask.height, mask.width):
-        raise ValueError("k-space grid does not match mask grid")
+    check_inputs(ksp, mask)
     window = _acs_window(mask)
     lowres = ifft2c(window * ksp.data[:, 0])
     mag = rss(lowres)

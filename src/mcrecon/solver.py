@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps
+from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps, check_inputs
 from .fourier import ForwardOperator
 
 DENOISER_KINDS = ("identity", "l1-soft-threshold", "tikhonov-smooth", "tv-chambolle")
@@ -110,27 +110,6 @@ class AdmmConfig:
 
 
 MODE_DEFAULTS = {"static": {}, "dynamic": {"T": 10, "inner_iters": 8}}
-
-
-def check_maps(mask: SamplingMask, sens: SensitivityMaps) -> None:
-    """Raise ValueError unless ``sens`` lies on the mask's grid."""
-    if (sens.height, sens.width) != (mask.height, mask.width):
-        raise ValueError(f"sensitivity grid {(sens.height, sens.width)}, "
-                         f"mask grid {(mask.height, mask.width)}")
-
-
-def check_inputs(y: KSpaceData, mask: SamplingMask, sens: SensitivityMaps | None = None) -> None:
-    """Raise ValueError unless ``y`` and ``sens`` (if given) lie on the mask's
-    grid and ``y`` has as many coils as ``sens``."""
-    grid = (mask.height, mask.width)
-    if sens is not None:
-        check_maps(mask, sens)
-    if (y.height, y.width) != grid or (sens is not None and y.n_coils != sens.n_coils):
-        maps = "" if sens is None else f", maps with {sens.n_coils} coils"
-        raise ValueError(
-            f"k-space dimensions do not match mask/sensitivities: k-space with "
-            f"{y.n_coils} coils on grid {(y.height, y.width)}, mask grid {grid}{maps}"
-        )
 
 
 def zero_filled_init(

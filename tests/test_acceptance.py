@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ALL_SCHEMES, make_mask, random_sens
+from helpers import ALL_SCHEMES, make_mask, random_sens
 from mcrecon.core import KSpaceData
 from mcrecon.data import (
     FormatError,

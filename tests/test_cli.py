@@ -156,6 +156,24 @@ class TestMaskCommand:
         assert "--config" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault", ["last token", "missing file", "no equals"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, fault):
+        """--config with no file after it, a file that does not exist and a
+        line without '=' each exit 2, name the cause and write nothing."""
+        cfg = tmp_path / "c.conf"
+        cfg.write_text("scheme=equispaced\nacs 8\n")
+        given, message = {
+            "last token": ([], "--config needs a file argument"),
+            "missing file": ([tmp_path / "none.conf"], f"config file not found: {tmp_path}"),
+            "no equals": ([cfg], f"{cfg}:2: expected key=value, got 'acs 8'"),
+        }[fault]
+        out = tmp_path / "m.cks"
+        rc = run(["mask", "--size", "16x16", "--accel", "2", "--seed", "0", "--out", out,
+                  "--config", *given])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("m.*"))
+
     def test_deterministic_per_seed(self, tmp_path):
         a, b = tmp_path / "a.cks", tmp_path / "b.cks"
         for out in (a, b):
@@ -363,6 +381,12 @@ class TestReconstructCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "lam" in err and "missing.cks" not in err
+
+    def test_denoiser_choices_are_the_aliases(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        denoiser = next(a for a in sub.choices["reconstruct"]._actions if a.dest == "denoiser")
+        assert list(denoiser.choices) == sorted(cli._DENOISER_ALIASES)
 
     def test_zero_filled_ignores_solver_flags(self, sim_files, tmp_path):
         args = ["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
@@ -578,6 +602,29 @@ class TestEvaluateCommand:
             yt, yp = (read_cks(paths[k]).data for k in ("yt", "yp"))
             want = dual_domain_loss(mt, mp, yt, yp)
             assert got[("all", "dual_domain_loss")] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("weight, with_kspace", [("-1", True), ("nan", False)])
+    def test_bad_loss_weight_is_usage_error(self, sim_files, tmp_path, capsys, weight,
+                                           with_kspace):
+        """A --w-* flag is checked as a flag, before any file is read, whether
+        or not the k-space files that the loss needs are given."""
+        out = tmp_path / "m.csv"
+        kspace = ["--kspace-truth", sim_files["full"], "--kspace-pred", sim_files["full"]]
+        rc = run(["evaluate", "--truth", sim_files["truth"], "--pred", sim_files["truth"],
+                  *(kspace if with_kspace else []), "--w-nmae", weight, "--out", out])
+        assert rc == 2
+        assert "w_nmae must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_under_the_ssim_window_names_the_truth(self, tmp_path, capsys):
+        truth, pred, out = tmp_path / "t.cks", tmp_path / "p.cks", tmp_path / "m.csv"
+        rng = np.random.default_rng(2)
+        write_cks(truth, ComplexImage(rng.random((1, 5, 5)).astype(complex)))
+        write_cks(pred, ComplexImage(rng.random((1, 5, 5)).astype(complex)))
+        assert run(["evaluate", "--truth", truth, "--pred", pred, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert str(truth) in err and "SSIM needs 2D inputs of at least 7 per axis" in err
+        assert not out.exists()
 
     def test_dim_mismatch_is_error(self, sim_files, tmp_path):
         small = tmp_path / "small.cks"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_SCHEMES, dft2c_oracle, make_mask, random_sens
+from helpers import ALL_SCHEMES, dft2c_oracle, make_mask, random_sens
 from mcrecon.core import RECTILINEAR_SCHEMES
 from mcrecon.fourier import (
     GRAM_MAX_SIDE,

@@ -15,6 +15,7 @@ from mcrecon.metrics import (
     nmae,
     nmse,
     psnr,
+    score_volume,
     ssim,
     ssim3d,
 )
@@ -355,3 +356,33 @@ class TestDualDomainLoss:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             LossWeights(w_ssim=-1.0)
+
+
+class TestScoreVolume:
+    def test_frame_range_scores_frames_on_their_own_peak_and_the_loss_on_the_volume(self, rng):
+        """With frame_range each frame's ssim and psnr rows use that frame's
+        maximum, while the loss row stays dual_domain_loss's, which scores
+        every frame on the volume's maximum."""
+        peaks = np.linspace(1.0, 0.25, 7)
+        x = rng.random((7, 16, 16)) * peaks[:, None, None]
+        xp = x + 0.02 * rng.standard_normal(x.shape)
+        y = rng.standard_normal((2, 7, 16, 16)) + 1j * rng.standard_normal((2, 7, 16, 16))
+        yp = y + 0.1 * rng.standard_normal(y.shape)
+        rows = score_volume(x, xp, y, yp, frame_range=True)
+        got = {(frame, metric): value for frame, metric, value in rows}
+        for t in range(7):
+            peak = float(x[t].max())
+            assert got[(t, "ssim")] == pytest.approx(ssim(x[t], xp[t], peak), abs=1e-12)
+            assert got[(t, "psnr")] == pytest.approx(psnr(x[t], xp[t], peak), abs=1e-9)
+        assert got[(6, "ssim")] != pytest.approx(ssim(x[6], xp[6], float(x.max())), abs=1e-6)
+        assert got[("all", "ssim3d")] == pytest.approx(ssim3d(x, xp, float(x.max())), abs=1e-12)
+        loss = dual_domain_loss(x, xp, y, yp)
+        assert got[("all", "dual_domain_loss")] == pytest.approx(loss, rel=1e-12, abs=1e-12)
+        assert [metric for _, metric, _ in rows[-3:]] == ["ssim3d", "nmae", "dual_domain_loss"]
+
+    def test_without_kspace_only_image_rows(self, rng):
+        x = rng.random((2, 16, 16))
+        rows = score_volume(x, x + 0.01)
+        assert [(frame, metric) for frame, metric, _ in rows] == [
+            (t, m) for t in range(2) for m in ("ssim", "nmse", "psnr", "hfen1")
+        ]

@@ -32,7 +32,7 @@ from mcrecon.solver import (
     zero_filled_init,
 )
 
-from conftest import random_sens
+from helpers import random_sens
 
 DTYPES = (np.complex64, np.complex128)
 QUALITY_BOUNDS = {

@@ -3,8 +3,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcrecon.core import MASK_SCHEMES
+from mcrecon.core import MASK_SCHEMES, RECTILINEAR_SCHEMES, SamplingMask
 from mcrecon.sampling import (
     GENERATORS,
     achieved_acceleration,
@@ -191,6 +193,24 @@ class TestMakeMask:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown mask scheme"):
             make_mask("cartesian", 16, 16, 2, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scheme=st.sampled_from(RECTILINEAR_SCHEMES),
+        height=st.integers(1, 16),
+        width=st.integers(1, 40),
+        acs_share=st.floats(0, 1),
+        seed=st.integers(0, 2**32),
+    )
+    def test_rectilinear_r1_is_the_fully_sampled_mask(self, scheme, height, width, acs_share, seed):
+        """At R=1 a rectilinear generator's general path adds every column
+        outside the ACS band, for any ACS width from 0 to the grid width."""
+        n_acs = round(acs_share * width)
+        got = make_mask(scheme, height, width, 1, seed, acs_lines=n_acs)
+        want = SamplingMask(np.ones((height, width)), scheme, 1.0, acs_lines=n_acs)
+        assert np.array_equal(got.pattern, want.pattern)
+        assert (got.scheme, got.nominal_acceleration, got.acs_lines, got.acs_radius) == (
+            want.scheme, want.nominal_acceleration, want.acs_lines, want.acs_radius)
 
     def test_core_scheme_names_are_the_registry(self):
         # scheme names are stored in CKS mask files, so the two lists must agree

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_mask, random_sens
+from helpers import make_mask, random_sens
 from mcrecon import sampling
 from mcrecon.core import RECTILINEAR_SCHEMES, KSpaceData
 from mcrecon.fourier import GRAM_MIN_FRAMES, ForwardOperator
