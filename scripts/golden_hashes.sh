@@ -8,17 +8,19 @@
 # --estimate-sens, --mode dynamic with and without --T/--inner, a dynamic
 # TV solve with --estimate-sens on a random-rectilinear mask, one with
 # --sens at 6 frames (fourier.GRAM_MIN_FRAMES, the fewest that take the row
-# Gram path; the 7-frame dynamic solves take it too), a 3-frame dynamic TV
-# solve on a 45x45 grid (an odd row length for the TV prox's flat passes),
-# --jobs 1
-# and 2, evaluate, and the exit codes in rcs.txt. Seven are bad arguments and
+# Gram path; the 7-frame dynamic solves take it too), a --T 0 solve of that
+# 6-frame input (r_dynG_t0, the zero-filled start with no Gram form built),
+# a 3-frame dynamic TV solve on a 45x45 grid (an odd row length for the TV
+# prox's flat passes), --jobs 1 and 2, evaluate, and the exit codes in
+# rcs.txt. Seven are bad arguments and
 # exit 2: an unknown scheme (rc_bogus), an unknown denoiser (rc_den), a
 # gaussian2d budget below its ACS disc (rc_budget), R=0.5 (rc_acc), a 0x0
 # grid (rc_grid), --strength nan (rc_nan) and an evaluate with k-space files
-# and --w-nmae -1 (rc_weight). Two have their outputs deleted:
+# and --w-nmae -1 (rc_weight). Three have their outputs deleted:
 # --estimate-sens with an R=4 pseudo-radial mask, which has no ACS region,
-# fails its solve and exits 1 (rc_est_radial), and with an R=1 equispaced
-# mask with 8 ACS lines it exits 0 (rc_est_r1). Two are bad input files and
+# fails its solve and exits 1 (rc_est_radial); with an R=1 equispaced mask
+# with 8 ACS lines it exits 0 (rc_est_r1); with a 2-line ACS block, whose
+# Hann window is all zero, it exits 1 (rc_est_acs2). Two are bad input files and
 # exit 1: the 48x48 equispaced mask given as --kspace (rc_kind), and
 # evaluate of the 48x48 truth against the 45x45 3-frame one (rc_eval_shape).
 # The 45x45 maps given with the 48x48 mask exit 1 (rc_sens_grid). The 3-frame
@@ -42,6 +44,7 @@ for s in equispaced random-rectilinear gaussian2d pseudo-radial pseudo-spiral; d
 done
 $M mask --scheme pseudo-radial --size 64x64 --accel 8 --seed 5 --out m64_pseudo-radial.cks >/dev/null
 $M mask --scheme random-rectilinear --size 40x56 --accel 3.3 --acs 6 --seed 9 --out mr.cks >/dev/null
+$M mask --scheme equispaced --size 48x48 --accel 4 --acs 2 --seed 5 --out m_acs2.cks >/dev/null
 $M simulate --size 48 --coils 4 --seed 3 --mask m_equispaced.cks --out-prefix s >/dev/null
 $M simulate --size 48 --coils 4 --seed 4 --mask m_gaussian2d.cks --out-prefix g >/dev/null
 $M simulate --size 48 --frames 7 --coils 4 --seed 6 --mask m_equispaced.cks --out-prefix d >/dev/null
@@ -66,6 +69,7 @@ $M reconstruct --kspace d_kspace_masked.cks --mask m_equispaced.cks --estimate-s
 $M reconstruct --kspace d_kspace_masked.cks --mask m_equispaced.cks --sens d_sens.cks --mode dynamic --inner 2 --out-prefix r_dynI >/dev/null
 $M reconstruct --kspace dr_kspace_masked.cks --mask m_random-rectilinear.cks --estimate-sens --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_dynR >/dev/null
 $M reconstruct --kspace dg_kspace_masked.cks --mask m_random-rectilinear.cks --sens dg_sens.cks --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_dynG >/dev/null
+$M reconstruct --kspace dg_kspace_masked.cks --mask m_random-rectilinear.cks --sens dg_sens.cks --mode dynamic --T 0 --out-prefix r_dynG_t0 >/dev/null
 $M reconstruct --kspace o_kspace_masked.cks --mask m45.cks --sens o_sens.cks --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_odd >/dev/null
 $M reconstruct --kspace a/v1.cks a/v3.cks --mask m_equispaced.cks --sens s_sens.cks --jobs 1 --out-prefix j1 >/dev/null
 $M reconstruct --kspace a/v1.cks a/v3.cks --mask m_equispaced.cks --sens s_sens.cks --jobs 2 --out-prefix j2 >/dev/null
@@ -87,12 +91,13 @@ $M mask --scheme pseudo-radial --size 0x0 --accel 4 --seed 0 --out x.cks >/dev/n
 $M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --denoiser tv --strength nan --out-prefix x_nan >/dev/null 2>&1; echo "rc_nan=$?" >> rcs.txt
 $M reconstruct --kspace g_kspace_full.cks --mask m_pseudo-radial.cks --estimate-sens --T 2 --out-prefix x_rad >/dev/null 2>&1; echo "rc_est_radial=$?" >> rcs.txt
 $M reconstruct --kspace g_kspace_full.cks --mask m1_equispaced.cks --estimate-sens --T 2 --out-prefix x_r1 >/dev/null 2>&1; echo "rc_est_r1=$?" >> rcs.txt
+$M reconstruct --kspace s_kspace_masked.cks --mask m_acs2.cks --estimate-sens --T 2 --out-prefix x_acs2 >/dev/null 2>&1; echo "rc_est_acs2=$?" >> rcs.txt
 $M reconstruct --kspace m_equispaced.cks --mask m_equispaced.cks --sens s_sens.cks --out-prefix x_kind >/dev/null 2>&1; echo "rc_kind=$?" >> rcs.txt
 $M evaluate --truth s_truth.cks --pred o_truth.cks --out x_eval.csv >/dev/null 2>&1; echo "rc_eval_shape=$?" >> rcs.txt
 $M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens o_sens.cks --out-prefix x_grid >/dev/null 2>&1; echo "rc_sens_grid=$?" >> rcs.txt
 ev e_odd.csv --truth o_truth.cks --pred r_odd.cks --kspace-truth o_kspace_full.cks --kspace-pred o_kspace_full.cks 2>/dev/null; echo "rc_eval_odd=$?" >> rcs.txt
 $M evaluate --truth s_truth.cks --pred r_tv.cks --kspace-truth s_kspace_full.cks --kspace-pred s_kspace_full.cks --w-nmae -1 --out x_weight.csv >/dev/null 2>&1; echo "rc_weight=$?" >> rcs.txt
-rm -f x_rad* x_r1* x_nan*
+rm -f x_rad* x_r1* x_nan* x_acs2*
 set -e
 find . -type f ! -name hashes.txt | sort | xargs sha256sum > hashes.txt
 wc -l hashes.txt

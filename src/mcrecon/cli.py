@@ -9,6 +9,7 @@ flags always win.
 import argparse
 import contextlib
 import csv
+import dataclasses
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,8 +23,7 @@ from .fourier import ifft2c  # noqa: F401  (perfbench's tracer test looks it up 
 from .metrics import LossWeights, score_volume
 from .sampling import GENERATORS, achieved_acceleration, make_mask
 from .sensitivity import estimate_from_acs
-from .solver import DENOISER_KINDS, MODE_DEFAULTS, AdmmConfig, DenoiserSpec
-from .solver import admm_reconstruct, zero_filled_init
+from .solver import DENOISER_KINDS, MODE_DEFAULTS, AdmmConfig, DenoiserSpec, admm_reconstruct
 
 _DENOISER_ALIASES = {kind: kind for kind in DENOISER_KINDS} | {
     "l1": "l1-soft-threshold",
@@ -131,14 +131,11 @@ def cmd_simulate(args) -> int:
 
 
 def _reconstruct_one(ksp_path, ksp: KSpaceData, out: Path, mask, sens, cfg) -> None:
-    """Solve one volume with ``cfg``, or zero-fill it if ``cfg`` is None."""
+    """Solve one volume with ``cfg``."""
     if sens is None:
         sens = estimate_from_acs(ksp, mask)
     start = time.perf_counter()
-    if cfg is None:
-        recon = zero_filled_init(ksp, mask, sens)
-    else:
-        recon = admm_reconstruct(ksp, mask, sens, cfg)
+    recon = admm_reconstruct(ksp, mask, sens, cfg)
     elapsed = time.perf_counter() - start
     dio.write_cks(out, recon)
     for t in range(recon.n_frames):
@@ -163,8 +160,8 @@ def cmd_reconstruct(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
     outs = _recon_paths(args.kspace, args.out_prefix)
-    cfg = None
-    if args.method == "admm":  # zero-filled ignores the solver flags
+    cfg = AdmmConfig(T=0)  # zero-filled is the T = 0 solve, built from no solver flag
+    if args.method == "admm":
         with _from_flags():
             spec = DenoiserSpec(_DENOISER_ALIASES[args.denoiser], args.strength, args.tv_iters)
             cfg = AdmmConfig.for_mode(args.mode, T=args.T, inner_iters=args.inner, lam=args.lam,
@@ -190,8 +187,8 @@ def cmd_evaluate(args) -> int:
         missing = "--kspace-truth" if args.kspace_pred else "--kspace-pred"
         raise CliError(f"{missing} is missing: --kspace-truth and --kspace-pred go together")
     with _from_flags():
-        weights = LossWeights(w_ssim=args.w_ssim, w_ssim3d=args.w_ssim3d, w_l1=args.w_l1,
-                              w_hfen1=args.w_hfen1, w_nmae=args.w_nmae)
+        weights = LossWeights(**{f.name: getattr(args, f.name)
+                                 for f in dataclasses.fields(LossWeights)})
     truth = _load_as(args.truth, ComplexImage)
     pred = _load_as(args.pred, ComplexImage, _shaped_like(truth))
     kspace = []
@@ -217,8 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Accelerated multi-coil MRI reconstruction toolbox",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="key=value file merged into the flags")
 
-    p = sub.add_parser("mask", help="generate an undersampling mask")
+    p = sub.add_parser("mask", parents=[config], help="generate an undersampling mask")
     p.add_argument("--scheme", required=True, choices=sorted(GENERATORS))
     p.add_argument("--size", required=True, help="grid size as HxW")
     p.add_argument("--accel", type=float, required=True)
@@ -226,20 +225,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--acs-radius", type=int, default=8, help="ACS disc radius (gaussian2d)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help="key=value file merged into the flags")
     p.set_defaults(func=cmd_mask)
 
-    p = sub.add_parser("simulate", help="generate phantom ground truth and k-space")
+    p = sub.add_parser("simulate", parents=[config],
+                       help="generate phantom ground truth and k-space")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--frames", type=int, default=1)
     p.add_argument("--coils", type=int, default=4)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mask", help="CKS mask to also write undersampled k-space")
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--config", help="key=value file merged into the flags")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("reconstruct", help="reconstruct images from k-space")
+    p = sub.add_parser("reconstruct", parents=[config], help="reconstruct images from k-space")
     p.add_argument("--kspace", nargs="+", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--sens")
@@ -248,30 +246,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=tuple(MODE_DEFAULTS), default="static")
     p.add_argument("--denoiser", choices=sorted(_DENOISER_ALIASES), default="tikhonov")
     p.add_argument("--strength", type=float, default=1e-2)
-    p.add_argument("--tv-iters", type=int, default=20)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--inner", type=int, default=None)
+    p.add_argument("--tv-iters", type=int, default=DenoiserSpec.iterations)
+    p.add_argument("--lam", type=float)
+    p.add_argument("--step", type=float)
+    p.add_argument("--T", type=int)
+    p.add_argument("--inner", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--config", help="key=value file merged into the flags")
     p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("evaluate", help="compute metrics and write a CSV")
+    p = sub.add_parser("evaluate", parents=[config], help="compute metrics and write a CSV")
     p.add_argument("--truth", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--kspace-truth")
     p.add_argument("--kspace-pred")
     p.add_argument("--volume-id", default="vol0")
     p.add_argument("--normalize", choices=("volume", "frame"), default="volume")
-    p.add_argument("--w-ssim", type=float, default=1.0)
-    p.add_argument("--w-ssim3d", type=float, default=1.0)
-    p.add_argument("--w-l1", type=float, default=1.0)
-    p.add_argument("--w-hfen1", type=float, default=1.0)
-    p.add_argument("--w-nmae", type=float, default=3.0)
+    for weight in dataclasses.fields(LossWeights):  # --w-ssim, ..., --w-nmae
+        p.add_argument("--" + weight.name.replace("_", "-"), type=float, default=weight.default)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", help="key=value file merged into the flags")
     p.set_defaults(func=cmd_evaluate)
 
     return parser

@@ -4,7 +4,8 @@ Each outer step alternates a proximal denoising update on the auxiliary
 image w, a fixed number of gradient-descent iterations enforcing data
 consistency on x, and the scaled Lagrange-multiplier update
 m <- m + lam * (x - w). Multipliers start at zero; x and w start from the
-zero-filled (adjoint) reconstruction. The denoiser is pluggable: identity,
+zero-filled (adjoint) reconstruction, which a T = 0 solve returns before it
+builds any data-consistency form. The denoiser is pluggable: identity,
 complex soft-thresholding, a closed-form Tikhonov smoother, or a
 fixed-iteration Chambolle TV prox. The TV prox runs frame by frame on
 the frame's real and imaginary parts, with its dual, gradient, divergence and
@@ -328,10 +329,13 @@ def admm_reconstruct(
     """Run the full unrolled solve, in the dtype of ``y``, and return the
     final image x.
 
-    T = 0 returns the zero-filled initialization unchanged.
+    T = 0 returns the zero-filled start and builds no data-consistency form.
     """
     op = ForwardOperator(mask=mask, sens=sens, dtype=y.data.dtype)
-    x = w = zero_filled_init(y, mask, sens, op).data
+    start = zero_filled_init(y, mask, sens, op)
+    if cfg.T == 0:
+        return start
+    x = w = start.data
     gram = op.row_gram(y.data)
     dc = (GradientSteps(*op.for_data_consistency(y.data), cfg) if gram is None
           else RowGramSteps(*gram, cfg, op.dtype))

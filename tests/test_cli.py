@@ -17,7 +17,7 @@ from mcrecon import cli
 from mcrecon.core import ComplexImage, KSpaceData
 from mcrecon.data import dynamic_phantom, read_cks, simulate_coils, write_cks
 from mcrecon.fourier import GRAM_MIN_FRAMES
-from mcrecon.metrics import dual_domain_loss, hfen1, nmae, nmse, psnr, ssim, ssim3d
+from mcrecon.metrics import LossWeights, dual_domain_loss, hfen1, nmae, nmse, psnr, ssim, ssim3d
 from mcrecon.sampling import GENERATORS, make_mask
 from mcrecon.sensitivity import estimate_from_acs
 from mcrecon.solver import DENOISER_KINDS, AdmmConfig, DenoiserSpec, admm_reconstruct
@@ -134,6 +134,23 @@ class TestMaskCommand:
         mask = read_cks(out)
         # accel=4 from the flag, not accel=2 from the config
         assert int((mask.pattern.max(axis=0) == 1).sum()) == 8
+
+    def test_config_file_skips_blank_and_comment_lines(self, tmp_path):
+        cfg = tmp_path / "mask.conf"
+        cfg.write_text("# a 32x32 mask\n\nscheme=equispaced\n   \n  # acs=2\nsize=32x32\nacs=8\n")
+        out = tmp_path / "m.cks"
+        assert run(["mask", "--config", cfg, "--accel", "4", "--seed", "5", "--out", out]) == 0
+        mask = read_cks(out)
+        assert mask.pattern.shape == (32, 32) and mask.acs_lines == 8
+
+    @pytest.mark.parametrize("size", ["16", "16x", "x16", "16x16x1", "axb"])
+    def test_bad_size_is_usage_error(self, tmp_path, capsys, size):
+        out = tmp_path / "m.cks"
+        rc = run(["mask", "--scheme", "equispaced", "--size", size, "--accel", "2",
+                  "--seed", "0", "--out", out])
+        assert rc == 2
+        assert f"bad --size {size!r}: expected HxW" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("form", [["--config", "{}"], ["--config={}"]])
     def test_config_file_given_with_or_without_equals(self, tmp_path, form):
@@ -327,6 +344,22 @@ class TestReconstructCommand:
         assert "no ACS region" in capsys.readouterr().err
         assert not (tmp_path / "x.cks").exists()
 
+    def test_estimate_sens_with_two_acs_lines_fails_like_the_library(
+            self, sim_files, tmp_path, capsys):
+        """A 2-line ACS block has an all-zero Hann window: reconstruct exits 1
+        and writes nothing, where it once wrote an all-zero image."""
+        mask_path = tmp_path / "acs2.cks"
+        assert run(["mask", "--scheme", "equispaced", "--size", "64x64", "--accel", "4",
+                    "--acs", "2", "--seed", "0", "--out", mask_path]) == 0
+        with pytest.raises(ValueError, match="ACS calibration gives empty maps"):
+            estimate_from_acs(read_cks(sim_files["masked"]), read_cks(mask_path))
+        capsys.readouterr()
+        rc = run(["reconstruct", "--kspace", sim_files["masked"], "--mask", mask_path,
+                  "--estimate-sens", "--T", "2", "--out-prefix", tmp_path / "x"])
+        assert rc == 1
+        assert "ACS calibration gives empty maps" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
     def test_estimate_sens_on_fully_sampled_acs_mask_matches_the_library(self, sim_files, tmp_path):
         mask_path = tmp_path / "r1.cks"
         assert run(["mask", "--scheme", "equispaced", "--size", "64x64", "--accel", "1",
@@ -387,6 +420,18 @@ class TestReconstructCommand:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         denoiser = next(a for a in sub.choices["reconstruct"]._actions if a.dest == "denoiser")
         assert list(denoiser.choices) == sorted(cli._DENOISER_ALIASES)
+
+    def test_flag_defaults_are_the_librarys(self):
+        """Unset solver and loss-weight flags give the library's own defaults."""
+        parser = cli.build_parser()
+        args = parser.parse_args(["reconstruct", "--kspace", "k.cks", "--mask", "m.cks",
+                                  "--estimate-sens", "--out-prefix", "r"])
+        assert (args.lam, args.T, args.inner, args.step) == (None, None, None, None)
+        assert args.tv_iters == DenoiserSpec().iterations
+        args = parser.parse_args(["evaluate", "--truth", "t.cks", "--pred", "p.cks",
+                                  "--out", "e.csv"])
+        weights = {n: getattr(args, n) for n in ("w_ssim", "w_ssim3d", "w_l1", "w_hfen1", "w_nmae")}
+        assert weights == vars(LossWeights())
 
     def test_zero_filled_ignores_solver_flags(self, sim_files, tmp_path):
         args = ["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
@@ -705,7 +750,7 @@ class TestLibraryMatchesCli:
     @given(
         height=st.integers(16, 24),
         width=st.integers(16, 24),
-        scheme=st.sampled_from(["equispaced", "random-rectilinear", "gaussian2d"]),
+        scheme=st.sampled_from(sorted(GENERATORS)),
         denoiser=st.sampled_from(sorted(_DENOISER_NAMES)),
         mode=st.sampled_from(["static", "dynamic"]),
         estimate=st.booleans(),
@@ -717,7 +762,9 @@ class TestLibraryMatchesCli:
         """mask -> simulate -> reconstruct -> evaluate through cli.main agrees
         with the library on the files' contents. simulate renders square
         phantoms, so a non-square grid's files are those of a cropped phantom,
-        written with write_cks."""
+        written with write_cks. The pseudo-radial and pseudo-spiral masks have
+        no ACS region, so they run with --sens only."""
+        estimate = estimate and not scheme.startswith("pseudo-")
         tmp = tmp_path_factory.mktemp("pipeline")
         frames = 7 if mode == "dynamic" else 1  # evaluate's ssim3d needs 7 frames
         mask_path, prefix = tmp / "m.cks", tmp / "sim"

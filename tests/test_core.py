@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,19 @@ class TestComplexImage:
         with pytest.raises(ValueError):
             img.data[0, 0, 0] = 2.0
 
+    @pytest.mark.parametrize(
+        "cls, shape, message",
+        [
+            (ComplexImage, (4,), "image data must be 2D or 3D, got shape (4,)"),
+            (ComplexImage, (1, 1, 4, 4), "image data must be 2D or 3D"),
+            (KSpaceData, (4, 4), "k-space data must be 3D or 4D, got shape (4, 4)"),
+            (SensitivityMaps, (1, 1, 4, 4), "sensitivity maps data must be 3D"),
+        ],
+    )
+    def test_container_of_the_wrong_rank_rejected(self, cls, shape, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(np.ones(shape))
+
 
 class TestKSpaceData:
     def test_coil_frame_axes(self):
@@ -94,6 +109,11 @@ class TestSamplingMask:
     def test_rejects_empty_pattern(self):
         with pytest.raises(ValueError):
             SamplingMask(np.zeros((4, 4)), "gaussian2d", 4.0)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4, 4), (0, 4), (4, 0)])
+    def test_pattern_must_be_2d_and_nonempty(self, shape):
+        with pytest.raises(ValueError, match="mask pattern must be 2D and nonempty"):
+            SamplingMask(np.ones(shape), "full", 1.0)
 
     def test_rectilinear_column_constancy_enforced(self):
         p = np.zeros((4, 4))

@@ -143,6 +143,11 @@ class TestRandomKspaceCrop:
         with pytest.raises(ValueError):
             random_kspace_crop(self._ksp(), 64, 16, 0)
 
+    @pytest.mark.parametrize("crop", [(0, 16), (16, 0)])
+    def test_empty_crop_rejected(self, crop):
+        with pytest.raises(ValueError, match="crop dimensions must be >= 1"):
+            random_kspace_crop(self._ksp(), *crop, 0)
+
 
 class TestCksFormat:
     def test_kspace_roundtrip_bitwise(self, tmp_path, rng):
@@ -434,3 +439,8 @@ class TestPgm:
         sidecar = tmp_path / "img.pgm.scale.txt"
         assert sidecar.exists()
         assert "min=" in sidecar.read_text()
+
+    def test_non_2d_array_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="PGM export needs a 2D array"):
+            write_pgm(tmp_path / "v.pgm", np.ones((2, 8, 8)))
+        assert not list(tmp_path.iterdir())

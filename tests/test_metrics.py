@@ -95,6 +95,12 @@ class TestSsim:
         with pytest.raises(ValueError):
             ssim(np.ones((5, 5)), np.ones((5, 5)))
 
+    @pytest.mark.parametrize("data_range", [0.0, -1.0])
+    def test_nonpositive_data_range_rejected(self, rng, data_range):
+        u = rng.random((8, 8))
+        with pytest.raises(ValueError, match="data_range must be positive"):
+            ssim(u, u, data_range)
+
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
     def test_symmetry_and_bound(self, seed):
@@ -274,6 +280,10 @@ class TestNmse:
         with pytest.raises(UndefinedMetricError):
             nmse(np.zeros((4, 4)), np.ones((4, 4)))
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"shape mismatch: \(4, 4\) vs \(4, 5\)"):
+            nmse(np.ones((4, 4)), np.ones((4, 5)))
+
 
 class TestPsnr:
     def test_uniform_error_closed_form(self):
@@ -295,6 +305,12 @@ class TestPsnr:
         v = rng.random((8, 8))
         mse = np.mean((u - v) ** 2)
         assert psnr(u, v, 1.5) == pytest.approx(10 * np.log10(1.5**2 / mse), abs=1e-9)
+
+    @pytest.mark.parametrize("data_range", [0.0, -1.0])
+    def test_nonpositive_data_range_rejected(self, rng, data_range):
+        u = rng.random((8, 8))
+        with pytest.raises(ValueError, match="data_range must be positive"):
+            psnr(u, u + 0.1, data_range)
 
 
 class TestDualDomainLoss:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mcrecon.core import MASK_SCHEMES, RECTILINEAR_SCHEMES, SamplingMask
 from mcrecon.sampling import (
     GENERATORS,
+    Lcg,
     achieved_acceleration,
     equispaced_mask,
     gaussian2d_mask,
@@ -146,6 +147,12 @@ class TestPseudoSpiral:
             changed = changed or not np.array_equal(m.pattern, base.pattern)
             assert abs(m.n_sampled - base.n_sampled) <= 0.02 * base.n_sampled
         assert changed
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_lcg_randint_needs_a_positive_bound(bound):
+    with pytest.raises(ValueError, match="randint bound must be positive"):
+        Lcg(0).randint(bound)
 
 
 class TestAchievedAcceleration:

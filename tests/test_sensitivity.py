@@ -3,9 +3,9 @@ import pytest
 
 from mcrecon.core import KSpaceData
 from mcrecon.data import shepp_logan, simulate_coils
-from mcrecon.fourier import fft2c
+from mcrecon.fourier import fft2c, ifft2c
 from mcrecon.sampling import equispaced_mask, gaussian2d_mask
-from mcrecon.sensitivity import estimate_from_acs
+from mcrecon.sensitivity import SUPPORT_THRESHOLD, estimate_from_acs
 
 
 def phantom_kspace(n=32, n_coils=4, seed=1):
@@ -59,11 +59,55 @@ class TestEstimateFromAcs:
         maps = estimate_from_acs(ksp, mask)
         assert maps.support.any()
 
+    @pytest.mark.parametrize(
+        "height, width, acs, scale",
+        [(16, 16, 2, 1.0), (2, 16, 6, 1.0), (16, 16, 8, 0.0)],
+        ids=["two-acs-lines", "two-row-grid", "zero-kspace"],
+    )
+    def test_all_zero_windowed_acs_raises_instead_of_empty_maps(self, height, width, acs, scale):
+        """A 2-point Hann window is [0, 0], so 2 ACS lines or a 2-row grid
+        leave no ACS data, as zero k-space does; the estimate raises instead
+        of returning all-zero maps."""
+        rng = np.random.default_rng(2)
+        ksp = KSpaceData(scale * (rng.standard_normal((3, 1, height, width))
+                                  + 1j * rng.standard_normal((3, 1, height, width))))
+        mask = equispaced_mask(height, width, 2, acs, 0)
+        with pytest.raises(ValueError, match=f"ACS calibration gives empty maps: the windowed "
+                                             f"ACS data of the {height}x{width} mask is all zero"):
+            estimate_from_acs(ksp, mask)
+
     def test_mask_without_acs_rejected(self):
         _, _, ksp = phantom_kspace(n=32)
         mask = equispaced_mask(32, 32, 2, 0, 0)
         with pytest.raises(ValueError):
             estimate_from_acs(ksp, mask)
+
+    @pytest.mark.parametrize(
+        "height, width, acs",
+        [(16, 16, 1), (15, 12, 1), (1, 16, 6), (1, 15, 5), (1, 8, 1)],
+        ids=["one-line-acs", "one-line-acs-odd", "one-row", "one-row-odd", "one-row-one-line"],
+    )
+    def test_one_point_window_axis_weighs_one(self, height, width, acs):
+        """A window axis of one point (one ACS line, or a one-row grid)
+        weighs that point by 1; the other axis is the Hann window sin^2(pi k/(n-1))."""
+        rng = np.random.default_rng(5)
+        ksp = KSpaceData(rng.standard_normal((3, 1, height, width))
+                         + 1j * rng.standard_normal((3, 1, height, width)))
+        mask = equispaced_mask(height, width, 2, acs, 0)
+
+        def hann(n):
+            return np.ones(1) if n == 1 else np.sin(np.pi * np.arange(n) / (n - 1)) ** 2
+
+        window = np.zeros((height, width))
+        start = (width - acs) // 2
+        window[:, start : start + acs] = np.outer(hann(height), hann(acs))
+        lowres = ifft2c(window * ksp.data[:, 0])
+        mag = np.sqrt(np.sum(np.abs(lowres) ** 2, axis=0))
+        support = mag > SUPPORT_THRESHOLD * mag.max()
+        maps = estimate_from_acs(ksp, mask)
+        assert support.any() and np.array_equal(maps.support, support)
+        assert np.allclose(maps.maps, np.where(support, lowres / np.where(support, mag, 1), 0),
+                           rtol=0, atol=1e-12)
 
     def test_dynamic_input_uses_frame_zero(self):
         img, sens, ksp = phantom_kspace(n=32)

@@ -84,6 +84,19 @@ class TestConfigs:
         with pytest.raises(ValueError):
             DenoiserSpec(kind="wavelet")
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: DenoiserSpec("tv-chambolle", 1e-3, iterations=0), "iterations must be >= 1"),
+            (lambda: AdmmConfig(T=-1), "T must be >= 0"),
+            (lambda: AdmmConfig(inner_iters=0), "inner_iters must be >= 1"),
+        ],
+        ids=["iterations=0", "T=-1", "inner_iters=0"],
+    )
+    def test_counts_below_their_minimum_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_for_mode_defaults_and_overrides(self):
         static = AdmmConfig.for_mode("static")
         assert (static.T, static.inner_iters) == (16, 14)
@@ -561,6 +574,32 @@ class TestOperatorCalls:
         y = KSpaceData(mask.pattern * rand_image(rng, 2, 2, 16, 16))
         admm_reconstruct(y, mask, sens, AdmmConfig(T=2, inner_iters=2))
         assert len(built) == 1
+
+    @pytest.mark.parametrize("scheme", ["random-rectilinear", "gaussian2d"])
+    def test_t0_returns_the_zero_filled_start_and_builds_no_data_consistency(
+        self, rng, monkeypatch, scheme
+    ):
+        """T = 0 is the zero-filled reconstruction: it equals zero_filled_init
+        byte for byte and calls neither row_gram nor for_data_consistency, on
+        GRAM_MIN_FRAMES frames of a rectilinear mask (a T > 0 solve takes the
+        row Gram path there) and on a point mask."""
+        sens = random_sens(rng, 2, 16, 16)
+        mask = make_mask(scheme, 16, 16, 4, 1)
+        data = mask.pattern * rand_image(rng, 2, GRAM_MIN_FRAMES, 16, 16)
+        y = KSpaceData(data.astype(np.complex64))
+        want = zero_filled_init(y, mask, sens)
+        called = []
+        for name in ("row_gram", "for_data_consistency"):
+
+            def recorded(self, arr, name=name, method=getattr(ForwardOperator, name)):
+                called.append(name)
+                return method(self, arr)
+
+            monkeypatch.setattr(ForwardOperator, name, recorded)
+        got = admm_reconstruct(y, mask, sens, AdmmConfig(T=0))
+        assert called == []
+        assert got.data.dtype == want.data.dtype == np.complex64
+        assert got.data.tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("scheme", ["equispaced", "random-rectilinear"])
     def test_row_gram_path_calls_only_the_zero_filled_adjoint(self, rng, monkeypatch, scheme):
