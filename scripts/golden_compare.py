@@ -15,12 +15,19 @@ Every file must be byte-identical, except:
   again with the mcrecon sources this script imports, on the parent's
   files, and each of its last-column values may differ from the parent's
   by at most 1e-12 * |parent value|.
+rcs.txt is compared key by key: each exit code that was added, removed or
+changed is printed (``rc_sens_both: 0 -> 2``), and is a difference unless it
+is declared with ``--expect KEY=CODE`` (``--expect KEY=`` declares a removed
+key). A declared key whose code is not CODE on the change's side, or did not
+change, is a difference too.
 Any other difference, or a file present on one side only, is named and the
 script exits 1.
 
 Usage: PYTHONPATH=src python3 scripts/golden_compare.py PARENT_OUT CHANGE_OUT
+       [--expect KEY=CODE ...]
 """
 
+import argparse
 import csv
 import os
 import subprocess
@@ -109,15 +116,44 @@ def _csv_rescored(a: Path, b: Path) -> str | None:
     return why and f"re-scored on the parent's files: {why}"
 
 
+def _exit_codes(path: Path) -> dict[str, str]:
+    return dict(line.split("=", 1) for line in path.read_text().split())
+
+
+def _rcs_changes(a: Path, b: Path, expect: dict[str, str]) -> tuple[list[str], list[str]]:
+    """The exit codes added, removed or changed from ``a`` to ``b`` as
+    ``expect`` declares, and a message for every other change and for every
+    ``expect`` entry that does not hold."""
+    ca, cb = _exit_codes(a), _exit_codes(b)
+    declared, problems = [], []
+    for key in sorted(ca.keys() | cb.keys() | expect.keys()):
+        old, new = ca.get(key, ""), cb.get(key, "")
+        line = f"{a.name}: {key}: {old or 'absent'} -> {new or 'absent'}"
+        if key in expect and (old == new or new != expect[key]):
+            problems.append(f"{line}, declared {expect[key] or 'absent'}")
+        elif key in expect:
+            declared.append(line)
+        elif old != new:
+            problems.append(line)
+    return declared, problems
+
+
 def _files(root: Path) -> set[Path]:
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file()} - {Path("hashes.txt")}
 
 
-def compare(parent: Path, change: Path) -> list[str]:
-    """One message per file that differs by more than round-off."""
+def compare(parent: Path, change: Path, expect: dict[str, str]) -> tuple[list[str], list[str]]:
+    """The exit codes in rcs.txt that changed as ``expect`` (KEY -> CODE, ""
+    for a removed key) declares, and one message per file that differs by
+    more than round-off and per exit code that changed otherwise."""
     pf, cf = _files(parent), _files(change)
     problems = [f"{f}: only in parent" for f in sorted(pf - cf)]
     problems += [f"{f}: only in change" for f in sorted(cf - pf)]
+    declared, rcs = [], Path("rcs.txt")
+    if rcs in pf & cf:
+        declared, bad = _rcs_changes(parent / rcs, change / rcs, expect)
+        problems += bad
+        pf.discard(rcs)
     for rel in sorted(pf & cf):
         a, b = parent / rel, change / rel
         if a.read_bytes() == b.read_bytes():
@@ -134,14 +170,26 @@ def compare(parent: Path, change: Path) -> list[str]:
             why = "differs"
         if why:
             problems.append(f"{rel}: {why}")
-    return problems
+    return declared, problems
+
+
+def _declared(text: str) -> tuple[str, str]:
+    key, sep, code = text.partition("=")
+    if not (key and sep):
+        raise argparse.ArgumentTypeError(f"expected KEY=CODE, got {text!r}")
+    return key, code
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
-        return 2
-    problems = compare(Path(argv[0]), Path(argv[1]))
+    ap = argparse.ArgumentParser(description="Compare two scripts/golden_hashes.sh outputs.")
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--expect", type=_declared, action="append", default=[],
+                    help="an exit code in rcs.txt that the change sets, as KEY=CODE")
+    args = ap.parse_args(argv)
+    declared, problems = compare(args.parent, args.change, dict(args.expect))
+    for line in declared:
+        print(f"{line} (declared)")
     for line in problems:
         print(line)
     print("golden outputs agree within round-off" if not problems else f"{len(problems)} differ")

@@ -4,7 +4,7 @@
 # Running it on two checkouts and diffing the two hashes.txt files shows
 # whether a change keeps every CLI output byte-identical. It covers all five
 # mask schemes at R=4 and R=1, a 64x64 R=8 pseudo-radial mask (many more
-# spokes than 48x48 R=4), every denoiser name, zero-filled, --config,
+# spokes than 48x48 R=4), every denoiser name, zero-filled (--T 0), --config,
 # --estimate-sens, --mode dynamic with and without --T/--inner, a dynamic
 # TV solve with --estimate-sens on a random-rectilinear mask, one with
 # --sens at 6 frames (fourier.GRAM_MIN_FRAMES, the fewest that take the row
@@ -23,13 +23,17 @@
 # Hann window is all zero, it exits 1 (rc_est_acs2). Two are bad input files and
 # exit 1: the 48x48 equispaced mask given as --kspace (rc_kind), and
 # evaluate of the 48x48 truth against the 45x45 3-frame one (rc_eval_shape).
-# The 45x45 maps given with the 48x48 mask exit 1 (rc_sens_grid). The 3-frame
-# 45x45 solve is scored by evaluate (e_odd.csv, rc_eval_odd), with no ssim3d
-# row since it has fewer frames than the SSIM window.
+# The 45x45 maps given with the 48x48 mask exit 1 (rc_sens_grid). --sens and
+# --estimate-sens together exit 2, as the two are exclusive (rc_sens_both). A
+# 16x16 equispaced mask with no --acs takes make_mask's 0 ACS lines and exits
+# 0 (rc_mask_small); its output is deleted. The 3-frame 45x45 solve is scored
+# by evaluate (e_odd.csv, rc_eval_odd), with no ssim3d row since it has fewer
+# frames than the SSIM window.
 #
 # For a change that may move floating-point round-off, compare the two
 # OUT_DIRs with scripts/golden_compare.py instead, which allows small
-# differences in reconstructions, their PGM previews and scale sidecars.
+# differences in reconstructions, their PGM previews and scale sidecars, and
+# compares rcs.txt per exit code (declare an intended one with --expect).
 #
 # Usage: bash scripts/golden_hashes.sh SRC_DIR OUT_DIR   (OUT_DIR empty or absent)
 set -euo pipefail
@@ -55,7 +59,7 @@ $M simulate --size 45 --frames 3 --coils 4 --seed 12 --mask m45.cks --out-prefix
 mkdir -p a; cp s_kspace_masked.cks a/v1.cks
 $M simulate --size 48 --coils 4 --seed 8 --mask m_equispaced.cks --out-prefix s8 >/dev/null
 cp s8_kspace_masked.cks a/v3.cks
-$M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --method zero-filled --out-prefix r_zf >/dev/null
+$M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --T 0 --out-prefix r_zf >/dev/null
 for d in identity l1 l1-soft-threshold tikhonov tikhonov-smooth tv tv-chambolle; do
   st=1e-3; [ $d = identity ] && st=0
   $M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --denoiser $d --strength $st --lam 0.1 --out-prefix r_$d >/dev/null
@@ -97,7 +101,9 @@ $M evaluate --truth s_truth.cks --pred o_truth.cks --out x_eval.csv >/dev/null 2
 $M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens o_sens.cks --out-prefix x_grid >/dev/null 2>&1; echo "rc_sens_grid=$?" >> rcs.txt
 ev e_odd.csv --truth o_truth.cks --pred r_odd.cks --kspace-truth o_kspace_full.cks --kspace-pred o_kspace_full.cks 2>/dev/null; echo "rc_eval_odd=$?" >> rcs.txt
 $M evaluate --truth s_truth.cks --pred r_tv.cks --kspace-truth s_kspace_full.cks --kspace-pred s_kspace_full.cks --w-nmae -1 --out x_weight.csv >/dev/null 2>&1; echo "rc_weight=$?" >> rcs.txt
-rm -f x_rad* x_r1* x_nan* x_acs2*
+$M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --estimate-sens --out-prefix x_both >/dev/null 2>&1; echo "rc_sens_both=$?" >> rcs.txt
+$M mask --scheme equispaced --size 16x16 --accel 2 --seed 0 --out x_small.cks >/dev/null 2>&1; echo "rc_mask_small=$?" >> rcs.txt
+rm -f x_rad* x_r1* x_nan* x_acs2* x_both* x_small*
 set -e
 find . -type f ! -name hashes.txt | sort | xargs sha256sum > hashes.txt
 wc -l hashes.txt

@@ -104,9 +104,9 @@ def _shaped_like(ref):
 
 def cmd_mask(args) -> int:
     h, w = _parse_size(args.size)
+    acs = {k: getattr(args, k) for k in ("acs_lines", "acs_radius") if k in args}
     with _from_flags():
-        mask = make_mask(args.scheme, h, w, args.accel, args.seed, acs_lines=args.acs,
-                         acs_radius=args.acs_radius)
+        mask = make_mask(args.scheme, h, w, args.accel, args.seed, **acs)
     out = Path(args.out)
     dio.write_cks(out, mask)
     dio.write_pgm(out.with_suffix(".pgm"), mask.pattern)
@@ -155,17 +155,13 @@ def _recon_paths(kspace: list[str], out_prefix: str) -> list[Path]:
 
 
 def cmd_reconstruct(args) -> int:
-    if not args.estimate_sens and not args.sens:
-        raise CliError("provide --sens FILE or --estimate-sens")
     if args.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
     outs = _recon_paths(args.kspace, args.out_prefix)
-    cfg = AdmmConfig(T=0)  # zero-filled is the T = 0 solve, built from no solver flag
-    if args.method == "admm":
-        with _from_flags():
-            spec = DenoiserSpec(_DENOISER_ALIASES[args.denoiser], args.strength, args.tv_iters)
-            cfg = AdmmConfig.for_mode(args.mode, T=args.T, inner_iters=args.inner, lam=args.lam,
-                                      step_size=args.step, denoiser=spec)
+    with _from_flags():
+        spec = DenoiserSpec(_DENOISER_ALIASES[args.denoiser], args.strength, args.tv_iters)
+        cfg = AdmmConfig.for_mode(args.mode, T=args.T, inner_iters=args.inner, lam=args.lam,
+                                  step_size=args.step, denoiser=spec)
     # every input is read and checked before any volume is solved
     mask = _load_as(args.mask, SamplingMask)
     sens = None if args.estimate_sens else _load_as(args.sens, SensitivityMaps,
@@ -221,8 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True, choices=sorted(GENERATORS))
     p.add_argument("--size", required=True, help="grid size as HxW")
     p.add_argument("--accel", type=float, required=True)
-    p.add_argument("--acs", type=int, default=24, help="ACS lines (rectilinear schemes)")
-    p.add_argument("--acs-radius", type=int, default=8, help="ACS disc radius (gaussian2d)")
+    # no ACS default here: an unset flag leaves make_mask's keyword at its default
+    p.add_argument("--acs", type=int, dest="acs_lines", default=argparse.SUPPRESS,
+                   help="ACS lines (rectilinear schemes)")
+    p.add_argument("--acs-radius", type=int, default=argparse.SUPPRESS,
+                   help="ACS disc radius (gaussian2d)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mask)
@@ -240,16 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", parents=[config], help="reconstruct images from k-space")
     p.add_argument("--kspace", nargs="+", required=True)
     p.add_argument("--mask", required=True)
-    p.add_argument("--sens")
-    p.add_argument("--estimate-sens", action="store_true")
-    p.add_argument("--method", choices=("zero-filled", "admm"), default="admm")
+    sens = p.add_mutually_exclusive_group(required=True)
+    sens.add_argument("--sens", help="CKS sensitivity maps")
+    sens.add_argument("--estimate-sens", action="store_true", help="calibrate maps from the ACS")
     p.add_argument("--mode", choices=tuple(MODE_DEFAULTS), default="static")
     p.add_argument("--denoiser", choices=sorted(_DENOISER_ALIASES), default="tikhonov")
     p.add_argument("--strength", type=float, default=1e-2)
     p.add_argument("--tv-iters", type=int, default=DenoiserSpec.iterations)
     p.add_argument("--lam", type=float)
     p.add_argument("--step", type=float)
-    p.add_argument("--T", type=int)
+    p.add_argument("--T", type=int, help="outer iterations; 0 gives the zero-filled image")
     p.add_argument("--inner", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-prefix", required=True)

@@ -76,7 +76,6 @@ single-precision FFTs and matmuls.
 """
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,30 +121,25 @@ def _ramps(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _phase(c * j, n), _phase(c * (j - c), n)
 
 
-@dataclass(frozen=True)
 class ForwardOperator:
     """Per-coil acquisition operator: mask * fft2c(S_k * x), stacked over coils,
     computed in ``dtype`` (complex64 or complex128; None means the maps' dtype)."""
 
-    mask: SamplingMask
-    sens: SensitivityMaps
-    dtype: np.dtype | None = None
-
-    def __post_init__(self):
-        check_maps(self.mask, self.sens)
-        dtype = self.sens.maps.dtype if self.dtype is None else np.dtype(self.dtype)
+    def __init__(self, mask: SamplingMask, sens: SensitivityMaps, dtype=None):
+        check_maps(mask, sens)
+        dtype = sens.maps.dtype if dtype is None else np.dtype(dtype)
         if dtype not in (np.complex64, np.complex128):
             raise ValueError(f"operator dtype must be complex64 or complex128, got {dtype}")
-        object.__setattr__(self, "dtype", dtype)
-        (rn_h, rk_h), (rn_w, rk_w) = _ramps(self.mask.height), _ramps(self.mask.width)
-        self._fold(self.sens.maps * np.outer(rn_h, rn_w), self.mask.pattern * np.outer(rk_h, rk_w))
+        self.mask, self.sens, self.dtype = mask, sens, dtype
+        (rn_h, rk_h), (rn_w, rk_w) = _ramps(mask.height), _ramps(mask.width)
+        self._fold(sens.maps * np.outer(rn_h, rn_w), mask.pattern * np.outer(rk_h, rk_w))
 
     def _fold(self, maps: np.ndarray, kmask: np.ndarray | None, dft: np.ndarray | None = None):
         """Set the maps and the 2D k-space mask or the column DFT, in ``dtype``, with conjugates."""
         for name, arr in (("_maps", maps), ("_kmask", kmask), ("_dft", dft)):
             arr = None if arr is None else arr.astype(self.dtype, copy=False)
-            object.__setattr__(self, name, arr)
-            object.__setattr__(self, name + "_conj", None if arr is None else arr.conj())
+            setattr(self, name, arr)
+            setattr(self, name + "_conj", None if arr is None else arr.conj())
 
     def _sampled_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The sampled columns of a rectilinear mask and D, their (W, K) centred DFT."""

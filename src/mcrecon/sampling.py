@@ -101,8 +101,7 @@ def equispaced_mask(height: int, width: int, accel: float, n_acs: int, seed: int
     non-ACS columns.
     """
     cols, outside, extra = _rectilinear_plan(height, width, accel, n_acs)
-    if extra > 0 and outside:
-        extra = min(extra, len(outside))
+    if extra > 0:
         stride = len(outside) / extra
         rng = Lcg(seed)
         offset = rng.uniform() * stride
@@ -117,10 +116,8 @@ def random_rectilinear_mask(
     """Like :func:`equispaced_mask` but non-ACS columns drawn uniformly
     without replacement to the same total count."""
     cols, outside, extra = _rectilinear_plan(height, width, accel, n_acs)
-    if extra > 0 and outside:
-        rng = Lcg(seed)
-        rng.shuffle(outside)
-        cols.update(outside[: min(extra, len(outside))])
+    Lcg(seed).shuffle(outside)
+    cols.update(outside[:extra])
     return _columns_to_mask(height, width, cols, "random-rectilinear", accel, n_acs)
 
 

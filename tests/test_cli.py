@@ -160,7 +160,7 @@ class TestMaskCommand:
         given = [f.format(cfg) for f in form]
         assert run(["mask", *given, "--scheme", "equispaced", "--size", "64x64",
                     "--accel", "4", "--seed", "1", "--out", out]) == 0
-        assert read_cks(out).acs_lines == 8  # not the flag default 24
+        assert read_cks(out).acs_lines == 8  # not make_mask's default 0
 
     @pytest.mark.parametrize("second", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]])
     def test_second_or_abbreviated_config_is_usage_error(self, tmp_path, capsys, second):
@@ -226,6 +226,19 @@ class TestMaskCommand:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         scheme = next(a for a in sub.choices["mask"]._actions if a.dest == "scheme")
         assert list(scheme.choices) == sorted(GENERATORS)
+
+    @pytest.mark.parametrize("scheme, size", [("equispaced", 16), ("gaussian2d", 12)])
+    def test_unset_acs_flags_take_make_masks_defaults(self, tmp_path, scheme, size):
+        """Without --acs or --acs-radius, a mask is make_mask's with its own
+        ACS defaults, so grids narrower than the paper's 24 ACS lines work."""
+        args = cli.build_parser().parse_args(["mask", "--scheme", scheme, "--size", "8x8",
+                                              "--accel", "2", "--seed", "0", "--out", "m.cks"])
+        assert "acs_lines" not in args and "acs_radius" not in args
+        out, want = tmp_path / "m.cks", tmp_path / "want.cks"
+        assert run(["mask", "--scheme", scheme, "--size", f"{size}x{size}", "--accel", "2",
+                    "--seed", "0", "--out", out]) == 0
+        write_cks(want, make_mask(scheme, size, size, 2, 0))
+        assert out.read_bytes() == want.read_bytes()
 
 
 class TestSimulateCommand:
@@ -294,19 +307,19 @@ class TestReconstructCommand:
         run(["mask", "--scheme", "equispaced", "--size", "64x64", "--accel", "1",
              "--acs", "0", "--seed", "0", "--out", full_mask_path])
         assert run(["reconstruct", "--kspace", sim_files["full"], "--mask", full_mask_path,
-                    "--sens", sim_files["sens"], "--method", "zero-filled",
+                    "--sens", sim_files["sens"], "--T", "0",
                     "--out-prefix", out]) == 0
         recon = read_cks(tmp_path / "recon.cks")
         truth = read_cks(sim_files["truth"])
         assert np.abs(recon.data - truth.data).max() < 1e-5
 
     def test_admm_t0_equals_zero_filled(self, sim_files, tmp_path):
-        for method, extra, name in [
-            ("zero-filled", [], "zf"),
-            ("admm", ["--T", "0", "--denoiser", "identity", "--strength", "0"], "t0"),
+        for extra, name in [
+            ([], "zf"),
+            (["--denoiser", "identity", "--strength", "0"], "t0"),
         ]:
             run(["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
-                 "--sens", sim_files["sens"], "--method", method, *extra,
+                 "--sens", sim_files["sens"], "--T", "0", *extra,
                  "--out-prefix", tmp_path / name])
         a = read_cks(tmp_path / "zf.cks")
         b = read_cks(tmp_path / "t0.cks")
@@ -314,10 +327,10 @@ class TestReconstructCommand:
 
     def test_admm_beats_zero_filled(self, sim_files, tmp_path):
         run(["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
-             "--sens", sim_files["sens"], "--method", "zero-filled",
+             "--sens", sim_files["sens"], "--T", "0",
              "--out-prefix", tmp_path / "zf"])
         run(["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
-             "--sens", sim_files["sens"], "--method", "admm", "--denoiser", "tikhonov",
+             "--sens", sim_files["sens"], "--denoiser", "tikhonov",
              "--T", "16", "--inner", "14", "--out-prefix", tmp_path / "admm"])
         truth = np.abs(read_cks(sim_files["truth"]).data[0])
         zf = np.abs(read_cks(tmp_path / "zf.cks").data[0])
@@ -327,7 +340,7 @@ class TestReconstructCommand:
 
     def test_estimate_sens_path(self, sim_files, tmp_path):
         assert run(["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
-                    "--estimate-sens", "--method", "admm", "--T", "2", "--inner", "4",
+                    "--estimate-sens", "--T", "2", "--inner", "4",
                     "--out-prefix", tmp_path / "est"]) == 0
         assert (tmp_path / "est.cks").exists()
 
@@ -383,9 +396,29 @@ class TestReconstructCommand:
         assert "regenerate the mask with `mcrecon mask`" in capsys.readouterr().err
 
     def test_missing_sens_is_usage_error(self, sim_files, tmp_path):
-        rc = run(["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
-                  "--out-prefix", tmp_path / "x"])
-        assert rc != 0
+        with pytest.raises(SystemExit) as exc:
+            run(["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
+                 "--out-prefix", tmp_path / "x"])
+        assert exc.value.code == 2
+
+    def test_sens_file_and_estimate_sens_are_exclusive(self, sim_files, tmp_path, capsys):
+        """Maps come from one source: given both, reconstruct exits 2 and
+        writes nothing, whether or not the --sens file exists."""
+        for sens in (sim_files["sens"], tmp_path / "missing.cks"):
+            with pytest.raises(SystemExit) as exc:
+                run(["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
+                     "--sens", sens, "--estimate-sens", "--out-prefix", tmp_path / "x"])
+            assert exc.value.code == 2
+            assert "not allowed with argument" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
+    def test_method_flag_is_gone(self, sim_files, tmp_path):
+        """Zero-filled is --T 0; there is no second way to ask for it."""
+        with pytest.raises(SystemExit) as exc:
+            run(["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
+                 "--sens", sim_files["sens"], "--method", "zero-filled",
+                 "--out-prefix", tmp_path / "x"])
+        assert exc.value.code == 2
 
     def test_duplicate_input_stems_rejected_before_solving(self, sim_files, tmp_path, capsys):
         inputs = []
@@ -433,13 +466,15 @@ class TestReconstructCommand:
         weights = {n: getattr(args, n) for n in ("w_ssim", "w_ssim3d", "w_l1", "w_hfen1", "w_nmae")}
         assert weights == vars(LossWeights())
 
-    def test_zero_filled_ignores_solver_flags(self, sim_files, tmp_path):
-        args = ["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
-                "--sens", sim_files["sens"], "--method", "zero-filled"]
-        assert run([*args, "--out-prefix", tmp_path / "a"]) == 0
-        assert run([*args, "--lam", "0", "--strength", "nan", "--step", "9",
-                    "--out-prefix", tmp_path / "b"]) == 0
-        assert (tmp_path / "a.cks").read_bytes() == (tmp_path / "b.cks").read_bytes()
+    def test_zero_filled_checks_solver_flags(self, sim_files, tmp_path, capsys):
+        """--T 0 builds its config from the flags like any solve, so a bad
+        flag is a usage error there too."""
+        rc = run(["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
+                  "--sens", sim_files["sens"], "--T", "0", "--lam", "0",
+                  "--out-prefix", tmp_path / "x"])
+        assert rc == 2
+        assert "lam" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, sim_files, tmp_path, capsys, jobs):
@@ -817,3 +852,84 @@ class TestLibraryMatchesCli:
         assert rows.keys() == library.keys()
         for key, value in library.items():
             assert rows[key] == pytest.approx(value, rel=1e-12), key
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        height=st.integers(1, 15),
+        width=st.integers(1, 15),
+        frames=st.integers(1, 3),
+        scheme=st.sampled_from(sorted(GENERATORS)),
+        acs=st.none() | st.integers(0, 15),
+        denoiser=st.sampled_from(sorted(_DENOISER_NAMES)),
+        seed=st.integers(0, 1000),
+    )
+    def test_grids_below_the_phantoms(
+        self, tmp_path_factory, capsys, height, width, frames, scheme, acs, denoiser, seed
+    ):
+        """Grids of 1-15 per side, below dynamic_phantom's 16: a random truth
+        with simulate_coils' maps and k-space, written with write_cks, and a
+        mask from the mask command (with make_mask's ACS defaults unless acs
+        is drawn). reconstruct agrees with the library from --sens, and from
+        --estimate-sens where estimate_from_acs succeeds in memory; where it
+        raises, reconstruct exits 1. evaluate of a grid under the 7-point
+        SSIM window exits 1 and names both files."""
+        tmp = tmp_path_factory.mktemp("small")
+        acs_kw = {} if acs is None else {"acs_lines": min(acs, width), "acs_radius": acs % 3}
+        acs_flags = [] if acs is None else ["--acs", acs_kw["acs_lines"],
+                                            "--acs-radius", acs_kw["acs_radius"]]
+        mask_path = tmp / "m.cks"
+        rc = run(["mask", "--scheme", scheme, "--size", f"{height}x{width}", "--accel", "2",
+                  *acs_flags, "--seed", seed, "--out", mask_path])
+        try:
+            want_mask = make_mask(scheme, height, width, 2, seed, **acs_kw)
+        except ValueError:
+            assert rc == 2
+            return
+        assert rc == 0
+        write_cks(tmp / "want_m.cks", want_mask)
+        assert mask_path.read_bytes() == (tmp / "want_m.cks").read_bytes()
+
+        rng = np.random.default_rng(seed)
+        truth = ComplexImage(rng.standard_normal((frames, height, width))
+                             + 1j * rng.standard_normal((frames, height, width)))
+        sens, full = simulate_coils(truth, 3, seed)
+        paths = {name: tmp / f"{name}.cks" for name in ("truth", "sens", "full", "ksp")}
+        write_cks(paths["truth"], truth)
+        write_cks(paths["sens"], sens)
+        write_cks(paths["full"], full)
+        write_cks(paths["ksp"], KSpaceData(want_mask.pattern * full.data))
+        ksp, mask = read_cks(paths["ksp"]), read_cks(mask_path)
+
+        strength = "0" if denoiser == "identity" else "1e-3"
+        spec = DenoiserSpec(_DENOISER_NAMES[denoiser], float(strength))
+        cfg = AdmmConfig(T=2, inner_iters=3, lam=0.1, denoiser=spec)
+        try:
+            estimated = estimate_from_acs(ksp, mask)
+        except ValueError:
+            estimated = None
+        for name, maps, flags in [("r", read_cks(paths["sens"]), ["--sens", paths["sens"]]),
+                                  ("e", estimated, ["--estimate-sens"])]:
+            rc = run(["reconstruct", "--kspace", paths["ksp"], "--mask", mask_path, *flags,
+                      "--denoiser", denoiser, "--strength", strength, "--lam", "0.1",
+                      "--T", "2", "--inner", "3", "--out-prefix", tmp / name])
+            if maps is None:
+                assert rc == 1
+                assert not (tmp / f"{name}.cks").exists()
+                continue
+            assert rc == 0
+            want = admm_reconstruct(ksp, mask, maps, cfg).data
+            got = read_cks(tmp / f"{name}.cks").data
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+        out = tmp / "e.csv"
+        capsys.readouterr()
+        rc = run(["evaluate", "--truth", paths["truth"], "--pred", tmp / "r.cks", "--out", out])
+        if min(height, width) < 7:
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert str(paths["truth"]) in err and str(tmp / "r.cks") in err
+            assert not out.exists()
+        else:
+            assert rc == 0

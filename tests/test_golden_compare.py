@@ -1,0 +1,74 @@
+"""scripts/golden_compare.py on two small output directories: rcs.txt is
+compared key by key, and only declared exit-code changes are accepted."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden_compare.py"
+_spec = importlib.util.spec_from_file_location("golden_compare", SCRIPT)
+golden_compare = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_compare)
+
+
+@pytest.fixture
+def outs(tmp_path):
+    """A parent and a change directory: the same notes.txt, and exit codes
+    where rc_b changes 1 -> 2, rc_gone is removed and rc_new is added."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    codes = {parent: "rc_a=0\nrc_b=1\nrc_gone=2\n", change: "rc_a=0\nrc_b=2\nrc_new=0\n"}
+    for root in (parent, change):
+        root.mkdir()
+        (root / "rcs.txt").write_text(codes[root])
+        (root / "notes.txt").write_text("same\n")
+        (root / "hashes.txt").write_text(f"{root.name}\n")  # never compared
+    return parent, change
+
+
+def run(outs, *expect):
+    return golden_compare.main([str(outs[0]), str(outs[1]), *(f"--expect={e}" for e in expect)])
+
+
+def test_every_changed_key_is_named(outs, capsys):
+    assert run(outs) == 1
+    out = capsys.readouterr().out
+    assert "rcs.txt: rc_b: 1 -> 2\n" in out
+    assert "rcs.txt: rc_gone: 2 -> absent\n" in out
+    assert "rcs.txt: rc_new: absent -> 0\n" in out
+    assert "rc_a" not in out
+    assert "3 differ" in out
+
+
+def test_declared_changes_agree(outs, capsys):
+    assert run(outs, "rc_b=2", "rc_gone=", "rc_new=0") == 0
+    out = capsys.readouterr().out
+    assert "rcs.txt: rc_b: 1 -> 2 (declared)" in out
+    assert "golden outputs agree within round-off" in out
+
+
+@pytest.mark.parametrize(
+    "expect, message",
+    [(["rc_b=3", "rc_gone=", "rc_new=0"], "rcs.txt: rc_b: 1 -> 2, declared 3"),
+     (["rc_b=2", "rc_gone=", "rc_new=0", "rc_a=0"], "rcs.txt: rc_a: 0 -> 0, declared 0"),
+     (["rc_b=2", "rc_gone=", "rc_new=0", "rc_none=1"],
+      "rcs.txt: rc_none: absent -> absent, declared 1")],
+)
+def test_a_declaration_that_does_not_hold_differs(outs, capsys, expect, message):
+    """A declared code the change does not write, or a declared key that did
+    not change, is a difference."""
+    assert run(outs, *expect) == 1
+    out = capsys.readouterr().out
+    assert message in out and "1 differ" in out
+
+
+def test_other_files_are_still_compared(outs, capsys):
+    (outs[1] / "notes.txt").write_text("moved\n")
+    assert run(outs, "rc_b=2", "rc_gone=", "rc_new=0") == 1
+    assert "notes.txt: differs" in capsys.readouterr().out
+
+
+def test_expect_needs_key_and_equals(outs):
+    with pytest.raises(SystemExit) as exc:
+        run(outs, "rc_b")
+    assert exc.value.code == 2

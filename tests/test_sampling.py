@@ -1,4 +1,5 @@
 import hashlib
+import math
 import time
 
 import numpy as np
@@ -218,6 +219,26 @@ class TestMakeMask:
         assert np.array_equal(got.pattern, want.pattern)
         assert (got.scheme, got.nominal_acceleration, got.acs_lines, got.acs_radius) == (
             want.scheme, want.nominal_acceleration, want.acs_lines, want.acs_radius)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scheme=st.sampled_from(RECTILINEAR_SCHEMES),
+        height=st.integers(1, 4),
+        width=st.integers(1, 64),
+        acs_share=st.floats(0, 1),
+        accel=st.floats(1, 80),
+        seed=st.integers(0, 2**32),
+    )
+    def test_rectilinear_column_count(self, scheme, height, width, acs_share, accel, seed):
+        """Every rectilinear mask samples whole columns, exactly
+        max(ceil(W/R), n_acs) of them, with the n_acs centred ones among them."""
+        n_acs = round(acs_share * width)
+        pattern = make_mask(scheme, height, width, accel, seed, acs_lines=n_acs).pattern
+        columns = pattern.max(axis=0)
+        assert np.array_equal(pattern.min(axis=0), columns)
+        assert int(columns.sum()) == max(math.ceil(width / accel), n_acs)
+        lo = (width - n_acs) // 2
+        assert columns[lo : lo + n_acs].all()
 
     def test_core_scheme_names_are_the_registry(self):
         # scheme names are stored in CKS mask files, so the two lists must agree

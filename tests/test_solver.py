@@ -567,8 +567,9 @@ class TestOperatorCalls:
     def test_one_operator_built_per_solve(self, rng, monkeypatch, scheme):
         """The zero-filled start reuses the solve's 2D operator."""
         built = []
-        post_init = ForwardOperator.__post_init__
-        monkeypatch.setattr(ForwardOperator, "__post_init__", lambda o: built.append(post_init(o)))
+        init = ForwardOperator.__init__
+        monkeypatch.setattr(ForwardOperator, "__init__",
+                            lambda o, *a, **k: built.append(init(o, *a, **k)))
         sens = random_sens(rng, 2, 16, 16)
         mask = make_mask(scheme, 16, 16, 4, 1)
         y = KSpaceData(mask.pattern * rand_image(rng, 2, 2, 16, 16))
@@ -615,8 +616,9 @@ class TestOperatorCalls:
 
             monkeypatch.setattr(ForwardOperator, name, counted)
         built = []
-        post_init = ForwardOperator.__post_init__
-        monkeypatch.setattr(ForwardOperator, "__post_init__", lambda o: built.append(post_init(o)))
+        init = ForwardOperator.__init__
+        monkeypatch.setattr(ForwardOperator, "__init__",
+                            lambda o, *a, **k: built.append(init(o, *a, **k)))
         sens = random_sens(rng, 2, 16, 16)
         mask = make_mask(scheme, 16, 16, 4, 1)
         y = KSpaceData(mask.pattern * rand_image(rng, 2, GRAM_MIN_FRAMES, 16, 16))
