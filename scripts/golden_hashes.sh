@@ -26,7 +26,9 @@
 # The 45x45 maps given with the 48x48 mask exit 1 (rc_sens_grid). --sens and
 # --estimate-sens together exit 2, as the two are exclusive (rc_sens_both). A
 # 16x16 equispaced mask with no --acs takes make_mask's 0 ACS lines and exits
-# 0 (rc_mask_small); its output is deleted. The 3-frame 45x45 solve is scored
+# 0 (rc_mask_small); its output is deleted. A config file with the line
+# estimate-sens=true sets that flag and exits 0 (rc_conf_flag); the file and
+# its outputs are deleted. The 3-frame 45x45 solve is scored
 # by evaluate (e_odd.csv, rc_eval_odd), with no ssim3d row since it has fewer
 # frames than the SSIM window.
 #
@@ -103,7 +105,9 @@ ev e_odd.csv --truth o_truth.cks --pred r_odd.cks --kspace-truth o_kspace_full.c
 $M evaluate --truth s_truth.cks --pred r_tv.cks --kspace-truth s_kspace_full.cks --kspace-pred s_kspace_full.cks --w-nmae -1 --out x_weight.csv >/dev/null 2>&1; echo "rc_weight=$?" >> rcs.txt
 $M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --estimate-sens --out-prefix x_both >/dev/null 2>&1; echo "rc_sens_both=$?" >> rcs.txt
 $M mask --scheme equispaced --size 16x16 --accel 2 --seed 0 --out x_small.cks >/dev/null 2>&1; echo "rc_mask_small=$?" >> rcs.txt
-rm -f x_rad* x_r1* x_nan* x_acs2* x_both* x_small*
+printf 'estimate-sens=true\n' > x_flag.conf
+$M reconstruct --config x_flag.conf --kspace s_kspace_masked.cks --mask m_equispaced.cks --T 2 --out-prefix x_flag >/dev/null 2>&1; echo "rc_conf_flag=$?" >> rcs.txt
+rm -f x_rad* x_r1* x_nan* x_acs2* x_both* x_small* x_flag*
 set -e
 find . -type f ! -name hashes.txt | sort | xargs sha256sum > hashes.txt
 wc -l hashes.txt

@@ -3,7 +3,10 @@ reconstruction, and metric evaluation as reproducible pipelines.
 
 Every command that uses randomness takes a mandatory --seed. An optional
 --config FILE of key=value lines is merged before the flags, so explicit
-flags always win.
+flags always win; a flag that takes no value is key=true or key=false there.
+A bad flag exits 2 and a bad input file exits 1, naming the file. reconstruct
+reads and checks every input, and under --estimate-sens calibrates every
+volume's maps, before it solves any volume, so such a fault writes nothing.
 """
 
 import argparse
@@ -37,12 +40,14 @@ class CliError(Exception):
 
 
 @contextlib.contextmanager
-def _from_flags():
-    """Report a ValueError raised while building from flags as a usage error (exit 2)."""
+def _blame(cause=None, error=ValueError):
+    """Re-raise a ValueError from the block as ``error``, its message prefixed by
+    ``cause``: CliError for a value built from flags (exit 2), a ValueError that
+    names the input file at fault (exit 1)."""
     try:
         yield
     except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise error(f"{cause}: {exc}" if cause else str(exc)) from exc
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -53,10 +58,11 @@ def _parse_size(text: str) -> tuple[int, int]:
         raise CliError(f"bad --size {text!r}: expected HxW, e.g. 192x192") from exc
 
 
-def _expand_config(argv: list[str]) -> list[str]:
+def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Replace '--config FILE' (or '--config=FILE') with the file's key=value
     pairs as flags, inserted before the remaining flags so explicit flags win.
-    A second --config is an error."""
+    A flag that takes no value in ``parser`` (such as --estimate-sens) is set
+    by key=true and left out by key=false. A second --config is an error."""
     argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if argv.count("--config") > 1:
         raise CliError("--config may be given only once")
@@ -68,6 +74,9 @@ def _expand_config(argv: list[str]) -> list[str]:
     path = Path(argv[i + 1])
     if not path.exists():
         raise CliError(f"config file not found: {path}")
+    rest = argv[:i] + argv[i + 2 :]
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[rest[0]]._option_string_actions if rest and rest[0] in sub.choices else {}
     extra: list[str] = []
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         line = line.strip()
@@ -75,22 +84,25 @@ def _expand_config(argv: list[str]) -> list[str]:
             continue
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        extra += [f"--{key.strip()}", value.strip()]
-    rest = argv[:i] + argv[i + 2 :]
+        key, value = (t.strip() for t in line.split("=", 1))
+        if getattr(actions.get(f"--{key}"), "nargs", None) != 0:
+            extra += [f"--{key}", value]
+        elif value in ("true", "false"):
+            extra += [f"--{key}"] * (value == "true")
+        else:
+            raise CliError(f"{path}:{lineno}: --{key} takes no value: "
+                           f"give {key}=true or {key}=false, got {value!r}")
     return [rest[0]] + extra + rest[1:] if rest else extra
 
 
 def _load_as(path, cls, check=lambda obj: None):
     """Read a CKS file that must hold a ``cls`` and pass ``check``. Any fault in
     the file becomes a ValueError that names it, so every bad input file exits 1."""
-    try:
+    with _blame(path):
         obj = dio.read_cks(path)
         if not isinstance(obj, cls):
             raise ValueError(f"expected {cls.__name__}, found {type(obj).__name__}")
         check(obj)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
     return obj
 
 
@@ -105,7 +117,7 @@ def _shaped_like(ref):
 def cmd_mask(args) -> int:
     h, w = _parse_size(args.size)
     acs = {k: getattr(args, k) for k in ("acs_lines", "acs_radius") if k in args}
-    with _from_flags():
+    with _blame(error=CliError):
         mask = make_mask(args.scheme, h, w, args.accel, args.seed, **acs)
     out = Path(args.out)
     dio.write_cks(out, mask)
@@ -115,7 +127,7 @@ def cmd_mask(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    with _from_flags():
+    with _blame(error=CliError):
         truth = dio.dynamic_phantom(args.size, args.frames)
         sens, ksp_full = dio.simulate_coils(truth, args.coils, args.seed)
     mask = (_load_as(args.mask, SamplingMask, lambda m: check_inputs(ksp_full, m))
@@ -130,12 +142,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _reconstruct_one(ksp_path, ksp: KSpaceData, out: Path, mask, sens, cfg) -> None:
-    """Solve one volume with ``cfg``."""
-    if sens is None:
-        sens = estimate_from_acs(ksp, mask)
+def _reconstruct_one(ksp_path, ksp: KSpaceData, sens, out: Path, mask, cfg) -> None:
+    """Solve one volume with ``cfg``; a failed solve names its k-space file."""
     start = time.perf_counter()
-    recon = admm_reconstruct(ksp, mask, sens, cfg)
+    with _blame(ksp_path):
+        recon = admm_reconstruct(ksp, mask, sens, cfg)
     elapsed = time.perf_counter() - start
     dio.write_cks(out, recon)
     for t in range(recon.n_frames):
@@ -158,23 +169,26 @@ def cmd_reconstruct(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
     outs = _recon_paths(args.kspace, args.out_prefix)
-    with _from_flags():
+    with _blame(error=CliError):
         spec = DenoiserSpec(_DENOISER_ALIASES[args.denoiser], args.strength, args.tv_iters)
         cfg = AdmmConfig.for_mode(args.mode, T=args.T, inner_iters=args.inner, lam=args.lam,
                                   step_size=args.step, denoiser=spec)
-    # every input is read and checked before any volume is solved
+    # every input is read and checked, and every volume given its maps, before any is solved
     mask = _load_as(args.mask, SamplingMask)
     sens = None if args.estimate_sens else _load_as(args.sens, SensitivityMaps,
                                                     lambda s: check_maps(mask, s))
     volumes = [_load_as(p, KSpaceData, lambda k: check_inputs(k, mask, sens)) for p in args.kspace]
-    volumes.reverse()  # popped in input order, so each volume is freed once it is solved
-    todo = (volumes.pop() for _ in outs)
     # One worker or one volume runs on the calling thread: a thread left idle for a
     # whole solve made the next numpy work in the process ~25% slower (2-vCPU box).
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         run = pool.map if args.jobs > 1 and len(outs) > 1 else map
-        list(run(lambda p, k, o: _reconstruct_one(p, k, o, mask, sens, cfg),
-                 args.kspace, todo, outs))
+        # _blame as a decorator: a failed calibration exits 1 and names its k-space file
+        maps = [sens] * len(outs) if sens is not None else list(run(
+            lambda p, k: _blame(p)(estimate_from_acs)(k, mask), args.kspace, volumes))
+        volumes.reverse()  # both popped in input order, so each is freed once solved
+        maps.reverse()
+        todo = ((volumes.pop(), maps.pop()) for _ in outs)
+        list(run(lambda p, km, o: _reconstruct_one(p, *km, o, mask, cfg), args.kspace, todo, outs))
     return 0
 
 
@@ -182,7 +196,7 @@ def cmd_evaluate(args) -> int:
     if bool(args.kspace_truth) != bool(args.kspace_pred):
         missing = "--kspace-truth" if args.kspace_pred else "--kspace-pred"
         raise CliError(f"{missing} is missing: --kspace-truth and --kspace-pred go together")
-    with _from_flags():
+    with _blame(error=CliError):
         weights = LossWeights(**{f.name: getattr(args, f.name)
                                  for f in dataclasses.fields(LossWeights)})
     truth = _load_as(args.truth, ComplexImage)
@@ -191,11 +205,9 @@ def cmd_evaluate(args) -> int:
     if args.kspace_truth:
         y_t = _load_as(args.kspace_truth, KSpaceData)
         kspace = [y_t.data, _load_as(args.kspace_pred, KSpaceData, _shaped_like(y_t)).data]
-    try:
+    with _blame(f"scoring {args.pred} against {args.truth}"):
         rows = score_volume(np.abs(truth.data), np.abs(pred.data), *kspace, weights=weights,
                             frame_range=args.normalize == "frame")
-    except ValueError as exc:
-        raise ValueError(f"scoring {args.pred} against {args.truth}: {exc}") from exc
     with open(args.out, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["volume_id", "frame", "metric", "value"])
@@ -273,7 +285,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _expand_config(argv)
+        argv = _expand_config(argv, parser)
         args = parser.parse_args(argv)
         if args.config is not None:  # argparse took a form not expanded above, e.g. '--conf'
             raise CliError(f"--config {args.config} was not read; give it as --config FILE")

@@ -20,7 +20,7 @@ SSIM3D only for at least SSIM_WINDOW frames, and the loss sum. ``mcrecon
 evaluate`` writes its rows, and :func:`dual_domain_loss` is its loss row.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,10 +45,10 @@ class LossWeights:
     w_nmae: float = 3.0
 
     def __post_init__(self):
-        for name in ("w_ssim", "w_ssim3d", "w_l1", "w_hfen1", "w_nmae"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and nonnegative")
+                raise ValueError(f"{f.name} must be finite and nonnegative")
 
 
 def _same_shape(u, v, dtype=None) -> tuple[np.ndarray, np.ndarray]:

@@ -5,10 +5,11 @@ it (numpy's Hann window ``np.hanning`` over the rows and over the ACS
 columns, or a raised-cosine taper over the radius of an ACS disc),
 inverse-transform per coil, and normalize by the RSS image on its support,
 where it exceeds SUPPORT_THRESHOLD times its maximum; the maps are zero
-elsewhere. The support is empty only when the windowed ACS data is all zero,
-for example under the all-zero Hann window of 2 ACS lines or of a 2-row grid;
-that raises a ValueError rather than return empty maps. The k-space must lie
-on the mask's grid, which ``core.check_inputs`` checks.
+elsewhere. The support is empty only when the windowed ACS data is all zero:
+when the k-space is zero in the ACS region, or under the all-zero Hann window
+of 2 ACS lines or of a 2-row grid; that raises a ValueError rather than
+return empty maps. The k-space must lie on the mask's grid, which
+``core.check_inputs`` checks.
 """
 
 import numpy as np
@@ -48,8 +49,8 @@ def estimate_from_acs(ksp: KSpaceData, mask: SamplingMask) -> SensitivityMaps:
     support = mag > SUPPORT_THRESHOLD * mag.max()
     if not support.any():
         raise ValueError(f"ACS calibration gives empty maps: the windowed ACS data of the "
-                         f"{mask.height}x{mask.width} mask is all zero (a Hann window over 2 "
-                         "ACS lines or 2 rows has only zero weights)")
+                         f"{mask.height}x{mask.width} mask is all zero (zero k-space in the "
+                         "ACS region, or the all-zero Hann window of 2 ACS lines or 2 rows)")
     maps = np.zeros_like(lowres)
     np.divide(lowres, mag, out=maps, where=support)
     return SensitivityMaps(maps)

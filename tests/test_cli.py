@@ -162,6 +162,45 @@ class TestMaskCommand:
                     "--accel", "4", "--seed", "1", "--out", out]) == 0
         assert read_cks(out).acs_lines == 8  # not make_mask's default 0
 
+    def test_config_file_sets_a_switch_like_its_flag(self, sim_files, tmp_path):
+        """A flag that takes no value is key=true (set) or key=false (unset) in
+        a config file, and writes the bytes of the flag given or left out."""
+        base = ["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
+                "--T", "2", "--inner", "2"]
+        cfg = tmp_path / "c.conf"
+        sens = ["--sens", sim_files["sens"]]
+        for value, flags in (("true", ["--estimate-sens"]), ("false", sens)):
+            cfg.write_text(f"# maps\nestimate-sens = {value}\n")
+            assert run([*base, *flags, "--out-prefix", tmp_path / f"flag_{value}"]) == 0
+            conf_flags = [] if value == "true" else flags
+            assert run([*base, "--config", cfg, *conf_flags,
+                        "--out-prefix", tmp_path / f"conf_{value}"]) == 0
+            for suffix in (".cks", ".mag0.pgm", ".mag0.pgm.scale.txt"):
+                want = (tmp_path / f"flag_{value}{suffix}").read_bytes()
+                assert (tmp_path / f"conf_{value}{suffix}").read_bytes() == want
+
+    def test_config_file_switch_and_sens_are_exclusive(self, sim_files, tmp_path, capsys):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text("estimate-sens=true\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["reconstruct", "--config", cfg, "--kspace", sim_files["masked"],
+                 "--mask", sim_files["mask"], "--sens", sim_files["sens"],
+                 "--out-prefix", tmp_path / "x"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("value", ["", "yes", "True", "1", "false true"])
+    def test_config_file_switch_with_another_value_is_usage_error(
+            self, sim_files, tmp_path, capsys, value):
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(f"T=2\nestimate-sens={value}\n")
+        rc = run(["reconstruct", "--config", cfg, "--kspace", sim_files["masked"],
+                  "--mask", sim_files["mask"], "--out-prefix", tmp_path / "x"])
+        assert rc == 2
+        assert f"{cfg}:2: --estimate-sens takes no value" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
     @pytest.mark.parametrize("second", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]])
     def test_second_or_abbreviated_config_is_usage_error(self, tmp_path, capsys, second):
         cfg = tmp_path / "c.conf"
@@ -491,7 +530,8 @@ class TestReconstructCommand:
     @pytest.mark.parametrize(
         "fault, estimate",
         [("truncated", False), ("truncated", True), ("wrong-grid", False), ("wrong-grid", True),
-         ("wrong-coils", False)],  # estimated maps have the coils of each volume
+         ("wrong-coils", False),  # estimated maps have the coils of each volume
+         ("all-zero", True)],  # read and checked like any volume, but its calibration fails
     )
     def test_bad_middle_input_fails_before_any_solve(
         self, sim_files, tmp_path, capsys, fault, estimate, jobs
@@ -501,6 +541,8 @@ class TestReconstructCommand:
         bad = tmp_path / "bad.cks"
         if fault == "truncated":
             bad.write_bytes(a.read_bytes()[:-5])
+        elif fault == "all-zero":
+            write_cks(bad, KSpaceData(np.zeros((4, 1, 64, 64), dtype=complex)))
         else:
             shape = (4, 1, 32, 64) if fault == "wrong-grid" else (3, 1, 64, 64)
             write_cks(bad, KSpaceData(np.ones(shape, dtype=complex)))
@@ -513,19 +555,44 @@ class TestReconstructCommand:
         assert "reconstructed" not in captured.out
         assert not list(tmp_path.glob("r_*"))
 
-    def test_each_volume_is_freed_once_solved(self, sim_files, tmp_path, monkeypatch):
+    def test_failed_solve_names_its_file_and_keeps_earlier_outputs(
+            self, sim_files, tmp_path, capsys):
+        """A volume whose solve fails (here its zero-filled image overflows to
+        inf) exits 1 and names its file; at --jobs 1 the volume solved before
+        it keeps its outputs and the one after it is not solved."""
+        a = shutil.copy(sim_files["masked"], tmp_path / "a.cks")
+        c = shutil.copy(sim_files["masked"], tmp_path / "c.cks")
+        dtype = read_cks(a).data.dtype
+        huge = np.full((4, 1, 64, 64), np.finfo(dtype).max / 2, dtype=dtype)
+        write_cks(tmp_path / "huge.cks", KSpaceData(huge))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = run(["reconstruct", "--kspace", a, tmp_path / "huge.cks", c,
+                      "--mask", sim_files["mask"], "--sens", sim_files["sens"], "--T", "0",
+                      "--out-prefix", tmp_path / "r"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "huge.cks: " in captured.err and "non-finite" in captured.err
+        assert sorted(p.name for p in tmp_path.glob("r_*")) == [
+            "r_a.cks", "r_a.mag0.pgm", "r_a.mag0.pgm.scale.txt"]
+
+    @pytest.mark.parametrize("estimate", [False, True])
+    def test_each_volume_is_freed_once_solved(self, sim_files, tmp_path, monkeypatch, estimate):
+        """Each volume's k-space, and its maps when they are estimated, are
+        freed once it is solved; a --sens file's maps are shared by all."""
         solved = []
 
-        def solve(path, ksp, *rest):
+        def solve(path, ksp, sens, *rest):
             gc.collect()
             assert all(ref() is None for ref in solved)
             solved.append(weakref.ref(ksp))
+            if estimate:
+                solved.append(weakref.ref(sens))
 
         monkeypatch.setattr(cli, "_reconstruct_one", solve)
+        sens = ["--estimate-sens"] if estimate else ["--sens", sim_files["sens"]]
         assert run(["reconstruct", "--kspace", sim_files["masked"], sim_files["full"],
-                    "--mask", sim_files["mask"], "--sens", sim_files["sens"],
-                    "--out-prefix", tmp_path / "r"]) == 0
-        assert len(solved) == 2
+                    "--mask", sim_files["mask"], *sens, "--out-prefix", tmp_path / "r"]) == 0
+        assert len(solved) == (4 if estimate else 2)
 
     def test_jobs_2_writes_the_same_bytes_as_jobs_1(self, sim_files, tmp_path):
         for jobs in ("1", "2"):
