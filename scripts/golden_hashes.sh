@@ -11,8 +11,11 @@
 # Gram path; the 7-frame dynamic solves take it too), a --T 0 solve of that
 # 6-frame input (r_dynG_t0, the zero-filled start with no Gram form built),
 # a 3-frame dynamic TV solve on a 45x45 grid (an odd row length for the TV
-# prox's flat passes), --jobs 1 and 2, evaluate, and the exit codes in
-# rcs.txt. Seven are bad arguments and
+# prox's flat passes), a static l1 solve with --estimate-sens on a 64x64
+# equispaced mask with 16 ACS lines (r_crop: the estimated maps' support box
+# keeps 61 of 64 rows and 55 of 64 columns, so the column-DFT path runs on a
+# box smaller than the grid in both directions), --jobs 1 and 2, evaluate,
+# and the exit codes in rcs.txt. Seven are bad arguments and
 # exit 2: an unknown scheme (rc_bogus), an unknown denoiser (rc_den), a
 # gaussian2d budget below its ACS disc (rc_budget), R=0.5 (rc_acc), a 0x0
 # grid (rc_grid), --strength nan (rc_nan) and an evaluate with k-space files
@@ -51,6 +54,7 @@ done
 $M mask --scheme pseudo-radial --size 64x64 --accel 8 --seed 5 --out m64_pseudo-radial.cks >/dev/null
 $M mask --scheme random-rectilinear --size 40x56 --accel 3.3 --acs 6 --seed 9 --out mr.cks >/dev/null
 $M mask --scheme equispaced --size 48x48 --accel 4 --acs 2 --seed 5 --out m_acs2.cks >/dev/null
+$M mask --scheme equispaced --size 64x64 --accel 4 --acs 16 --seed 5 --out m64_equispaced.cks >/dev/null
 $M simulate --size 48 --coils 4 --seed 3 --mask m_equispaced.cks --out-prefix s >/dev/null
 $M simulate --size 48 --coils 4 --seed 4 --mask m_gaussian2d.cks --out-prefix g >/dev/null
 $M simulate --size 48 --frames 7 --coils 4 --seed 6 --mask m_equispaced.cks --out-prefix d >/dev/null
@@ -58,6 +62,7 @@ $M simulate --size 48 --frames 3 --coils 4 --seed 7 --mask m_random-rectilinear.
 $M simulate --size 48 --frames 6 --coils 4 --seed 10 --mask m_random-rectilinear.cks --out-prefix dg >/dev/null
 $M mask --scheme equispaced --size 45x45 --accel 4 --acs 8 --seed 11 --out m45.cks >/dev/null
 $M simulate --size 45 --frames 3 --coils 4 --seed 12 --mask m45.cks --out-prefix o >/dev/null
+$M simulate --size 64 --coils 4 --seed 13 --mask m64_equispaced.cks --out-prefix c >/dev/null
 mkdir -p a; cp s_kspace_masked.cks a/v1.cks
 $M simulate --size 48 --coils 4 --seed 8 --mask m_equispaced.cks --out-prefix s8 >/dev/null
 cp s8_kspace_masked.cks a/v3.cks
@@ -77,6 +82,7 @@ $M reconstruct --kspace dr_kspace_masked.cks --mask m_random-rectilinear.cks --e
 $M reconstruct --kspace dg_kspace_masked.cks --mask m_random-rectilinear.cks --sens dg_sens.cks --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_dynG >/dev/null
 $M reconstruct --kspace dg_kspace_masked.cks --mask m_random-rectilinear.cks --sens dg_sens.cks --mode dynamic --T 0 --out-prefix r_dynG_t0 >/dev/null
 $M reconstruct --kspace o_kspace_masked.cks --mask m45.cks --sens o_sens.cks --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_odd >/dev/null
+$M reconstruct --kspace c_kspace_masked.cks --mask m64_equispaced.cks --estimate-sens --denoiser l1 --strength 1e-3 --lam 0.1 --out-prefix r_crop >/dev/null
 $M reconstruct --kspace a/v1.cks a/v3.cks --mask m_equispaced.cks --sens s_sens.cks --jobs 1 --out-prefix j1 >/dev/null
 $M reconstruct --kspace a/v1.cks a/v3.cks --mask m_equispaced.cks --sens s_sens.cks --jobs 2 --out-prefix j2 >/dev/null
 printf 'denoiser=tv\nstrength=1e-3\nlam=0.1\nT=5\n' > rc.conf

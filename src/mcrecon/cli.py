@@ -61,8 +61,11 @@ def _parse_size(text: str) -> tuple[int, int]:
 def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Replace '--config FILE' (or '--config=FILE') with the file's key=value
     pairs as flags, inserted before the remaining flags so explicit flags win.
-    A flag that takes no value in ``parser`` (such as --estimate-sens) is set
-    by key=true and left out by key=false. A second --config is an error."""
+    Each key must be the full name of one of the command's options, and each
+    value one that the option accepts; else the error names FILE:LINE. A flag
+    that takes no value (such as --estimate-sens) is set by key=true and left
+    out by key=false. A second --config is an error; without a known command
+    the file is not read, and argparse reports the command."""
     argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if argv.count("--config") > 1:
         raise CliError("--config may be given only once")
@@ -76,7 +79,9 @@ def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str
         raise CliError(f"config file not found: {path}")
     rest = argv[:i] + argv[i + 2 :]
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = sub.choices[rest[0]]._option_string_actions if rest and rest[0] in sub.choices else {}
+    command = sub.choices.get(rest[0]) if rest else None
+    if command is None:
+        return rest
     extra: list[str] = []
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         line = line.strip()
@@ -85,14 +90,22 @@ def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (t.strip() for t in line.split("=", 1))
-        if getattr(actions.get(f"--{key}"), "nargs", None) != 0:
+        action = command._option_string_actions.get(f"--{key}")
+        if action is None:
+            raise CliError(f"{path}:{lineno}: {rest[0]} has no option --{key} "
+                           "(a key is an option's full name)")
+        if action.nargs != 0:
+            try:  # argparse's own type and choices check, with its message
+                command._get_values(action, [value])
+            except argparse.ArgumentError as exc:
+                raise CliError(f"{path}:{lineno}: {exc}") from exc
             extra += [f"--{key}", value]
         elif value in ("true", "false"):
             extra += [f"--{key}"] * (value == "true")
         else:
             raise CliError(f"{path}:{lineno}: --{key} takes no value: "
                            f"give {key}=true or {key}=false, got {value!r}")
-    return [rest[0]] + extra + rest[1:] if rest else extra
+    return [rest[0]] + extra + rest[1:]
 
 
 def _load_as(path, cls, check=lambda obj: None):

@@ -35,6 +35,27 @@ against the FFT's O(W log W): a gradient at 256x256, 8 coils, complex64,
 2 vCPUs takes 0.75x the FFT path's time at R4, but 1.2x at R2 and 2.1x at
 R1, which no workload or paper setting uses.
 
+B also runs only on the bounding box of the maps' support (``sens.support``),
+H' rows by W' columns, found once per solve: maps calibrated from the ACS
+region are zero outside the body, as SENSE and ESPIRiT maps are. The maps
+are zero in every coil outside the box, so there S * x is zero. The columns
+outside the box then add exact zeros to each GEMM row, and B x is zero in the
+rows outside the box, which B^H maps back to zero through conj(S). So B keeps
+the box's maps, the box's W' rows of D and y_dc's H' rows. ``apply_arr``
+multiplies only the box of x and runs its GEMM on (C*F*H', W') @ (W', K);
+``adjoint_arr`` returns the full (F, H, W) image, exact zeros outside the box.
+The gradient is the same up to the order of the GEMM sums: a complex64 solve
+at 256x256 moved by 3.9e-7 of the image maximum. The objective identity gains
+one constant, the energy of y_off, F_h^H y's sampled columns in the rows
+outside the box: ``||B x - y_dc||^2 == ||A x - y||^2 - ||(1 - M) y||^2 -
+||y_off||^2``. All-zero maps are a valid input and keep the whole grid. On
+``static256-rect-l1`` the estimated support spans rows 10-246 and columns
+27-229, a 237x203 box and 73% of the 256x256 grid. Its ``reconstruct_s`` fell
+from 1.29 to 1.04 s (medians of 10 alternating runs, 2 vCPUs, numpy 2.4 with
+OpenBLAS), and the traced time per request from 0.50 to 0.35 s in
+``apply_arr`` and from 0.59 to 0.46 s in ``adjoint_arr`` (medians of 3 runs).
+The row Gram path below keeps the whole grid.
+
 On a rectilinear mask B^H B also splits into independent image rows
 (Pruessmann et al. 1999): row h of ``B^H B x`` is ``x_h N_h`` with one
 Hermitian (W, W) matrix ``N_h = (sum_c S_ch S_ch^H) * (D D^H)`` (elementwise
@@ -114,6 +135,15 @@ def _phase(num: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _support_box(support: np.ndarray) -> tuple[slice, slice, slice]:
+    """Index of the bounding box of ``support`` in a (frame or coil, row, col)
+    array; the whole grid for an empty support, so that no cropped axis is empty."""
+    if not support.any():
+        return np.s_[:, :, :]
+    rows, cols = (np.flatnonzero(support.any(axis=a)) for a in (1, 0))
+    return np.s_[:, rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+
+
 def _ramps(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Image-side and k-space-side phase ramps of an axis of length n."""
     c = n // 2
@@ -131,13 +161,14 @@ class ForwardOperator:
         if dtype not in (np.complex64, np.complex128):
             raise ValueError(f"operator dtype must be complex64 or complex128, got {dtype}")
         self.mask, self.sens, self.dtype = mask, sens, dtype
+        self._box = np.s_[...]  # the whole grid; for_data_consistency crops to the maps' support
         (rn_h, rk_h), (rn_w, rk_w) = _ramps(mask.height), _ramps(mask.width)
         self._fold(sens.maps * np.outer(rn_h, rn_w), mask.pattern * np.outer(rk_h, rk_w))
 
     def _fold(self, maps: np.ndarray, kmask: np.ndarray | None, dft: np.ndarray | None = None):
         """Set the maps and the 2D k-space mask or the column DFT, in ``dtype``, with conjugates."""
         for name, arr in (("_maps", maps), ("_kmask", kmask), ("_dft", dft)):
-            arr = None if arr is None else arr.astype(self.dtype, copy=False)
+            arr = None if arr is None else np.ascontiguousarray(arr, dtype=self.dtype)
             setattr(self, name, arr)
             setattr(self, name + "_conj", None if arr is None else arr.conj())
 
@@ -149,14 +180,17 @@ class ForwardOperator:
 
     def for_data_consistency(self, y: np.ndarray) -> tuple["ForwardOperator", np.ndarray]:
         """``(op, y_dc)`` with this operator's ``A^H (A x - y)``: on a
-        rectilinear mask, B (image rows onto the K sampled columns) and the
-        sampled columns of F_h^H y (see the module docstring); else self and y."""
+        rectilinear mask, B (the image rows of the maps' support box onto the
+        K sampled columns) and the sampled columns of F_h^H y in the box's rows
+        (see the module docstring); else self and y."""
         if self.mask.scheme not in RECTILINEAR_SCHEMES:
             return self, y
         cols, dft = self._sampled_columns()
         op = copy.copy(self)
-        op._fold(self.sens.maps, None, dft)
-        return op, _centred(np.fft.ifftn, y[..., cols], axes=(-2,))
+        op._box = box = _support_box(self.sens.support)
+        op._fold(self.sens.maps[box], None, dft[box[-1]])
+        y_dc = _centred(np.fft.ifftn, y[..., cols], axes=(-2,))
+        return op, np.ascontiguousarray(y_dc[..., box[-2], :])
 
     def row_gram(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """``(N, b)`` in complex128: N = B^H B (row, col, col) and
@@ -178,8 +212,9 @@ class ForwardOperator:
         return normal, np.ascontiguousarray(v.sum(axis=0).transpose(1, 0, 2))
 
     def apply_arr(self, x: np.ndarray) -> np.ndarray:
-        """Forward map on a raw (frame, row, col) array -> (coil, frame, row, col or K)."""
-        v = self._maps[:, np.newaxis] * x[np.newaxis]
+        """Forward map on a raw (frame, row, col) array -> (coil, frame, row, col),
+        or (coil, frame, box row, K) on the column operator."""
+        v = self._maps[:, np.newaxis] * x[self._box][np.newaxis]
         if self._dft is not None:
             return (v.reshape(-1, v.shape[-1]) @ self._dft).reshape(*v.shape[:-1], -1)
         k = np.fft.fftn(v, axes=(-2, -1), norm="ortho", out=v)
@@ -187,11 +222,17 @@ class ForwardOperator:
         return k
 
     def adjoint_arr(self, y: np.ndarray) -> np.ndarray:
-        """Adjoint map on a raw (coil, frame, row, col or K) array -> (frame, row, col)."""
+        """Adjoint map on a raw (coil, frame, row, col) array, or (coil, frame,
+        box row, K) on the column operator -> (frame, row, col)."""
         if self._dft is not None:
             v = (y.reshape(-1, y.shape[-1]) @ self._dft_conj.T).reshape(*y.shape[:-1], -1)
         else:
             v = y * self._kmask_conj
             np.fft.ifftn(v, axes=(-2, -1), norm="ortho", out=v)
         v *= self._maps_conj[:, np.newaxis]
-        return v.sum(axis=0)
+        if self._dft is None:
+            return v.sum(axis=0)
+        # zero outside the box, where every map is zero
+        x = np.zeros((y.shape[1], self.mask.height, self.mask.width), v.dtype)
+        v.sum(axis=0, out=x[self._box])
+        return x

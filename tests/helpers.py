@@ -33,12 +33,21 @@ def dft2c_oracle(x, inverse=False):
     return out
 
 
-def random_sens(rng, n_coils, h, w):
-    """RSS-normalized random smooth-ish sensitivity maps with full support."""
+def random_sens(rng, n_coils, h, w, boxed=False):
+    """RSS-normalized random smooth-ish sensitivity maps with full support, or
+    with ``boxed`` zero outside a random box of rows and columns and at random
+    holes inside it (each voxel with probability 1/4), as estimated maps are
+    zero outside the body. Holes may empty the box's edge rows or columns, or
+    the whole box."""
     maps = rng.standard_normal((n_coils, h, w)) + 1j * rng.standard_normal((n_coils, h, w))
     maps += 0.5  # keep RSS bounded away from zero
+    if boxed:
+        (r0, r1), (c0, c1) = (np.sort(rng.choice(n + 1, 2, replace=False)) for n in (h, w))
+        keep = np.zeros((h, w), bool)
+        keep[r0:r1, c0:c1] = rng.random((r1 - r0, c1 - c0)) >= 0.25
+        maps *= keep
     norm = np.sqrt(np.sum(np.abs(maps) ** 2, axis=0))
-    return SensitivityMaps(maps=maps / norm)
+    return SensitivityMaps(maps=np.divide(maps, norm, out=np.zeros_like(maps), where=norm > 0))
 
 
 def make_mask(scheme, h, w, accel, seed):

@@ -201,6 +201,47 @@ class TestMaskCommand:
         assert f"{cfg}:2: --estimate-sens takes no value" in capsys.readouterr().err
         assert not list(tmp_path.glob("x*"))
 
+    @pytest.mark.parametrize("key, value", [("estimate", "true"), ("out", "r"), ("bogus", "1")])
+    def test_config_file_key_must_be_a_full_option_name(
+            self, sim_files, tmp_path, capsys, key, value):
+        """A config key is the full name of one of the command's options: a key
+        that argparse would take as an abbreviation on the command line (as
+        --estimate for --estimate-sens, --out for --out-prefix) or no option
+        at all exits 2, names FILE:LINE and writes nothing."""
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(f"T=2\n{key}={tmp_path / value if key == 'out' else value}\n")
+        base = ["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"]]
+        assert run([*base, "--sens", sim_files["sens"], "--config", cfg]) == 2
+        assert f"{cfg}:2: reconstruct has no option --{key}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r*"))
+        if key == "estimate":  # the abbreviated flag on the command line still runs
+            assert run([*base, "--estimate", "--T", "1", "--out-prefix", tmp_path / "y"]) == 0
+
+    @pytest.mark.parametrize("line, message", [
+        ("strength=abc", "argument --strength: invalid float value: 'abc'"),
+        ("T=1.5", "argument --T: invalid int value: '1.5'"),
+        ("mode=weird", "argument --mode: invalid choice: 'weird'"),
+        ("denoiser=wavelet", "argument --denoiser: invalid choice: 'wavelet'"),
+    ])
+    def test_config_file_value_the_option_rejects_is_usage_error(
+            self, sim_files, tmp_path, capsys, line, message):
+        """A value that the option's type or choices reject exits 2 with
+        argparse's message for the flag, prefixed by FILE:LINE, and writes
+        nothing; the same flag on the command line keeps argparse's message."""
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(f"# solve\n\n{line}\n")
+        base = ["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
+                "--sens", sim_files["sens"], "--out-prefix", tmp_path / "x"]
+        assert run([*base, "--config", cfg]) == 2
+        assert f"error: {cfg}:3: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+        key, value = line.split("=")
+        with pytest.raises(SystemExit) as exc:
+            run([*base, f"--{key}", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and str(cfg) not in err
+
     @pytest.mark.parametrize("second", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]])
     def test_second_or_abbreviated_config_is_usage_error(self, tmp_path, capsys, second):
         cfg = tmp_path / "c.conf"

@@ -246,14 +246,29 @@ class TestOperatorProperties:
                 assert arg.tobytes() == before
 
 
-class TestDataConsistencyOperator:
-    """``for_data_consistency`` on rectilinear masks gives an operator B onto
-    the K sampled columns and the sampled columns of F_h^H y, with the
-    gradient of A and y, the objective less y's off-mask part, and B^H the
-    adjoint of B, on odd, even and non-square grids; point masks keep A
-    and y."""
+def heightwise(k):
+    """F_h^H k: the centred unitary inverse transform along the height (axis -2)."""
+    k = np.fft.ifft(np.fft.ifftshift(k, axes=-2), axis=-2, norm="ortho")
+    return np.fft.fftshift(k, axes=-2)
 
-    @settings(max_examples=150, deadline=None)
+
+def box_rows(sens):
+    """The rows of the bounding box of the maps' support; every row for an
+    empty support."""
+    rows = np.flatnonzero(sens.support.any(axis=1))
+    return np.arange(rows[0], rows[-1] + 1) if rows.size else np.arange(sens.height)
+
+
+class TestDataConsistencyOperator:
+    """``for_data_consistency`` on rectilinear masks gives an operator B from
+    the bounding box of the maps' support onto the K sampled columns, and the
+    sampled columns of F_h^H y in the box's rows, with the gradient of A and
+    y, the objective less y's off-mask part and its rows outside the box, and
+    B^H the adjoint of B, on odd, even and non-square grids, for maps with
+    full support and for maps zero outside a random box with holes inside;
+    point masks keep A and y."""
+
+    @settings(max_examples=200, deadline=None)
     @given(
         scheme=st.sampled_from(RECTILINEAR_SCHEMES),
         accel=st.sampled_from([1, 2, 3.3]),
@@ -262,44 +277,59 @@ class TestDataConsistencyOperator:
         n_frames=st.integers(1, 3),
         n_coils=st.integers(1, 3),
         dtype=st.sampled_from([np.complex128, np.complex64]),
+        boxed=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     def test_rectilinear_gradient_and_objective_agree(
-        self, scheme, accel, height, width, n_frames, n_coils, dtype, seed
+        self, scheme, accel, height, width, n_frames, n_coils, dtype, boxed, seed
     ):
         rng = np.random.default_rng(seed)
         mask = sampling.make_mask(scheme, height, width, accel, seed, acs_lines=2)
-        op = ForwardOperator(mask=mask, sens=random_sens(rng, n_coils, height, width), dtype=dtype)
+        sens = random_sens(rng, n_coils, height, width, boxed)
+        op = ForwardOperator(mask=mask, sens=sens, dtype=dtype)
         x, w, m = (rand_image(rng, n_frames, height, width).astype(dtype) for _ in range(3))
         # y off the mask too: the gradient identity holds for any y
         y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
         op_dc, y_dc = op.for_data_consistency(y)
         assert type(op_dc) is ForwardOperator and op_dc is not op
         cols = np.flatnonzero(mask.pattern[0])
-        assert y_dc.dtype == dtype and y_dc.shape == y.shape[:-1] + (cols.size,)
+        rows = box_rows(sens)
+        # y_dc holds the box's rows of F_h^H y at the sampled columns
+        y_rows = heightwise(y)[..., cols]
+        assert y_dc.dtype == dtype and y_dc.shape == y.shape[:-2] + (rows.size, cols.size)
+        assert y_dc.flags.c_contiguous
         tol = 1e-10 if dtype == np.complex128 else 1e-5
+        assert np.abs(y_dc - y_rows[..., rows, :]).max() <= tol * np.abs(y_rows).max()
+        # the column operator holds its maps and DFT contiguous in the solve's dtype
+        held = [a for a in vars(op_dc).values() if isinstance(a, np.ndarray)]
+        assert len(held) == 4 and all(a.flags.c_contiguous and a.dtype == dtype for a in held)
 
-        # B x is A x taken back along the height, at the sampled columns
+        # B x is A x taken back along the height, at the box's rows and the
+        # sampled columns; A x taken back is zero on the other rows
         bx, ax = op_dc.apply_arr(x), op.apply_arr(x)
-        row_image = np.fft.fftshift(
-            np.fft.ifft(np.fft.ifftshift(ax, axes=-2), axis=-2, norm="ortho"), axes=-2
-        )
+        row_image = heightwise(ax)[..., cols]
         assert bx.dtype == dtype and bx.shape == y_dc.shape
-        assert np.abs(bx - row_image[..., cols]).max() <= tol * np.abs(ax).max()
+        assert np.abs(bx - row_image[..., rows, :]).max() <= tol * np.abs(ax).max()
+        outside = np.delete(row_image, rows, axis=-2)
+        assert np.abs(outside).max(initial=0) <= tol * np.abs(ax).max()
 
         want = op.adjoint_arr(ax - y)
         got = op_dc.adjoint_arr(bx - y_dc)
-        assert got.dtype == dtype
+        assert got.dtype == dtype and got.shape == x.shape
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        assert not got[:, ~sens.support].any()
 
-        # ||B x - y_dc||^2 == ||A x - y||^2 - ||(1 - M) y||^2
+        # ||B x - y_dc||^2 == ||A x - y||^2 - ||(1 - M) y||^2 - ||y_off||^2, with
+        # y_off the rows of F_h^H y at the sampled columns outside the box
         off_mask_sq = np.vdot(y, (1 - mask.pattern) * y).real
+        off_box = np.delete(y_rows, rows, axis=-2)
+        const = off_mask_sq + np.vdot(off_box, off_box).real
         assert np.vdot(bx - y_dc, bx - y_dc).real == pytest.approx(
-            np.vdot(ax - y, ax - y).real - off_mask_sq, rel=tol
+            np.vdot(ax - y, ax - y).real - const, rel=tol
         )
         lam = 0.3
         assert dc_objective(x, w, m, y_dc, op_dc, lam) == pytest.approx(
-            dc_objective(x, w, m, y, op, lam) - 0.5 * off_mask_sq, rel=tol
+            dc_objective(x, w, m, y, op, lam) - 0.5 * const, rel=tol
         )
 
         # <B x, r> == <x, B^H r>, relative to the Cauchy-Schwarz bound (||B|| <= 1)

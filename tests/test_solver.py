@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import make_mask, random_sens
 from mcrecon import sampling
-from mcrecon.core import RECTILINEAR_SCHEMES, KSpaceData
+from mcrecon.core import RECTILINEAR_SCHEMES, KSpaceData, SensitivityMaps
 from mcrecon.fourier import GRAM_MIN_FRAMES, ForwardOperator
 from mcrecon.sampling import full_mask
 from mcrecon.data import dynamic_phantom, shepp_logan, simulate_coils
@@ -338,7 +338,7 @@ class TestDataConsistency:
         )
         assert np.allclose(out.ravel(), expected, atol=1e-6)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
         scheme=st.sampled_from(RECTILINEAR_SCHEMES),
         height=st.integers(3, 24),
@@ -347,19 +347,23 @@ class TestDataConsistency:
         n_coils=st.integers(1, 3),
         inner=st.integers(1, 5),
         dtype=st.sampled_from([np.complex64, np.complex128]),
+        boxed=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     def test_row_gram_steps_equal_the_column_steps(
-        self, scheme, height, width, extra_frames, n_coils, inner, dtype, seed
+        self, scheme, height, width, extra_frames, n_coils, inner, dtype, boxed, seed
     ):
         """RowGramSteps runs the same iterate as GradientSteps on the
         column-DFT operator, to the round-off of its dtype, from a start off
         the solution and data on the mask, on odd, even and non-square grids
-        (whose (row, frame, col) views are transposed)."""
+        (whose (row, frame, col) views are transposed), for maps with full
+        support and for maps zero outside a random box with holes inside,
+        where the Gram form spans the whole grid and the column operator only
+        the support's bounding box."""
         rng = np.random.default_rng(seed)
         frames = GRAM_MIN_FRAMES + extra_frames
         mask = sampling.make_mask(scheme, height, width, 2, seed, acs_lines=2)
-        sens = random_sens(rng, n_coils, height, width)
+        sens = random_sens(rng, n_coils, height, width, boxed)
         op = ForwardOperator(mask=mask, sens=sens, dtype=dtype)
         x, wv, m = (rand_image(rng, frames, height, width).astype(dtype) for _ in range(3))
         y = (mask.pattern * rand_image(rng, n_coils, frames, height, width)).astype(dtype)
@@ -469,6 +473,37 @@ class TestAdmmReconstruct:
         admm_reconstruct(y, mask, sens, AdmmConfig(T=16, inner_iters=14))
         assert len(gaps) == 16
         assert gaps[-1] < gaps[0]
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("frames", [1, 3])
+    @pytest.mark.parametrize("support", ["empty", "first row", "last row", "first column",
+                                         "last column"])
+    def test_edge_supports_solve_like_the_uncropped_operator(
+        self, rng, monkeypatch, support, frames, dtype
+    ):
+        """The column-DFT path crops to the bounding box of the maps' support.
+        All-zero maps (a valid SensitivityMaps, whose solve is 0) and maps
+        nonzero on one edge row or one edge column give the solve on A and y
+        over the whole grid (the 2D FFT path)."""
+        h, w, coils = 12, 10, 2
+        maps = np.zeros((coils, h, w), complex)
+        line = {"empty": np.s_[:, :0], "first row": np.s_[:, 0], "last row": np.s_[:, -1],
+                "first column": np.s_[:, :, 0], "last column": np.s_[:, :, -1]}[support]
+        maps[line] = rand_image(rng, *maps[line].shape)
+        maps[line] /= np.sqrt(np.sum(np.abs(maps[line]) ** 2, axis=0))
+        sens = SensitivityMaps(maps)
+        mask = make_mask("equispaced", h, w, 2, 1)
+        y = KSpaceData((mask.pattern * rand_image(rng, coils, frames, h, w)).astype(dtype))
+        spec = DenoiserSpec(kind="l1-soft-threshold", strength=1e-2)
+        cfg = AdmmConfig(T=3, inner_iters=4, lam=0.3, denoiser=spec)
+        got = admm_reconstruct(y, mask, sens, cfg).data
+        monkeypatch.setattr(ForwardOperator, "for_data_consistency", lambda op, y: (op, y))
+        want = admm_reconstruct(y, mask, sens, cfg).data
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        if support == "empty":
+            assert not got.any() and not want.any()
+        tol = 1e-12 if dtype == np.complex128 else 1e-6
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
     def test_frame_separability(self, monkeypatch):
         """Nothing in the operator or the denoisers couples frames, for l1 and
