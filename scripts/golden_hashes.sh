@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Run a fixed set of small CLI commands against the mcrecon sources in
-# SRC_DIR and write the SHA-256 of every output file to OUT_DIR/hashes.txt.
+# Run a fixed set of small CLI commands against the mcrecon package in
+# SRC_DIR (a checkout root, whose src/ is then used, or that src/) and write
+# the SHA-256 of every output file to OUT_DIR/hashes.txt. A SRC_DIR with no
+# mcrecon package exits 2.
 # Running it on two checkouts and diffing the two hashes.txt files shows
 # whether a change keeps every CLI output byte-identical. It covers all five
 # mask schemes at R=4 and R=1, a 64x64 R=8 pseudo-radial mask (many more
@@ -40,9 +42,15 @@
 # differences in reconstructions, their PGM previews and scale sidecars, and
 # compares rcs.txt per exit code (declare an intended one with --expect).
 #
-# Usage: bash scripts/golden_hashes.sh SRC_DIR OUT_DIR   (OUT_DIR empty or absent)
+# Usage: bash scripts/golden_hashes.sh SRC_DIR OUT_DIR   (SRC_DIR a checkout or its src/;
+#        OUT_DIR empty or absent)
 set -euo pipefail
-SRC=$(cd "$1" && pwd); OUT=$2
+SRC=$1; OUT=$2
+[ -d "$SRC/src/mcrecon" ] && SRC=$SRC/src
+if [ ! -f "$SRC/mcrecon/__init__.py" ]; then
+  echo "error: no mcrecon package in $1 or $1/src" >&2; exit 2
+fi
+SRC=$(cd "$SRC" && pwd)
 if [ -n "$(ls -A "$OUT" 2>/dev/null)" ]; then echo "error: $OUT is not empty" >&2; exit 2; fi
 mkdir -p "$OUT"; cd "$OUT"
 export PYTHONPATH=$SRC

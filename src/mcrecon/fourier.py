@@ -54,25 +54,29 @@ outside the box: ``||B x - y_dc||^2 == ||A x - y||^2 - ||(1 - M) y||^2 -
 from 1.29 to 1.04 s (medians of 10 alternating runs, 2 vCPUs, numpy 2.4 with
 OpenBLAS), and the traced time per request from 0.50 to 0.35 s in
 ``apply_arr`` and from 0.59 to 0.46 s in ``adjoint_arr`` (medians of 3 runs).
-The row Gram path below keeps the whole grid.
+The row Gram path below builds N and Q on the whole grid.
 
 On a rectilinear mask B^H B also splits into independent image rows
 (Pruessmann et al. 1999): row h of ``B^H B x`` is ``x_h N_h`` with one
 Hermitian (W, W) matrix ``N_h = (sum_c S_ch S_ch^H) * (D D^H)`` (elementwise
 product), the same for every frame (a Gram normal operator, Fessler et al.
-2005). :meth:`ForwardOperator.row_gram` returns N and ``b = B^H y_dc`` for
-a y of at least :data:`GRAM_MIN_FRAMES` frames on a grid at most
-:data:`GRAM_MAX_SIDE` on each side, and None otherwise. N and b are
-complex128, built from the unramped maps, a complex128 D and y_dc taken
-back along the height in complex128. The solver casts the step matrix
-``Q = (1 - s*lam) I - s N`` once to the operator's dtype, anchors each
-outer step in complex128 and runs its inner iterations as one batched
-(row, frame, col) GEMM with Q each (see ``solver``). The path holds
-H*W^2*(16 + itemsize) bytes more: 48 MiB at 128x128 and 384 MiB at
-256x256 in complex64. Its memory grows with W^2 where the
-column path's does not, and its crossover rises with W, so it is taken
-only on the grids measured below: H and W at most GRAM_MAX_SIDE = 256,
-which caps N and Q at 384 MiB (complex64) or 512 MiB (complex128).
+2005). :meth:`ForwardOperator.row_gram` returns N for a y of at
+least :data:`GRAM_MIN_FRAMES` frames on a grid at most :data:`GRAM_MAX_SIDE`
+on each side, and None otherwise. N is complex128, built once from the
+unramped maps and a complex128 D. The solver forms the step matrix
+``Q = (1 - s*lam) I - s N`` from it in the operator's dtype and releases N;
+each outer step then takes one gradient on B and y_dc and runs its inner
+iterations as one batched (row, frame, col) GEMM with Q each (see
+``solver``). The path holds Q, H*W^2*itemsize bytes, through the solve, and
+N, H*W^2*16 more, during its setup: in complex64, 16 and 32 MiB at 128x128,
+128 and 256 MiB at 256x256. Measured with ``tracemalloc`` on 12-frame
+complex64 TV solves (8 coils, estimated maps), a solve holds 27 MiB at
+12x128x128 and 172 MiB at 12x256x256 when it first denoises, and peaks at
+57 and 418 MiB.
+Its memory grows with W^2 where the column path's does not, and its crossover
+rises with W, so it is taken only on the grids measured below: H and W at
+most GRAM_MAX_SIDE = 256, which caps N and Q at 384 MiB (complex64) or
+512 MiB (complex128) during setup.
 Larger grids, one-frame solves and point masks keep the column path.
 
 GRAM_MIN_FRAMES is the measured crossover of whole solves: seconds for the
@@ -192,24 +196,19 @@ class ForwardOperator:
         y_dc = _centred(np.fft.ifftn, y[..., cols], axes=(-2,))
         return op, np.ascontiguousarray(y_dc[..., box[-2], :])
 
-    def row_gram(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(N, b)`` in complex128: N = B^H B (row, col, col) and
-        ``b = B^H y_dc`` (row, frame, col), for a rectilinear y of at least
-        :data:`GRAM_MIN_FRAMES` frames on a grid at most :data:`GRAM_MAX_SIDE`
-        on each side; else None (see the module docstring)."""
+    def row_gram(self, y: np.ndarray) -> np.ndarray | None:
+        """N = B^H B (row, col, col) in complex128, for a rectilinear y of at
+        least :data:`GRAM_MIN_FRAMES` frames on a grid at most
+        :data:`GRAM_MAX_SIDE` on each side; else None (see the module docstring)."""
         large = max(self.mask.height, self.mask.width) > GRAM_MAX_SIDE
         if large or self.mask.scheme not in RECTILINEAR_SCHEMES or y.shape[1] < GRAM_MIN_FRAMES:
             return None
-        cols, dft = self._sampled_columns()
-        # N_h = (sum_c S_ch S_ch^H) * (D D^H) and b, in complex128
-        y_dc = _centred(np.fft.ifftn, y[..., cols].astype(np.complex128), axes=(-2,))
-        maps = self.sens.maps.astype(np.complex128, copy=False)
-        rows = maps.transpose(1, 2, 0)  # (H, W, coil)
+        # N_h = (sum_c S_ch S_ch^H) * (D D^H)
+        rows = self.sens.maps.astype(np.complex128, copy=False).transpose(1, 2, 0)  # (H, W, coil)
         normal = rows @ rows.conj().transpose(0, 2, 1)
+        dft = self._sampled_columns()[1]
         normal *= dft @ dft.conj().T
-        v = (y_dc.reshape(-1, cols.size) @ dft.conj().T).reshape(*y_dc.shape[:-1], -1)
-        v *= maps.conj()[:, np.newaxis]
-        return normal, np.ascontiguousarray(v.sum(axis=0).transpose(1, 0, 2))
+        return normal
 
     def apply_arr(self, x: np.ndarray) -> np.ndarray:
         """Forward map on a raw (frame, row, col) array -> (coil, frame, row, col),

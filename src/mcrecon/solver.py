@@ -19,20 +19,22 @@ part keeps a zero last row and its column part a zero last column. The solve
 returns the final image x only.
 
 Data consistency is one object per solve, whose ``descend`` runs the inner
-iterations: :class:`GradientSteps` on the operator and data of
-``ForwardOperator.for_data_consistency`` (on rectilinear masks they map
-image rows onto the sampled columns, with the same gradient), or, with
+iterations on the operator and data of
+``ForwardOperator.for_data_consistency`` (on rectilinear masks B and y_dc,
+which map image rows onto the sampled columns, with the same gradient):
+:class:`GradientSteps` takes a :func:`dc_gradient` each iteration, and, with
 ``fourier.GRAM_MIN_FRAMES`` frames or more on a rectilinear mask of at most
-``fourier.GRAM_MAX_SIDE`` rows and columns, :class:`RowGramSteps` on the
-N = B^H B (one (W, W) matrix per image row) and b = B^H y_dc of
-``ForwardOperator.row_gram``, with Q = (1 - s*lam) I - s N. The
-gradient at x0 + d is c + d (N + lam I), with the anchor
-c = (x0 N - b) + lam (x0 - w) + m, so each outer step computes c once in
-complex128 from its start x0 and runs the inner iterations on the correction
-d, in (row, frame, col) layout, as d <- d Q - s c from d = 0: one batched GEMM
-and one add each, with no operator call. That is the same iterate in exact
-arithmetic. The anchor keeps out the complex64 cancellation of the plain
-``x N - b`` form, which moved a 12x128x128 solve by 7.8e-6 of its maximum.
+``fourier.GRAM_MAX_SIDE`` rows and columns, :class:`RowGramSteps` takes one
+per outer step and iterates on the step matrix Q = (1 - s*lam) I - s N, from
+the N = B^H B (one (W, W) matrix per image row) of
+``ForwardOperator.row_gram``. The gradient at x0 - e is g - e (N + lam I),
+with g the gradient at the step's start x0, so the inner iterations run on
+the correction e = x0 - x, in (row, frame, col) layout, as e <- e Q + s g
+from e = s g: one batched GEMM and one add each, with no operator call. That
+is the same iterate in exact arithmetic, and with one inner iteration the
+same bytes. g comes from the residual B x0 - y_dc, so the solve's dtype is
+enough for it: the plain ``x N - B^H y_dc`` form cancels in complex64, which
+moved a 12x128x128 solve by 7.8e-6 of its maximum.
 
 The solve runs in the dtype of the k-space: the operator casts the maps to
 it once, and every step and denoiser returns the dtype it is given, so
@@ -275,35 +277,29 @@ class GradientSteps:
 
 
 class RowGramSteps:
-    """Data consistency on the N and b of ``ForwardOperator.row_gram``, with
-    ``cfg``'s step matrix Q = (1 - s*lam) I - s N cast once to ``dtype``."""
+    """Data consistency on the row Gram form: one :func:`dc_gradient` per outer
+    step on ``op`` and ``y`` (the B and y_dc of
+    ``ForwardOperator.for_data_consistency``), then inner iterations with
+    ``cfg``'s step matrix Q = (1 - s*lam) I - s N, cast once to ``op.dtype``
+    from the N of ``ForwardOperator.row_gram``, which is not kept."""
 
-    def __init__(self, normal: np.ndarray, b: np.ndarray, cfg: AdmmConfig, dtype: np.dtype):
-        self.normal, self.b, self.cfg, s = normal, b, cfg, cfg.step_size
-        self.step = np.multiply(normal, -s, out=np.empty(normal.shape, dtype), casting="same_kind")
+    def __init__(self, normal: np.ndarray, op: ForwardOperator, y: np.ndarray, cfg: AdmmConfig):
+        self.op, self.y, self.cfg, s = op, y, cfg, cfg.step_size
+        self.step = np.multiply(normal, -s, out=np.empty(normal.shape, op.dtype), casting="same_kind")
         diag = np.arange(normal.shape[-1])
         self.step[:, diag, diag] = (1 - s * cfg.lam) - s * normal[:, diag, diag]
 
     def descend(self, x0: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
-        # d <- d Q - s c from d = 0 on d = x - x0, anchored in complex128 (module docstring)
-        def rows(a):
-            return np.ascontiguousarray(a.transpose(1, 0, 2), dtype=np.complex128)
-
-        x0r = rows(x0)
-        c = x0r @ self.normal
-        c -= self.b
-        x0r -= rows(w)
-        x0r *= self.cfg.lam
-        c += x0r
-        c += rows(m)
-        c *= -self.cfg.step_size
-        neg_sc = c.astype(x0.dtype)
-        d, nxt = neg_sc.copy(), np.empty_like(neg_sc)
+        # e <- e Q + s g from e = s g on e = x0 - x, in (row, frame, col) layout (module docstring)
+        g = dc_gradient(x0, w, m, self.y, self.op, self.cfg.lam)
+        g *= self.cfg.step_size
+        sg = np.ascontiguousarray(g.transpose(1, 0, 2))
+        e, nxt = sg.copy(), np.empty_like(sg)
         for _ in range(self.cfg.inner_iters - 1):
-            np.matmul(d, self.step, out=nxt)
-            nxt += neg_sc
-            d, nxt = nxt, d
-        return x0 + d.transpose(1, 0, 2)
+            np.matmul(e, self.step, out=nxt)
+            nxt += sg
+            e, nxt = nxt, e
+        return x0 - e.transpose(1, 0, 2)
 
 
 def data_consistency_step(x_in: np.ndarray, w: np.ndarray, m: np.ndarray, dc) -> np.ndarray:
@@ -336,9 +332,11 @@ def admm_reconstruct(
     if cfg.T == 0:
         return start
     x = w = start.data
-    gram = op.row_gram(y.data)
-    dc = (GradientSteps(*op.for_data_consistency(y.data), cfg) if gram is None
-          else RowGramSteps(*gram, cfg, op.dtype))
+    op_dc, y_dc = op.for_data_consistency(y.data)
+    normal = op.row_gram(y.data)
+    dc = (GradientSteps(op_dc, y_dc, cfg) if normal is None
+          else RowGramSteps(normal, op_dc, y_dc, cfg))
+    del normal  # RowGramSteps holds Q; N is released before the loop
     m = np.zeros_like(x)
     for _ in range(cfg.T):
         w = denoise_step(x + m / cfg.lam, cfg.denoiser, cfg.lam)

@@ -14,7 +14,7 @@ from mcrecon.fourier import (
 )
 from mcrecon import sampling
 from mcrecon.sampling import full_mask
-from mcrecon.solver import AdmmConfig, RowGramSteps, dc_gradient, dc_objective
+from mcrecon.solver import AdmmConfig, RowGramSteps, dc_objective
 
 
 def rand_image(rng, *shape):
@@ -354,35 +354,30 @@ class TestDataConsistencyOperator:
         self, scheme, accel, height, width, extra_frames, n_coils, dtype, seed
     ):
         """GRAM_MIN_FRAMES or more frames give the row Gram form: N
-        (row, col, col) and b = B^H y_dc (row, frame, col) in complex128 with
-        x N - b + lam (x - w) + m equal to dc_gradient through apply_arr /
-        adjoint_arr, N Hermitian, and RowGramSteps' step matrix
+        (row, col, col) in complex128 with x N equal to B^H B x through the
+        column operator's apply_arr / adjoint_arr, N Hermitian, and
+        RowGramSteps on that operator and y_dc with the step matrix
         (1 - s lam) I - s N for its config, cast once to the solve's dtype."""
         rng = np.random.default_rng(seed)
         n_frames = GRAM_MIN_FRAMES + extra_frames
         mask = sampling.make_mask(scheme, height, width, accel, seed, acs_lines=2)
         op = ForwardOperator(mask=mask, sens=random_sens(rng, n_coils, height, width), dtype=dtype)
-        x, w, m = (rand_image(rng, n_frames, height, width).astype(dtype) for _ in range(3))
+        x = rand_image(rng, n_frames, height, width).astype(dtype)
         y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
         step, lam = 0.7, 0.3
-        normal, b = op.row_gram(y)
+        normal = op.row_gram(y)
+        op_dc, y_dc = op.for_data_consistency(y)
         cfg = AdmmConfig(T=1, inner_iters=1, lam=lam, step_size=step)
-        gram = RowGramSteps(normal, b, cfg, op.dtype)
-        assert gram.normal is normal and gram.b is b and gram.cfg is cfg
+        gram = RowGramSteps(normal, op_dc, y_dc, cfg)
+        assert gram.op is op_dc and gram.y is y_dc and gram.cfg is cfg
         assert (gram.cfg.step_size, gram.cfg.lam) == (step, lam)
-        assert normal.dtype == b.dtype == np.complex128 and gram.step.dtype == dtype
+        assert normal.dtype == np.complex128 and gram.step.dtype == dtype
         assert normal.shape == (height, width, width) == gram.step.shape
-        assert b.shape == (height, n_frames, width)
         assert np.allclose(normal, normal.conj().transpose(0, 2, 1), rtol=0, atol=1e-14)
         eye = np.eye(width)
         assert np.array_equal(gram.step, ((1 - step * lam) * eye - step * normal).astype(dtype))
-
-        def rows(a):
-            return a.transpose(1, 0, 2).astype(np.complex128)
-
-        got = (rows(x) @ normal - b + lam * (rows(x) - rows(w)) + rows(m)).transpose(1, 0, 2)
-        op_dc, y_dc = op.for_data_consistency(y)
-        want = dc_gradient(x, w, m, y_dc, op_dc, lam)
+        got = (x.transpose(1, 0, 2).astype(np.complex128) @ normal).transpose(1, 0, 2)
+        want = op_dc.adjoint_arr(op_dc.apply_arr(x))
         tol = 1e-10 if dtype == np.complex128 else 1e-5
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
         # fewer frames keep the column-DFT operator

@@ -2,6 +2,7 @@
 compared key by key, and only declared exit-code changes are accepted."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -72,3 +73,21 @@ def test_expect_needs_key_and_equals(outs):
     with pytest.raises(SystemExit) as exc:
         run(outs, "rc_b")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("layout", ["missing", "empty", "src_without_package"])
+def test_golden_hashes_without_a_package_exits_2(tmp_path, layout):
+    """scripts/golden_hashes.sh takes a checkout root or its src/; a SRC_DIR
+    with neither mcrecon/ nor src/mcrecon/ exits 2 before any CLI call and
+    writes no OUT_DIR."""
+    src = tmp_path / "checkout"
+    if layout != "missing":
+        src.mkdir()
+    if layout == "src_without_package":
+        (src / "src").mkdir()
+    out = tmp_path / "out"
+    done = subprocess.run(["bash", str(SCRIPT.with_name("golden_hashes.sh")), str(src), str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "no mcrecon package" in done.stderr
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -359,7 +360,9 @@ class TestDataConsistency:
         (whose (row, frame, col) views are transposed), for maps with full
         support and for maps zero outside a random box with holes inside,
         where the Gram form spans the whole grid and the column operator only
-        the support's bounding box."""
+        the support's bounding box. With one inner iteration RowGramSteps
+        never reaches Q: both compute x0 - s*g from the same dc_gradient g on
+        (B, y_dc), so their iterates are the same bytes."""
         rng = np.random.default_rng(seed)
         frames = GRAM_MIN_FRAMES + extra_frames
         mask = sampling.make_mask(scheme, height, width, 2, seed, acs_lines=2)
@@ -368,11 +371,14 @@ class TestDataConsistency:
         x, wv, m = (rand_image(rng, frames, height, width).astype(dtype) for _ in range(3))
         y = (mask.pattern * rand_image(rng, n_coils, frames, height, width)).astype(dtype)
         cfg = AdmmConfig(T=1, inner_iters=inner, lam=0.3)
-        got = data_consistency_step(x, wv, m, RowGramSteps(*op.row_gram(y), cfg, op.dtype))
-        want = data_consistency_step(x, wv, m, GradientSteps(*op.for_data_consistency(y), cfg))
+        op_dc, y_dc = op.for_data_consistency(y)
+        got = data_consistency_step(x, wv, m, RowGramSteps(op.row_gram(y), op_dc, y_dc, cfg))
+        want = data_consistency_step(x, wv, m, GradientSteps(op_dc, y_dc, cfg))
         assert got.dtype == dtype and got.shape == x.shape and got.flags.c_contiguous
         tol = 1e-12 if dtype == np.complex128 else 1e-5
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        if inner == 1:
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "scheme, frames", [("gaussian2d", 1), ("equispaced", 1), ("equispaced", GRAM_MIN_FRAMES)]
@@ -389,14 +395,14 @@ class TestDataConsistency:
             y = rand_image(rng, 2, frames, 6, 6)
             lam = 1.0
             cfg = AdmmConfig(T=1, inner_iters=1, lam=lam)
-            gram = op.row_gram(y)
-            assert (gram is not None) == (frames == GRAM_MIN_FRAMES)
+            normal = op.row_gram(y)
+            assert (normal is not None) == (frames == GRAM_MIN_FRAMES)
             op_dc, y_dc = op.for_data_consistency(y)
             assert (op_dc is op) == (scheme == "gaussian2d")
-            if gram is None:
+            if normal is None:
                 dc = GradientSteps(op_dc, y_dc, cfg)
             else:
-                dc = RowGramSteps(*gram, cfg, op.dtype)
+                dc = RowGramSteps(normal, op_dc, y_dc, cfg)
             prev = dc_objective(x, w.copy(), m, y_dc, op_dc, lam)
             cur = x
             for _ in range(10):
@@ -638,10 +644,39 @@ class TestOperatorCalls:
         assert got.data.tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("scheme", ["equispaced", "random-rectilinear"])
-    def test_row_gram_path_calls_only_the_zero_filled_adjoint(self, rng, monkeypatch, scheme):
-        """With GRAM_MIN_FRAMES frames on a rectilinear mask the gradients run
-        on the row Gram form: adjoint_arr once (the zero-filled start),
-        apply_arr never, and one ForwardOperator built per solve."""
+    def test_no_reference_to_the_row_gram_normal_outlives_the_setup(
+        self, rng, monkeypatch, scheme
+    ):
+        """The row Gram solve keeps its step matrix Q, not the complex128 N it
+        is formed from: N is freed before the first denoise call."""
+        refs, dead = [], []
+        row_gram = ForwardOperator.row_gram
+
+        def kept(self, arr):
+            normal = row_gram(self, arr)
+            refs.append(weakref.ref(normal))
+            return normal
+
+        def recorded(v, spec, lam):
+            dead.append(all(ref() is None for ref in refs))
+            return denoise_step(v, spec, lam)
+
+        monkeypatch.setattr(ForwardOperator, "row_gram", kept)
+        monkeypatch.setattr("mcrecon.solver.denoise_step", recorded)
+        sens = random_sens(rng, 2, 16, 16)
+        mask = make_mask(scheme, 16, 16, 4, 1)
+        y = KSpaceData(mask.pattern * rand_image(rng, 2, GRAM_MIN_FRAMES, 16, 16))
+        admm_reconstruct(y, mask, sens, AdmmConfig(T=2, inner_iters=3))
+        assert len(refs) == 1 and dead == [True, True]
+
+    @pytest.mark.parametrize("scheme", ["equispaced", "random-rectilinear"])
+    def test_row_gram_path_calls_the_operator_once_per_outer_step(
+        self, rng, monkeypatch, scheme
+    ):
+        """With GRAM_MIN_FRAMES frames on a rectilinear mask the inner
+        iterations run on the row Gram form: apply_arr T times and adjoint_arr
+        T + 1 times (one gradient per outer step and the zero-filled start),
+        and one ForwardOperator built per solve."""
         calls = {"apply_arr": 0, "adjoint_arr": 0}
         for name, method in [(n, getattr(ForwardOperator, n)) for n in calls]:
 
@@ -658,5 +693,5 @@ class TestOperatorCalls:
         mask = make_mask(scheme, 16, 16, 4, 1)
         y = KSpaceData(mask.pattern * rand_image(rng, 2, GRAM_MIN_FRAMES, 16, 16))
         admm_reconstruct(y, mask, sens, AdmmConfig(T=3, inner_iters=5))
-        assert calls == {"apply_arr": 0, "adjoint_arr": 1}
+        assert calls == {"apply_arr": 3, "adjoint_arr": 4}
         assert len(built) == 1
