@@ -2,10 +2,17 @@
 """Sweep acceleration factors and undersampling schemes on a simulated
 phantom, comparing zero-filled and ADMM reconstructions.
 
+The ACS region takes about half of each mask's budget, so that it fits at
+every R: ceil(size / R) // 2 of the ceil(size / R) rectilinear columns, and
+a gaussian2d disc of radius isqrt(budget // 7) (pi r^2 <= budget / 2) in its
+budget of ceil(size^2 / R) points. A rectilinear mask then samples exactly
+ceil(size / R) columns, and its R_eff is size / ceil(size / R).
+
 Usage: python3 scripts/accel_sweep.py [--size 64] [--coils 4] [--seed 1]
 """
 
 import argparse
+import math
 
 import numpy as np
 
@@ -24,7 +31,7 @@ from mcrecon.data import shepp_logan, simulate_coils
 from mcrecon.sampling import GENERATORS, achieved_acceleration
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--size", type=int, default=64)
     ap.add_argument("--coils", type=int, default=4)
@@ -32,7 +39,7 @@ def main():
     ap.add_argument("--denoiser", default="tv-chambolle")
     ap.add_argument("--strength", type=float, default=1e-3)
     ap.add_argument("--lam", type=float, default=0.1)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     img = shepp_logan(args.size)
     sens, kfull = simulate_coils(img, args.coils, args.seed)
@@ -45,7 +52,10 @@ def main():
     print(f"{'scheme':<20}{'R':>4}{'R_eff':>8}{'SSIM(zf)':>10}{'SSIM':>8}{'PSNR':>8}{'NMSE':>10}")
     for scheme in GENERATORS:
         for R in (4, 8, 10):
-            mask = make_mask(scheme, args.size, args.size, R, args.seed, acs_lines=24, acs_radius=8)
+            # the ACS region takes about half of the budget (module docstring)
+            cols, points = math.ceil(args.size / R), math.ceil(args.size**2 / R)
+            mask = make_mask(scheme, args.size, args.size, R, args.seed,
+                             acs_lines=cols // 2, acs_radius=math.isqrt(points // 7))
             y = KSpaceData(mask.pattern * kfull.data)
             zf = np.abs(zero_filled_init(y, mask, sens).data[0])
             rec = np.abs(admm_reconstruct(y, mask, sens, cfg).data[0])

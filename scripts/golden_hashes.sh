@@ -16,7 +16,10 @@
 # prox's flat passes), a static l1 solve with --estimate-sens on a 64x64
 # equispaced mask with 16 ACS lines (r_crop: the estimated maps' support box
 # keeps 61 of 64 rows and 55 of 64 columns, so the column-DFT path runs on a
-# box smaller than the grid in both directions), --jobs 1 and 2, evaluate,
+# box smaller than the grid in both directions), a 6-frame dynamic TV solve
+# with --estimate-sens on that mask (r_dynC: the row Gram path with its box,
+# 61 of 64 rows and 55 of 64 columns, smaller than the grid in both
+# directions), --jobs 1 and 2, evaluate,
 # and the exit codes in rcs.txt. Seven are bad arguments and
 # exit 2: an unknown scheme (rc_bogus), an unknown denoiser (rc_den), a
 # gaussian2d budget below its ACS disc (rc_budget), R=0.5 (rc_acc), a 0x0
@@ -71,6 +74,7 @@ $M simulate --size 48 --frames 6 --coils 4 --seed 10 --mask m_random-rectilinear
 $M mask --scheme equispaced --size 45x45 --accel 4 --acs 8 --seed 11 --out m45.cks >/dev/null
 $M simulate --size 45 --frames 3 --coils 4 --seed 12 --mask m45.cks --out-prefix o >/dev/null
 $M simulate --size 64 --coils 4 --seed 13 --mask m64_equispaced.cks --out-prefix c >/dev/null
+$M simulate --size 64 --frames 6 --coils 4 --seed 14 --mask m64_equispaced.cks --out-prefix cg >/dev/null
 mkdir -p a; cp s_kspace_masked.cks a/v1.cks
 $M simulate --size 48 --coils 4 --seed 8 --mask m_equispaced.cks --out-prefix s8 >/dev/null
 cp s8_kspace_masked.cks a/v3.cks
@@ -91,6 +95,7 @@ $M reconstruct --kspace dg_kspace_masked.cks --mask m_random-rectilinear.cks --s
 $M reconstruct --kspace dg_kspace_masked.cks --mask m_random-rectilinear.cks --sens dg_sens.cks --mode dynamic --T 0 --out-prefix r_dynG_t0 >/dev/null
 $M reconstruct --kspace o_kspace_masked.cks --mask m45.cks --sens o_sens.cks --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_odd >/dev/null
 $M reconstruct --kspace c_kspace_masked.cks --mask m64_equispaced.cks --estimate-sens --denoiser l1 --strength 1e-3 --lam 0.1 --out-prefix r_crop >/dev/null
+$M reconstruct --kspace cg_kspace_masked.cks --mask m64_equispaced.cks --estimate-sens --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_dynC >/dev/null
 $M reconstruct --kspace a/v1.cks a/v3.cks --mask m_equispaced.cks --sens s_sens.cks --jobs 1 --out-prefix j1 >/dev/null
 $M reconstruct --kspace a/v1.cks a/v3.cks --mask m_equispaced.cks --sens s_sens.cks --jobs 2 --out-prefix j2 >/dev/null
 printf 'denoiser=tv\nstrength=1e-3\nlam=0.1\nT=5\n' > rc.conf

@@ -14,8 +14,11 @@ centred transform is a plain FFT between two phase ramps,
 ``fft2c(v) == r_k * fft2(r_n * v)`` with r_n[j] = exp(2*pi*i*c*j/n) and
 r_k[p] = exp(2*pi*i*c*(p - c)/n), exact +-1 checkerboards at even n. The
 operator folds r_n into the maps and r_k into the mask once, at
-construction, and ``apply_arr`` / ``adjoint_arr`` take one ``numpy.fft``
-transform over (-2, -1), written over a buffer of their own (``out=``), never
+construction. ``apply_arr`` multiplies the maps into ``x[box]`` and runs the
+transform hook ``_to_k``; ``adjoint_arr`` runs ``_from_k``, multiplies the
+conjugate maps and sums the coils into ``x[box]`` of a zeroed image. Here the
+box is the whole grid, and each hook is the mask and one ``numpy.fft``
+transform over (-2, -1), written over a buffer of its own (``out=``), never
 over the caller's array.
 
 Data consistency needs only ``A^H (A x - y)``. On a rectilinear mask every
@@ -23,91 +26,78 @@ column is sampled fully or not at all, so M commutes with the centred
 unitary height transform F_h: A = F_h M F_w S. With B the K sampled columns
 of F_w S and y_dc those of F_h^H y, ``A^H (A x - y) == B^H (B x - y_dc)``
 for any y, and ``||B x - y_dc||^2 == ||A x - y||^2 - ||(1 - M) y||^2``, equal
-for y on the mask. :meth:`ForwardOperator.for_data_consistency` returns B
-and y_dc (point masks keep A and y). B holds the (W, K) centred width DFT at
-the sampled columns with both ramps folded in (a pruned DFT, Markel 1971),
-``D[j, p] = exp(-2*pi*i*(j - c)*(col_p - c)/W) / sqrt(W)``. Each method
-runs one GEMM on the flattened (coil*frame*row, col or K) matrix where the
-2D path runs its FFT: ``apply_arr`` computes ``(S * x) @ D`` and
-``adjoint_arr`` ``sum_c (r_c @ D^H) * conj(S_c)``, with the maps product
-and the coil sum shared with the 2D path. The GEMMs do O(W*K) work per row
-against the FFT's O(W log W): a gradient at 256x256, 8 coils, complex64,
-2 vCPUs takes 0.75x the FFT path's time at R4, but 1.2x at R2 and 2.1x at
-R1, which no workload or paper setting uses.
+for y on the mask. :meth:`ForwardOperator.for_data_consistency` returns B, a
+:class:`ColumnOperator`, and y_dc (point masks keep A and y). B overrides only
+the hooks, each one GEMM on the flattened (coil*frame*row, col or K) matrix:
+``_to_k`` is ``v @ D`` and ``_from_k`` ``y @ D^H``, with D the (W, K)
+centred width DFT at the sampled columns, both ramps folded in (a pruned
+DFT, Markel 1971), ``D[j, p] = exp(-2*pi*i*(j - c)*(col_p - c)/W) / sqrt(W)``,
+on the unramped maps. The GEMMs do O(W*K) work per row against the FFT's
+O(W log W): a gradient at 256x256, 8 coils, complex64, 2 vCPUs takes 0.75x
+the FFT path's time at R4, but 1.2x at R2 and 2.1x at R1, which no workload
+or paper setting uses.
 
-B also runs only on the bounding box of the maps' support (``sens.support``),
-H' rows by W' columns, found once per solve: maps calibrated from the ACS
-region are zero outside the body, as SENSE and ESPIRiT maps are. The maps
-are zero in every coil outside the box, so there S * x is zero. The columns
-outside the box then add exact zeros to each GEMM row, and B x is zero in the
-rows outside the box, which B^H maps back to zero through conj(S). So B keeps
-the box's maps, the box's W' rows of D and y_dc's H' rows. ``apply_arr``
-multiplies only the box of x and runs its GEMM on (C*F*H', W') @ (W', K);
-``adjoint_arr`` returns the full (F, H, W) image, exact zeros outside the box.
-The gradient is the same up to the order of the GEMM sums: a complex64 solve
-at 256x256 moved by 3.9e-7 of the image maximum. The objective identity gains
-one constant, the energy of y_off, F_h^H y's sampled columns in the rows
-outside the box: ``||B x - y_dc||^2 == ||A x - y||^2 - ||(1 - M) y||^2 -
-||y_off||^2``. All-zero maps are a valid input and keep the whole grid. On
-``static256-rect-l1`` the estimated support spans rows 10-246 and columns
-27-229, a 237x203 box and 73% of the 256x256 grid. Its ``reconstruct_s`` fell
-from 1.29 to 1.04 s (medians of 10 alternating runs, 2 vCPUs, numpy 2.4 with
-OpenBLAS), and the traced time per request from 0.50 to 0.35 s in
-``apply_arr`` and from 0.59 to 0.46 s in ``adjoint_arr`` (medians of 3 runs).
-The row Gram path below builds N and Q on the whole grid.
+B's box is the H' x W' bounding box of the maps' support (``sens.support``):
+maps calibrated from the ACS region are zero outside the body, as SENSE and
+ESPIRiT maps are. Outside the box S * x is zero in every coil, so the columns
+there add exact zeros to each GEMM row, and B x is zero in the rows there,
+which B^H maps back to zero through conj(S). So B keeps the box's maps, the
+box's W' rows of D and y_dc's H' rows. The gradient is the same up to the
+order of the GEMM sums (3.9e-7 of the image maximum in a complex64 256x256
+solve). The objective identity gains one constant, the energy of y_off,
+F_h^H y's sampled columns in the rows outside the box:
+``||B x - y_dc||^2 == ||A x - y||^2 - ||(1 - M) y||^2 - ||y_off||^2``.
+All-zero maps are a valid input and keep the whole grid. On
+``static256-rect-l1`` the box is 237x203, 73% of the grid, and its
+``reconstruct_s`` fell from 1.29 to 1.04 s (2 vCPUs, numpy 2.4, OpenBLAS).
 
 On a rectilinear mask B^H B also splits into independent image rows
 (Pruessmann et al. 1999): row h of ``B^H B x`` is ``x_h N_h`` with one
-Hermitian (W, W) matrix ``N_h = (sum_c S_ch S_ch^H) * (D D^H)`` (elementwise
-product), the same for every frame (a Gram normal operator, Fessler et al.
-2005). :meth:`ForwardOperator.row_gram` returns N for a y of at
-least :data:`GRAM_MIN_FRAMES` frames on a grid at most :data:`GRAM_MAX_SIDE`
-on each side, and None otherwise. N is complex128, built once from the
-unramped maps and a complex128 D. The solver forms the step matrix
-``Q = (1 - s*lam) I - s N`` from it in the operator's dtype and releases N;
-each outer step then takes one gradient on B and y_dc and runs its inner
-iterations as one batched (row, frame, col) GEMM with Q each (see
-``solver``). The path holds Q, H*W^2*itemsize bytes, through the solve, and
-N, H*W^2*16 more, during its setup: in complex64, 16 and 32 MiB at 128x128,
-128 and 256 MiB at 256x256. Measured with ``tracemalloc`` on 12-frame
-complex64 TV solves (8 coils, estimated maps), a solve holds 27 MiB at
-12x128x128 and 172 MiB at 12x256x256 when it first denoises, and peaks at
-57 and 418 MiB.
-Its memory grows with W^2 where the column path's does not, and its crossover
-rises with W, so it is taken only on the grids measured below: H and W at
-most GRAM_MAX_SIDE = 256, which caps N and Q at 384 MiB (complex64) or
-512 MiB (complex128) during setup.
-Larger grids, one-frame solves and point masks keep the column path.
+Hermitian (W', W') matrix ``N_h = (sum_c S_ch S_ch^H) * (D D^H)``
+(elementwise product) per box row, the same for every frame (a Gram normal
+operator, Fessler et al. 2005); off the box N is zero.
+:meth:`ColumnOperator.row_gram` builds N from B's box maps and D in its
+dtype, for at least :data:`GRAM_MIN_FRAMES` frames on a grid at most
+:data:`GRAM_MAX_SIDE` on each side (else None), and the solver forms its
+step matrix Q = (1 - s*lam) I - s N in place in it (see ``solver``). The
+path holds that one (H', W', W') array: in complex64 9.3 MiB on the 119x101
+box of 128x128 and 74.5 MiB on the 237x203 box of 256x256 (16 and 128 MiB
+on the whole grids). Measured with ``tracemalloc`` on warm 12-frame
+complex64 TV solves (8 coils, random-rectilinear R4 with 24 ACS lines,
+estimated maps), a solve peaks at 35.0 MiB at 128x128 and 177.1 MiB at
+256x256, where a complex128 whole-grid N beside Q peaked at 56.6 and
+418.2 MiB. Q grows with W'^2 where the column path does not, so the side cap
+holds it to 128 MiB (complex64) or 256 MiB (complex128) on measured grids.
+Larger grids, fewer frames and point masks keep the column path.
 
-GRAM_MIN_FRAMES is the measured crossover of whole solves: seconds for the
-column-DFT path / the row Gram path, T=10, 8 inner iterations, identity
-denoiser, 8 coils, equispaced R4, complex64, one solve per fresh process,
-medians of 3, 2 vCPUs (numpy 2.4 with OpenBLAS 0.3.31)::
+Whole solves, seconds for the column path / the row Gram path: T=10, 8 inner
+iterations, identity denoiser, 8 coils, equispaced R4 with 24 ACS lines,
+estimated maps, complex64, one solve per fresh process with GRAM_MIN_FRAMES
+patched to force each path, medians of 5 (3 at 256x256), 2 vCPUs, numpy 2.4
+with OpenBLAS 0.3.31::
 
-    frames          1           2           4           5           6           8
-    128x128   0.08/0.15   0.14/0.21   0.31/0.27   0.36/0.31   0.45/0.37   0.69/0.43
-    256x256   0.41/1.25   0.92/1.93   1.88/2.08   2.34/2.41   2.70/2.66   5.44/3.11
+    frames      1          2          3          4          5          6          8          12
+    128x128  0.17/0.09  0.14/0.12  0.22/0.15  0.27/0.18  0.34/0.21  0.41/0.21  0.58/0.31  0.93/0.45
+    256x256  0.40/0.49  0.84/0.91  1.18/1.22  1.82/1.25  2.20/1.56  2.78/1.69  3.81/1.82  6.97/2.56
 
-With few frames the Gram GEMM reads all of Q for a few rows and the setup
-(N, Q, about 75 ms at 128x128) does not pay back. At 12 frames of 128x128
-the solve takes 1.01/0.50 s. Both paths give the same iterate up to
-round-off (within 1e-6 of the image maximum in complex64).
+So on the box the Gram path wins from 2 frames at 128x128 and from 4 at
+256x256, and GRAM_MIN_FRAMES, chosen on the whole-grid form, leaves 4 and 5
+frames on the slower path. Both paths give the same iterate up to round-off
+(within 1e-6 of the image maximum in complex64).
 
-The operator computes in one complex dtype, by default that of the maps:
-it casts the ramped maps and mask (or D) to it once, and ``apply_arr`` /
+The operator computes in one complex dtype, by default that of the maps: it
+casts its maps and its mask or D to it once, and ``apply_arr`` /
 ``adjoint_arr`` then return arrays of that dtype for inputs of it. The
 solver builds it in the dtype of the k-space, so complex64 CKS data runs
 single-precision FFTs and matmuls.
 """
 
-import copy
-
 import numpy as np
 
 from .core import RECTILINEAR_SCHEMES, SamplingMask, SensitivityMaps, check_maps
 
-# The row Gram path's rule (row_gram); the module docstring has the measured
-# crossover and the memory bound.
+# The row Gram path's rule (ColumnOperator.row_gram); the module docstring has
+# the measured crossover and the memory bound.
 GRAM_MIN_FRAMES = 6
 GRAM_MAX_SIDE = 256
 
@@ -155,9 +145,17 @@ def _ramps(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _phase(c * j, n), _phase(c * (j - c), n)
 
 
+def _contiguous(arr: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """arr and its conjugate, C-contiguous in dtype."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    return arr, arr.conj()
+
+
 class ForwardOperator:
     """Per-coil acquisition operator: mask * fft2c(S_k * x), stacked over coils,
     computed in ``dtype`` (complex64 or complex128; None means the maps' dtype)."""
+
+    box = np.s_[...]  # the image region the maps cover: the whole grid
 
     def __init__(self, mask: SamplingMask, sens: SensitivityMaps, dtype=None):
         check_maps(mask, sens)
@@ -165,73 +163,74 @@ class ForwardOperator:
         if dtype not in (np.complex64, np.complex128):
             raise ValueError(f"operator dtype must be complex64 or complex128, got {dtype}")
         self.mask, self.sens, self.dtype = mask, sens, dtype
-        self._box = np.s_[...]  # the whole grid; for_data_consistency crops to the maps' support
         (rn_h, rk_h), (rn_w, rk_w) = _ramps(mask.height), _ramps(mask.width)
-        self._fold(sens.maps * np.outer(rn_h, rn_w), mask.pattern * np.outer(rk_h, rk_w))
-
-    def _fold(self, maps: np.ndarray, kmask: np.ndarray | None, dft: np.ndarray | None = None):
-        """Set the maps and the 2D k-space mask or the column DFT, in ``dtype``, with conjugates."""
-        for name, arr in (("_maps", maps), ("_kmask", kmask), ("_dft", dft)):
-            arr = None if arr is None else np.ascontiguousarray(arr, dtype=self.dtype)
-            setattr(self, name, arr)
-            setattr(self, name + "_conj", None if arr is None else arr.conj())
-
-    def _sampled_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sampled columns of a rectilinear mask and D, their (W, K) centred DFT."""
-        w, c = self.mask.width, self.mask.width // 2
-        cols = np.flatnonzero(self.mask.pattern[0])
-        return cols, _phase(-np.outer(np.arange(w) - c, cols - c), w) / np.sqrt(w)
+        self._maps, self._maps_conj = _contiguous(sens.maps * np.outer(rn_h, rn_w), dtype)
+        self._kmask, self._kmask_conj = _contiguous(mask.pattern * np.outer(rk_h, rk_w), dtype)
 
     def for_data_consistency(self, y: np.ndarray) -> tuple["ForwardOperator", np.ndarray]:
         """``(op, y_dc)`` with this operator's ``A^H (A x - y)``: on a
-        rectilinear mask, B (the image rows of the maps' support box onto the
-        K sampled columns) and the sampled columns of F_h^H y in the box's rows
-        (see the module docstring); else self and y."""
+        rectilinear mask, the :class:`ColumnOperator` B and the sampled columns
+        of F_h^H y in its box's rows (see the module docstring); else self and y."""
         if self.mask.scheme not in RECTILINEAR_SCHEMES:
             return self, y
-        cols, dft = self._sampled_columns()
-        op = copy.copy(self)
-        op._box = box = _support_box(self.sens.support)
-        op._fold(self.sens.maps[box], None, dft[box[-1]])
-        y_dc = _centred(np.fft.ifftn, y[..., cols], axes=(-2,))
-        return op, np.ascontiguousarray(y_dc[..., box[-2], :])
+        op = ColumnOperator(self.mask, self.sens, self.dtype)
+        y_dc = _centred(np.fft.ifftn, y[..., op.cols], axes=(-2,))
+        return op, np.ascontiguousarray(y_dc[..., op.box[-2], :])
 
-    def row_gram(self, y: np.ndarray) -> np.ndarray | None:
-        """N = B^H B (row, col, col) in complex128, for a rectilinear y of at
-        least :data:`GRAM_MIN_FRAMES` frames on a grid at most
-        :data:`GRAM_MAX_SIDE` on each side; else None (see the module docstring)."""
-        large = max(self.mask.height, self.mask.width) > GRAM_MAX_SIDE
-        if large or self.mask.scheme not in RECTILINEAR_SCHEMES or y.shape[1] < GRAM_MIN_FRAMES:
-            return None
-        # N_h = (sum_c S_ch S_ch^H) * (D D^H)
-        rows = self.sens.maps.astype(np.complex128, copy=False).transpose(1, 2, 0)  # (H, W, coil)
-        normal = rows @ rows.conj().transpose(0, 2, 1)
-        dft = self._sampled_columns()[1]
-        normal *= dft @ dft.conj().T
-        return normal
-
-    def apply_arr(self, x: np.ndarray) -> np.ndarray:
-        """Forward map on a raw (frame, row, col) array -> (coil, frame, row, col),
-        or (coil, frame, box row, K) on the column operator."""
-        v = self._maps[:, np.newaxis] * x[self._box][np.newaxis]
-        if self._dft is not None:
-            return (v.reshape(-1, v.shape[-1]) @ self._dft).reshape(*v.shape[:-1], -1)
+    def _to_k(self, v: np.ndarray) -> np.ndarray:
+        """The transform after the maps product, in place over v."""
         k = np.fft.fftn(v, axes=(-2, -1), norm="ortho", out=v)
         k *= self._kmask
         return k
 
+    def _from_k(self, y: np.ndarray) -> np.ndarray:
+        """The adjoint transform before the conj-maps product, into a new array."""
+        v = y * self._kmask_conj
+        return np.fft.ifftn(v, axes=(-2, -1), norm="ortho", out=v)
+
+    def apply_arr(self, x: np.ndarray) -> np.ndarray:
+        """Forward map on a raw (frame, row, col) array -> (coil, frame, row, col),
+        or (coil, frame, box row, K) on the column operator."""
+        return self._to_k(self._maps[:, np.newaxis] * x[self.box][np.newaxis])
+
     def adjoint_arr(self, y: np.ndarray) -> np.ndarray:
         """Adjoint map on a raw (coil, frame, row, col) array, or (coil, frame,
-        box row, K) on the column operator -> (frame, row, col)."""
-        if self._dft is not None:
-            v = (y.reshape(-1, y.shape[-1]) @ self._dft_conj.T).reshape(*y.shape[:-1], -1)
-        else:
-            v = y * self._kmask_conj
-            np.fft.ifftn(v, axes=(-2, -1), norm="ortho", out=v)
+        box row, K) on the column operator -> (frame, row, col), zero outside
+        the box, where every map is zero."""
+        v = self._from_k(y)
         v *= self._maps_conj[:, np.newaxis]
-        if self._dft is None:
-            return v.sum(axis=0)
-        # zero outside the box, where every map is zero
         x = np.zeros((y.shape[1], self.mask.height, self.mask.width), v.dtype)
-        v.sum(axis=0, out=x[self._box])
+        v.sum(axis=0, out=x[self.box])
         return x
+
+
+class ColumnOperator(ForwardOperator):
+    """B of a rectilinear mask: the image rows of the maps' support box onto
+    the K sampled columns, in ``dtype`` (see the module docstring)."""
+
+    def __init__(self, mask: SamplingMask, sens: SensitivityMaps, dtype):
+        self.mask, self.sens, self.dtype = mask, sens, dtype
+        self.box = _support_box(sens.support)
+        w, c = mask.width, mask.width // 2
+        self.cols = np.flatnonzero(mask.pattern[0])
+        dft = _phase(-np.outer(np.arange(w) - c, self.cols - c), w) / np.sqrt(w)
+        self._maps, self._maps_conj = _contiguous(sens.maps[self.box], dtype)
+        self._dft, self._dft_conj = _contiguous(dft[self.box[-1]], dtype)
+
+    def _to_k(self, v: np.ndarray) -> np.ndarray:
+        return (v.reshape(-1, v.shape[-1]) @ self._dft).reshape(*v.shape[:-1], -1)
+
+    def _from_k(self, y: np.ndarray) -> np.ndarray:
+        return (y.reshape(-1, y.shape[-1]) @ self._dft_conj.T).reshape(*y.shape[:-1], -1)
+
+    def row_gram(self, n_frames: int) -> np.ndarray | None:
+        """N = B^H B on the box, (H', W', W') in ``dtype``, for at least
+        :data:`GRAM_MIN_FRAMES` frames on a grid at most :data:`GRAM_MAX_SIDE`
+        on each side; else None (see the module docstring)."""
+        if max(self.mask.height, self.mask.width) > GRAM_MAX_SIDE or n_frames < GRAM_MIN_FRAMES:
+            return None
+        # N_h = (sum_c S_ch S_ch^H) * (D D^H)
+        rows = self._maps.transpose(1, 2, 0)  # (H', W', coil)
+        normal = rows @ self._maps_conj.transpose(1, 0, 2)
+        normal *= self._dft @ self._dft_conj.T
+        return normal

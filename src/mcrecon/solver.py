@@ -19,22 +19,20 @@ part keeps a zero last row and its column part a zero last column. The solve
 returns the final image x only.
 
 Data consistency is one object per solve, whose ``descend`` runs the inner
-iterations on the operator and data of
-``ForwardOperator.for_data_consistency`` (on rectilinear masks B and y_dc,
-which map image rows onto the sampled columns, with the same gradient):
-:class:`GradientSteps` takes a :func:`dc_gradient` each iteration, and, with
-``fourier.GRAM_MIN_FRAMES`` frames or more on a rectilinear mask of at most
-``fourier.GRAM_MAX_SIDE`` rows and columns, :class:`RowGramSteps` takes one
-per outer step and iterates on the step matrix Q = (1 - s*lam) I - s N, from
-the N = B^H B (one (W, W) matrix per image row) of
-``ForwardOperator.row_gram``. The gradient at x0 - e is g - e (N + lam I),
-with g the gradient at the step's start x0, so the inner iterations run on
-the correction e = x0 - x, in (row, frame, col) layout, as e <- e Q + s g
-from e = s g: one batched GEMM and one add each, with no operator call. That
-is the same iterate in exact arithmetic, and with one inner iteration the
-same bytes. g comes from the residual B x0 - y_dc, so the solve's dtype is
-enough for it: the plain ``x N - B^H y_dc`` form cancels in complex64, which
-moved a 12x128x128 solve by 7.8e-6 of its maximum.
+iterations on the operator and data of ``ForwardOperator.for_data_consistency``
+(on rectilinear masks the ``ColumnOperator`` B, on the maps' support box, and
+y_dc): :class:`GradientSteps` takes a :func:`dc_gradient` each iteration.
+With ``fourier.GRAM_MIN_FRAMES`` frames or more on a grid of at most
+``fourier.GRAM_MAX_SIDE`` rows and columns, :class:`RowGramSteps` takes one g
+per outer step, at its start x0. The gradient at x0 - e is g - e (N + lam I),
+so it iterates on e = x0 - x as e <- e Q + s g from e = s g, with
+Q = (1 - s*lam) I - s N formed in place in the N = B^H B of
+``ColumnOperator.row_gram``: on the box one batched (row, frame, col) GEMM
+and one add each; off it N is zero, so e = c s g, c = sum_{k<inner}
+(1 - s*lam)^k. That is the same iterate in exact arithmetic, and with one
+inner iteration the same bytes. g comes from the residual B x0 - y_dc, so
+the solve's dtype is enough for it: the plain ``x N - B^H y_dc`` form cancels
+in complex64, which moved a 12x128x128 solve by 7.8e-6 of its maximum.
 
 The solve runs in the dtype of the k-space: the operator casts the maps to
 it once, and every step and denoiser returns the dtype it is given, so
@@ -48,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps, check_inputs
-from .fourier import ForwardOperator
+from .fourier import ColumnOperator, ForwardOperator
 
 DENOISER_KINDS = ("identity", "l1-soft-threshold", "tikhonov-smooth", "tv-chambolle")
 
@@ -278,28 +276,31 @@ class GradientSteps:
 
 class RowGramSteps:
     """Data consistency on the row Gram form: one :func:`dc_gradient` per outer
-    step on ``op`` and ``y`` (the B and y_dc of
-    ``ForwardOperator.for_data_consistency``), then inner iterations with
-    ``cfg``'s step matrix Q = (1 - s*lam) I - s N, cast once to ``op.dtype``
-    from the N of ``ForwardOperator.row_gram``, which is not kept."""
+    step on ``op`` and ``y`` (a ``ColumnOperator`` B and its y_dc), then inner
+    iterations with ``cfg``'s step matrix Q = (1 - s*lam) I - s N on B's box,
+    formed in place in the N of ``ColumnOperator.row_gram``."""
 
-    def __init__(self, normal: np.ndarray, op: ForwardOperator, y: np.ndarray, cfg: AdmmConfig):
+    def __init__(self, normal: np.ndarray, op: ColumnOperator, y: np.ndarray, cfg: AdmmConfig):
         self.op, self.y, self.cfg, s = op, y, cfg, cfg.step_size
-        self.step = np.multiply(normal, -s, out=np.empty(normal.shape, op.dtype), casting="same_kind")
+        self.step = np.multiply(normal, -s, out=normal)
         diag = np.arange(normal.shape[-1])
-        self.step[:, diag, diag] = (1 - s * cfg.lam) - s * normal[:, diag, diag]
+        self.step[:, diag, diag] += 1 - s * cfg.lam
 
     def descend(self, x0: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
-        # e <- e Q + s g from e = s g on e = x0 - x, in (row, frame, col) layout (module docstring)
-        g = dc_gradient(x0, w, m, self.y, self.op, self.cfg.lam)
-        g *= self.cfg.step_size
-        sg = np.ascontiguousarray(g.transpose(1, 0, 2))
+        # e <- e Q + s g from e = s g on e = x0 - x, in (row, frame, col) layout
+        # on the box; off it Q is (1 - s*lam) I and e = c s g (module docstring)
+        cfg, box = self.cfg, self.op.box
+        g = dc_gradient(x0, w, m, self.y, self.op, cfg.lam)
+        g *= cfg.step_size
+        sg = np.ascontiguousarray(g[box].transpose(1, 0, 2))
         e, nxt = sg.copy(), np.empty_like(sg)
-        for _ in range(self.cfg.inner_iters - 1):
+        for _ in range(cfg.inner_iters - 1):
             np.matmul(e, self.step, out=nxt)
             nxt += sg
             e, nxt = nxt, e
-        return x0 - e.transpose(1, 0, 2)
+        g *= sum((1 - cfg.step_size * cfg.lam) ** k for k in range(cfg.inner_iters))
+        g[box] = e.transpose(1, 0, 2)
+        return x0 - g
 
 
 def data_consistency_step(x_in: np.ndarray, w: np.ndarray, m: np.ndarray, dc) -> np.ndarray:
@@ -333,10 +334,9 @@ def admm_reconstruct(
         return start
     x = w = start.data
     op_dc, y_dc = op.for_data_consistency(y.data)
-    normal = op.row_gram(y.data)
+    normal = op_dc.row_gram(y.data.shape[1]) if isinstance(op_dc, ColumnOperator) else None
     dc = (GradientSteps(op_dc, y_dc, cfg) if normal is None
           else RowGramSteps(normal, op_dc, y_dc, cfg))
-    del normal  # RowGramSteps holds Q; N is released before the loop
     m = np.zeros_like(x)
     for _ in range(cfg.T):
         w = denoise_step(x + m / cfg.lam, cfg.denoiser, cfg.lam)

@@ -8,6 +8,7 @@ from mcrecon.core import RECTILINEAR_SCHEMES
 from mcrecon.fourier import (
     GRAM_MAX_SIDE,
     GRAM_MIN_FRAMES,
+    ColumnOperator,
     ForwardOperator,
     fft2c,
     ifft2c,
@@ -291,8 +292,9 @@ class TestDataConsistencyOperator:
         # y off the mask too: the gradient identity holds for any y
         y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
         op_dc, y_dc = op.for_data_consistency(y)
-        assert type(op_dc) is ForwardOperator and op_dc is not op
+        assert type(op_dc) is ColumnOperator
         cols = np.flatnonzero(mask.pattern[0])
+        assert np.array_equal(op_dc.cols, cols)
         rows = box_rows(sens)
         # y_dc holds the box's rows of F_h^H y at the sampled columns
         y_rows = heightwise(y)[..., cols]
@@ -300,9 +302,12 @@ class TestDataConsistencyOperator:
         assert y_dc.flags.c_contiguous
         tol = 1e-10 if dtype == np.complex128 else 1e-5
         assert np.abs(y_dc - y_rows[..., rows, :]).max() <= tol * np.abs(y_rows).max()
-        # the column operator holds its maps and DFT contiguous in the solve's dtype
-        held = [a for a in vars(op_dc).values() if isinstance(a, np.ndarray)]
-        assert len(held) == 4 and all(a.flags.c_contiguous and a.dtype == dtype for a in held)
+        # the column operator holds its box maps and D, and their conjugates,
+        # contiguous in the solve's dtype
+        held = [op_dc._maps, op_dc._maps_conj, op_dc._dft, op_dc._dft_conj]
+        assert all(a.flags.c_contiguous and a.dtype == dtype for a in held)
+        assert op_dc._maps.shape == (n_coils, rows.size, op_dc._dft.shape[0])
+        assert op_dc._dft.shape[1] == cols.size
 
         # B x is A x taken back along the height, at the box's rows and the
         # sampled columns; A x taken back is zero on the other rows
@@ -348,43 +353,48 @@ class TestDataConsistencyOperator:
         extra_frames=st.integers(0, 2),
         n_coils=st.integers(1, 3),
         dtype=st.sampled_from([np.complex128, np.complex64]),
+        boxed=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     def test_row_gram_gradient_equals_the_column_gradient(
-        self, scheme, accel, height, width, extra_frames, n_coils, dtype, seed
+        self, scheme, accel, height, width, extra_frames, n_coils, dtype, boxed, seed
     ):
-        """GRAM_MIN_FRAMES or more frames give the row Gram form: N
-        (row, col, col) in complex128 with x N equal to B^H B x through the
-        column operator's apply_arr / adjoint_arr, N Hermitian, and
-        RowGramSteps on that operator and y_dc with the step matrix
-        (1 - s lam) I - s N for its config, cast once to the solve's dtype."""
+        """GRAM_MIN_FRAMES or more frames give B's row Gram form on its box:
+        N (box row, box col, box col) in the solve's dtype, Hermitian, with
+        x N on the box and zero off it equal to B^H B x through B's apply_arr /
+        adjoint_arr, for maps with full support and for maps zero outside a
+        random box with holes inside; and RowGramSteps on B and y_dc, which
+        forms the step matrix (1 - s lam) I - s N for its config in place in N."""
         rng = np.random.default_rng(seed)
         n_frames = GRAM_MIN_FRAMES + extra_frames
         mask = sampling.make_mask(scheme, height, width, accel, seed, acs_lines=2)
-        op = ForwardOperator(mask=mask, sens=random_sens(rng, n_coils, height, width), dtype=dtype)
+        sens = random_sens(rng, n_coils, height, width, boxed)
+        op = ForwardOperator(mask=mask, sens=sens, dtype=dtype)
         x = rand_image(rng, n_frames, height, width).astype(dtype)
         y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
         step, lam = 0.7, 0.3
-        normal = op.row_gram(y)
         op_dc, y_dc = op.for_data_consistency(y)
+        normal = op_dc.row_gram(n_frames)
+        box = op_dc.box
+        rows, width_box = box_rows(sens).size, op_dc._dft.shape[0]
+        assert normal.dtype == dtype and normal.shape == (rows, width_box, width_box)
+        herm = 1e-14 if dtype == np.complex128 else 1e-6
+        assert np.allclose(normal, normal.conj().transpose(0, 2, 1), rtol=0, atol=herm)
+        tol = 1e-10 if dtype == np.complex128 else 1e-5
+        got = np.zeros_like(x)
+        got[box] = (x[box].transpose(1, 0, 2) @ normal).transpose(1, 0, 2)
+        want = op_dc.adjoint_arr(op_dc.apply_arr(x))
+        assert np.abs(got - want).max() <= tol * max(np.abs(want).max(), 1e-30)
+        before = normal.copy()
         cfg = AdmmConfig(T=1, inner_iters=1, lam=lam, step_size=step)
         gram = RowGramSteps(normal, op_dc, y_dc, cfg)
         assert gram.op is op_dc and gram.y is y_dc and gram.cfg is cfg
-        assert (gram.cfg.step_size, gram.cfg.lam) == (step, lam)
-        assert normal.dtype == np.complex128 and gram.step.dtype == dtype
-        assert normal.shape == (height, width, width) == gram.step.shape
-        assert np.allclose(normal, normal.conj().transpose(0, 2, 1), rtol=0, atol=1e-14)
-        eye = np.eye(width)
-        assert np.array_equal(gram.step, ((1 - step * lam) * eye - step * normal).astype(dtype))
-        got = (x.transpose(1, 0, 2).astype(np.complex128) @ normal).transpose(1, 0, 2)
-        want = op_dc.adjoint_arr(op_dc.apply_arr(x))
-        tol = 1e-10 if dtype == np.complex128 else 1e-5
-        assert np.abs(got - want).max() <= tol * np.abs(want).max()
-        # fewer frames keep the column-DFT operator
-        few = y[:, : GRAM_MIN_FRAMES - 1]
-        assert op.row_gram(few) is None
-        assert type(op.for_data_consistency(few)[0]) is ForwardOperator
-        assert type(op_dc) is ForwardOperator
+        assert gram.step is normal
+        eye = np.eye(width_box)
+        assert np.abs(gram.step - ((1 - step * lam) * eye - step * before)).max() <= tol
+        # fewer frames keep the column-DFT operator without its Gram form
+        assert op_dc.row_gram(GRAM_MIN_FRAMES - 1) is None
+        assert type(op.for_data_consistency(y[:, : GRAM_MIN_FRAMES - 1])[0]) is ColumnOperator
 
     @pytest.mark.parametrize(
         "height, width, gram",
@@ -392,14 +402,15 @@ class TestDataConsistencyOperator:
          (2, GRAM_MAX_SIDE + 1, False), (GRAM_MAX_SIDE + 1, 2, False)],
     )
     def test_grids_past_the_measured_side_keep_the_column_path(self, rng, height, width, gram):
-        """The row Gram path holds H * W^2 entries of N and Q, so with
+        """The row Gram path holds up to H * W^2 entries of Q, so with
         GRAM_MIN_FRAMES frames it is taken only on grids of at most
         GRAM_MAX_SIDE rows and columns; a wider or taller grid keeps the
         column-DFT operator."""
         mask = make_mask("equispaced", height, width, 1, 0)
         op = ForwardOperator(mask=mask, sens=random_sens(rng, 1, height, width))
         y = rand_image(rng, 1, GRAM_MIN_FRAMES, height, width)
-        assert (op.row_gram(y) is not None) == gram
+        op_dc, _ = op.for_data_consistency(y)
+        assert (op_dc.row_gram(GRAM_MIN_FRAMES) is not None) == gram
 
     @pytest.mark.parametrize("scheme", ["gaussian2d", "pseudo-radial", "pseudo-spiral", "full"])
     def test_point_masks_keep_the_operator_and_data(self, rng, scheme):
@@ -410,4 +421,4 @@ class TestDataConsistencyOperator:
         many = rand_image(rng, 2, GRAM_MIN_FRAMES, 10, 12)
         op_dc, y_dc = op.for_data_consistency(many)
         assert op_dc is op and y_dc is many
-        assert op.row_gram(y) is None and op.row_gram(many) is None
+        assert type(op) is ForwardOperator and not hasattr(op, "row_gram")

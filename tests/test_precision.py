@@ -163,7 +163,7 @@ def test_kspace_payload_is_read_in_place(tmp_path, rng):
 
 # A complex64 solve of float32-representable data against the complex128
 # solve of the same values (16 outer steps of 6 inner iterations): measured
-# at most 5e-7 * max over the cases below (3.9e-7 on the row Gram path).
+# at most 5e-7 * max over the cases below (3.5e-7 on the row Gram path).
 SOLVE_TOL = 1e-5
 
 

@@ -1,5 +1,5 @@
 import itertools
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import make_mask, random_sens
 from mcrecon import sampling
 from mcrecon.core import RECTILINEAR_SCHEMES, KSpaceData, SensitivityMaps
-from mcrecon.fourier import GRAM_MIN_FRAMES, ForwardOperator
+from mcrecon.fourier import GRAM_MIN_FRAMES, ColumnOperator, ForwardOperator
 from mcrecon.sampling import full_mask
 from mcrecon.data import dynamic_phantom, shepp_logan, simulate_coils
 from mcrecon.solver import (
@@ -359,8 +359,8 @@ class TestDataConsistency:
         the solution and data on the mask, on odd, even and non-square grids
         (whose (row, frame, col) views are transposed), for maps with full
         support and for maps zero outside a random box with holes inside,
-        where the Gram form spans the whole grid and the column operator only
-        the support's bounding box. With one inner iteration RowGramSteps
+        where both run on the support's bounding box and RowGramSteps takes
+        the closed form off it. With one inner iteration RowGramSteps
         never reaches Q: both compute x0 - s*g from the same dc_gradient g on
         (B, y_dc), so their iterates are the same bytes."""
         rng = np.random.default_rng(seed)
@@ -372,7 +372,8 @@ class TestDataConsistency:
         y = (mask.pattern * rand_image(rng, n_coils, frames, height, width)).astype(dtype)
         cfg = AdmmConfig(T=1, inner_iters=inner, lam=0.3)
         op_dc, y_dc = op.for_data_consistency(y)
-        got = data_consistency_step(x, wv, m, RowGramSteps(op.row_gram(y), op_dc, y_dc, cfg))
+        dc = RowGramSteps(op_dc.row_gram(frames), op_dc, y_dc, cfg)
+        got = data_consistency_step(x, wv, m, dc)
         want = data_consistency_step(x, wv, m, GradientSteps(op_dc, y_dc, cfg))
         assert got.dtype == dtype and got.shape == x.shape and got.flags.c_contiguous
         tol = 1e-12 if dtype == np.complex128 else 1e-5
@@ -395,10 +396,10 @@ class TestDataConsistency:
             y = rand_image(rng, 2, frames, 6, 6)
             lam = 1.0
             cfg = AdmmConfig(T=1, inner_iters=1, lam=lam)
-            normal = op.row_gram(y)
-            assert (normal is not None) == (frames == GRAM_MIN_FRAMES)
             op_dc, y_dc = op.for_data_consistency(y)
             assert (op_dc is op) == (scheme == "gaussian2d")
+            normal = None if op_dc is op else op_dc.row_gram(frames)
+            assert (normal is not None) == (frames == GRAM_MIN_FRAMES)
             if normal is None:
                 dc = GradientSteps(op_dc, y_dc, cfg)
             else:
@@ -622,52 +623,49 @@ class TestOperatorCalls:
         self, rng, monkeypatch, scheme
     ):
         """T = 0 is the zero-filled reconstruction: it equals zero_filled_init
-        byte for byte and calls neither row_gram nor for_data_consistency, on
-        GRAM_MIN_FRAMES frames of a rectilinear mask (a T > 0 solve takes the
-        row Gram path there) and on a point mask."""
+        byte for byte and calls neither for_data_consistency nor
+        ColumnOperator.row_gram, on GRAM_MIN_FRAMES frames of a rectilinear
+        mask (a T > 0 solve takes the row Gram path there) and on a point mask."""
         sens = random_sens(rng, 2, 16, 16)
         mask = make_mask(scheme, 16, 16, 4, 1)
         data = mask.pattern * rand_image(rng, 2, GRAM_MIN_FRAMES, 16, 16)
         y = KSpaceData(data.astype(np.complex64))
         want = zero_filled_init(y, mask, sens)
         called = []
-        for name in ("row_gram", "for_data_consistency"):
+        for cls, name in ((ColumnOperator, "row_gram"), (ForwardOperator, "for_data_consistency")):
 
-            def recorded(self, arr, name=name, method=getattr(ForwardOperator, name)):
+            def recorded(self, arg, name=name, method=getattr(cls, name)):
                 called.append(name)
-                return method(self, arr)
+                return method(self, arg)
 
-            monkeypatch.setattr(ForwardOperator, name, recorded)
+            monkeypatch.setattr(cls, name, recorded)
         got = admm_reconstruct(y, mask, sens, AdmmConfig(T=0))
         assert called == []
         assert got.data.dtype == want.data.dtype == np.complex64
         assert got.data.tobytes() == want.data.tobytes()
 
-    @pytest.mark.parametrize("scheme", ["equispaced", "random-rectilinear"])
-    def test_no_reference_to_the_row_gram_normal_outlives_the_setup(
-        self, rng, monkeypatch, scheme
-    ):
-        """The row Gram solve keeps its step matrix Q, not the complex128 N it
-        is formed from: N is freed before the first denoise call."""
-        refs, dead = [], []
-        row_gram = ForwardOperator.row_gram
-
-        def kept(self, arr):
-            normal = row_gram(self, arr)
-            refs.append(weakref.ref(normal))
-            return normal
-
-        def recorded(v, spec, lam):
-            dead.append(all(ref() is None for ref in refs))
-            return denoise_step(v, spec, lam)
-
-        monkeypatch.setattr(ForwardOperator, "row_gram", kept)
-        monkeypatch.setattr("mcrecon.solver.denoise_step", recorded)
-        sens = random_sens(rng, 2, 16, 16)
-        mask = make_mask(scheme, 16, 16, 4, 1)
-        y = KSpaceData(mask.pattern * rand_image(rng, 2, GRAM_MIN_FRAMES, 16, 16))
-        admm_reconstruct(y, mask, sens, AdmmConfig(T=2, inner_iters=3))
-        assert len(refs) == 1 and dead == [True, True]
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_row_gram_setup_holds_one_step_matrix_on_the_box(self, rng, dtype):
+        """Building RowGramSteps for 12 frames of 64x64, with maps zero
+        outside a box smaller than the grid both ways, allocates at its peak
+        little more than its step matrix Q, which is formed in place in the
+        box's N in the solve's dtype: no whole-grid matrix, no complex128 N
+        beside a complex64 Q, no second (H', W', W') array."""
+        maps = random_sens(rng, 4, 64, 64).maps.copy()
+        maps[:, :6] = maps[:, -5:] = maps[:, :, :9] = maps[:, :, -3:] = 0
+        sens = SensitivityMaps(maps)
+        mask = make_mask("equispaced", 64, 64, 4, 1)
+        y = (mask.pattern * rand_image(rng, 4, 12, 64, 64)).astype(dtype)
+        op_dc, y_dc = ForwardOperator(mask=mask, sens=sens, dtype=dtype).for_data_consistency(y)
+        cfg = AdmmConfig.for_mode("dynamic", lam=0.1)
+        tracemalloc.start()
+        try:
+            dc = RowGramSteps(op_dc.row_gram(12), op_dc, y_dc, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dc.step.shape == (64 - 11, 64 - 12, 64 - 12) and dc.step.dtype == dtype
+        assert peak < 1.25 * dc.step.nbytes
 
     @pytest.mark.parametrize("scheme", ["equispaced", "random-rectilinear"])
     def test_row_gram_path_calls_the_operator_once_per_outer_step(
