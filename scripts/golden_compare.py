@@ -21,7 +21,9 @@ is declared with ``--expect KEY=CODE`` (``--expect KEY=`` declares a removed
 key). A declared key whose code is not CODE on the change's side, or did not
 change, is a difference too.
 Any other difference, or a file present on one side only, is named and the
-script exits 1.
+script exits 1. Each reconstruction that moved within its tolerance is
+printed with its distance from the parent (``r_crop.cks: 7.3e-07 of max``),
+followed by the count of byte-identical files.
 
 Usage: PYTHONPATH=src python3 scripts/golden_compare.py PARENT_OUT CHANGE_OUT
        [--expect KEY=CODE ...]
@@ -47,16 +49,18 @@ PGM_TOL = 1
 CSV_TOL = 1e-12
 
 
-def _cks_close(a: Path, b: Path) -> str | None:
+def _cks_distance(a: Path, b: Path) -> tuple[float | None, str | None]:
+    """max|b - a| / max|a| of two reconstructions that agree within CKS_TOL,
+    or why they do not."""
     if not a.with_suffix(".mag0.pgm").exists():
-        return "differs and is not a reconstruction"
+        return None, "differs and is not a reconstruction"
     pa, pb = read_cks(a), read_cks(b)
     if not (isinstance(pa, ComplexImage) and isinstance(pb, ComplexImage)):
-        return "differs and is not an image"
+        return None, "differs and is not an image"
     if pa.data.shape != pb.data.shape:
-        return f"shape {pa.data.shape} -> {pb.data.shape}"
+        return None, f"shape {pa.data.shape} -> {pb.data.shape}"
     err = np.abs(pa.data - pb.data).max() / np.abs(pa.data).max()
-    return None if err <= CKS_TOL else f"relative difference {err:.3g} > {CKS_TOL}"
+    return (err, None) if err <= CKS_TOL else (None, f"relative difference {err:.3g} > {CKS_TOL}")
 
 
 def _scale_close(a: Path, b: Path) -> str | None:
@@ -142,24 +146,31 @@ def _files(root: Path) -> set[Path]:
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file()} - {Path("hashes.txt")}
 
 
-def compare(parent: Path, change: Path, expect: dict[str, str]) -> tuple[list[str], list[str]]:
+def compare(parent: Path, change: Path,
+            expect: dict[str, str]) -> tuple[list[str], list[str], int, int, list[str]]:
     """The exit codes in rcs.txt that changed as ``expect`` (KEY -> CODE, ""
-    for a removed key) declares, and one message per file that differs by
-    more than round-off and per exit code that changed otherwise."""
+    for a removed key) declares; each reconstruction that moved within
+    round-off, with its distance; the number of byte-identical files and of
+    files on both sides; and one message per file that differs by more than
+    round-off and per exit code that changed otherwise."""
     pf, cf = _files(parent), _files(change)
     problems = [f"{f}: only in parent" for f in sorted(pf - cf)]
     problems += [f"{f}: only in change" for f in sorted(cf - pf)]
-    declared, rcs = [], Path("rcs.txt")
+    declared, moved, identical, rcs = [], [], 0, Path("rcs.txt")
     if rcs in pf & cf:
         declared, bad = _rcs_changes(parent / rcs, change / rcs, expect)
         problems += bad
-        pf.discard(rcs)
     for rel in sorted(pf & cf):
         a, b = parent / rel, change / rel
         if a.read_bytes() == b.read_bytes():
+            identical += 1
             continue
+        if rel == rcs:
+            continue  # compared key by key above
         if rel.suffix == ".cks":
-            why = _cks_close(a, b)
+            dist, why = _cks_distance(a, b)
+            if dist is not None:
+                moved.append(f"{rel}: {dist:.2g} of max")
         elif rel.name.endswith(".scale.txt"):
             why = _scale_close(a, b)
         elif rel.suffix == ".pgm":
@@ -170,7 +181,7 @@ def compare(parent: Path, change: Path, expect: dict[str, str]) -> tuple[list[st
             why = "differs"
         if why:
             problems.append(f"{rel}: {why}")
-    return declared, problems
+    return declared, moved, identical, len(pf & cf), problems
 
 
 def _declared(text: str) -> tuple[str, str]:
@@ -187,9 +198,13 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--expect", type=_declared, action="append", default=[],
                     help="an exit code in rcs.txt that the change sets, as KEY=CODE")
     args = ap.parse_args(argv)
-    declared, problems = compare(args.parent, args.change, dict(args.expect))
+    declared, moved, identical, compared, problems = compare(
+        args.parent, args.change, dict(args.expect))
     for line in declared:
         print(f"{line} (declared)")
+    for line in moved:
+        print(line)
+    print(f"{identical} of {compared} files byte-identical")
     for line in problems:
         print(line)
     print("golden outputs agree within round-off" if not problems else f"{len(problems)} differ")

@@ -9,9 +9,11 @@
 # spokes than 48x48 R=4), every denoiser name, zero-filled (--T 0), --config,
 # --estimate-sens, --mode dynamic with and without --T/--inner, a dynamic
 # TV solve with --estimate-sens on a random-rectilinear mask, one with
-# --sens at 6 frames (fourier.GRAM_MIN_FRAMES, the fewest that take the row
-# Gram path; the 7-frame dynamic solves take it too), a --T 0 solve of that
-# 6-frame input (r_dynG_t0, the zero-filled start with no Gram form built),
+# --sens at 6 frames (r_dynG, on the row Gram path like the 7-frame dynamic
+# solves), a --T 0 solve of that 6-frame input (r_dynG_t0, the zero-filled
+# start with no Gram form built), a dynamic TV solve with --sens at 4 frames
+# on an equispaced mask (r_dyn4: fourier.GRAM_MIN_FRAMES, the fewest frames
+# that take the row Gram path),
 # a 3-frame dynamic TV solve on a 45x45 grid (an odd row length for the TV
 # prox's flat passes), a static l1 solve with --estimate-sens on a 64x64
 # equispaced mask with 16 ACS lines (r_crop: the estimated maps' support box
@@ -71,6 +73,7 @@ $M simulate --size 48 --coils 4 --seed 4 --mask m_gaussian2d.cks --out-prefix g 
 $M simulate --size 48 --frames 7 --coils 4 --seed 6 --mask m_equispaced.cks --out-prefix d >/dev/null
 $M simulate --size 48 --frames 3 --coils 4 --seed 7 --mask m_random-rectilinear.cks --out-prefix dr >/dev/null
 $M simulate --size 48 --frames 6 --coils 4 --seed 10 --mask m_random-rectilinear.cks --out-prefix dg >/dev/null
+$M simulate --size 48 --frames 4 --coils 4 --seed 15 --mask m_equispaced.cks --out-prefix d4 >/dev/null
 $M mask --scheme equispaced --size 45x45 --accel 4 --acs 8 --seed 11 --out m45.cks >/dev/null
 $M simulate --size 45 --frames 3 --coils 4 --seed 12 --mask m45.cks --out-prefix o >/dev/null
 $M simulate --size 64 --coils 4 --seed 13 --mask m64_equispaced.cks --out-prefix c >/dev/null
@@ -93,6 +96,7 @@ $M reconstruct --kspace d_kspace_masked.cks --mask m_equispaced.cks --sens d_sen
 $M reconstruct --kspace dr_kspace_masked.cks --mask m_random-rectilinear.cks --estimate-sens --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_dynR >/dev/null
 $M reconstruct --kspace dg_kspace_masked.cks --mask m_random-rectilinear.cks --sens dg_sens.cks --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_dynG >/dev/null
 $M reconstruct --kspace dg_kspace_masked.cks --mask m_random-rectilinear.cks --sens dg_sens.cks --mode dynamic --T 0 --out-prefix r_dynG_t0 >/dev/null
+$M reconstruct --kspace d4_kspace_masked.cks --mask m_equispaced.cks --sens d4_sens.cks --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_dyn4 >/dev/null
 $M reconstruct --kspace o_kspace_masked.cks --mask m45.cks --sens o_sens.cks --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_odd >/dev/null
 $M reconstruct --kspace c_kspace_masked.cks --mask m64_equispaced.cks --estimate-sens --denoiser l1 --strength 1e-3 --lam 0.1 --out-prefix r_crop >/dev/null
 $M reconstruct --kspace cg_kspace_masked.cks --mask m64_equispaced.cks --estimate-sens --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_dynC >/dev/null

@@ -26,16 +26,33 @@ column is sampled fully or not at all, so M commutes with the centred
 unitary height transform F_h: A = F_h M F_w S. With B the K sampled columns
 of F_w S and y_dc those of F_h^H y, ``A^H (A x - y) == B^H (B x - y_dc)``
 for any y, and ``||B x - y_dc||^2 == ||A x - y||^2 - ||(1 - M) y||^2``, equal
-for y on the mask. :meth:`ForwardOperator.for_data_consistency` returns B, a
-:class:`ColumnOperator`, and y_dc (point masks keep A and y). B overrides only
-the hooks, each one GEMM on the flattened (coil*frame*row, col or K) matrix:
-``_to_k`` is ``v @ D`` and ``_from_k`` ``y @ D^H``, with D the (W, K)
-centred width DFT at the sampled columns, both ramps folded in (a pruned
-DFT, Markel 1971), ``D[j, p] = exp(-2*pi*i*(j - c)*(col_p - c)/W) / sqrt(W)``,
-on the unramped maps. The GEMMs do O(W*K) work per row against the FFT's
-O(W log W): a gradient at 256x256, 8 coils, complex64, 2 vCPUs takes 0.75x
-the FFT path's time at R4, but 1.2x at R2 and 2.1x at R1, which no workload
-or paper setting uses.
+for y on the mask. At x = 0 the gradient identity reads ``A^H y == B^H y_dc``,
+so the zero-filled start needs no A either. :func:`for_data_consistency`
+``(y, mask, sens)`` is the one place that decides which operator a solve
+builds: it returns B, a :class:`ColumnOperator`, and y_dc on a rectilinear
+mask, and A and y on a point mask, in y's dtype. B shares A's ``__init__``,
+so it checks its maps' grid and its dtype as A does, and overrides only the
+array setup ``_prepare`` and the hooks, each hook one GEMM on the flattened
+(coil*frame*row, col or K) matrix: ``_to_k`` is ``v @ D`` and ``_from_k``
+``y @ D^H``, with D the (W, K) centred width DFT at the sampled columns,
+both ramps folded in (a pruned DFT, Markel 1971),
+``D[j, p] = exp(-2*pi*i*(j - c)*(col_p - c)/W) / sqrt(W)``, on the unramped
+maps. The GEMMs do O(W*K) work per row against the FFT's O(W log W): a
+gradient at 256x256, 8 coils, complex64, 2 vCPUs takes 0.75x the FFT path's
+time at R4, but 1.2x at R2 and 2.1x at R1, which no workload or paper
+setting uses.
+
+A rectilinear solve therefore builds only B. Building A for the start
+alone would cost more than the start: A plus its one adjoint takes 25 ms at
+256x256, 47 ms at 12x128x128 and 102 ms at 12x256x256, where B^H y_dc
+takes 7, 14 and 36 ms (complex64, 8 coils, estimated maps, medians of 7, 2
+vCPUs). Measured with ``tracemalloc`` on warm in-process solves of the same
+kind, a solve that builds only B peaks at 14.4 MiB, against 23.4 MiB with A
+built as well, on the static workload's 256x256 l1 solve (equispaced R4
+with 24 ACS lines, T=16, 14 inner); at 32.7 against 35.0 MiB on the dynamic
+workload's 12x128x128 TV solve (random-rectilinear R4 with 24 ACS lines,
+T=10, 8 inner); and at 58.5 against 63.0 MiB on a 12x256x256 T = 0 solve of
+that mask, which takes 0.08 s against 0.11-0.12 s (medians of 5).
 
 B's box is the H' x W' bounding box of the maps' support (``sens.support``):
 maps calibrated from the ACS region are zero outside the body, as SENSE and
@@ -81,8 +98,9 @@ with OpenBLAS 0.3.31::
     256x256  0.40/0.49  0.84/0.91  1.18/1.22  1.82/1.25  2.20/1.56  2.78/1.69  3.81/1.82  6.97/2.56
 
 So on the box the Gram path wins from 2 frames at 128x128 and from 4 at
-256x256, and GRAM_MIN_FRAMES, chosen on the whole-grid form, leaves 4 and 5
-frames on the slower path. Both paths give the same iterate up to round-off
+256x256. GRAM_MIN_FRAMES is 4, the fewest frames at which the Gram path is
+faster in every measured cell; 2 and 3 frames at 128x128 would gain too, but
+tie or lose at 256x256. Both paths give the same iterate up to round-off
 (within 1e-6 of the image maximum in complex64).
 
 The operator computes in one complex dtype, by default that of the maps: it
@@ -98,7 +116,7 @@ from .core import RECTILINEAR_SCHEMES, SamplingMask, SensitivityMaps, check_maps
 
 # The row Gram path's rule (ColumnOperator.row_gram); the module docstring has
 # the measured crossover and the memory bound.
-GRAM_MIN_FRAMES = 6
+GRAM_MIN_FRAMES = 4
 GRAM_MAX_SIDE = 256
 
 
@@ -163,19 +181,14 @@ class ForwardOperator:
         if dtype not in (np.complex64, np.complex128):
             raise ValueError(f"operator dtype must be complex64 or complex128, got {dtype}")
         self.mask, self.sens, self.dtype = mask, sens, dtype
+        self._prepare(mask, sens, dtype)
+
+    def _prepare(self, mask: SamplingMask, sens: SensitivityMaps, dtype: np.dtype) -> None:
+        """The arrays the transform hooks read, from checked inputs: the ramped
+        maps and k-mask, and their conjugates."""
         (rn_h, rk_h), (rn_w, rk_w) = _ramps(mask.height), _ramps(mask.width)
         self._maps, self._maps_conj = _contiguous(sens.maps * np.outer(rn_h, rn_w), dtype)
         self._kmask, self._kmask_conj = _contiguous(mask.pattern * np.outer(rk_h, rk_w), dtype)
-
-    def for_data_consistency(self, y: np.ndarray) -> tuple["ForwardOperator", np.ndarray]:
-        """``(op, y_dc)`` with this operator's ``A^H (A x - y)``: on a
-        rectilinear mask, the :class:`ColumnOperator` B and the sampled columns
-        of F_h^H y in its box's rows (see the module docstring); else self and y."""
-        if self.mask.scheme not in RECTILINEAR_SCHEMES:
-            return self, y
-        op = ColumnOperator(self.mask, self.sens, self.dtype)
-        y_dc = _centred(np.fft.ifftn, y[..., op.cols], axes=(-2,))
-        return op, np.ascontiguousarray(y_dc[..., op.box[-2], :])
 
     def _to_k(self, v: np.ndarray) -> np.ndarray:
         """The transform after the maps product, in place over v."""
@@ -206,10 +219,10 @@ class ForwardOperator:
 
 class ColumnOperator(ForwardOperator):
     """B of a rectilinear mask: the image rows of the maps' support box onto
-    the K sampled columns, in ``dtype`` (see the module docstring)."""
+    the K sampled columns, in ``dtype``, built with the checks of
+    :class:`ForwardOperator` (see the module docstring)."""
 
-    def __init__(self, mask: SamplingMask, sens: SensitivityMaps, dtype):
-        self.mask, self.sens, self.dtype = mask, sens, dtype
+    def _prepare(self, mask: SamplingMask, sens: SensitivityMaps, dtype: np.dtype) -> None:
         self.box = _support_box(sens.support)
         w, c = mask.width, mask.width // 2
         self.cols = np.flatnonzero(mask.pattern[0])
@@ -234,3 +247,16 @@ class ColumnOperator(ForwardOperator):
         normal = rows @ self._maps_conj.transpose(1, 0, 2)
         normal *= self._dft @ self._dft_conj.T
         return normal
+
+
+def for_data_consistency(y: np.ndarray, mask: SamplingMask,
+                         sens: SensitivityMaps) -> tuple[ForwardOperator, np.ndarray]:
+    """The one operator of a solve and its data, ``(op, y_dc)`` in y's dtype,
+    with ``op^H (op x - y_dc) == A^H (A x - y)``: on a rectilinear mask the
+    :class:`ColumnOperator` B and the sampled columns of F_h^H y in its box's
+    rows, else the 2D :class:`ForwardOperator` A and y (see the module docstring)."""
+    if mask.scheme not in RECTILINEAR_SCHEMES:
+        return ForwardOperator(mask, sens, y.dtype), y
+    op = ColumnOperator(mask, sens, y.dtype)
+    y_dc = _centred(np.fft.ifftn, y[..., op.cols], axes=(-2,))
+    return op, np.ascontiguousarray(y_dc[..., op.box[-2], :])

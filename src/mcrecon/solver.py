@@ -4,8 +4,9 @@ Each outer step alternates a proximal denoising update on the auxiliary
 image w, a fixed number of gradient-descent iterations enforcing data
 consistency on x, and the scaled Lagrange-multiplier update
 m <- m + lam * (x - w). Multipliers start at zero; x and w start from the
-zero-filled (adjoint) reconstruction, which a T = 0 solve returns before it
-builds any data-consistency form. The denoiser is pluggable: identity,
+zero-filled reconstruction A^H y, taken as the adjoint ``op^H y_dc`` of the
+solve's one data-consistency pair (op, y_dc), which a T = 0 solve returns
+before it builds any row Gram form. The denoiser is pluggable: identity,
 complex soft-thresholding, a closed-form Tikhonov smoother, or a
 fixed-iteration Chambolle TV prox. The TV prox runs frame by frame on
 the frame's real and imaginary parts, with its dual, gradient, divergence and
@@ -19,10 +20,11 @@ part keeps a zero last row and its column part a zero last column. The solve
 returns the final image x only.
 
 Data consistency is one object per solve, whose ``descend`` runs the inner
-iterations on the operator and data of ``ForwardOperator.for_data_consistency``
-(on rectilinear masks the ``ColumnOperator`` B, on the maps' support box, and
-y_dc): :class:`GradientSteps` takes a :func:`dc_gradient` each iteration.
-With ``fourier.GRAM_MIN_FRAMES`` frames or more on a grid of at most
+iterations on that pair, built once by ``fourier.for_data_consistency`` (on
+rectilinear masks the ``ColumnOperator`` B, on the maps' support box, and
+y_dc; on point masks the 2D operator A and y): :class:`GradientSteps`
+takes a :func:`dc_gradient` each iteration. With ``fourier.GRAM_MIN_FRAMES``
+frames or more on a rectilinear mask and a grid of at most
 ``fourier.GRAM_MAX_SIDE`` rows and columns, :class:`RowGramSteps` takes one g
 per outer step, at its start x0. The gradient at x0 - e is g - e (N + lam I),
 so it iterates on e = x0 - x as e <- e Q + s g from e = s g, with
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps, check_inputs
-from .fourier import ColumnOperator, ForwardOperator
+from .fourier import ColumnOperator, ForwardOperator, for_data_consistency
 
 DENOISER_KINDS = ("identity", "l1-soft-threshold", "tikhonov-smooth", "tv-chambolle")
 
@@ -113,15 +115,15 @@ class AdmmConfig:
 MODE_DEFAULTS = {"static": {}, "dynamic": {"T": 10, "inner_iters": 8}}
 
 
-def zero_filled_init(
-    y: KSpaceData, mask: SamplingMask, sens: SensitivityMaps, op: ForwardOperator | None = None
-) -> ComplexImage:
-    """Coil-combined adjoint of the measured data; the solver's x^(0) and w^(0).
-    ``op``, if given, is the operator of ``mask`` and ``sens`` in y's dtype."""
+def zero_filled_init(y: KSpaceData, mask: SamplingMask, sens: SensitivityMaps,
+                     pair: tuple[ForwardOperator, np.ndarray] | None = None) -> ComplexImage:
+    """Coil-combined adjoint of the measured data, the solver's x^(0) and w^(0):
+    ``op.adjoint_arr(y_dc)`` of the data-consistency pair ``(op, y_dc)`` of
+    ``fourier.for_data_consistency``, which equals A^H y. ``pair``, if given,
+    is that pair for y, ``mask`` and ``sens``; else it is built here."""
     check_inputs(y, mask, sens)
-    if op is None:
-        op = ForwardOperator(mask=mask, sens=sens, dtype=y.data.dtype)
-    return ComplexImage(op.adjoint_arr(y.data))
+    op, y_dc = for_data_consistency(y.data, mask, sens) if pair is None else pair
+    return ComplexImage(op.adjoint_arr(y_dc))
 
 
 def _soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
@@ -259,8 +261,8 @@ def dc_gradient(
 
 
 class GradientSteps:
-    """Data consistency by :func:`dc_gradient` on an operator and its data:
-    A and y, or the B and y_dc of ``ForwardOperator.for_data_consistency``."""
+    """Data consistency by :func:`dc_gradient` on an operator and its data,
+    the pair of ``fourier.for_data_consistency``: A and y, or B and y_dc."""
 
     def __init__(self, op: ForwardOperator, y: np.ndarray, cfg: AdmmConfig):
         self.op, self.y, self.cfg = op, y, cfg
@@ -326,17 +328,18 @@ def admm_reconstruct(
     """Run the full unrolled solve, in the dtype of ``y``, and return the
     final image x.
 
-    T = 0 returns the zero-filled start and builds no data-consistency form.
+    The solve builds one operator, that of ``fourier.for_data_consistency``,
+    and takes its zero-filled start from it. T = 0 returns that start and
+    builds no row Gram form.
     """
-    op = ForwardOperator(mask=mask, sens=sens, dtype=y.data.dtype)
-    start = zero_filled_init(y, mask, sens, op)
+    check_inputs(y, mask, sens)
+    op, y_dc = pair = for_data_consistency(y.data, mask, sens)
+    start = zero_filled_init(y, mask, sens, pair)
     if cfg.T == 0:
         return start
     x = w = start.data
-    op_dc, y_dc = op.for_data_consistency(y.data)
-    normal = op_dc.row_gram(y.data.shape[1]) if isinstance(op_dc, ColumnOperator) else None
-    dc = (GradientSteps(op_dc, y_dc, cfg) if normal is None
-          else RowGramSteps(normal, op_dc, y_dc, cfg))
+    normal = op.row_gram(y.data.shape[1]) if isinstance(op, ColumnOperator) else None
+    dc = GradientSteps(op, y_dc, cfg) if normal is None else RowGramSteps(normal, op, y_dc, cfg)
     m = np.zeros_like(x)
     for _ in range(cfg.T):
         w = denoise_step(x + m / cfg.lam, cfg.denoiser, cfg.lam)

@@ -11,6 +11,7 @@ from mcrecon.fourier import (
     ColumnOperator,
     ForwardOperator,
     fft2c,
+    for_data_consistency,
     ifft2c,
 )
 from mcrecon import sampling
@@ -234,11 +235,12 @@ class TestOperatorProperties:
             mask = full_mask(height, width)
         else:
             mask = sampling.make_mask(scheme, height, width, 2, seed, acs_lines=2)
-        op = ForwardOperator(mask=mask, sens=random_sens(rng, n_coils, height, width), dtype=dtype)
+        sens = random_sens(rng, n_coils, height, width)
+        op = ForwardOperator(mask=mask, sens=sens, dtype=dtype)
         y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
         ops = [(op, y)]
         if scheme in RECTILINEAR_SCHEMES:
-            ops.append(op.for_data_consistency(y))
+            ops.append(for_data_consistency(y, mask, sens))
         for o, data in ops:
             x = rand_image(rng, n_frames, height, width).astype(dtype)
             for fn, arg in ((o.apply_arr, x), (o.adjoint_arr, data)):
@@ -261,13 +263,14 @@ def box_rows(sens):
 
 
 class TestDataConsistencyOperator:
-    """``for_data_consistency`` on rectilinear masks gives an operator B from
-    the bounding box of the maps' support onto the K sampled columns, and the
-    sampled columns of F_h^H y in the box's rows, with the gradient of A and
-    y, the objective less y's off-mask part and its rows outside the box, and
-    B^H the adjoint of B, on odd, even and non-square grids, for maps with
-    full support and for maps zero outside a random box with holes inside;
-    point masks keep A and y."""
+    """``for_data_consistency(y, mask, sens)`` on rectilinear masks gives an
+    operator B from the bounding box of the maps' support onto the K sampled
+    columns, and the sampled columns of F_h^H y in the box's rows, with the
+    gradient of A and y, the objective less y's off-mask part and its rows
+    outside the box, and B^H the adjoint of B, on odd, even and non-square
+    grids, for maps with full support and for maps zero outside a random box
+    with holes inside; point masks get A and y. B checks its inputs as A
+    does."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -291,8 +294,8 @@ class TestDataConsistencyOperator:
         x, w, m = (rand_image(rng, n_frames, height, width).astype(dtype) for _ in range(3))
         # y off the mask too: the gradient identity holds for any y
         y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
-        op_dc, y_dc = op.for_data_consistency(y)
-        assert type(op_dc) is ColumnOperator
+        op_dc, y_dc = for_data_consistency(y, mask, sens)
+        assert type(op_dc) is ColumnOperator and op_dc.dtype == dtype
         cols = np.flatnonzero(mask.pattern[0])
         assert np.array_equal(op_dc.cols, cols)
         rows = box_rows(sens)
@@ -373,7 +376,7 @@ class TestDataConsistencyOperator:
         x = rand_image(rng, n_frames, height, width).astype(dtype)
         y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
         step, lam = 0.7, 0.3
-        op_dc, y_dc = op.for_data_consistency(y)
+        op_dc, y_dc = for_data_consistency(y, mask, sens)
         normal = op_dc.row_gram(n_frames)
         box = op_dc.box
         rows, width_box = box_rows(sens).size, op_dc._dft.shape[0]
@@ -394,7 +397,8 @@ class TestDataConsistencyOperator:
         assert np.abs(gram.step - ((1 - step * lam) * eye - step * before)).max() <= tol
         # fewer frames keep the column-DFT operator without its Gram form
         assert op_dc.row_gram(GRAM_MIN_FRAMES - 1) is None
-        assert type(op.for_data_consistency(y[:, : GRAM_MIN_FRAMES - 1])[0]) is ColumnOperator
+        few = for_data_consistency(y[:, : GRAM_MIN_FRAMES - 1], mask, sens)[0]
+        assert type(few) is ColumnOperator
 
     @pytest.mark.parametrize(
         "height, width, gram",
@@ -407,18 +411,35 @@ class TestDataConsistencyOperator:
         GRAM_MAX_SIDE rows and columns; a wider or taller grid keeps the
         column-DFT operator."""
         mask = make_mask("equispaced", height, width, 1, 0)
-        op = ForwardOperator(mask=mask, sens=random_sens(rng, 1, height, width))
         y = rand_image(rng, 1, GRAM_MIN_FRAMES, height, width)
-        op_dc, _ = op.for_data_consistency(y)
+        op_dc, _ = for_data_consistency(y, mask, random_sens(rng, 1, height, width))
         assert (op_dc.row_gram(GRAM_MIN_FRAMES) is not None) == gram
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     @pytest.mark.parametrize("scheme", ["gaussian2d", "pseudo-radial", "pseudo-spiral", "full"])
-    def test_point_masks_keep_the_operator_and_data(self, rng, scheme):
-        op = ForwardOperator(mask=make_mask(scheme, 10, 12, 2, 3), sens=random_sens(rng, 2, 10, 12))
-        y = rand_image(rng, 2, 1, 10, 12)
-        op_dc, y_dc = op.for_data_consistency(y)
-        assert op_dc is op and y_dc is y
-        many = rand_image(rng, 2, GRAM_MIN_FRAMES, 10, 12)
-        op_dc, y_dc = op.for_data_consistency(many)
-        assert op_dc is op and y_dc is many
-        assert type(op) is ForwardOperator and not hasattr(op, "row_gram")
+    def test_point_masks_keep_the_operator_and_data(self, rng, scheme, dtype):
+        """Point masks get the 2D operator A of the mask and maps, in y's
+        dtype, and y itself, for one frame and for the frames of the row
+        Gram path, which A has no form of."""
+        mask, sens = make_mask(scheme, 10, 12, 2, 3), random_sens(rng, 2, 10, 12)
+        for frames in (1, GRAM_MIN_FRAMES):
+            y = rand_image(rng, 2, frames, 10, 12).astype(dtype)
+            op, y_dc = for_data_consistency(y, mask, sens)
+            assert type(op) is ForwardOperator and y_dc is y
+            assert op.mask is mask and op.sens is sens and op.dtype == dtype
+            assert not hasattr(op, "row_gram")
+
+    @pytest.mark.parametrize("cls", [ForwardOperator, ColumnOperator])
+    def test_each_operator_checks_its_maps_and_dtype(self, rng, cls):
+        """ColumnOperator built on its own runs ForwardOperator's checks: maps
+        on another grid than the mask's and a dtype that is not complex64 or
+        complex128 raise ValueError, and the dtype defaults to the maps'."""
+        mask = make_mask("equispaced", 10, 12, 2, 3)
+        with pytest.raises(ValueError, match=r"sensitivity grid \(10, 10\), mask grid \(10, 12\)"):
+            cls(mask, random_sens(rng, 2, 10, 10))
+        sens = random_sens(rng, 2, 10, 12)
+        for dtype in (np.float64, np.float32, np.int64):
+            with pytest.raises(ValueError, match="operator dtype must be complex64 or complex128"):
+                cls(mask, sens, dtype)
+        assert cls(mask, sens).dtype == np.complex128
+        assert cls(mask, sens, np.complex64).dtype == np.complex64

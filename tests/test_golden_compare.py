@@ -1,11 +1,16 @@
 """scripts/golden_compare.py on two small output directories: rcs.txt is
-compared key by key, and only declared exit-code changes are accepted."""
+compared key by key, only declared exit-code changes are accepted, and each
+reconstruction that moved within round-off is listed with its distance."""
 
 import importlib.util
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from mcrecon.core import ComplexImage
+from mcrecon.data import write_cks
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden_compare.py"
 _spec = importlib.util.spec_from_file_location("golden_compare", SCRIPT)
@@ -67,6 +72,27 @@ def test_other_files_are_still_compared(outs, capsys):
     (outs[1] / "notes.txt").write_text("moved\n")
     assert run(outs, "rc_b=2", "rc_gone=", "rc_new=0") == 1
     assert "notes.txt: differs" in capsys.readouterr().out
+
+
+def test_moved_reconstructions_are_listed_with_their_distance(outs, capsys):
+    """Each reconstruction that moved within round-off is printed with its
+    distance from the parent as a share of the parent's maximum, then the
+    count of byte-identical files; the last line and exit code are those of
+    an agreement."""
+    image = np.zeros((1, 4, 4), np.complex64)
+    image[0, 1, 2] = 2.0
+    moved = image.copy()
+    moved[0, 3, 3] = 1e-6  # 5e-07 of max
+    for root, data in ((outs[0], image), (outs[1], moved)):
+        for name in ("r_moved", "r_same"):
+            write_cks(root / f"{name}.cks", ComplexImage(data if name == "r_moved" else image))
+            (root / f"{name}.mag0.pgm").write_bytes(b"P5\n4 4\n255\n" + bytes(16))
+    assert run(outs, "rc_b=2", "rc_gone=", "rc_new=0") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "r_moved.cks: 5e-07 of max" in lines
+    assert not any(line.startswith("r_same.cks") for line in lines)
+    assert "4 of 6 files byte-identical" in lines  # all but rcs.txt and r_moved.cks
+    assert lines[-1] == "golden outputs agree within round-off"
 
 
 def test_expect_needs_key_and_equals(outs):

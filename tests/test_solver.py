@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_mask, random_sens
+from helpers import ALL_SCHEMES, make_mask, random_sens
 from mcrecon import sampling
 from mcrecon.core import RECTILINEAR_SCHEMES, KSpaceData, SensitivityMaps
-from mcrecon.fourier import GRAM_MIN_FRAMES, ColumnOperator, ForwardOperator
+from mcrecon.fourier import GRAM_MIN_FRAMES, ColumnOperator, ForwardOperator, for_data_consistency
 from mcrecon.sampling import full_mask
 from mcrecon.data import dynamic_phantom, shepp_logan, simulate_coils
 from mcrecon.solver import (
@@ -140,6 +140,37 @@ class TestZeroFilledInit:
         y = rand_image(rng, 3, 1, 8, 8)
         x0 = zero_filled_init(KSpaceData(y), mask, sens)
         assert np.allclose(x0.data, op.adjoint_arr(y), atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scheme=st.sampled_from(sorted(sampling.GENERATORS) + ["full"]),
+        height=st.integers(3, 12),
+        width=st.integers(3, 12),
+        n_frames=st.integers(1, GRAM_MIN_FRAMES),
+        n_coils=st.integers(1, 3),
+        dtype=st.sampled_from([np.complex128, np.complex64]),
+        boxed=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_the_2d_adjoint(
+        self, scheme, height, width, n_frames, n_coils, dtype, boxed, seed
+    ):
+        """The start taken from the data-consistency pair, B^H y_dc on a
+        rectilinear mask, is A^H y of the 2D operator in y's dtype, on every
+        scheme, for maps with full support and maps zero outside a random box
+        with holes inside, and for y nonzero off the mask."""
+        rng = np.random.default_rng(seed)
+        if scheme == "full":
+            mask = full_mask(height, width)
+        else:
+            mask = sampling.make_mask(scheme, height, width, 2, seed, acs_lines=2)
+        sens = random_sens(rng, n_coils, height, width, boxed)
+        y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
+        got = zero_filled_init(KSpaceData(y), mask, sens).data
+        want = ForwardOperator(mask, sens, y.dtype).adjoint_arr(y)
+        assert got.dtype == dtype and got.shape == want.shape
+        tol = 1e-12 if dtype == np.complex128 else 1e-6
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
     def test_linearity_in_data(self, rng):
         sens = random_sens(rng, 2, 8, 8)
@@ -367,11 +398,10 @@ class TestDataConsistency:
         frames = GRAM_MIN_FRAMES + extra_frames
         mask = sampling.make_mask(scheme, height, width, 2, seed, acs_lines=2)
         sens = random_sens(rng, n_coils, height, width, boxed)
-        op = ForwardOperator(mask=mask, sens=sens, dtype=dtype)
         x, wv, m = (rand_image(rng, frames, height, width).astype(dtype) for _ in range(3))
         y = (mask.pattern * rand_image(rng, n_coils, frames, height, width)).astype(dtype)
         cfg = AdmmConfig(T=1, inner_iters=inner, lam=0.3)
-        op_dc, y_dc = op.for_data_consistency(y)
+        op_dc, y_dc = for_data_consistency(y, mask, sens)
         dc = RowGramSteps(op_dc.row_gram(frames), op_dc, y_dc, cfg)
         got = data_consistency_step(x, wv, m, dc)
         want = data_consistency_step(x, wv, m, GradientSteps(op_dc, y_dc, cfg))
@@ -396,9 +426,10 @@ class TestDataConsistency:
             y = rand_image(rng, 2, frames, 6, 6)
             lam = 1.0
             cfg = AdmmConfig(T=1, inner_iters=1, lam=lam)
-            op_dc, y_dc = op.for_data_consistency(y)
-            assert (op_dc is op) == (scheme == "gaussian2d")
-            normal = None if op_dc is op else op_dc.row_gram(frames)
+            op_dc, y_dc = for_data_consistency(y, op.mask, op.sens)
+            column = isinstance(op_dc, ColumnOperator)
+            assert column == (scheme != "gaussian2d")
+            normal = op_dc.row_gram(frames) if column else None
             assert (normal is not None) == (frames == GRAM_MIN_FRAMES)
             if normal is None:
                 dc = GradientSteps(op_dc, y_dc, cfg)
@@ -504,7 +535,8 @@ class TestAdmmReconstruct:
         spec = DenoiserSpec(kind="l1-soft-threshold", strength=1e-2)
         cfg = AdmmConfig(T=3, inner_iters=4, lam=0.3, denoiser=spec)
         got = admm_reconstruct(y, mask, sens, cfg).data
-        monkeypatch.setattr(ForwardOperator, "for_data_consistency", lambda op, y: (op, y))
+        monkeypatch.setattr("mcrecon.solver.for_data_consistency",
+                            lambda y, mask, sens: (ForwardOperator(mask, sens, y.dtype), y))
         want = admm_reconstruct(y, mask, sens, cfg).data
         assert got.dtype == want.dtype == dtype and got.shape == want.shape
         if support == "empty":
@@ -560,9 +592,7 @@ def test_operator_and_denoisers_neither_mutate_nor_alias(rng, scheme, dtype):
     and return a fresh array, so callers may modify it in place."""
     sens = random_sens(rng, 3, 12, 10)
     mask = make_mask(scheme, 12, 10, 2, 1)
-    op, _ = ForwardOperator(mask=mask, sens=sens, dtype=dtype).for_data_consistency(
-        np.zeros((3, 2, 12, 10), dtype)
-    )
+    op, _ = for_data_consistency(np.zeros((3, 2, 12, 10), dtype), mask, sens)
     x = rand_image(rng, 2, 12, 10).astype(dtype)
     r = op.apply_arr(x).copy()
     held = [a for a in vars(op).values() if isinstance(a, np.ndarray)]
@@ -605,40 +635,49 @@ class TestOperatorCalls:
         admm_reconstruct(y, mask, sens, AdmmConfig(T=3, inner_iters=5))
         assert calls == {"apply_arr": 3 * 5, "adjoint_arr": 3 * 5 + 1}
 
-    @pytest.mark.parametrize("scheme", ["equispaced", "gaussian2d"])
-    def test_one_operator_built_per_solve(self, rng, monkeypatch, scheme):
-        """The zero-filled start reuses the solve's 2D operator."""
+    @pytest.mark.parametrize("frames", [1, GRAM_MIN_FRAMES])
+    @pytest.mark.parametrize("T", [0, 2])
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES + ("full",))
+    def test_one_operator_built_per_solve(self, rng, monkeypatch, scheme, T, frames):
+        """A solve constructs exactly one operator, counted over both classes
+        (each construction of a ForwardOperator or a ColumnOperator, however
+        its __init__ is reached): the ColumnOperator B on a rectilinear mask,
+        the 2D ForwardOperator A on a point mask. The zero-filled start takes
+        the adjoint of that operator, at T = 0 and T > 0, on the column and
+        row Gram paths."""
         built = []
-        init = ForwardOperator.__init__
-        monkeypatch.setattr(ForwardOperator, "__init__",
-                            lambda o, *a, **k: built.append(init(o, *a, **k)))
+        for cls in (ForwardOperator, ColumnOperator):
+
+            def counted(o, *a, init=cls.__init__, **k):
+                built.append(o)
+                init(o, *a, **k)
+
+            monkeypatch.setattr(cls, "__init__", counted)
         sens = random_sens(rng, 2, 16, 16)
         mask = make_mask(scheme, 16, 16, 4, 1)
-        y = KSpaceData(mask.pattern * rand_image(rng, 2, 2, 16, 16))
-        admm_reconstruct(y, mask, sens, AdmmConfig(T=2, inner_iters=2))
-        assert len(built) == 1
+        y = KSpaceData(mask.pattern * rand_image(rng, 2, frames, 16, 16))
+        admm_reconstruct(y, mask, sens, AdmmConfig(T=T, inner_iters=2))
+        ops = list({id(o): o for o in built}.values())
+        want = ColumnOperator if scheme in RECTILINEAR_SCHEMES else ForwardOperator
+        assert [type(o) for o in ops] == [want]
 
     @pytest.mark.parametrize("scheme", ["random-rectilinear", "gaussian2d"])
-    def test_t0_returns_the_zero_filled_start_and_builds_no_data_consistency(
+    def test_t0_returns_the_zero_filled_start_and_builds_no_row_gram_form(
         self, rng, monkeypatch, scheme
     ):
         """T = 0 is the zero-filled reconstruction: it equals zero_filled_init
-        byte for byte and calls neither for_data_consistency nor
-        ColumnOperator.row_gram, on GRAM_MIN_FRAMES frames of a rectilinear
-        mask (a T > 0 solve takes the row Gram path there) and on a point mask."""
+        byte for byte and does not call ColumnOperator.row_gram, on
+        GRAM_MIN_FRAMES frames of a rectilinear mask (a T > 0 solve takes the
+        row Gram path there) and on a point mask."""
         sens = random_sens(rng, 2, 16, 16)
         mask = make_mask(scheme, 16, 16, 4, 1)
         data = mask.pattern * rand_image(rng, 2, GRAM_MIN_FRAMES, 16, 16)
         y = KSpaceData(data.astype(np.complex64))
         want = zero_filled_init(y, mask, sens)
         called = []
-        for cls, name in ((ColumnOperator, "row_gram"), (ForwardOperator, "for_data_consistency")):
-
-            def recorded(self, arg, name=name, method=getattr(cls, name)):
-                called.append(name)
-                return method(self, arg)
-
-            monkeypatch.setattr(cls, name, recorded)
+        row_gram = ColumnOperator.row_gram
+        monkeypatch.setattr(ColumnOperator, "row_gram",
+                            lambda op, n: called.append(n) or row_gram(op, n))
         got = admm_reconstruct(y, mask, sens, AdmmConfig(T=0))
         assert called == []
         assert got.data.dtype == want.data.dtype == np.complex64
@@ -656,7 +695,7 @@ class TestOperatorCalls:
         sens = SensitivityMaps(maps)
         mask = make_mask("equispaced", 64, 64, 4, 1)
         y = (mask.pattern * rand_image(rng, 4, 12, 64, 64)).astype(dtype)
-        op_dc, y_dc = ForwardOperator(mask=mask, sens=sens, dtype=dtype).for_data_consistency(y)
+        op_dc, y_dc = for_data_consistency(y, mask, sens)
         cfg = AdmmConfig.for_mode("dynamic", lam=0.1)
         tracemalloc.start()
         try:
@@ -674,7 +713,7 @@ class TestOperatorCalls:
         """With GRAM_MIN_FRAMES frames on a rectilinear mask the inner
         iterations run on the row Gram form: apply_arr T times and adjoint_arr
         T + 1 times (one gradient per outer step and the zero-filled start),
-        and one ForwardOperator built per solve."""
+        and one operator built per solve."""
         calls = {"apply_arr": 0, "adjoint_arr": 0}
         for name, method in [(n, getattr(ForwardOperator, n)) for n in calls]:
 
