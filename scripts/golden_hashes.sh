@@ -12,16 +12,15 @@
 # --sens at 6 frames (r_dynG, on the row Gram path like the 7-frame dynamic
 # solves), a --T 0 solve of that 6-frame input (r_dynG_t0, the zero-filled
 # start with no Gram form built), a dynamic TV solve with --sens at 4 frames
-# on an equispaced mask (r_dyn4: fourier.GRAM_MIN_FRAMES, the fewest frames
-# that take the row Gram path),
+# on an equispaced mask (r_dyn4),
 # a 3-frame dynamic TV solve on a 45x45 grid (an odd row length for the TV
 # prox's flat passes), a static l1 solve with --estimate-sens on a 64x64
 # equispaced mask with 16 ACS lines (r_crop: the estimated maps' support box
-# keeps 61 of 64 rows and 55 of 64 columns, so the column-DFT path runs on a
-# box smaller than the grid in both directions), a 6-frame dynamic TV solve
-# with --estimate-sens on that mask (r_dynC: the row Gram path with its box,
-# 61 of 64 rows and 55 of 64 columns, smaller than the grid in both
-# directions), --jobs 1 and 2, evaluate,
+# keeps 61 of 64 rows and 55 of 64 columns, so the row Gram path runs on a
+# box smaller than the grid in both directions), the same with --T 4
+# --inner 5 (r_cropC: the column-DFT path on that box), a 6-frame dynamic TV
+# solve with --estimate-sens on that mask (r_dynC: the row Gram path with its
+# box), --jobs 1 and 2, evaluate,
 # and the exit codes in rcs.txt. Seven are bad arguments and
 # exit 2: an unknown scheme (rc_bogus), an unknown denoiser (rc_den), a
 # gaussian2d budget below its ACS disc (rc_budget), R=0.5 (rc_acc), a 0x0
@@ -41,6 +40,15 @@
 # its outputs are deleted. The 3-frame 45x45 solve is scored
 # by evaluate (e_odd.csv, rc_eval_odd), with no ssim3d row since it has fewer
 # frames than the SSIM window.
+#
+# A rectilinear solve takes the row Gram path when its Gram iterations,
+# frames * T * (inner - 1), reach fourier.GRAM_MIN_ITERS (64). Below it, on
+# the column-DFT path: r_conf (1 frame, T 5, inner 3: 10), r_explicit (T 3,
+# inner 5: 12) and r_cropC (T 4, inner 5: 16). At or above it, on the row
+# Gram path: r_dynI (7 frames, T 10, inner 2: 70, the nearest), the one-frame
+# solves at the static defaults (T 16, inner 14: 208; the per-denoiser r_*,
+# r_crop, j1, j2) and every other dynamic solve (3 frames or more at T 10,
+# inner 8, and r_dynT's 7 frames at T 3: 147 or more).
 #
 # For a change that may move floating-point round-off, compare the two
 # OUT_DIRs with scripts/golden_compare.py instead, which allows small
@@ -99,6 +107,7 @@ $M reconstruct --kspace dg_kspace_masked.cks --mask m_random-rectilinear.cks --s
 $M reconstruct --kspace d4_kspace_masked.cks --mask m_equispaced.cks --sens d4_sens.cks --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_dyn4 >/dev/null
 $M reconstruct --kspace o_kspace_masked.cks --mask m45.cks --sens o_sens.cks --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_odd >/dev/null
 $M reconstruct --kspace c_kspace_masked.cks --mask m64_equispaced.cks --estimate-sens --denoiser l1 --strength 1e-3 --lam 0.1 --out-prefix r_crop >/dev/null
+$M reconstruct --kspace c_kspace_masked.cks --mask m64_equispaced.cks --estimate-sens --denoiser l1 --strength 1e-3 --lam 0.1 --T 4 --inner 5 --out-prefix r_cropC >/dev/null
 $M reconstruct --kspace cg_kspace_masked.cks --mask m64_equispaced.cks --estimate-sens --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_dynC >/dev/null
 $M reconstruct --kspace a/v1.cks a/v3.cks --mask m_equispaced.cks --sens s_sens.cks --jobs 1 --out-prefix j1 >/dev/null
 $M reconstruct --kspace a/v1.cks a/v3.cks --mask m_equispaced.cks --sens s_sens.cks --jobs 2 --out-prefix j2 >/dev/null

@@ -32,15 +32,15 @@ so the zero-filled start needs no A either. :func:`for_data_consistency`
 builds: it returns B, a :class:`ColumnOperator`, and y_dc on a rectilinear
 mask, and A and y on a point mask, in y's dtype. B shares A's ``__init__``,
 so it checks its maps' grid and its dtype as A does, and overrides only the
-array setup ``_prepare`` and the hooks, each hook one GEMM on the flattened
-(coil*frame*row, col or K) matrix: ``_to_k`` is ``v @ D`` and ``_from_k``
-``y @ D^H``, with D the (W, K) centred width DFT at the sampled columns,
-both ramps folded in (a pruned DFT, Markel 1971),
-``D[j, p] = exp(-2*pi*i*(j - c)*(col_p - c)/W) / sqrt(W)``, on the unramped
-maps. The GEMMs do O(W*K) work per row against the FFT's O(W log W): a
-gradient at 256x256, 8 coils, complex64, 2 vCPUs takes 0.75x the FFT path's
-time at R4, but 1.2x at R2 and 2.1x at R1, which no workload or paper
-setting uses.
+array setup ``_prepare``, which refuses a point mask, and the hooks, each
+hook one GEMM on the flattened (coil*frame*row, col or K) matrix: ``_to_k``
+is ``v @ D`` and ``_from_k`` ``y @ D^H``, with D the (W, K) centred width
+DFT at the sampled columns, both ramps folded in (a pruned DFT, Markel
+1971), ``D[j, p] = exp(-2*pi*i*(j - c)*(col_p - c)/W) / sqrt(W)``, on the
+unramped maps. The GEMMs do O(W*K) work per row against the FFT's
+O(W log W): a gradient at 256x256, 8 coils, complex64, 2 vCPUs takes 0.75x
+the FFT path's time at R4, but 1.2x at R2 and 2.1x at R1, which no
+workload or paper setting uses.
 
 A rectilinear solve therefore builds only B. Building A for the start
 alone would cost more than the start: A plus its one adjoint takes 25 ms at
@@ -74,34 +74,56 @@ Hermitian (W', W') matrix ``N_h = (sum_c S_ch S_ch^H) * (D D^H)``
 (elementwise product) per box row, the same for every frame (a Gram normal
 operator, Fessler et al. 2005); off the box N is zero.
 :meth:`ColumnOperator.row_gram` builds N from B's box maps and D in its
-dtype, for at least :data:`GRAM_MIN_FRAMES` frames on a grid at most
-:data:`GRAM_MAX_SIDE` on each side (else None), and the solver forms its
-step matrix Q = (1 - s*lam) I - s N in place in it (see ``solver``). The
-path holds that one (H', W', W') array: in complex64 9.3 MiB on the 119x101
-box of 128x128 and 74.5 MiB on the 237x203 box of 256x256 (16 and 128 MiB
-on the whole grids). Measured with ``tracemalloc`` on warm 12-frame
-complex64 TV solves (8 coils, random-rectilinear R4 with 24 ACS lines,
-estimated maps), a solve peaks at 35.0 MiB at 128x128 and 177.1 MiB at
+dtype for a solve of at least :data:`GRAM_MIN_ITERS` Gram iterations,
+frames * T * (inner - 1) (the inner iterations that run on N), on a grid at
+most :data:`GRAM_MAX_SIDE` on each side (else None). The solver forms its
+step matrix Q = (1 - s*lam) I - s N in place in it and runs the inner
+iterations block by block of box rows (see ``solver``). The path holds that
+one (H', W', W') array: in complex64 9.3 MiB on the 119x101 box of 128x128
+and 74.5 MiB on the 237x203 box of 256x256 (16 and 128 MiB on the whole
+grids). Measured with ``tracemalloc`` on warm complex64 solves (8 coils,
+estimated maps), a 12-frame TV solve (random-rectilinear R4 with 24 ACS
+lines, T=10, 8 inner) peaks at 32.7 MiB at 128x128 and 168.1 MiB at
 256x256, where a complex128 whole-grid N beside Q peaked at 56.6 and
-418.2 MiB. Q grows with W'^2 where the column path does not, so the side cap
-holds it to 128 MiB (complex64) or 256 MiB (complex128) on measured grids.
-Larger grids, fewer frames and point masks keep the column path.
+418.2 MiB; the static 256x256 l1 solve (equispaced R4 with 24 ACS lines,
+T=16, 14 inner), which takes the path by the same rule, peaks at 87.9 MiB
+against 14.4 MiB on the column path. Q grows with W'^2 where the column
+path does not, so the side cap holds it to 128 MiB (complex64) or 256 MiB
+(complex128) on measured grids. Larger grids, solves of fewer Gram
+iterations and point masks keep the column path.
 
-Whole solves, seconds for the column path / the row Gram path: T=10, 8 inner
-iterations, identity denoiser, 8 coils, equispaced R4 with 24 ACS lines,
-estimated maps, complex64, one solve per fresh process with GRAM_MIN_FRAMES
-patched to force each path, medians of 5 (3 at 256x256), 2 vCPUs, numpy 2.4
-with OpenBLAS 0.3.31::
+Whole solves, seconds for the column path / the row Gram path with its
+blocked inner loop: T=10, identity denoiser, 8 coils, equispaced R4 with 24
+ACS lines, estimated maps, complex64, warm solves in one process alternating
+the two paths, each forced by patching GRAM_MIN_ITERS, medians of 5 (3 at
+256x256), 2 vCPUs, numpy 2.4 with OpenBLAS 0.3.31. G is the solve's Gram
+iterations. With 8 inner iterations (G = 70 per frame)::
 
     frames      1          2          3          4          5          6          8          12
-    128x128  0.17/0.09  0.14/0.12  0.22/0.15  0.27/0.18  0.34/0.21  0.41/0.21  0.58/0.31  0.93/0.45
-    256x256  0.40/0.49  0.84/0.91  1.18/1.22  1.82/1.25  2.20/1.56  2.78/1.69  3.81/1.82  6.97/2.56
+    128x128  0.069/0.050 0.129/0.093 0.198/0.129 0.255/0.146 0.320/0.179 0.380/0.165 0.519/0.247 0.778/0.312
+    256x256  0.271/0.240 0.592/0.513 0.992/0.629 1.383/0.778 1.882/1.037 2.267/1.246 3.076/1.387 5.370/1.696
 
-So on the box the Gram path wins from 2 frames at 128x128 and from 4 at
-256x256. GRAM_MIN_FRAMES is 4, the fewest frames at which the Gram path is
-faster in every measured cell; 2 and 3 frames at 128x128 would gain too, but
-tie or lose at 256x256. Both paths give the same iterate up to round-off
-(within 1e-6 of the image maximum in complex64).
+One frame with fewer inner iterations, and other frames and inner counts
+near the threshold (frames x inner, G)::
+
+    1 frame, inner 2 (10)  3 (20)      4 (30)      6 (50)      7 (60)
+    128x128  0.015/0.021 0.020/0.023 0.028/0.028 0.036/0.033 0.045/0.039
+    256x256  0.100/0.167 0.141/0.198 0.172/0.200 0.233/0.224 0.223/0.209
+
+             4x2 (40)    2x4 (60)    6x2 (60)    2x5 (80)    4x3 (80)    8x2 (80)    12x2 (120)
+    128x128  0.074/0.067 0.068/0.058      -      0.074/0.060      -      0.136/0.113      -
+    256x256  0.367/0.395 0.271/0.300 0.618/0.598 0.453/0.470 0.566/0.511 0.849/0.752 1.391/1.072
+
+The Gram path pays for N and Q once per solve and saves on every Gram
+iteration, so the count that decides is the solve's G, not its frames. At
+256x256 the Gram path loses at G = 10-40 (by up to 0.07 s) and at 2x4
+(10%), gains at most 6% at the other cells of G = 50-60, and wins every
+cell from G = 70 but 2x5, a tie within its spread; at 128x128 it wins from
+about G = 40. GRAM_MIN_ITERS is 64, so one frame at the static defaults
+(G = 16 * 13 = 208) and at the dynamic ones (G = 70) takes the Gram path,
+and solves of a few steps or inner iterations keep the column path. Both
+paths give the same iterate up to round-off (within 1e-6 of the image
+maximum in complex64; 2-5e-7 in the cells above).
 
 The operator computes in one complex dtype, by default that of the maps: it
 casts its maps and its mask or D to it once, and ``apply_arr`` /
@@ -114,9 +136,10 @@ import numpy as np
 
 from .core import RECTILINEAR_SCHEMES, SamplingMask, SensitivityMaps, check_maps
 
-# The row Gram path's rule (ColumnOperator.row_gram); the module docstring has
-# the measured crossover and the memory bound.
-GRAM_MIN_FRAMES = 4
+# The row Gram path's rule (ColumnOperator.row_gram): the fewest Gram
+# iterations, frames * T * (inner - 1), that pay back building N and Q, and the
+# widest grid whose Q fits the memory bound (both measured in the module docstring).
+GRAM_MIN_ITERS = 64
 GRAM_MAX_SIDE = 256
 
 
@@ -223,6 +246,8 @@ class ColumnOperator(ForwardOperator):
     :class:`ForwardOperator` (see the module docstring)."""
 
     def _prepare(self, mask: SamplingMask, sens: SensitivityMaps, dtype: np.dtype) -> None:
+        if mask.scheme not in RECTILINEAR_SCHEMES:
+            raise ValueError(f"the column operator needs a rectilinear mask, got {mask.scheme!r}")
         self.box = _support_box(sens.support)
         w, c = mask.width, mask.width // 2
         self.cols = np.flatnonzero(mask.pattern[0])
@@ -236,11 +261,12 @@ class ColumnOperator(ForwardOperator):
     def _from_k(self, y: np.ndarray) -> np.ndarray:
         return (y.reshape(-1, y.shape[-1]) @ self._dft_conj.T).reshape(*y.shape[:-1], -1)
 
-    def row_gram(self, n_frames: int) -> np.ndarray | None:
-        """N = B^H B on the box, (H', W', W') in ``dtype``, for at least
-        :data:`GRAM_MIN_FRAMES` frames on a grid at most :data:`GRAM_MAX_SIDE`
-        on each side; else None (see the module docstring)."""
-        if max(self.mask.height, self.mask.width) > GRAM_MAX_SIDE or n_frames < GRAM_MIN_FRAMES:
+    def row_gram(self, gram_iters: int) -> np.ndarray | None:
+        """N = B^H B on the box, (H', W', W') in ``dtype``, for a solve of at
+        least :data:`GRAM_MIN_ITERS` Gram iterations (frames * T * (inner - 1))
+        on a grid at most :data:`GRAM_MAX_SIDE` on each side; else None (see
+        the module docstring)."""
+        if max(self.mask.height, self.mask.width) > GRAM_MAX_SIDE or gram_iters < GRAM_MIN_ITERS:
             return None
         # N_h = (sum_c S_ch S_ch^H) * (D D^H)
         rows = self._maps.transpose(1, 2, 0)  # (H', W', coil)

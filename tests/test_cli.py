@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from mcrecon import cli
 from mcrecon.core import ComplexImage, KSpaceData
 from mcrecon.data import dynamic_phantom, read_cks, simulate_coils, write_cks
-from mcrecon.fourier import GRAM_MIN_FRAMES
 from mcrecon.metrics import LossWeights, dual_domain_loss, hfen1, nmae, nmse, psnr, ssim, ssim3d
 from mcrecon.sampling import GENERATORS, make_mask
 from mcrecon.sensitivity import estimate_from_acs
@@ -673,20 +672,21 @@ class TestReconstructCommand:
         assert close(cli_output("--inner", "2"), library(10, 2))
 
     @pytest.mark.parametrize("height, width", [(21, 21), (21, 17)])
-    def test_row_gram_solve_matches_the_library(self, tmp_path, height, width):
+    def test_row_gram_solve_matches_the_library(self, tmp_path, gram_steps, height, width):
         """simulate -> reconstruct --mode dynamic --estimate-sens --denoiser tv
-        on an odd grid with GRAM_MIN_FRAMES frames (the row Gram path) gives
-        admm_reconstruct of the files' contents within float32 round-off.
+        on an odd grid with 4 frames (the row Gram path, in both the CLI and
+        the library solve) gives admm_reconstruct of the files' contents
+        within float32 round-off.
         simulate renders square phantoms, so the 21x17 k-space is that of a
         cropped phantom, written with write_cks."""
         mask_path, prefix = tmp_path / "m.cks", tmp_path / "sim"
         assert run(["mask", "--scheme", "random-rectilinear", "--size", f"{height}x{width}",
                     "--accel", "2", "--acs", "6", "--seed", "3", "--out", mask_path]) == 0
         if height == width:
-            assert run(["simulate", "--size", height, "--frames", GRAM_MIN_FRAMES, "--coils", "4",
+            assert run(["simulate", "--size", height, "--frames", 4, "--coils", "4",
                         "--seed", "5", "--mask", mask_path, "--out-prefix", prefix]) == 0
         else:
-            crop = ComplexImage(dynamic_phantom(height, GRAM_MIN_FRAMES).data[..., :width])
+            crop = ComplexImage(dynamic_phantom(height, 4).data[..., :width])
             _, full = simulate_coils(crop, 4, 5)
             masked = KSpaceData(read_cks(mask_path).pattern * full.data)
             write_cks(tmp_path / "sim_kspace_masked.cks", masked)
@@ -695,10 +695,11 @@ class TestReconstructCommand:
                     "--mode", "dynamic", "--denoiser", "tv", "--strength", "1e-3", "--lam", "0.1",
                     "--out-prefix", tmp_path / "r"]) == 0
         ksp, mask = read_cks(kspace), read_cks(mask_path)
-        assert ksp.data.shape == (4, GRAM_MIN_FRAMES, height, width)
+        assert ksp.data.shape == (4, 4, height, width)
         cfg = AdmmConfig.for_mode("dynamic", lam=0.1, denoiser=DenoiserSpec("tv-chambolle", 1e-3))
         want = admm_reconstruct(ksp, mask, estimate_from_acs(ksp, mask), cfg).data
         got = read_cks(tmp_path / "r.cks").data
+        assert len(gram_steps) == 2
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 

@@ -7,7 +7,7 @@ from helpers import ALL_SCHEMES, dft2c_oracle, make_mask, random_sens
 from mcrecon.core import RECTILINEAR_SCHEMES
 from mcrecon.fourier import (
     GRAM_MAX_SIDE,
-    GRAM_MIN_FRAMES,
+    GRAM_MIN_ITERS,
     ColumnOperator,
     ForwardOperator,
     fft2c,
@@ -353,23 +353,24 @@ class TestDataConsistencyOperator:
         accel=st.sampled_from([1, 2, 3.3]),
         height=st.integers(3, 24),
         width=st.integers(3, 24),
-        extra_frames=st.integers(0, 2),
+        n_frames=st.integers(1, 3),
+        extra_iters=st.integers(0, 2),
         n_coils=st.integers(1, 3),
         dtype=st.sampled_from([np.complex128, np.complex64]),
         boxed=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     def test_row_gram_gradient_equals_the_column_gradient(
-        self, scheme, accel, height, width, extra_frames, n_coils, dtype, boxed, seed
+        self, scheme, accel, height, width, n_frames, extra_iters, n_coils, dtype, boxed, seed
     ):
-        """GRAM_MIN_FRAMES or more frames give B's row Gram form on its box:
-        N (box row, box col, box col) in the solve's dtype, Hermitian, with
-        x N on the box and zero off it equal to B^H B x through B's apply_arr /
-        adjoint_arr, for maps with full support and for maps zero outside a
-        random box with holes inside; and RowGramSteps on B and y_dc, which
-        forms the step matrix (1 - s lam) I - s N for its config in place in N."""
+        """GRAM_MIN_ITERS or more Gram iterations give B's row Gram form on
+        its box, for one frame and for several: N (box row, box col, box col)
+        in the solve's dtype, Hermitian, with x N on the box and zero off it
+        equal to B^H B x through B's apply_arr / adjoint_arr, for maps with
+        full support and for maps zero outside a random box with holes inside;
+        and RowGramSteps on B and y_dc, which forms the step matrix
+        (1 - s lam) I - s N for its config in place in N."""
         rng = np.random.default_rng(seed)
-        n_frames = GRAM_MIN_FRAMES + extra_frames
         mask = sampling.make_mask(scheme, height, width, accel, seed, acs_lines=2)
         sens = random_sens(rng, n_coils, height, width, boxed)
         op = ForwardOperator(mask=mask, sens=sens, dtype=dtype)
@@ -377,7 +378,8 @@ class TestDataConsistencyOperator:
         y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
         step, lam = 0.7, 0.3
         op_dc, y_dc = for_data_consistency(y, mask, sens)
-        normal = op_dc.row_gram(n_frames)
+        normal = op_dc.row_gram(GRAM_MIN_ITERS + extra_iters)
+        assert normal is not None
         box = op_dc.box
         rows, width_box = box_rows(sens).size, op_dc._dft.shape[0]
         assert normal.dtype == dtype and normal.shape == (rows, width_box, width_box)
@@ -395,10 +397,9 @@ class TestDataConsistencyOperator:
         assert gram.step is normal
         eye = np.eye(width_box)
         assert np.abs(gram.step - ((1 - step * lam) * eye - step * before)).max() <= tol
-        # fewer frames keep the column-DFT operator without its Gram form
-        assert op_dc.row_gram(GRAM_MIN_FRAMES - 1) is None
-        few = for_data_consistency(y[:, : GRAM_MIN_FRAMES - 1], mask, sens)[0]
-        assert type(few) is ColumnOperator
+        # fewer Gram iterations keep the column-DFT operator without its Gram form
+        assert type(op_dc) is ColumnOperator
+        assert op_dc.row_gram(GRAM_MIN_ITERS - 1) is None
 
     @pytest.mark.parametrize(
         "height, width, gram",
@@ -407,27 +408,39 @@ class TestDataConsistencyOperator:
     )
     def test_grids_past_the_measured_side_keep_the_column_path(self, rng, height, width, gram):
         """The row Gram path holds up to H * W^2 entries of Q, so with
-        GRAM_MIN_FRAMES frames it is taken only on grids of at most
+        GRAM_MIN_ITERS Gram iterations it is taken only on grids of at most
         GRAM_MAX_SIDE rows and columns; a wider or taller grid keeps the
         column-DFT operator."""
         mask = make_mask("equispaced", height, width, 1, 0)
-        y = rand_image(rng, 1, GRAM_MIN_FRAMES, height, width)
+        y = rand_image(rng, 1, 1, height, width)
         op_dc, _ = for_data_consistency(y, mask, random_sens(rng, 1, height, width))
-        assert (op_dc.row_gram(GRAM_MIN_FRAMES) is not None) == gram
+        assert (op_dc.row_gram(GRAM_MIN_ITERS) is not None) == gram
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     @pytest.mark.parametrize("scheme", ["gaussian2d", "pseudo-radial", "pseudo-spiral", "full"])
     def test_point_masks_keep_the_operator_and_data(self, rng, scheme, dtype):
         """Point masks get the 2D operator A of the mask and maps, in y's
-        dtype, and y itself, for one frame and for the frames of the row
-        Gram path, which A has no form of."""
+        dtype, and y itself, for one frame and for several; A has no row
+        Gram form."""
         mask, sens = make_mask(scheme, 10, 12, 2, 3), random_sens(rng, 2, 10, 12)
-        for frames in (1, GRAM_MIN_FRAMES):
+        for frames in (1, 4):
             y = rand_image(rng, 2, frames, 10, 12).astype(dtype)
             op, y_dc = for_data_consistency(y, mask, sens)
             assert type(op) is ForwardOperator and y_dc is y
             assert op.mask is mask and op.sens is sens and op.dtype == dtype
             assert not hasattr(op, "row_gram")
+
+    @pytest.mark.parametrize("scheme", ["gaussian2d", "pseudo-radial", "pseudo-spiral", "full"])
+    def test_column_operator_refuses_a_point_mask(self, rng, scheme):
+        """B takes its sampled columns from the mask's first row, which only a
+        rectilinear mask makes every row's; on a point mask ColumnOperator
+        raises ValueError rather than build a wrong operator, as on a 16x16
+        gaussian2d R2 mask whose first row is unsampled."""
+        mask = make_mask(scheme, 16, 16, 2, 0)
+        if scheme == "gaussian2d":
+            assert not mask.pattern[0].any() and mask.pattern.any()
+        with pytest.raises(ValueError, match="rectilinear mask"):
+            ColumnOperator(mask, random_sens(rng, 2, 16, 16))
 
     @pytest.mark.parametrize("cls", [ForwardOperator, ColumnOperator])
     def test_each_operator_checks_its_maps_and_dtype(self, rng, cls):

@@ -16,7 +16,7 @@ import pytest
 
 from mcrecon.core import ComplexImage, KSpaceData, SensitivityMaps
 from mcrecon.data import dynamic_phantom, read_cks, shepp_logan, simulate_coils, write_cks
-from mcrecon.fourier import GRAM_MIN_FRAMES, ForwardOperator
+from mcrecon.fourier import GRAM_MIN_ITERS, ForwardOperator
 from mcrecon.metrics import hfen1, nmae, nmse, psnr, ssim, ssim3d
 from mcrecon.sampling import make_mask
 from mcrecon.solver import (
@@ -163,7 +163,8 @@ def test_kspace_payload_is_read_in_place(tmp_path, rng):
 
 # A complex64 solve of float32-representable data against the complex128
 # solve of the same values (16 outer steps of 6 inner iterations): measured
-# at most 5e-7 * max over the cases below (3.5e-7 on the row Gram path).
+# at most 5e-7 * max over the cases below (3.5e-7 on the column and 2D paths,
+# 4.1e-7 for one frame and 2.9e-7 for 4 frames on the row Gram path).
 SOLVE_TOL = 1e-5
 
 
@@ -174,7 +175,7 @@ def phantom64():
 
 @pytest.fixture(scope="module")
 def cine64():
-    return _phantom(dynamic_phantom(64, GRAM_MIN_FRAMES))
+    return _phantom(dynamic_phantom(64, 4))
 
 
 def _phantom(truth):
@@ -208,16 +209,33 @@ def _check_complex64_solve(phantom, scheme, kind):
 
 @pytest.mark.parametrize("scheme", ["equispaced", "random-rectilinear", "gaussian2d"])
 @pytest.mark.parametrize("kind", DENOISER_KINDS)
-def test_complex64_solve_matches_complex128(phantom64, scheme, kind):
+def test_complex64_solve_matches_complex128(phantom64, monkeypatch, gram_steps, scheme, kind):
+    # one frame on the column path: its 16 * 5 Gram iterations would take the
+    # row Gram path on a rectilinear mask, so the threshold is raised past them
+    monkeypatch.setattr("mcrecon.fourier.GRAM_MIN_ITERS", 16 * 5 + 1)
     _check_complex64_solve(phantom64, scheme, kind)
+    assert gram_steps == []
 
 
 @pytest.mark.parametrize("scheme", ["equispaced", "random-rectilinear"])
 @pytest.mark.parametrize("kind", DENOISER_KINDS)
-def test_complex64_row_gram_solve_matches_complex128(cine64, scheme, kind):
-    # GRAM_MIN_FRAMES frames on a rectilinear mask: data consistency runs on
-    # the row Gram form, anchored by one gradient per outer step
+def test_complex64_row_gram_solve_matches_complex128(cine64, gram_steps, scheme, kind):
+    # 4 frames on a rectilinear mask: data consistency runs on the row Gram
+    # form, anchored by one gradient per outer step
     _check_complex64_solve(cine64, scheme, kind)
+    assert len(gram_steps) == 2
+
+
+@pytest.mark.parametrize("scheme", ["equispaced", "random-rectilinear"])
+@pytest.mark.parametrize("kind", DENOISER_KINDS)
+def test_complex64_one_frame_row_gram_solve_matches_complex128(
+    phantom64, gram_steps, scheme, kind
+):
+    # one frame reaches GRAM_MIN_ITERS at T 16 with 6 inner iterations, so its
+    # data consistency runs on the row Gram form too
+    assert 16 * 5 >= GRAM_MIN_ITERS
+    _check_complex64_solve(phantom64, scheme, kind)
+    assert len(gram_steps) == 2
 
 
 METRICS = {

@@ -3,13 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import ALL_SCHEMES, make_mask, random_sens
-from mcrecon import sampling
+from mcrecon import sampling, solver
 from mcrecon.core import RECTILINEAR_SCHEMES, KSpaceData, SensitivityMaps
-from mcrecon.fourier import GRAM_MIN_FRAMES, ColumnOperator, ForwardOperator, for_data_consistency
+from mcrecon.fourier import GRAM_MIN_ITERS, ColumnOperator, ForwardOperator, for_data_consistency
 from mcrecon.sampling import full_mask
 from mcrecon.data import dynamic_phantom, shepp_logan, simulate_coils
 from mcrecon.solver import (
@@ -146,7 +146,7 @@ class TestZeroFilledInit:
         scheme=st.sampled_from(sorted(sampling.GENERATORS) + ["full"]),
         height=st.integers(3, 12),
         width=st.integers(3, 12),
-        n_frames=st.integers(1, GRAM_MIN_FRAMES),
+        n_frames=st.integers(1, 4),
         n_coils=st.integers(1, 3),
         dtype=st.sampled_from([np.complex128, np.complex64]),
         boxed=st.booleans(),
@@ -375,7 +375,7 @@ class TestDataConsistency:
         scheme=st.sampled_from(RECTILINEAR_SCHEMES),
         height=st.integers(3, 24),
         width=st.integers(3, 24),
-        extra_frames=st.integers(0, 2),
+        frames=st.integers(1, 3),
         n_coils=st.integers(1, 3),
         inner=st.integers(1, 5),
         dtype=st.sampled_from([np.complex64, np.complex128]),
@@ -383,7 +383,7 @@ class TestDataConsistency:
         seed=st.integers(0, 2**16),
     )
     def test_row_gram_steps_equal_the_column_steps(
-        self, scheme, height, width, extra_frames, n_coils, inner, dtype, boxed, seed
+        self, scheme, height, width, frames, n_coils, inner, dtype, boxed, seed
     ):
         """RowGramSteps runs the same iterate as GradientSteps on the
         column-DFT operator, to the round-off of its dtype, from a start off
@@ -393,16 +393,19 @@ class TestDataConsistency:
         where both run on the support's bounding box and RowGramSteps takes
         the closed form off it. With one inner iteration RowGramSteps
         never reaches Q: both compute x0 - s*g from the same dc_gradient g on
-        (B, y_dc), so their iterates are the same bytes."""
+        (B, y_dc), so their iterates are the same bytes. One frame is
+        included: the path rule counts frames * T * (inner - 1), so a single
+        frame takes the row Gram path too."""
         rng = np.random.default_rng(seed)
-        frames = GRAM_MIN_FRAMES + extra_frames
         mask = sampling.make_mask(scheme, height, width, 2, seed, acs_lines=2)
         sens = random_sens(rng, n_coils, height, width, boxed)
         x, wv, m = (rand_image(rng, frames, height, width).astype(dtype) for _ in range(3))
         y = (mask.pattern * rand_image(rng, n_coils, frames, height, width)).astype(dtype)
         cfg = AdmmConfig(T=1, inner_iters=inner, lam=0.3)
         op_dc, y_dc = for_data_consistency(y, mask, sens)
-        dc = RowGramSteps(op_dc.row_gram(frames), op_dc, y_dc, cfg)
+        normal = op_dc.row_gram(GRAM_MIN_ITERS)
+        assert normal is not None
+        dc = RowGramSteps(normal, op_dc, y_dc, cfg)
         got = data_consistency_step(x, wv, m, dc)
         want = data_consistency_step(x, wv, m, GradientSteps(op_dc, y_dc, cfg))
         assert got.dtype == dtype and got.shape == x.shape and got.flags.c_contiguous
@@ -411,13 +414,77 @@ class TestDataConsistency:
         if inner == 1:
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize(
-        "scheme, frames", [("gaussian2d", 1), ("equispaced", 1), ("equispaced", GRAM_MIN_FRAMES)]
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scheme=st.sampled_from(RECTILINEAR_SCHEMES),
+        height=st.integers(3, 24),
+        width=st.integers(3, 24),
+        frames=st.integers(1, 3),
+        inner=st.integers(1, 6),
+        dtype=st.sampled_from([np.complex64, np.complex128]),
+        boxed=st.booleans(),
+        budget=st.sampled_from(["one row", "remainder", "whole box"]),
+        slack=st.integers(0, 2**20),
+        data=st.data(),
+        seed=st.integers(0, 2**16),
     )
-    def test_objective_nonincreasing(self, rng, scheme, frames):
+    def test_row_gram_blocks_equal_the_unblocked_loop(
+        self, scheme, height, width, frames, inner, dtype, boxed, budget, slack, data, seed
+    ):
+        """RowGramSteps runs all inner iterations on one block of box rows, as
+        many rows of Q as GRAM_BLOCK_BYTES holds, before the next block. Each
+        row's iterate is independent and every block runs the same batched
+        matmul, so its output is, byte for byte, that of the loop over the
+        whole box written out below: with one row per block, with blocks that
+        leave a smaller last block (box heights that are no multiple of the
+        block), and with the whole box in one block."""
+        rng = np.random.default_rng(seed)
+        mask = sampling.make_mask(scheme, height, width, 2, seed, acs_lines=2)
+        sens = random_sens(rng, 2, height, width, boxed)
+        x, wv, m = (rand_image(rng, frames, height, width).astype(dtype) for _ in range(3))
+        y = (mask.pattern * rand_image(rng, 2, frames, height, width)).astype(dtype)
+        op_dc, y_dc = for_data_consistency(y, mask, sens)
+        normal = op_dc.row_gram(GRAM_MIN_ITERS)
+        rows, row_bytes = len(normal), normal[0].nbytes
+        if budget == "one row":
+            block = 1
+        elif budget == "whole box":
+            block = rows
+        else:
+            assume(rows >= 3)
+            block = data.draw(st.integers(2, rows - 1).filter(lambda b: rows % b))
+        cfg = AdmmConfig(T=1, inner_iters=inner, lam=0.3)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "GRAM_BLOCK_BYTES", block * row_bytes + slack % row_bytes)
+            dc = RowGramSteps(normal, op_dc, y_dc, cfg)
+        assert dc.block_rows == block
+        got = dc.descend(x, wv, m)
+
+        s, box = cfg.step_size, op_dc.box
+        g = dc_gradient(x, wv, m, y_dc, op_dc, cfg.lam)
+        g *= s
+        sg = np.ascontiguousarray(g[box].transpose(1, 0, 2))
+        e, nxt = sg.copy(), np.empty_like(sg)
+        for _ in range(inner - 1):
+            np.matmul(e, dc.step, out=nxt)
+            nxt += sg
+            e, nxt = nxt, e
+        g *= sum((1 - s * cfg.lam) ** k for k in range(inner))
+        g[box] = e.transpose(1, 0, 2)
+        want = x - g
+        assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "scheme, frames, gram_iters",
+        [("gaussian2d", 1, GRAM_MIN_ITERS), ("equispaced", 1, GRAM_MIN_ITERS - 1),
+         ("equispaced", 1, GRAM_MIN_ITERS), ("equispaced", 4, GRAM_MIN_ITERS)],
+    )
+    def test_objective_nonincreasing(self, rng, scheme, frames, gram_iters):
         """Each call of the solve's data-consistency object lowers the
-        objective on the point path (A, y), the column path (B, y_dc) and the
-        row Gram path, whose iterate is scored on (B, y_dc)."""
+        objective on the point path (A, y), the column path (B, y_dc, below
+        GRAM_MIN_ITERS Gram iterations) and the row Gram path (from
+        GRAM_MIN_ITERS, on one frame and on several), whose iterate is scored
+        on (B, y_dc)."""
         for trial in range(10):
             op = self._instance(rng, n_coils=2, scheme=scheme)
             x = rand_image(rng, frames, 6, 6)
@@ -425,12 +492,12 @@ class TestDataConsistency:
             m = rand_image(rng, frames, 6, 6)
             y = rand_image(rng, 2, frames, 6, 6)
             lam = 1.0
-            cfg = AdmmConfig(T=1, inner_iters=1, lam=lam)
+            cfg = AdmmConfig(T=1, inner_iters=3, lam=lam)
             op_dc, y_dc = for_data_consistency(y, op.mask, op.sens)
             column = isinstance(op_dc, ColumnOperator)
             assert column == (scheme != "gaussian2d")
-            normal = op_dc.row_gram(frames) if column else None
-            assert (normal is not None) == (frames == GRAM_MIN_FRAMES)
+            normal = op_dc.row_gram(gram_iters) if column else None
+            assert (normal is not None) == (column and gram_iters >= GRAM_MIN_ITERS)
             if normal is None:
                 dc = GradientSteps(op_dc, y_dc, cfg)
             else:
@@ -544,15 +611,19 @@ class TestAdmmReconstruct:
         tol = 1e-12 if dtype == np.complex128 else 1e-6
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
-    def test_frame_separability(self, monkeypatch):
+    def test_frame_separability(self, monkeypatch, gram_steps):
         """Nothing in the operator or the denoisers couples frames, for l1 and
         TV, on equispaced and random-rectilinear masks, in complex64 and
-        complex128. On the column-DFT path (fewer than GRAM_MIN_FRAMES
-        frames) a joint solve equals, bit for bit, the solves of each frame
-        alone. On the row Gram path a joint solve of 2 * GRAM_MIN_FRAMES
-        frames equals, bit for bit, the joint solves of each half, and is
-        within 1e-6 * max of the column-DFT solve of the same frames."""
-        few, gram = GRAM_MIN_FRAMES - 1, 2 * GRAM_MIN_FRAMES
+        complex128. At T = 4 with 6 inner iterations each frame adds 20 Gram
+        iterations. On the column-DFT path (the most frames below
+        GRAM_MIN_ITERS, and each frame alone) a joint solve equals, bit for
+        bit, the solves of each frame alone. On the row Gram path a joint
+        solve of twice the fewest frames that reach GRAM_MIN_ITERS equals, bit
+        for bit, the joint solves of each half, and is within 1e-6 * max of
+        the column-DFT solve of the same frames."""
+        per_frame = 4 * (6 - 1)
+        few, half = (GRAM_MIN_ITERS - 1) // per_frame, -(-GRAM_MIN_ITERS // per_frame)
+        gram = 2 * half
         img = dynamic_phantom(32, gram)
         sens, ksp = simulate_coils(img, 2, 3)
         for kind, scheme, dtype in itertools.product(
@@ -573,14 +644,18 @@ class TestAdmmReconstruct:
             for t in range(few):
                 single = solve(slice(t, t + 1))
                 assert np.array_equal(joint[t], single[0]), (kind, scheme, dtype, t)
+            assert gram_steps == []
 
             joint = solve(slice(0, gram))
             assert joint.dtype == dtype
-            halves = [solve(slice(0, GRAM_MIN_FRAMES)), solve(slice(GRAM_MIN_FRAMES, gram))]
+            halves = [solve(slice(0, half)), solve(slice(half, gram))]
+            assert len(gram_steps) == 3
             assert np.array_equal(joint, np.concatenate(halves)), (kind, scheme, dtype)
             with monkeypatch.context() as patch:
-                patch.setattr("mcrecon.fourier.GRAM_MIN_FRAMES", gram + 1)
+                patch.setattr("mcrecon.fourier.GRAM_MIN_ITERS", gram * per_frame + 1)
                 column = solve(slice(0, gram))
+            assert len(gram_steps) == 3
+            gram_steps.clear()
             assert np.abs(joint - column).max() <= 1e-6 * np.abs(column).max()
 
 
@@ -635,16 +710,19 @@ class TestOperatorCalls:
         admm_reconstruct(y, mask, sens, AdmmConfig(T=3, inner_iters=5))
         assert calls == {"apply_arr": 3 * 5, "adjoint_arr": 3 * 5 + 1}
 
-    @pytest.mark.parametrize("frames", [1, GRAM_MIN_FRAMES])
+    @pytest.mark.parametrize("frames, inner", [(1, 2), (4, 2), (1, GRAM_MIN_ITERS // 2 + 1)])
     @pytest.mark.parametrize("T", [0, 2])
     @pytest.mark.parametrize("scheme", ALL_SCHEMES + ("full",))
-    def test_one_operator_built_per_solve(self, rng, monkeypatch, scheme, T, frames):
+    def test_one_operator_built_per_solve(
+        self, rng, monkeypatch, gram_steps, scheme, T, frames, inner
+    ):
         """A solve constructs exactly one operator, counted over both classes
         (each construction of a ForwardOperator or a ColumnOperator, however
         its __init__ is reached): the ColumnOperator B on a rectilinear mask,
         the 2D ForwardOperator A on a point mask. The zero-filled start takes
-        the adjoint of that operator, at T = 0 and T > 0, on the column and
-        row Gram paths."""
+        the adjoint of that operator, at T = 0 and T > 0, on the column path
+        (1 and 4 frames with 2 inner iterations) and the row Gram path (one
+        frame with GRAM_MIN_ITERS Gram iterations)."""
         built = []
         for cls in (ForwardOperator, ColumnOperator):
 
@@ -656,22 +734,45 @@ class TestOperatorCalls:
         sens = random_sens(rng, 2, 16, 16)
         mask = make_mask(scheme, 16, 16, 4, 1)
         y = KSpaceData(mask.pattern * rand_image(rng, 2, frames, 16, 16))
-        admm_reconstruct(y, mask, sens, AdmmConfig(T=T, inner_iters=2))
+        admm_reconstruct(y, mask, sens, AdmmConfig(T=T, inner_iters=inner))
         ops = list({id(o): o for o in built}.values())
         want = ColumnOperator if scheme in RECTILINEAR_SCHEMES else ForwardOperator
         assert [type(o) for o in ops] == [want]
+        gram = want is ColumnOperator and frames * T * (inner - 1) >= GRAM_MIN_ITERS
+        assert len(gram_steps) == gram
+
+    @pytest.mark.parametrize(
+        "frames, T, inner, gram",
+        [(1, 16, 14, True), (1, 3, 5, False), (1, 5, 3, False), (12, 10, 1, False),
+         (1, GRAM_MIN_ITERS, 2, True), (1, GRAM_MIN_ITERS - 1, 2, False),
+         (4, GRAM_MIN_ITERS // 4, 2, True), (4, GRAM_MIN_ITERS // 4 - 1, 2, False)],
+    )
+    def test_the_row_gram_path_is_chosen_by_the_gram_iterations(
+        self, rng, gram_steps, frames, T, inner, gram
+    ):
+        """A rectilinear solve takes the row Gram path when its Gram
+        iterations, frames * T * (inner - 1), reach GRAM_MIN_ITERS, and the
+        column path below: one frame at the static defaults (T 16, 14 inner)
+        takes it; 3 outer steps of 5 and 5 of 3, and one inner iteration on
+        any number of frames, do not; one frame or four frames at the
+        threshold take it, and one step fewer does not."""
+        sens = random_sens(rng, 2, 16, 16)
+        mask = make_mask("equispaced", 16, 16, 4, 1)
+        y = KSpaceData(mask.pattern * rand_image(rng, 2, frames, 16, 16))
+        admm_reconstruct(y, mask, sens, AdmmConfig(T=T, inner_iters=inner))
+        assert len(gram_steps) == gram
 
     @pytest.mark.parametrize("scheme", ["random-rectilinear", "gaussian2d"])
     def test_t0_returns_the_zero_filled_start_and_builds_no_row_gram_form(
         self, rng, monkeypatch, scheme
     ):
         """T = 0 is the zero-filled reconstruction: it equals zero_filled_init
-        byte for byte and does not call ColumnOperator.row_gram, on
-        GRAM_MIN_FRAMES frames of a rectilinear mask (a T > 0 solve takes the
+        byte for byte and does not call ColumnOperator.row_gram, on 4 frames
+        of a rectilinear mask (a T > 0 solve at the static defaults takes the
         row Gram path there) and on a point mask."""
         sens = random_sens(rng, 2, 16, 16)
         mask = make_mask(scheme, 16, 16, 4, 1)
-        data = mask.pattern * rand_image(rng, 2, GRAM_MIN_FRAMES, 16, 16)
+        data = mask.pattern * rand_image(rng, 2, 4, 16, 16)
         y = KSpaceData(data.astype(np.complex64))
         want = zero_filled_init(y, mask, sens)
         called = []
@@ -699,21 +800,23 @@ class TestOperatorCalls:
         cfg = AdmmConfig.for_mode("dynamic", lam=0.1)
         tracemalloc.start()
         try:
-            dc = RowGramSteps(op_dc.row_gram(12), op_dc, y_dc, cfg)
+            dc = RowGramSteps(op_dc.row_gram(12 * cfg.T * (cfg.inner_iters - 1)), op_dc, y_dc, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert dc.step.shape == (64 - 11, 64 - 12, 64 - 12) and dc.step.dtype == dtype
         assert peak < 1.25 * dc.step.nbytes
 
+    @pytest.mark.parametrize("frames", [1, 4])
     @pytest.mark.parametrize("scheme", ["equispaced", "random-rectilinear"])
     def test_row_gram_path_calls_the_operator_once_per_outer_step(
-        self, rng, monkeypatch, scheme
+        self, rng, monkeypatch, gram_steps, scheme, frames
     ):
-        """With GRAM_MIN_FRAMES frames on a rectilinear mask the inner
-        iterations run on the row Gram form: apply_arr T times and adjoint_arr
-        T + 1 times (one gradient per outer step and the zero-filled start),
-        and one operator built per solve."""
+        """With GRAM_MIN_ITERS Gram iterations or more on a rectilinear mask,
+        for one frame and for several, the inner iterations run on the row
+        Gram form: apply_arr T times and adjoint_arr T + 1 times (one gradient
+        per outer step and the zero-filled start), and one operator built per
+        solve."""
         calls = {"apply_arr": 0, "adjoint_arr": 0}
         for name, method in [(n, getattr(ForwardOperator, n)) for n in calls]:
 
@@ -728,7 +831,9 @@ class TestOperatorCalls:
                             lambda o, *a, **k: built.append(init(o, *a, **k)))
         sens = random_sens(rng, 2, 16, 16)
         mask = make_mask(scheme, 16, 16, 4, 1)
-        y = KSpaceData(mask.pattern * rand_image(rng, 2, GRAM_MIN_FRAMES, 16, 16))
-        admm_reconstruct(y, mask, sens, AdmmConfig(T=3, inner_iters=5))
+        y = KSpaceData(mask.pattern * rand_image(rng, 2, frames, 16, 16))
+        inner = -(-GRAM_MIN_ITERS // (frames * 3)) + 1
+        admm_reconstruct(y, mask, sens, AdmmConfig(T=3, inner_iters=inner))
+        assert len(gram_steps) == 1
         assert calls == {"apply_arr": 3, "adjoint_arr": 4}
         assert len(built) == 1
