@@ -42,7 +42,8 @@
 # frames than the SSIM window.
 #
 # A rectilinear solve takes the row Gram path when its Gram iterations,
-# frames * T * (inner - 1), reach fourier.GRAM_MIN_ITERS (64). Below it, on
+# frames * T * (inner - 1), reach solver.GRAM_MIN_ITERS (64); the rule is
+# admm_reconstruct's, set out in the solver docstring. Below it, on
 # the column-DFT path: r_conf (1 frame, T 5, inner 3: 10), r_explicit (T 3,
 # inner 5: 12) and r_cropC (T 4, inner 5: 16). At or above it, on the row
 # Gram path: r_dynI (7 frames, T 10, inner 2: 70, the nearest), the one-frame

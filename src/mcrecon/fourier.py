@@ -46,13 +46,7 @@ A rectilinear solve therefore builds only B. Building A for the start
 alone would cost more than the start: A plus its one adjoint takes 25 ms at
 256x256, 47 ms at 12x128x128 and 102 ms at 12x256x256, where B^H y_dc
 takes 7, 14 and 36 ms (complex64, 8 coils, estimated maps, medians of 7, 2
-vCPUs). Measured with ``tracemalloc`` on warm in-process solves of the same
-kind, a solve that builds only B peaks at 14.4 MiB, against 23.4 MiB with A
-built as well, on the static workload's 256x256 l1 solve (equispaced R4
-with 24 ACS lines, T=16, 14 inner); at 32.7 against 35.0 MiB on the dynamic
-workload's 12x128x128 TV solve (random-rectilinear R4 with 24 ACS lines,
-T=10, 8 inner); and at 58.5 against 63.0 MiB on a 12x256x256 T = 0 solve of
-that mask, which takes 0.08 s against 0.11-0.12 s (medians of 5).
+vCPUs).
 
 B's box is the H' x W' bounding box of the maps' support (``sens.support``):
 maps calibrated from the ACS region are zero outside the body, as SENSE and
@@ -65,8 +59,7 @@ solve). The objective identity gains one constant, the energy of y_off,
 F_h^H y's sampled columns in the rows outside the box:
 ``||B x - y_dc||^2 == ||A x - y||^2 - ||(1 - M) y||^2 - ||y_off||^2``.
 All-zero maps are a valid input and keep the whole grid. On
-``static256-rect-l1`` the box is 237x203, 73% of the grid, and its
-``reconstruct_s`` fell from 1.29 to 1.04 s (2 vCPUs, numpy 2.4, OpenBLAS).
+``static256-rect-l1`` the box is 237x203, 73% of the grid.
 
 On a rectilinear mask B^H B also splits into independent image rows
 (Pruessmann et al. 1999): row h of ``B^H B x`` is ``x_h N_h`` with one
@@ -74,56 +67,10 @@ Hermitian (W', W') matrix ``N_h = (sum_c S_ch S_ch^H) * (D D^H)``
 (elementwise product) per box row, the same for every frame (a Gram normal
 operator, Fessler et al. 2005); off the box N is zero.
 :meth:`ColumnOperator.row_gram` builds N from B's box maps and D in its
-dtype for a solve of at least :data:`GRAM_MIN_ITERS` Gram iterations,
-frames * T * (inner - 1) (the inner iterations that run on N), on a grid at
-most :data:`GRAM_MAX_SIDE` on each side (else None). The solver forms its
-step matrix Q = (1 - s*lam) I - s N in place in it and runs the inner
-iterations block by block of box rows (see ``solver``). The path holds that
-one (H', W', W') array: in complex64 9.3 MiB on the 119x101 box of 128x128
-and 74.5 MiB on the 237x203 box of 256x256 (16 and 128 MiB on the whole
-grids). Measured with ``tracemalloc`` on warm complex64 solves (8 coils,
-estimated maps), a 12-frame TV solve (random-rectilinear R4 with 24 ACS
-lines, T=10, 8 inner) peaks at 32.7 MiB at 128x128 and 168.1 MiB at
-256x256, where a complex128 whole-grid N beside Q peaked at 56.6 and
-418.2 MiB; the static 256x256 l1 solve (equispaced R4 with 24 ACS lines,
-T=16, 14 inner), which takes the path by the same rule, peaks at 87.9 MiB
-against 14.4 MiB on the column path. Q grows with W'^2 where the column
-path does not, so the side cap holds it to 128 MiB (complex64) or 256 MiB
-(complex128) on measured grids. Larger grids, solves of fewer Gram
-iterations and point masks keep the column path.
-
-Whole solves, seconds for the column path / the row Gram path with its
-blocked inner loop: T=10, identity denoiser, 8 coils, equispaced R4 with 24
-ACS lines, estimated maps, complex64, warm solves in one process alternating
-the two paths, each forced by patching GRAM_MIN_ITERS, medians of 5 (3 at
-256x256), 2 vCPUs, numpy 2.4 with OpenBLAS 0.3.31. G is the solve's Gram
-iterations. With 8 inner iterations (G = 70 per frame)::
-
-    frames      1          2          3          4          5          6          8          12
-    128x128  0.069/0.050 0.129/0.093 0.198/0.129 0.255/0.146 0.320/0.179 0.380/0.165 0.519/0.247 0.778/0.312
-    256x256  0.271/0.240 0.592/0.513 0.992/0.629 1.383/0.778 1.882/1.037 2.267/1.246 3.076/1.387 5.370/1.696
-
-One frame with fewer inner iterations, and other frames and inner counts
-near the threshold (frames x inner, G)::
-
-    1 frame, inner 2 (10)  3 (20)      4 (30)      6 (50)      7 (60)
-    128x128  0.015/0.021 0.020/0.023 0.028/0.028 0.036/0.033 0.045/0.039
-    256x256  0.100/0.167 0.141/0.198 0.172/0.200 0.233/0.224 0.223/0.209
-
-             4x2 (40)    2x4 (60)    6x2 (60)    2x5 (80)    4x3 (80)    8x2 (80)    12x2 (120)
-    128x128  0.074/0.067 0.068/0.058      -      0.074/0.060      -      0.136/0.113      -
-    256x256  0.367/0.395 0.271/0.300 0.618/0.598 0.453/0.470 0.566/0.511 0.849/0.752 1.391/1.072
-
-The Gram path pays for N and Q once per solve and saves on every Gram
-iteration, so the count that decides is the solve's G, not its frames. At
-256x256 the Gram path loses at G = 10-40 (by up to 0.07 s) and at 2x4
-(10%), gains at most 6% at the other cells of G = 50-60, and wins every
-cell from G = 70 but 2x5, a tie within its spread; at 128x128 it wins from
-about G = 40. GRAM_MIN_ITERS is 64, so one frame at the static defaults
-(G = 16 * 13 = 208) and at the dynamic ones (G = 70) takes the Gram path,
-and solves of a few steps or inner iterations keep the column path. Both
-paths give the same iterate up to round-off (within 1e-6 of the image
-maximum in complex64; 2-5e-7 in the cells above).
+dtype, one (H', W', W') array: in complex64 9.3 MiB on the 119x101 box of
+128x128 and 74.5 MiB on the 237x203 box of 256x256 (16 and 128 MiB on the
+whole grids). ``solver`` decides which solves take this form, and forms its
+step matrix Q in place in N.
 
 The operator computes in one complex dtype, by default that of the maps: it
 casts its maps and its mask or D to it once, and ``apply_arr`` /
@@ -135,12 +82,6 @@ single-precision FFTs and matmuls.
 import numpy as np
 
 from .core import RECTILINEAR_SCHEMES, SamplingMask, SensitivityMaps, check_maps
-
-# The row Gram path's rule (ColumnOperator.row_gram): the fewest Gram
-# iterations, frames * T * (inner - 1), that pay back building N and Q, and the
-# widest grid whose Q fits the memory bound (both measured in the module docstring).
-GRAM_MIN_ITERS = 64
-GRAM_MAX_SIDE = 256
 
 
 def _centred(transform, arr: np.ndarray, axes=(-2, -1)) -> np.ndarray:
@@ -261,13 +202,9 @@ class ColumnOperator(ForwardOperator):
     def _from_k(self, y: np.ndarray) -> np.ndarray:
         return (y.reshape(-1, y.shape[-1]) @ self._dft_conj.T).reshape(*y.shape[:-1], -1)
 
-    def row_gram(self, gram_iters: int) -> np.ndarray | None:
-        """N = B^H B on the box, (H', W', W') in ``dtype``, for a solve of at
-        least :data:`GRAM_MIN_ITERS` Gram iterations (frames * T * (inner - 1))
-        on a grid at most :data:`GRAM_MAX_SIDE` on each side; else None (see
-        the module docstring)."""
-        if max(self.mask.height, self.mask.width) > GRAM_MAX_SIDE or gram_iters < GRAM_MIN_ITERS:
-            return None
+    def row_gram(self) -> np.ndarray:
+        """N = B^H B on the box, a new (H', W', W') array in ``dtype`` (see the
+        module docstring)."""
         # N_h = (sum_c S_ch S_ch^H) * (D D^H)
         rows = self._maps.transpose(1, 2, 0)  # (H', W', coil)
         normal = rows @ self._maps_conj.transpose(1, 0, 2)

@@ -76,12 +76,16 @@ def _window_means(fields: np.ndarray, ndim: int) -> np.ndarray:
     return fields
 
 
+def _check_range(data_range: float) -> None:
+    if not 0 < data_range < np.inf:
+        raise ValueError(f"data_range must be positive and finite, got {data_range}")
+
+
 def _ssim(u, v, ndim: int, data_range: float) -> float:
     u, v = _same_shape(u, v, float)
     if u.ndim != ndim or min(u.shape) < SSIM_WINDOW:
         raise ValueError(f"SSIM needs {ndim}D inputs of at least {SSIM_WINDOW} per axis")
-    if data_range <= 0:
-        raise ValueError("data_range must be positive")
+    _check_range(data_range)
     mu_u, mu_v, uu, vv, uv = _window_means(np.stack([u, v, u * u, v * v, u * v]), ndim)
     var_u = uu - mu_u**2
     var_v = vv - mu_v**2
@@ -190,8 +194,7 @@ def nmse(u: np.ndarray, v: np.ndarray) -> float:
 def psnr(u: np.ndarray, v: np.ndarray, data_range: float) -> float:
     """Peak signal-to-noise ratio in dB; +inf for identical inputs."""
     u, v = _same_shape(u, v, float)
-    if data_range <= 0:
-        raise ValueError("data_range must be positive")
+    _check_range(data_range)
     mse = float(np.mean((u - v) ** 2))
     if mse == 0:
         return float("inf")

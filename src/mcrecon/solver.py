@@ -25,16 +25,16 @@ rectilinear masks the ``ColumnOperator`` B, on the maps' support box, and
 y_dc; on point masks the 2D operator A and y): :class:`GradientSteps`
 takes a :func:`dc_gradient` each iteration. On a rectilinear mask, when the
 solve's Gram iterations, frames * T * (inner - 1), reach
-``fourier.GRAM_MIN_ITERS`` on a grid of at most ``fourier.GRAM_MAX_SIDE``
-rows and columns (one frame at the static defaults does),
-:class:`RowGramSteps` takes one g per outer step, at its start x0. The
-gradient at x0 - e is g - e (N + lam I), so it iterates on e = x0 - x as
-e <- e Q + s g from e = s g, with Q = (1 - s*lam) I - s N formed in place in
-the N = B^H B of ``ColumnOperator.row_gram``: on the box one batched
-(row, frame, col) GEMM and one add each; off it N is zero, so e = c s g,
-c = sum_{k<inner} (1 - s*lam)^k. That is the same iterate in exact
-arithmetic, and with one inner iteration the same bytes. g comes from the
-residual B x0 - y_dc, so the solve's dtype is enough for it: the plain
+:data:`GRAM_MIN_ITERS` on a grid of at most :data:`GRAM_MAX_SIDE` rows and
+columns (one frame at the static defaults does), :func:`admm_reconstruct`
+builds :class:`RowGramSteps` instead, which takes one g per outer step, at
+its start x0. The gradient at x0 - e is g - e (N + lam I), so it iterates
+on e = x0 - x as e <- e Q + s g from e = s g, with Q = (1 - s*lam) I - s N
+formed in place in the N = B^H B of ``ColumnOperator.row_gram``: on the
+box one batched (row, frame, col) GEMM and one add each; off it N is zero,
+so e = c s g, c = sum_{k<inner} (1 - s*lam)^k. That is the same iterate in
+exact arithmetic, and with one inner iteration the same bytes. g comes from
+the residual B x0 - y_dc, so the solve's dtype is enough for it: the plain
 ``x N - B^H y_dc`` form cancels in complex64, which moved a 12x128x128 solve
 by 7.8e-6 of its maximum.
 
@@ -51,6 +51,51 @@ takes 49 ms on the column path, 42 ms on the unblocked row Gram loop and
 28 ms on the blocked one, and building N and Q takes 55 ms once per solve
 (medians of 5-9 processes of 15 steps each).
 
+:func:`admm_reconstruct` is the one place that chooses the row Gram path.
+The path holds one (H', W', W') array, Q (its bytes per grid are in
+``fourier``). Measured with ``tracemalloc`` on warm complex64 solves (8
+coils, estimated maps), a 12-frame TV solve (random-rectilinear R4 with 24
+ACS lines, T=10, 8 inner) peaks at 32.7 MiB at 128x128 and 168.1 MiB at
+256x256; the static 256x256 l1 solve (equispaced R4 with 24 ACS lines,
+T=16, 14 inner), which takes the path by the same rule, peaks at 87.9 MiB
+against 14.4 MiB on the column path. Q grows with W'^2 where the column
+path does not, so the side cap holds it to 128 MiB (complex64) or 256 MiB
+(complex128) on measured grids. Larger grids, solves of fewer Gram
+iterations and point masks keep the column path.
+
+Whole solves, seconds for the column path / the row Gram path with its
+blocked inner loop: T=10, identity denoiser, 8 coils, equispaced R4 with 24
+ACS lines, estimated maps, complex64, warm solves in one process alternating
+the two paths, each forced by patching GRAM_MIN_ITERS, medians of 5 (3 at
+256x256), 2 vCPUs, numpy 2.4 with OpenBLAS 0.3.31. G is the solve's Gram
+iterations. With 8 inner iterations (G = 70 per frame)::
+
+    frames      1          2          3          4          5          6          8          12
+    128x128  0.069/0.050 0.129/0.093 0.198/0.129 0.255/0.146 0.320/0.179 0.380/0.165 0.519/0.247 0.778/0.312
+    256x256  0.271/0.240 0.592/0.513 0.992/0.629 1.383/0.778 1.882/1.037 2.267/1.246 3.076/1.387 5.370/1.696
+
+One frame with fewer inner iterations, and other frames and inner counts
+near the threshold (frames x inner, G)::
+
+    1 frame, inner 2 (10)  3 (20)      4 (30)      6 (50)      7 (60)
+    128x128  0.015/0.021 0.020/0.023 0.028/0.028 0.036/0.033 0.045/0.039
+    256x256  0.100/0.167 0.141/0.198 0.172/0.200 0.233/0.224 0.223/0.209
+
+             4x2 (40)    2x4 (60)    6x2 (60)    2x5 (80)    4x3 (80)    8x2 (80)    12x2 (120)
+    128x128  0.074/0.067 0.068/0.058      -      0.074/0.060      -      0.136/0.113      -
+    256x256  0.367/0.395 0.271/0.300 0.618/0.598 0.453/0.470 0.566/0.511 0.849/0.752 1.391/1.072
+
+The Gram path pays for N and Q once per solve and saves on every Gram
+iteration, so the count that decides is the solve's G, not its frames. At
+256x256 the Gram path loses at G = 10-40 (by up to 0.07 s) and at 2x4
+(10%), gains at most 6% at the other cells of G = 50-60, and wins every
+cell from G = 70 but 2x5, a tie within its spread; at 128x128 it wins from
+about G = 40. GRAM_MIN_ITERS is 64, so one frame at the static defaults
+(G = 16 * 13 = 208) and at the dynamic ones (G = 70) takes the Gram path,
+and solves of a few steps or inner iterations keep the column path. Both
+paths give the same iterate up to round-off (within 1e-6 of the image
+maximum in complex64; 2-5e-7 in the cells above).
+
 The solve runs in the dtype of the k-space: the operator casts the maps to
 it once, and every step and denoiser returns the dtype it is given, so
 complex64 data (as read from CKS files) is solved in complex64 and
@@ -58,6 +103,7 @@ complex128 data in complex128.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,9 +112,25 @@ from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps, check
 from .fourier import ColumnOperator, ForwardOperator, for_data_consistency
 
 DENOISER_KINDS = ("identity", "l1-soft-threshold", "tikhonov-smooth", "tv-chambolle")
+# The row Gram path's rule (admm_reconstruct): the fewest Gram iterations,
+# frames * T * (inner - 1), that pay back building N and Q, and the widest grid
+# whose Q fits the memory bound (both measured in the module docstring).
+GRAM_MIN_ITERS = 64
+GRAM_MAX_SIDE = 256
 # Bytes of RowGramSteps' step matrix Q that one block of rows may hold, so that
 # the block stays in cache over all inner iterations: half of a 2 MiB per-core L2.
 GRAM_BLOCK_BYTES = 1 << 20
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (as ``operator.index``
+    takes it, numpy integers too) of at least ``least``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +148,7 @@ class DenoiserSpec:
             raise ValueError(f"denoiser strength must be finite and >= 0, got {self.strength}")
         if self.kind == "identity" and self.strength != 0:
             raise ValueError("identity denoiser requires strength 0")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        _check_count("iterations", self.iterations, 1)
 
 
 @dataclass(frozen=True)
@@ -107,10 +168,8 @@ class AdmmConfig:
     denoiser: DenoiserSpec = field(default_factory=DenoiserSpec)
 
     def __post_init__(self):
-        if self.T < 0:
-            raise ValueError("T must be >= 0")
-        if self.inner_iters < 1:
-            raise ValueError("inner_iters must be >= 1")
+        _check_count("T", self.T, 0)
+        _check_count("inner_iters", self.inner_iters, 1)
         if not 0 < self.lam < math.inf:
             raise ValueError(f"lam must be finite and > 0, got {self.lam}")
         step = self.step_size
@@ -298,19 +357,21 @@ class RowGramSteps:
     """Data consistency on the row Gram form: one :func:`dc_gradient` per outer
     step on ``op`` and ``y`` (a ``ColumnOperator`` B and its y_dc), then inner
     iterations with ``cfg``'s step matrix Q = (1 - s*lam) I - s N on B's box,
-    formed in place in the N of ``ColumnOperator.row_gram``."""
+    formed in place in the N of ``op.row_gram()``, and the closed form c s g
+    off it, with c = sum_{k<inner} (1 - s*lam)^k computed once."""
 
-    def __init__(self, normal: np.ndarray, op: ColumnOperator, y: np.ndarray, cfg: AdmmConfig):
+    def __init__(self, op: ColumnOperator, y: np.ndarray, cfg: AdmmConfig):
         self.op, self.y, self.cfg, s = op, y, cfg, cfg.step_size
-        self.step = np.multiply(normal, -s, out=normal)
-        diag = np.arange(normal.shape[-1])
-        self.step[:, diag, diag] += 1 - s * cfg.lam
+        self.step = op.row_gram()
+        self.step *= -s
+        np.einsum("hjj->hj", self.step)[...] += 1 - s * cfg.lam  # a view of each diagonal
         self.block_rows = max(1, GRAM_BLOCK_BYTES // self.step[0].nbytes)
+        self.off_box = sum((1 - s * cfg.lam) ** k for k in range(cfg.inner_iters))
 
     def descend(self, x0: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
         # e <- e Q + s g from e = s g on e = x0 - x, in (row, frame, col) layout
         # on the box, all inner iterations on one block of rows before the next;
-        # off the box Q is (1 - s*lam) I and e = c s g (module docstring)
+        # off the box Q is (1 - s*lam) I and e = c s g, c = self.off_box
         cfg, box = self.cfg, self.op.box
         g = dc_gradient(x0, w, m, self.y, self.op, cfg.lam)
         g *= cfg.step_size
@@ -324,7 +385,7 @@ class RowGramSteps:
                 nb += sg[blk]
                 eb, nb = nb, eb
             e[blk] = eb
-        g *= sum((1 - cfg.step_size * cfg.lam) ** k for k in range(cfg.inner_iters))
+        g *= self.off_box
         g[box] = e.transpose(1, 0, 2)
         return x0 - g
 
@@ -362,9 +423,9 @@ def admm_reconstruct(
     if cfg.T == 0:
         return start
     x = w = start.data
-    gram_iters = y.data.shape[1] * cfg.T * (cfg.inner_iters - 1)
-    normal = op.row_gram(gram_iters) if isinstance(op, ColumnOperator) else None
-    dc = GradientSteps(op, y_dc, cfg) if normal is None else RowGramSteps(normal, op, y_dc, cfg)
+    gram = (isinstance(op, ColumnOperator) and max(mask.height, mask.width) <= GRAM_MAX_SIDE
+            and y.data.shape[1] * cfg.T * (cfg.inner_iters - 1) >= GRAM_MIN_ITERS)
+    dc = (RowGramSteps if gram else GradientSteps)(op, y_dc, cfg)
     m = np.zeros_like(x)
     for _ in range(cfg.T):
         w = denoise_step(x + m / cfg.lam, cfg.denoiser, cfg.lam)

@@ -4,19 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ALL_SCHEMES, dft2c_oracle, make_mask, random_sens
-from mcrecon.core import RECTILINEAR_SCHEMES
-from mcrecon.fourier import (
-    GRAM_MAX_SIDE,
-    GRAM_MIN_ITERS,
-    ColumnOperator,
-    ForwardOperator,
-    fft2c,
-    for_data_consistency,
-    ifft2c,
-)
+from mcrecon.core import RECTILINEAR_SCHEMES, KSpaceData
+from mcrecon.fourier import ColumnOperator, ForwardOperator, fft2c, for_data_consistency, ifft2c
 from mcrecon import sampling
 from mcrecon.sampling import full_mask
-from mcrecon.solver import AdmmConfig, RowGramSteps, dc_objective
+from mcrecon.solver import (
+    GRAM_MAX_SIDE,
+    GRAM_MIN_ITERS,
+    AdmmConfig,
+    RowGramSteps,
+    admm_reconstruct,
+    dc_objective,
+)
 
 
 def rand_image(rng, *shape):
@@ -354,22 +353,21 @@ class TestDataConsistencyOperator:
         height=st.integers(3, 24),
         width=st.integers(3, 24),
         n_frames=st.integers(1, 3),
-        extra_iters=st.integers(0, 2),
         n_coils=st.integers(1, 3),
         dtype=st.sampled_from([np.complex128, np.complex64]),
         boxed=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     def test_row_gram_gradient_equals_the_column_gradient(
-        self, scheme, accel, height, width, n_frames, extra_iters, n_coils, dtype, boxed, seed
+        self, scheme, accel, height, width, n_frames, n_coils, dtype, boxed, seed
     ):
-        """GRAM_MIN_ITERS or more Gram iterations give B's row Gram form on
-        its box, for one frame and for several: N (box row, box col, box col)
-        in the solve's dtype, Hermitian, with x N on the box and zero off it
-        equal to B^H B x through B's apply_arr / adjoint_arr, for maps with
-        full support and for maps zero outside a random box with holes inside;
-        and RowGramSteps on B and y_dc, which forms the step matrix
-        (1 - s lam) I - s N for its config in place in N."""
+        """B's row Gram form on its box, for one frame and for several: N
+        (box row, box col, box col) in the solve's dtype, Hermitian, with x N
+        on the box and zero off it equal to B^H B x through B's apply_arr /
+        adjoint_arr, for maps with full support and for maps zero outside a
+        random box with holes inside; and RowGramSteps on B and y_dc, which
+        forms the step matrix (1 - s lam) I - s N for its config in place in
+        the N of its own row_gram call, a new array on each call."""
         rng = np.random.default_rng(seed)
         mask = sampling.make_mask(scheme, height, width, accel, seed, acs_lines=2)
         sens = random_sens(rng, n_coils, height, width, boxed)
@@ -378,8 +376,7 @@ class TestDataConsistencyOperator:
         y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
         step, lam = 0.7, 0.3
         op_dc, y_dc = for_data_consistency(y, mask, sens)
-        normal = op_dc.row_gram(GRAM_MIN_ITERS + extra_iters)
-        assert normal is not None
+        normal = op_dc.row_gram()
         box = op_dc.box
         rows, width_box = box_rows(sens).size, op_dc._dft.shape[0]
         assert normal.dtype == dtype and normal.shape == (rows, width_box, width_box)
@@ -392,29 +389,35 @@ class TestDataConsistencyOperator:
         assert np.abs(got - want).max() <= tol * max(np.abs(want).max(), 1e-30)
         before = normal.copy()
         cfg = AdmmConfig(T=1, inner_iters=1, lam=lam, step_size=step)
-        gram = RowGramSteps(normal, op_dc, y_dc, cfg)
+        built, row_gram = [], ColumnOperator.row_gram
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ColumnOperator, "row_gram",
+                          lambda op: built.append(row_gram(op)) or built[-1])
+            gram = RowGramSteps(op_dc, y_dc, cfg)
         assert gram.op is op_dc and gram.y is y_dc and gram.cfg is cfg
-        assert gram.step is normal
+        assert len(built) == 1 and gram.step is built[0] and gram.step is not normal
+        assert normal.tobytes() == before.tobytes()
         eye = np.eye(width_box)
         assert np.abs(gram.step - ((1 - step * lam) * eye - step * before)).max() <= tol
-        # fewer Gram iterations keep the column-DFT operator without its Gram form
-        assert type(op_dc) is ColumnOperator
-        assert op_dc.row_gram(GRAM_MIN_ITERS - 1) is None
 
     @pytest.mark.parametrize(
         "height, width, gram",
         [(2, GRAM_MAX_SIDE, True), (GRAM_MAX_SIDE, 2, True),
          (2, GRAM_MAX_SIDE + 1, False), (GRAM_MAX_SIDE + 1, 2, False)],
     )
-    def test_grids_past_the_measured_side_keep_the_column_path(self, rng, height, width, gram):
-        """The row Gram path holds up to H * W^2 entries of Q, so with
-        GRAM_MIN_ITERS Gram iterations it is taken only on grids of at most
-        GRAM_MAX_SIDE rows and columns; a wider or taller grid keeps the
-        column-DFT operator."""
+    def test_grids_past_the_measured_side_keep_the_column_path(
+        self, rng, gram_steps, height, width, gram
+    ):
+        """The row Gram path holds up to H * W^2 entries of Q, so a one-coil,
+        one-frame solve at the static defaults, whose Gram iterations reach
+        GRAM_MIN_ITERS, takes it only on grids of at most GRAM_MAX_SIDE rows
+        and columns; a wider or taller grid keeps the column path."""
+        cfg = AdmmConfig()
+        assert cfg.T * (cfg.inner_iters - 1) >= GRAM_MIN_ITERS
         mask = make_mask("equispaced", height, width, 1, 0)
-        y = rand_image(rng, 1, 1, height, width)
-        op_dc, _ = for_data_consistency(y, mask, random_sens(rng, 1, height, width))
-        assert (op_dc.row_gram(GRAM_MIN_ITERS) is not None) == gram
+        y = KSpaceData(rand_image(rng, 1, 1, height, width))
+        admm_reconstruct(y, mask, random_sens(rng, 1, height, width), cfg)
+        assert len(gram_steps) == gram
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     @pytest.mark.parametrize("scheme", ["gaussian2d", "pseudo-radial", "pseudo-spiral", "full"])

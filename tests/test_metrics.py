@@ -313,6 +313,22 @@ class TestPsnr:
             psnr(u, u + 0.1, data_range)
 
 
+@pytest.mark.parametrize(
+    "data_range", [float("nan"), float("inf"), np.float32("nan")], ids=["nan", "inf", "float32-nan"]
+)
+@pytest.mark.parametrize(
+    "metric, shape",
+    [(ssim, (8, 8)), (ssim3d, (7, 8, 8)), (psnr, (8, 8))],
+    ids=["ssim", "ssim3d", "psnr"],
+)
+def test_non_finite_data_range_rejected(rng, metric, shape, data_range):
+    """A NaN or infinite data range raises ValueError rather than giving a NaN
+    or infinite score."""
+    u = rng.random(shape)
+    with pytest.raises(ValueError, match="data_range must be positive"):
+        metric(u, u + 0.1, data_range)
+
+
 class TestDualDomainLoss:
     def test_exact_agreement_gives_zero(self, rng):
         x = rng.random((16, 16))

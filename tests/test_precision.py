@@ -16,11 +16,12 @@ import pytest
 
 from mcrecon.core import ComplexImage, KSpaceData, SensitivityMaps
 from mcrecon.data import dynamic_phantom, read_cks, shepp_logan, simulate_coils, write_cks
-from mcrecon.fourier import GRAM_MIN_ITERS, ForwardOperator
+from mcrecon.fourier import ForwardOperator
 from mcrecon.metrics import hfen1, nmae, nmse, psnr, ssim, ssim3d
 from mcrecon.sampling import make_mask
 from mcrecon.solver import (
     DENOISER_KINDS,
+    GRAM_MIN_ITERS,
     AdmmConfig,
     DenoiserSpec,
     GradientSteps,
@@ -212,7 +213,7 @@ def _check_complex64_solve(phantom, scheme, kind):
 def test_complex64_solve_matches_complex128(phantom64, monkeypatch, gram_steps, scheme, kind):
     # one frame on the column path: its 16 * 5 Gram iterations would take the
     # row Gram path on a rectilinear mask, so the threshold is raised past them
-    monkeypatch.setattr("mcrecon.fourier.GRAM_MIN_ITERS", 16 * 5 + 1)
+    monkeypatch.setattr("mcrecon.solver.GRAM_MIN_ITERS", 16 * 5 + 1)
     _check_complex64_solve(phantom64, scheme, kind)
     assert gram_steps == []
 

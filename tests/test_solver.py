@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from helpers import ALL_SCHEMES, make_mask, random_sens
 from mcrecon import sampling, solver
 from mcrecon.core import RECTILINEAR_SCHEMES, KSpaceData, SensitivityMaps
-from mcrecon.fourier import GRAM_MIN_ITERS, ColumnOperator, ForwardOperator, for_data_consistency
+from mcrecon.fourier import ColumnOperator, ForwardOperator, for_data_consistency
 from mcrecon.sampling import full_mask
 from mcrecon.data import dynamic_phantom, shepp_logan, simulate_coils
 from mcrecon.solver import (
     DENOISER_KINDS,
+    GRAM_MIN_ITERS,
     AdmmConfig,
     DenoiserSpec,
     GradientSteps,
@@ -97,6 +98,32 @@ class TestConfigs:
     def test_counts_below_their_minimum_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: AdmmConfig(inner_iters=2.5),
+            lambda: AdmmConfig(T=1.5),
+            lambda: AdmmConfig(T=2.0),
+            lambda: AdmmConfig(T="3"),
+            lambda: DenoiserSpec("tv-chambolle", 1e-3, iterations=2.5),
+        ],
+        ids=["inner_iters=2.5", "T=1.5", "T=2.0", "T='3'", "iterations=2.5"],
+    )
+    def test_counts_must_be_integers(self, make):
+        """A count that operator.index refuses raises ValueError at
+        construction, before any solve builds its operator."""
+        with pytest.raises(ValueError, match="must be an integer"):
+            make()
+
+    def test_numpy_integer_counts_accepted(self, rng):
+        spec = DenoiserSpec("tv-chambolle", 1e-3, iterations=np.int16(3))
+        cfg = AdmmConfig(T=np.int64(2), inner_iters=np.int32(3), denoiser=spec)
+        sens = random_sens(rng, 2, 8, 8)
+        y = KSpaceData(rand_image(rng, 2, 1, 8, 8))
+        want = AdmmConfig(T=2, inner_iters=3, denoiser=DenoiserSpec("tv-chambolle", 1e-3, 3))
+        got = admm_reconstruct(y, full_mask(8, 8), sens, cfg).data
+        assert got.tobytes() == admm_reconstruct(y, full_mask(8, 8), sens, want).data.tobytes()
 
     def test_for_mode_defaults_and_overrides(self):
         static = AdmmConfig.for_mode("static")
@@ -403,9 +430,7 @@ class TestDataConsistency:
         y = (mask.pattern * rand_image(rng, n_coils, frames, height, width)).astype(dtype)
         cfg = AdmmConfig(T=1, inner_iters=inner, lam=0.3)
         op_dc, y_dc = for_data_consistency(y, mask, sens)
-        normal = op_dc.row_gram(GRAM_MIN_ITERS)
-        assert normal is not None
-        dc = RowGramSteps(normal, op_dc, y_dc, cfg)
+        dc = RowGramSteps(op_dc, y_dc, cfg)
         got = data_consistency_step(x, wv, m, dc)
         want = data_consistency_step(x, wv, m, GradientSteps(op_dc, y_dc, cfg))
         assert got.dtype == dtype and got.shape == x.shape and got.flags.c_contiguous
@@ -444,7 +469,7 @@ class TestDataConsistency:
         x, wv, m = (rand_image(rng, frames, height, width).astype(dtype) for _ in range(3))
         y = (mask.pattern * rand_image(rng, 2, frames, height, width)).astype(dtype)
         op_dc, y_dc = for_data_consistency(y, mask, sens)
-        normal = op_dc.row_gram(GRAM_MIN_ITERS)
+        normal = op_dc.row_gram()
         rows, row_bytes = len(normal), normal[0].nbytes
         if budget == "one row":
             block = 1
@@ -456,7 +481,7 @@ class TestDataConsistency:
         cfg = AdmmConfig(T=1, inner_iters=inner, lam=0.3)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "GRAM_BLOCK_BYTES", block * row_bytes + slack % row_bytes)
-            dc = RowGramSteps(normal, op_dc, y_dc, cfg)
+            dc = RowGramSteps(op_dc, y_dc, cfg)
         assert dc.block_rows == block
         got = dc.descend(x, wv, m)
 
@@ -496,12 +521,8 @@ class TestDataConsistency:
             op_dc, y_dc = for_data_consistency(y, op.mask, op.sens)
             column = isinstance(op_dc, ColumnOperator)
             assert column == (scheme != "gaussian2d")
-            normal = op_dc.row_gram(gram_iters) if column else None
-            assert (normal is not None) == (column and gram_iters >= GRAM_MIN_ITERS)
-            if normal is None:
-                dc = GradientSteps(op_dc, y_dc, cfg)
-            else:
-                dc = RowGramSteps(normal, op_dc, y_dc, cfg)
+            gram = column and gram_iters >= GRAM_MIN_ITERS
+            dc = (RowGramSteps if gram else GradientSteps)(op_dc, y_dc, cfg)
             prev = dc_objective(x, w.copy(), m, y_dc, op_dc, lam)
             cur = x
             for _ in range(10):
@@ -652,7 +673,7 @@ class TestAdmmReconstruct:
             assert len(gram_steps) == 3
             assert np.array_equal(joint, np.concatenate(halves)), (kind, scheme, dtype)
             with monkeypatch.context() as patch:
-                patch.setattr("mcrecon.fourier.GRAM_MIN_ITERS", gram * per_frame + 1)
+                patch.setattr("mcrecon.solver.GRAM_MIN_ITERS", gram * per_frame + 1)
                 column = solve(slice(0, gram))
             assert len(gram_steps) == 3
             gram_steps.clear()
@@ -778,7 +799,7 @@ class TestOperatorCalls:
         called = []
         row_gram = ColumnOperator.row_gram
         monkeypatch.setattr(ColumnOperator, "row_gram",
-                            lambda op, n: called.append(n) or row_gram(op, n))
+                            lambda op: called.append(op) or row_gram(op))
         got = admm_reconstruct(y, mask, sens, AdmmConfig(T=0))
         assert called == []
         assert got.data.dtype == want.data.dtype == np.complex64
@@ -800,7 +821,7 @@ class TestOperatorCalls:
         cfg = AdmmConfig.for_mode("dynamic", lam=0.1)
         tracemalloc.start()
         try:
-            dc = RowGramSteps(op_dc.row_gram(12 * cfg.T * (cfg.inner_iters - 1)), op_dc, y_dc, cfg)
+            dc = RowGramSteps(op_dc, y_dc, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
