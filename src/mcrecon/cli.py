@@ -270,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=tuple(MODE_DEFAULTS), default="static")
     p.add_argument("--denoiser", choices=sorted(_DENOISER_ALIASES), default="tikhonov")
     p.add_argument("--strength", type=float, default=1e-2)
-    p.add_argument("--tv-iters", type=int, default=DenoiserSpec.iterations)
+    p.add_argument("--tv-iters", type=int, default=DenoiserSpec.iterations,
+                   help="TV dual iterations per outer step, each frame resuming from its "
+                        "dual of the step before")
     p.add_argument("--lam", type=float)
     p.add_argument("--step", type=float)
     p.add_argument("--T", type=int, help="outer iterations; 0 gives the zero-filled image")

@@ -8,16 +8,20 @@ zero-filled reconstruction A^H y, taken as the adjoint ``op^H y_dc`` of the
 solve's one data-consistency pair (op, y_dc), which a T = 0 solve returns
 before it builds any row Gram form. The denoiser is pluggable: identity,
 complex soft-thresholding, a closed-form Tikhonov smoother, or a
-fixed-iteration Chambolle TV prox. The TV prox runs frame by frame on
-the frame's real and imaginary parts, with its dual, gradient, divergence and
-magnitude buffers allocated once per frame as flat contiguous arrays and
-updated in place, in the order of the plain expressions, so the values are
-theirs bit for bit. Each difference is one pass over a flat buffer: a row
-difference is a shift by the row length, a column difference a shift by one.
-Where such a shift crosses a row or channel edge, the gradient sets the entry
-to zero, and the divergence subtracts an exact zero, because the dual's row
-part keeps a zero last row and its column part a zero last column. The solve
-returns the final image x only.
+Chambolle TV prox of ``iterations`` dual steps per outer step. The TV prox
+runs frame by frame on the frame's real and imaginary parts. Its weight
+strength/lam is the same at every outer step, so each frame's dual is carried
+from one outer step to the next: :func:`admm_reconstruct` holds one array of
+them per solve, zero at the first step, and each step resumes from it. The
+gradient, divergence and magnitude buffers are allocated once per frame and
+step as flat contiguous arrays, and every buffer is updated in place, in the
+order of the plain expressions, so the values are theirs bit for bit (k
+iterations resumed after k are 2k from zero). Each difference is one pass
+over a flat buffer: a row difference is a shift by the row length, a column
+difference a shift by one. Where such a shift crosses a row or channel edge,
+the gradient sets the entry to zero, and the divergence subtracts an exact
+zero, because the dual's row part keeps a zero last row and its column part a
+zero last column. The solve returns the final image x only.
 
 Data consistency is one object per solve, whose ``descend`` runs the inner
 iterations on that pair, built once by ``fourier.for_data_consistency`` (on
@@ -135,11 +139,14 @@ def _check_count(name: str, value, least: int) -> None:
 
 @dataclass(frozen=True)
 class DenoiserSpec:
-    """Proximal denoiser choice standing in for the prior term."""
+    """Proximal denoiser choice standing in for the prior term.
+
+    ``iterations`` counts the ``tv-chambolle`` dual steps per outer step of a
+    solve; each step starts from the frame's dual left by the step before."""
 
     kind: str = "identity"
     strength: float = 0.0
-    iterations: int = 20
+    iterations: int = 12
 
     def __post_init__(self):
         if self.kind not in DENOISER_KINDS:
@@ -252,15 +259,19 @@ def _div2(p: np.ndarray, out: np.ndarray, tmp: np.ndarray, shape: tuple[int, ...
     out += tmp
 
 
-def _tv_prox_real(v: np.ndarray, weight: float, iterations: int) -> np.ndarray:
+def _tv_prox_real(v: np.ndarray, weight: float, iterations: int,
+                  p: np.ndarray | None = None) -> np.ndarray:
     # Chambolle dual projection for prox of weight * TV on each (row, col)
     # image of the real (channel, row, col) stack v, fixed iterations, in place
-    # on flat contiguous buffers allocated once per call. The unary out= calls
+    # on flat contiguous buffers allocated once per call. The iterations start
+    # from the flat (2, v.size) dual p and update it in place, so a caller can
+    # pass it to the next call; None starts from zero. The unary out= calls
     # (np.square, np.sqrt) see only contiguous 1-D arrays.
     if weight == 0:
         return v.copy()
     tau = 0.25
-    p = np.zeros((2, v.size), dtype=v.dtype)
+    if p is None:
+        p = np.zeros((2, v.size), dtype=v.dtype)
     g = np.empty_like(p)
     d, mag = np.empty(v.size, v.dtype), np.empty(v.size, v.dtype)
     v_scaled = v.ravel() / weight
@@ -283,9 +294,15 @@ def _tv_prox_real(v: np.ndarray, weight: float, iterations: int) -> np.ndarray:
     return v - d.reshape(v.shape)
 
 
-def denoise_step(v: np.ndarray, spec: DenoiserSpec, lam: float) -> np.ndarray:
+def denoise_step(v: np.ndarray, spec: DenoiserSpec, lam: float,
+                 dual: np.ndarray | None = None) -> np.ndarray:
     """Proximal update of the auxiliary variable: prox of the prior (scaled
-    by 1/lam) applied to the (frame, row, col) array v = x + m/lam."""
+    by 1/lam) applied to the (frame, row, col) array v = x + m/lam.
+
+    ``dual``, for ``tv-chambolle`` only, is the real (frame, 2, 2*rows*cols)
+    array, in ``v.real.dtype``, of each frame's Chambolle dual: frame t's
+    iterations start from ``dual[t]`` and leave their last dual in it. Without
+    it every frame starts from zero and the step keeps no state."""
     if spec.kind == "identity":
         return v
     if spec.kind == "l1-soft-threshold":
@@ -295,7 +312,8 @@ def denoise_step(v: np.ndarray, spec: DenoiserSpec, lam: float) -> np.ndarray:
     weight = spec.strength / lam  # tv-chambolle, the last kind DenoiserSpec admits
     out = np.empty_like(v)
     for t in range(v.shape[0]):
-        re, im = _tv_prox_real(np.stack((v[t].real, v[t].imag)), weight, spec.iterations)
+        p = None if dual is None else dual[t]
+        re, im = _tv_prox_real(np.stack((v[t].real, v[t].imag)), weight, spec.iterations, p)
         out[t] = re + 1j * im
     return out
 
@@ -427,8 +445,11 @@ def admm_reconstruct(
             and y.data.shape[1] * cfg.T * (cfg.inner_iters - 1) >= GRAM_MIN_ITERS)
     dc = (RowGramSteps if gram else GradientSteps)(op, y_dc, cfg)
     m = np.zeros_like(x)
+    # each frame's TV dual, carried from one outer step to the next
+    dual = (np.zeros((x.shape[0], 2, 2 * x[0].size), x.real.dtype)
+            if cfg.denoiser.kind == "tv-chambolle" else None)
     for _ in range(cfg.T):
-        w = denoise_step(x + m / cfg.lam, cfg.denoiser, cfg.lam)
+        w = denoise_step(x + m / cfg.lam, cfg.denoiser, cfg.lam, dual)
         x = data_consistency_step(x, w, m, dc)
         m = multiplier_update(m, x, w, cfg.lam)
     return ComplexImage(x)

@@ -645,6 +645,30 @@ class TestReconstructCommand:
         for name in outs:
             assert (tmp_path / f"j1{name}").read_bytes() == (tmp_path / f"j2{name}").read_bytes()
 
+    def test_dynamic_tv_writes_the_same_bytes_for_copies_at_any_jobs(self, tmp_path):
+        """Each TV solve keeps its own per-frame duals: a dynamic TV
+        reconstruct of two copies of one volume writes the same bytes for
+        both at --jobs 2, where the two solves run at once, and at --jobs 1."""
+        mask_path, prefix = tmp_path / "m.cks", tmp_path / "sim"
+        assert run(["mask", "--scheme", "random-rectilinear", "--size", "24x24", "--accel", "2",
+                    "--acs", "6", "--seed", "3", "--out", mask_path]) == 0
+        assert run(["simulate", "--size", 24, "--frames", 3, "--coils", 2, "--seed", 5,
+                    "--mask", mask_path, "--out-prefix", prefix]) == 0
+        copies = [tmp_path / "a.cks", tmp_path / "b.cks"]
+        for copy in copies:
+            shutil.copy(tmp_path / "sim_kspace_masked.cks", copy)
+        for jobs in ("1", "2"):
+            assert run(["reconstruct", "--kspace", *copies, "--mask", mask_path,
+                        "--estimate-sens", "--mode", "dynamic", "--denoiser", "tv",
+                        "--strength", "1e-3", "--lam", "0.1", "--jobs", jobs,
+                        "--out-prefix", tmp_path / f"j{jobs}"]) == 0
+        outs = sorted(p.name.removeprefix("j1_a") for p in tmp_path.glob("j1_a*"))
+        assert len(outs) == 7  # the CKS image; per frame a magnitude PGM and its scale
+        for name in outs:
+            want = (tmp_path / f"j1_a{name}").read_bytes()
+            for got in (f"j1_b{name}", f"j2_a{name}", f"j2_b{name}"):
+                assert (tmp_path / got).read_bytes() == want
+
     def test_dynamic_mode_defaults_and_overrides(self, sim_files, tmp_path):
         ksp = read_cks(sim_files["masked"])
         mask = read_cks(sim_files["mask"])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import ALL_SCHEMES, dft2c_oracle, make_mask, random_sens
@@ -283,6 +283,8 @@ class TestDataConsistencyOperator:
         boxed=st.booleans(),
         seed=st.integers(0, 2**16),
     )
+    @example(scheme="equispaced", accel=2, height=7, width=3, n_frames=1, n_coils=1,
+             dtype=np.complex64, boxed=True, seed=68)
     def test_rectilinear_gradient_and_objective_agree(
         self, scheme, accel, height, width, n_frames, n_coils, dtype, boxed, seed
     ):
@@ -327,16 +329,20 @@ class TestDataConsistencyOperator:
         assert not got[:, ~sens.support].any()
 
         # ||B x - y_dc||^2 == ||A x - y||^2 - ||(1 - M) y||^2 - ||y_off||^2, with
-        # y_off the rows of F_h^H y at the sampled columns outside the box
+        # y_off the rows of F_h^H y at the sampled columns outside the box. The
+        # right side cancels, so its round-off is of the size of ||A x - y||^2
+        # (of the whole objective below), and the tolerance is scaled by that.
         off_mask_sq = np.vdot(y, (1 - mask.pattern) * y).real
         off_box = np.delete(y_rows, rows, axis=-2)
         const = off_mask_sq + np.vdot(off_box, off_box).real
+        full_sq = np.vdot(ax - y, ax - y).real
         assert np.vdot(bx - y_dc, bx - y_dc).real == pytest.approx(
-            np.vdot(ax - y, ax - y).real - const, rel=tol
+            full_sq - const, abs=tol * full_sq
         )
         lam = 0.3
+        full = dc_objective(x, w, m, y, op, lam)
         assert dc_objective(x, w, m, y_dc, op_dc, lam) == pytest.approx(
-            dc_objective(x, w, m, y, op, lam) - 0.5 * const, rel=tol
+            full - 0.5 * const, abs=tol * full
         )
 
         # <B x, r> == <x, B^H r>, relative to the Cauchy-Schwarz bound (||B|| <= 1)

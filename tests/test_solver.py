@@ -345,6 +345,32 @@ def test_tv_prox_equals_the_plain_expressions(h, w, channels, dtype, weight, sca
     assert out.tobytes() == ref.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    h=st.integers(1, 7),
+    w=st.integers(1, 7),
+    channels=st.integers(1, 2),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    weight=st.sampled_from([0.0, 1e-3, 0.3]),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tv_prox_resumes_from_its_dual(h, w, channels, dtype, weight, k, seed):
+    """Two k-iteration calls on the same v that share the dual p give, byte for
+    byte, one 2k-iteration call from zero, and leave in p that call's final
+    dual: the warm start runs the same operations in the same order."""
+    v = np.random.default_rng(seed).standard_normal((channels, h, w)).astype(dtype)
+    p = np.zeros((2, v.size), dtype)
+    _tv_prox_real(v, weight, k, p)
+    warm = _tv_prox_real(v, weight, k, p)
+    cold = _tv_prox_real(v, weight, 2 * k)
+    cold_p = np.zeros_like(p)
+    assert _tv_prox_real(v, weight, 2 * k, cold_p).tobytes() == cold.tobytes()
+    assert warm.dtype == cold.dtype == dtype
+    assert warm.tobytes() == cold.tobytes()
+    assert p.tobytes() == cold_p.tobytes()
+
+
 class TestDataConsistency:
     def _instance(self, rng, h=6, w=6, n_coils=1, scheme="equispaced"):
         sens = random_sens(rng, n_coils, h, w)
@@ -581,6 +607,39 @@ class TestAdmmReconstruct:
         a = admm_reconstruct(y, mask, sens, cfg)
         b = admm_reconstruct(y, mask, sens, cfg)
         assert np.array_equal(a.data, b.data)
+
+    def test_tv_dual_is_one_array_per_solve(self, monkeypatch):
+        """A tv-chambolle solve passes one real (frame, 2, 2*rows*cols) array,
+        zero at the first outer step and updated in place, to every
+        denoise_step call, and a new one to each solve, so two solves in a row
+        give the same bytes; other denoisers get None."""
+        img = dynamic_phantom(16, 3)
+        sens, ksp = simulate_coils(img, 2, 0)
+        mask = make_mask("equispaced", 16, 16, 2, 1)
+        y = KSpaceData((mask.pattern * ksp.data).astype(np.complex64))
+        duals = []
+
+        def recording(v, spec, lam, dual=None):
+            duals.append((dual, None if dual is None else dual.copy()))
+            return denoise_step(v, spec, lam, dual)
+
+        monkeypatch.setattr("mcrecon.solver.denoise_step", recording)
+        cfg = AdmmConfig(T=3, inner_iters=4, lam=0.1,
+                         denoiser=DenoiserSpec(kind="tv-chambolle", strength=1e-3))
+        first, second = (admm_reconstruct(y, mask, sens, cfg).data for _ in range(2))
+        assert first.tobytes() == second.tobytes()
+        assert len(duals) == 6
+        for solve in (duals[:3], duals[3:]):
+            dual, at_start = solve[0]
+            assert dual.shape == (3, 2, 2 * 16 * 16) and dual.dtype == np.float32
+            assert not at_start.any() and dual.any()
+            assert all(d is dual for d, _ in solve)
+            assert not np.array_equal(solve[1][1], solve[2][1])
+        assert duals[0][0] is not duals[3][0]
+        duals.clear()
+        admm_reconstruct(y, mask, sens, AdmmConfig(
+            T=2, inner_iters=4, denoiser=DenoiserSpec(kind="l1-soft-threshold", strength=1e-3)))
+        assert duals == [(None, None), (None, None)]
 
     def test_consensus_gap_shrinks(self, monkeypatch):
         """||x - w|| after the last of 16 outer steps is below its value after
