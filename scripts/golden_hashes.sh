@@ -41,15 +41,21 @@
 # by evaluate (e_odd.csv, rc_eval_odd), with no ssim3d row since it has fewer
 # frames than the SSIM window.
 #
+# A solve runs K = min(inner, k_u) Chebyshev iterations, k_u the least k
+# whose error bound reaches its dtype's round-off (solver.chebyshev_values);
+# CKS inputs solve in complex64, where k_u is 27 at lam 0.1 and 10 at lam 1.
+# r_gstop (a gaussian2d point-mask solve at lam 1 and the static defaults)
+# stops at 10 of its 14 inner iterations, as j1, j2 and r_full do too.
 # A rectilinear solve takes the row Gram path when its Gram iterations,
-# frames * T * (inner - 1), reach solver.GRAM_MIN_ITERS (64); the rule is
+# frames * T * (K - 1), reach solver.GRAM_MIN_ITERS (64); the rule is
 # admm_reconstruct's, set out in the solver docstring. Below it, on
 # the column-DFT path: r_conf (1 frame, T 5, inner 3: 10), r_explicit (T 3,
 # inner 5: 12) and r_cropC (T 4, inner 5: 16). At or above it, on the row
 # Gram path: r_dynI (7 frames, T 10, inner 2: 70, the nearest), the one-frame
-# solves at the static defaults (T 16, inner 14: 208; the per-denoiser r_*,
-# r_crop, j1, j2) and every other dynamic solve (3 frames or more at T 10,
-# inner 8, and r_dynT's 7 frames at T 3: 147 or more).
+# solves at the static defaults (T 16, inner 14: 208 at lam 0.1, the
+# per-denoiser r_* and r_crop; 144 at lam 1, j1 and j2) and every other
+# dynamic solve (3 frames or more at T 10, inner 8, and r_dynT's 7 frames at
+# T 3: 147 or more).
 #
 # For a change that may move floating-point round-off, compare the two
 # OUT_DIRs with scripts/golden_compare.py instead, which allows small
@@ -95,8 +101,9 @@ for d in identity l1 l1-soft-threshold tikhonov tikhonov-smooth tv tv-chambolle;
   st=1e-3; [ $d = identity ] && st=0
   $M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --denoiser $d --strength $st --lam 0.1 --out-prefix r_$d >/dev/null
 done
-$M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --T 3 --inner 5 --step 0.5 --out-prefix r_explicit >/dev/null
+$M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --T 3 --inner 5 --out-prefix r_explicit >/dev/null
 $M reconstruct --kspace g_kspace_masked.cks --mask m_gaussian2d.cks --sens g_sens.cks --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_gauss >/dev/null
+$M reconstruct --kspace g_kspace_masked.cks --mask m_gaussian2d.cks --sens g_sens.cks --lam 1 --out-prefix r_gstop >/dev/null
 $M reconstruct --kspace g_kspace_masked.cks --mask m_gaussian2d.cks --estimate-sens --denoiser l1 --strength 1e-3 --lam 0.1 --out-prefix r_gest >/dev/null
 $M reconstruct --kspace g_kspace_full.cks --mask m1_pseudo-radial.cks --sens g_sens.cks --T 4 --out-prefix r_full >/dev/null
 $M reconstruct --kspace d_kspace_masked.cks --mask m_equispaced.cks --sens d_sens.cks --mode dynamic --denoiser tv --strength 1e-3 --lam 0.1 --out-prefix r_dyn >/dev/null

@@ -185,7 +185,7 @@ def cmd_reconstruct(args) -> int:
     with _blame(error=CliError):
         spec = DenoiserSpec(_DENOISER_ALIASES[args.denoiser], args.strength, args.tv_iters)
         cfg = AdmmConfig.for_mode(args.mode, T=args.T, inner_iters=args.inner, lam=args.lam,
-                                  step_size=args.step, denoiser=spec)
+                                  denoiser=spec)
     # every input is read and checked, and every volume given its maps, before any is solved
     mask = _load_as(args.mask, SamplingMask)
     sens = None if args.estimate_sens else _load_as(args.sens, SensitivityMaps,
@@ -274,9 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TV dual iterations per outer step, each frame resuming from its "
                         "dual of the step before")
     p.add_argument("--lam", type=float)
-    p.add_argument("--step", type=float)
     p.add_argument("--T", type=int, help="outer iterations; 0 gives the zero-filled image")
-    p.add_argument("--inner", type=int)
+    p.add_argument("--inner", type=int,
+                   help="at most this many inner Chebyshev iterations per outer step; a solve "
+                        "stops sooner where their error bound reaches its dtype's round-off")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_reconstruct)

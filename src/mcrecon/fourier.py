@@ -38,15 +38,9 @@ is ``v @ D`` and ``_from_k`` ``y @ D^H``, with D the (W, K) centred width
 DFT at the sampled columns, both ramps folded in (a pruned DFT, Markel
 1971), ``D[j, p] = exp(-2*pi*i*(j - c)*(col_p - c)/W) / sqrt(W)``, on the
 unramped maps. The GEMMs do O(W*K) work per row against the FFT's
-O(W log W): a gradient at 256x256, 8 coils, complex64, 2 vCPUs takes 0.75x
-the FFT path's time at R4, but 1.2x at R2 and 2.1x at R1, which no
-workload or paper setting uses.
-
-A rectilinear solve therefore builds only B. Building A for the start
-alone would cost more than the start: A plus its one adjoint takes 25 ms at
-256x256, 47 ms at 12x128x128 and 102 ms at 12x256x256, where B^H y_dc
-takes 7, 14 and 36 ms (complex64, 8 coils, estimated maps, medians of 7, 2
-vCPUs).
+O(W log W), less time at R4 and more at R1 and R2, which no workload or
+paper setting uses. A rectilinear solve therefore builds only B; building A
+for the zero-filled start alone would cost more than the start (CHANGES.md).
 
 B's box is the H' x W' bounding box of the maps' support (``sens.support``):
 maps calibrated from the ACS region are zero outside the body, as SENSE and
@@ -54,12 +48,10 @@ ESPIRiT maps are. Outside the box S * x is zero in every coil, so the columns
 there add exact zeros to each GEMM row, and B x is zero in the rows there,
 which B^H maps back to zero through conj(S). So B keeps the box's maps, the
 box's W' rows of D and y_dc's H' rows. The gradient is the same up to the
-order of the GEMM sums (3.9e-7 of the image maximum in a complex64 256x256
-solve). The objective identity gains one constant, the energy of y_off,
-F_h^H y's sampled columns in the rows outside the box:
+order of the GEMM sums. The objective identity gains one constant, the
+energy of y_off, F_h^H y's sampled columns in the rows outside the box:
 ``||B x - y_dc||^2 == ||A x - y||^2 - ||(1 - M) y||^2 - ||y_off||^2``.
-All-zero maps are a valid input and keep the whole grid. On
-``static256-rect-l1`` the box is 237x203, 73% of the grid.
+All-zero maps are a valid input and keep the whole grid.
 
 On a rectilinear mask B^H B also splits into independent image rows
 (Pruessmann et al. 1999): row h of ``B^H B x`` is ``x_h N_h`` with one
@@ -67,10 +59,11 @@ Hermitian (W', W') matrix ``N_h = (sum_c S_ch S_ch^H) * (D D^H)``
 (elementwise product) per box row, the same for every frame (a Gram normal
 operator, Fessler et al. 2005); off the box N is zero.
 :meth:`ColumnOperator.row_gram` builds N from B's box maps and D in its
-dtype, one (H', W', W') array: in complex64 9.3 MiB on the 119x101 box of
-128x128 and 74.5 MiB on the 237x203 box of 256x256 (16 and 128 MiB on the
-whole grids). ``solver`` decides which solves take this form, and forms its
-step matrix Q in place in N.
+dtype on given box rows and columns, by default the whole box. In a row
+whose maps are zero at column j, row and column j of N_h are zero, so
+``solver`` builds N block by block of rows on the union of their support
+columns, never the whole (H', W', W') array, and forms H_b = N_b + lam I in
+place in each block; ``solver`` decides which solves take this form.
 
 The operator computes in one complex dtype, by default that of the maps: it
 casts its maps and its mask or D to it once, and ``apply_arr`` /
@@ -202,13 +195,14 @@ class ColumnOperator(ForwardOperator):
     def _from_k(self, y: np.ndarray) -> np.ndarray:
         return (y.reshape(-1, y.shape[-1]) @ self._dft_conj.T).reshape(*y.shape[:-1], -1)
 
-    def row_gram(self) -> np.ndarray:
-        """N = B^H B on the box, a new (H', W', W') array in ``dtype`` (see the
-        module docstring)."""
+    def row_gram(self, rows=np.s_[:], cols=np.s_[:]) -> np.ndarray:
+        """N = B^H B on the box's ``rows`` and ``cols`` (slices or index arrays
+        into the box, by default all of it), a new (rows, cols, cols) array in
+        ``dtype`` (see the module docstring)."""
         # N_h = (sum_c S_ch S_ch^H) * (D D^H)
-        rows = self._maps.transpose(1, 2, 0)  # (H', W', coil)
-        normal = rows @ self._maps_conj.transpose(1, 0, 2)
-        normal *= self._dft @ self._dft_conj.T
+        maps, dft = self._maps[:, rows][:, :, cols], self._dft[cols]
+        normal = maps.transpose(1, 2, 0) @ maps.conj().transpose(1, 0, 2)
+        normal *= dft @ dft.conj().T
         return normal
 
 

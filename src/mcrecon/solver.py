@@ -1,104 +1,57 @@
 """Unrolled ADMM reconstruction via half-quadratic variable splitting.
 
 Each outer step alternates a proximal denoising update on the auxiliary
-image w, a fixed number of gradient-descent iterations enforcing data
-consistency on x, and the scaled Lagrange-multiplier update
-m <- m + lam * (x - w). Multipliers start at zero; x and w start from the
-zero-filled reconstruction A^H y, taken as the adjoint ``op^H y_dc`` of the
-solve's one data-consistency pair (op, y_dc), which a T = 0 solve returns
-before it builds any row Gram form. The denoiser is pluggable: identity,
-complex soft-thresholding, a closed-form Tikhonov smoother, or a
-Chambolle TV prox of ``iterations`` dual steps per outer step. The TV prox
-runs frame by frame on the frame's real and imaginary parts. Its weight
-strength/lam is the same at every outer step, so each frame's dual is carried
-from one outer step to the next: :func:`admm_reconstruct` holds one array of
-them per solve, zero at the first step, and each step resumes from it. The
-gradient, divergence and magnitude buffers are allocated once per frame and
-step as flat contiguous arrays, and every buffer is updated in place, in the
-order of the plain expressions, so the values are theirs bit for bit (k
-iterations resumed after k are 2k from zero). Each difference is one pass
-over a flat buffer: a row difference is a shift by the row length, a column
-difference a shift by one. Where such a shift crosses a row or channel edge,
-the gradient sets the entry to zero, and the divergence subtracts an exact
-zero, because the dual's row part keeps a zero last row and its column part a
-zero last column. The solve returns the final image x only.
+image w, a fixed number of Chebyshev iterations enforcing data consistency
+on x, and the scaled Lagrange-multiplier update m <- m + lam * (x - w).
+Multipliers start at zero; x and w start from the zero-filled reconstruction
+A^H y, taken as the adjoint ``op^H y_dc`` of the solve's one data-consistency
+pair (op, y_dc), which a T = 0 solve returns before it builds any row Gram
+form. The denoiser is pluggable: identity, complex soft-thresholding, a
+closed-form Tikhonov smoother, or a Chambolle TV prox of ``iterations`` dual
+steps per outer step. The TV prox runs frame by frame on the frame's real and
+imaginary parts. Its weight strength/lam is the same at every outer step, so
+each frame's dual is carried from one outer step to the next:
+:func:`admm_reconstruct` holds one array of them per solve, zero at the first
+step, and each step resumes from it. The gradient, divergence and magnitude
+buffers are allocated once per frame and step as flat contiguous arrays, and
+every buffer is updated in place, in the order of the plain expressions, so
+the values are theirs bit for bit (k iterations resumed after k are 2k from
+zero). Each difference is one pass over a flat buffer: a row difference is a
+shift by the row length, a column difference a shift by one. Where such a
+shift crosses a row or channel edge, the gradient sets the entry to zero, and
+the divergence subtracts an exact zero, because the dual's row part keeps a
+zero last row and its column part a zero last column. The solve returns the
+final image x only.
 
-Data consistency is one object per solve, whose ``descend`` runs the inner
-iterations on that pair, built once by ``fourier.for_data_consistency`` (on
-rectilinear masks the ``ColumnOperator`` B, on the maps' support box, and
-y_dc; on point masks the 2D operator A and y): :class:`GradientSteps`
-takes a :func:`dc_gradient` each iteration. On a rectilinear mask, when the
-solve's Gram iterations, frames * T * (inner - 1), reach
-:data:`GRAM_MIN_ITERS` on a grid of at most :data:`GRAM_MAX_SIDE` rows and
-columns (one frame at the static defaults does), :func:`admm_reconstruct`
-builds :class:`RowGramSteps` instead, which takes one g per outer step, at
-its start x0. The gradient at x0 - e is g - e (N + lam I), so it iterates
-on e = x0 - x as e <- e Q + s g from e = s g, with Q = (1 - s*lam) I - s N
-formed in place in the N = B^H B of ``ColumnOperator.row_gram``: on the
-box one batched (row, frame, col) GEMM and one add each; off it N is zero,
-so e = c s g, c = sum_{k<inner} (1 - s*lam)^k. That is the same iterate in
-exact arithmetic, and with one inner iteration the same bytes. g comes from
-the residual B x0 - y_dc, so the solve's dtype is enough for it: the plain
-``x N - B^H y_dc`` form cancels in complex64, which moved a 12x128x128 solve
-by 7.8e-6 of its maximum.
+Data consistency solves (A^H A + lam I) x = A^H y + lam w - m on the pair
+that ``fourier.for_data_consistency`` builds once per solve (on rectilinear
+masks the ``ColumnOperator`` B on the maps' support box and y_dc; on point
+masks the 2D operator A and y), as H e = g for the correction e = x0 - x,
+with H = A^H A + lam I and g the :func:`dc_gradient` at the step's start x0.
+``SensitivityMaps`` holds sum_c |S_c|^2 to 0 or 1 within 1e-6, so with the
+unitary FFT and a 0/1 mask the spectrum of H lies in [lam, 1 + lam]. On that
+interval the iteration is Chebyshev's (Golub and Varga 1961; Saad, Iterative
+Methods, 12.1), with theta = lam + 1/2, delta = 1/2 and sigma = 1 + 2 lam:
+e_1 = g / theta, then d_k = rho_k rho_{k-1} d_{k-1} + (2 rho_k / delta) r_k
+and e_{k+1} = e_k + d_k, with rho_k = T_k(sigma) / T_{k+1}(sigma) and
+r_k = g - H e_k. It needs no inner product and its error is at most
+1 / T_k(sigma) of the first, so a solve runs K = min(inner_iters, k_u)
+iterations, k_u the least k with T_k(sigma) * eps >= 1 for its dtype's eps
+(:func:`chebyshev_values`; 10 at lam 1 in complex64).
+:class:`GradientSteps` takes each residual as one more :func:`dc_gradient`.
 
-Each box row's iterate is independent of the others', so :class:`RowGramSteps`
-runs all inner iterations on one block of rows before the next: as many
-rows of Q as :data:`GRAM_BLOCK_BYTES` holds (3 of the 237x203 box of 256x256
-in complex64, 12 of the 119x101 box of 128x128). Each block runs the same
-batched matmul on each of its rows, so the values are those of one loop over
-the whole box, byte for byte, but Q is read from memory once per outer step
-rather than once per inner iteration (74.5 MiB at 256x256). On the static
-256x256 l1 solve (one frame, 14 inner, equispaced R4 with 24 ACS lines,
-estimated maps, complex64, 2 vCPUs) one outer step of data consistency
-takes 49 ms on the column path, 42 ms on the unblocked row Gram loop and
-28 ms on the blocked one, and building N and Q takes 55 ms once per solve
-(medians of 5-9 processes of 15 steps each).
-
-:func:`admm_reconstruct` is the one place that chooses the row Gram path.
-The path holds one (H', W', W') array, Q (its bytes per grid are in
-``fourier``). Measured with ``tracemalloc`` on warm complex64 solves (8
-coils, estimated maps), a 12-frame TV solve (random-rectilinear R4 with 24
-ACS lines, T=10, 8 inner) peaks at 32.7 MiB at 128x128 and 168.1 MiB at
-256x256; the static 256x256 l1 solve (equispaced R4 with 24 ACS lines,
-T=16, 14 inner), which takes the path by the same rule, peaks at 87.9 MiB
-against 14.4 MiB on the column path. Q grows with W'^2 where the column
-path does not, so the side cap holds it to 128 MiB (complex64) or 256 MiB
-(complex128) on measured grids. Larger grids, solves of fewer Gram
-iterations and point masks keep the column path.
-
-Whole solves, seconds for the column path / the row Gram path with its
-blocked inner loop: T=10, identity denoiser, 8 coils, equispaced R4 with 24
-ACS lines, estimated maps, complex64, warm solves in one process alternating
-the two paths, each forced by patching GRAM_MIN_ITERS, medians of 5 (3 at
-256x256), 2 vCPUs, numpy 2.4 with OpenBLAS 0.3.31. G is the solve's Gram
-iterations. With 8 inner iterations (G = 70 per frame)::
-
-    frames      1          2          3          4          5          6          8          12
-    128x128  0.069/0.050 0.129/0.093 0.198/0.129 0.255/0.146 0.320/0.179 0.380/0.165 0.519/0.247 0.778/0.312
-    256x256  0.271/0.240 0.592/0.513 0.992/0.629 1.383/0.778 1.882/1.037 2.267/1.246 3.076/1.387 5.370/1.696
-
-One frame with fewer inner iterations, and other frames and inner counts
-near the threshold (frames x inner, G)::
-
-    1 frame, inner 2 (10)  3 (20)      4 (30)      6 (50)      7 (60)
-    128x128  0.015/0.021 0.020/0.023 0.028/0.028 0.036/0.033 0.045/0.039
-    256x256  0.100/0.167 0.141/0.198 0.172/0.200 0.233/0.224 0.223/0.209
-
-             4x2 (40)    2x4 (60)    6x2 (60)    2x5 (80)    4x3 (80)    8x2 (80)    12x2 (120)
-    128x128  0.074/0.067 0.068/0.058      -      0.074/0.060      -      0.136/0.113      -
-    256x256  0.367/0.395 0.271/0.300 0.618/0.598 0.453/0.470 0.566/0.511 0.849/0.752 1.391/1.072
-
-The Gram path pays for N and Q once per solve and saves on every Gram
-iteration, so the count that decides is the solve's G, not its frames. At
-256x256 the Gram path loses at G = 10-40 (by up to 0.07 s) and at 2x4
-(10%), gains at most 6% at the other cells of G = 50-60, and wins every
-cell from G = 70 but 2x5, a tie within its spread; at 128x128 it wins from
-about G = 40. GRAM_MIN_ITERS is 64, so one frame at the static defaults
-(G = 16 * 13 = 208) and at the dynamic ones (G = 70) takes the Gram path,
-and solves of a few steps or inner iterations keep the column path. Both
-paths give the same iterate up to round-off (within 1e-6 of the image
-maximum in complex64; 2-5e-7 in the cells above).
+On a rectilinear mask, when the solve's Gram iterations, frames * T * (K - 1),
+reach :data:`GRAM_MIN_ITERS` on a grid of at most :data:`GRAM_MAX_SIDE` rows
+and columns, :func:`admm_reconstruct` builds :class:`RowGramSteps` instead:
+H e is e (N + lam I) row by row, with N = B^H B of ``ColumnOperator.row_gram``
+(one matrix per box row), so after its one g per outer step every residual
+is one batched (row, frame, col) matmul. The rows are independent, so it runs
+all iterations on one block of rows before the next, and each block holds
+only the union of its rows' support columns (N is zero in the others), up
+to :data:`GRAM_BLOCK_BYTES`; off the blocks H is lam I and e a factor of g.
+g comes from the residual B x0 - y_dc, so the solve's dtype is enough for
+it. Both paths give the same iterate up to round-off; the measurements behind
+the rule and the block size are in ``BENCH_28.json`` and CHANGES.md.
 
 The solve runs in the dtype of the k-space: the operator casts the maps to
 it once, and every step and denoiser returns the dtype it is given, so
@@ -117,12 +70,13 @@ from .fourier import ColumnOperator, ForwardOperator, for_data_consistency
 
 DENOISER_KINDS = ("identity", "l1-soft-threshold", "tikhonov-smooth", "tv-chambolle")
 # The row Gram path's rule (admm_reconstruct): the fewest Gram iterations,
-# frames * T * (inner - 1), that pay back building N and Q, and the widest grid
-# whose Q fits the memory bound (both measured in the module docstring).
+# frames * T * (K - 1), that pay back building N, and the widest grid whose N
+# fits the memory bound, both measured on the gradient-descent loop that the
+# Chebyshev iteration replaced (BENCH_28.json, CHANGES.md).
 GRAM_MIN_ITERS = 64
 GRAM_MAX_SIDE = 256
-# Bytes of RowGramSteps' step matrix Q that one block of rows may hold, so that
-# the block stays in cache over all inner iterations: half of a 2 MiB per-core L2.
+# Bytes of H_b that one block of rows may hold in RowGramSteps, so that the
+# block stays in cache over all inner iterations: half of a 2 MiB per-core L2.
 GRAM_BLOCK_BYTES = 1 << 20
 
 
@@ -162,16 +116,16 @@ class DenoiserSpec:
 class AdmmConfig:
     """Hyperparameters of the unrolled solve.
 
-    The field defaults are the static 2D configuration (16 outer steps, 14
-    inner gradient iterations); :meth:`for_mode` applies a mode's overrides
-    from :data:`MODE_DEFAULTS`, e.g. dynamic 10 and 8. A ``step_size`` of
-    None becomes 1/(1+lam).
+    The field defaults are the static 2D configuration (16 outer steps, at
+    most 14 inner Chebyshev iterations); :meth:`for_mode` applies a mode's
+    overrides from :data:`MODE_DEFAULTS`, e.g. dynamic 10 and 8. A solve runs
+    fewer inner iterations where the iteration's error bound reaches its
+    dtype's round-off first (:func:`chebyshev_values`).
     """
 
     T: int = 16
     inner_iters: int = 14
     lam: float = 1.0
-    step_size: float | None = None
     denoiser: DenoiserSpec = field(default_factory=DenoiserSpec)
 
     def __post_init__(self):
@@ -179,12 +133,6 @@ class AdmmConfig:
         _check_count("inner_iters", self.inner_iters, 1)
         if not 0 < self.lam < math.inf:
             raise ValueError(f"lam must be finite and > 0, got {self.lam}")
-        step = self.step_size
-        if step is None:
-            step = 1.0 / (1.0 + self.lam)
-            object.__setattr__(self, "step_size", step)
-        if not 0 < step < 2.0 / (1.0 + self.lam):
-            raise ValueError(f"step_size {step} outside (0, 2/(1+lam))")
 
     @classmethod
     def for_mode(cls, mode: str, **given) -> "AdmmConfig":
@@ -355,63 +303,114 @@ def dc_gradient(
     return g
 
 
+def chebyshev_values(inner_iters: int, lam: float, dtype) -> list[float]:
+    """T_0(sigma), ..., T_K(sigma) at sigma = 1 + 2*lam for a solve in
+    ``dtype``, which runs K = min(inner_iters, k_u) Chebyshev iterations: k_u is
+    the least k with T_k(sigma) * eps >= 1 (eps of the dtype's real part), where
+    the iteration's error bound 1 / T_k(sigma) reaches round-off."""
+    sigma, eps = 1 + 2 * lam, np.finfo(dtype).eps
+    tau = [1.0, sigma]
+    while len(tau) <= inner_iters and tau[-1] * eps < 1:
+        tau.append(2 * sigma * tau[-1] - tau[-2])
+    return tau
+
+
 class GradientSteps:
-    """Data consistency by :func:`dc_gradient` on an operator and its data,
-    the pair of ``fourier.for_data_consistency``: A and y, or B and y_dc."""
+    """Data consistency by Chebyshev iteration on an operator and its data, the
+    pair of ``fourier.for_data_consistency``: A and y, or B and y_dc. It solves
+    H e = g for the correction e = x0 - x, with g the :func:`dc_gradient` at x0,
+    taking each iteration's residual g - H e afresh as one more
+    :func:`dc_gradient`."""
 
     def __init__(self, op: ForwardOperator, y: np.ndarray, cfg: AdmmConfig):
         self.op, self.y, self.cfg = op, y, cfg
+        tau = chebyshev_values(cfg.inner_iters, cfg.lam, op.dtype)
+        self.iters, self.first = len(tau) - 1, 2 / tau[1]  # e_1 = g / (lam + 1/2)
+        # d_k = rho_k rho_{k-1} d_{k-1} + 4 rho_k r_k, rho_k = T_k / T_{k+1}
+        self.coefs = [(tau[k - 1] / tau[k + 1], 4 * tau[k] / tau[k + 1])
+                      for k in range(1, self.iters)]
 
     def descend(self, x0: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
-        x = x0.copy()
-        for _ in range(self.cfg.inner_iters):
-            g = dc_gradient(x, w, m, self.y, self.op, self.cfg.lam)
-            g *= self.cfg.step_size
-            x -= g
-        return x
+        g = dc_gradient(x0, w, m, self.y, self.op, self.cfg.lam)
+        d = g * self.first
+        e = d.copy()
+        np.negative(g, out=g)  # the m of dc_gradient(e, 0, -g, 0) = H e - g = -r
+        for a, b in self.coefs:
+            q = dc_gradient(e, 0, g, 0, self.op, self.cfg.lam)
+            d *= a
+            q *= b
+            d -= q
+            e += d
+        return x0 - e
 
 
-class RowGramSteps:
-    """Data consistency on the row Gram form: one :func:`dc_gradient` per outer
-    step on ``op`` and ``y`` (a ``ColumnOperator`` B and its y_dc), then inner
-    iterations with ``cfg``'s step matrix Q = (1 - s*lam) I - s N on B's box,
-    formed in place in the N of ``op.row_gram()``, and the closed form c s g
-    off it, with c = sum_{k<inner} (1 - s*lam)^k computed once."""
+class RowGramSteps(GradientSteps):
+    """The iteration of :class:`GradientSteps` on the row Gram form of a
+    ``ColumnOperator`` B and its y_dc: one :func:`dc_gradient` g per outer
+    step, then, block by block of box rows, matmuls with H_b = N_b + lam I,
+    formed in place in the N of ``op.row_gram`` on the block's rows and the
+    union of their support columns; elsewhere H is lam I and e a factor of g."""
 
     def __init__(self, op: ColumnOperator, y: np.ndarray, cfg: AdmmConfig):
-        self.op, self.y, self.cfg, s = op, y, cfg, cfg.step_size
-        self.step = op.row_gram()
-        self.step *= -s
-        np.einsum("hjj->hj", self.step)[...] += 1 - s * cfg.lam  # a view of each diagonal
-        self.block_rows = max(1, GRAM_BLOCK_BYTES // self.step[0].nbytes)
-        self.off_box = sum((1 - s * cfg.lam) ** k for k in range(cfg.inner_iters))
+        super().__init__(op, y, cfg)
+        self.blocks = []
+        for rows, cols in _row_blocks(op.sens.support[op.box[1:]], op.dtype.itemsize):
+            h = op.row_gram(rows, cols)
+            np.einsum("hjj->hj", h)[...] += cfg.lam  # a view of each diagonal
+            self.blocks.append((rows, cols, h))
+        d = e = self.first  # the same iteration on the scalar H = lam
+        for a, b in self.coefs:
+            d = a * d + b * (1 - cfg.lam * e)
+            e += d
+        self.off_blocks = e
 
     def descend(self, x0: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
-        # e <- e Q + s g from e = s g on e = x0 - x, in (row, frame, col) layout
-        # on the box, all inner iterations on one block of rows before the next;
-        # off the box Q is (1 - s*lam) I and e = c s g, c = self.off_box
-        cfg, box = self.cfg, self.op.box
-        g = dc_gradient(x0, w, m, self.y, self.op, cfg.lam)
-        g *= cfg.step_size
-        sg = np.ascontiguousarray(g[box].transpose(1, 0, 2))
-        e, nxt = sg.copy(), np.empty_like(sg)
-        for r in range(0, len(sg), self.block_rows):
-            blk = np.s_[r : r + self.block_rows]
-            eb, nb = e[blk], nxt[blk]
-            for _ in range(cfg.inner_iters - 1):
-                np.matmul(eb, self.step[blk], out=nb)
-                nb += sg[blk]
-                eb, nb = nb, eb
-            e[blk] = eb
-        g *= self.off_box
-        g[box] = e.transpose(1, 0, 2)
+        # every block takes its (row, frame, col) g, a copy, before g is scaled
+        g = dc_gradient(x0, w, m, self.y, self.op, self.cfg.lam)
+        rows_first = g[self.op.box].transpose(1, 0, 2)
+        solved = [(rows, cols, self._block(np.take(rows_first[rows], cols, axis=2), h))
+                  for rows, cols, h in self.blocks]
+        g *= self.off_blocks
+        for rows, cols, e in solved:
+            rows_first[rows][:, :, cols] = e
         return x0 - g
+
+    def _block(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        d = g * self.first
+        e, r = d.copy(), np.empty_like(d)
+        for a, b in self.coefs:
+            np.matmul(e, h, out=r)
+            np.subtract(g, r, out=r)
+            d *= a
+            r *= b
+            d += r
+            e += d
+        return e
+
+
+def _row_blocks(support: np.ndarray, itemsize: int) -> list[tuple[slice, np.ndarray]]:
+    """Consecutive rows of ``support`` (the maps' support on the box), each
+    block with the union of its rows' support columns: a block grows while its
+    rows * columns**2 * itemsize bytes fit GRAM_BLOCK_BYTES, and a block with
+    no support column is left out."""
+    blocks, start = [], 0
+    while start < len(support):
+        union, stop = support[start], start + 1
+        while stop < len(support):
+            grown = union | support[stop]
+            if (stop + 1 - start) * np.count_nonzero(grown) ** 2 * itemsize > GRAM_BLOCK_BYTES:
+                break
+            union, stop = grown, stop + 1
+        if union.any():
+            blocks.append((slice(start, stop), np.flatnonzero(union)))
+        start = stop
+    return blocks
 
 
 def data_consistency_step(x_in: np.ndarray, w: np.ndarray, m: np.ndarray, dc) -> np.ndarray:
-    """``dc.cfg.inner_iters`` fixed-step gradient-descent iterations on the
-    data-consistency subproblem from x_in, on raw (frame, row, col) images,
-    by the solve's :class:`GradientSteps` or :class:`RowGramSteps` ``dc``."""
+    """The ``dc.iters`` Chebyshev iterations on the data-consistency
+    subproblem from x_in, on raw (frame, row, col) images, by the solve's
+    :class:`GradientSteps` or :class:`RowGramSteps` ``dc``."""
     return dc.descend(x_in, w, m)
 
 
@@ -441,8 +440,9 @@ def admm_reconstruct(
     if cfg.T == 0:
         return start
     x = w = start.data
+    inner = len(chebyshev_values(cfg.inner_iters, cfg.lam, op.dtype)) - 1
     gram = (isinstance(op, ColumnOperator) and max(mask.height, mask.width) <= GRAM_MAX_SIDE
-            and y.data.shape[1] * cfg.T * (cfg.inner_iters - 1) >= GRAM_MIN_ITERS)
+            and y.data.shape[1] * cfg.T * (inner - 1) >= GRAM_MIN_ITERS)
     dc = (RowGramSteps if gram else GradientSteps)(op, y_dc, cfg)
     m = np.zeros_like(x)
     # each frame's TV dual, carried from one outer step to the next

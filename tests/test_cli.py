@@ -538,7 +538,11 @@ class TestReconstructCommand:
         parser = cli.build_parser()
         args = parser.parse_args(["reconstruct", "--kspace", "k.cks", "--mask", "m.cks",
                                   "--estimate-sens", "--out-prefix", "r"])
-        assert (args.lam, args.T, args.inner, args.step) == (None, None, None, None)
+        assert (args.lam, args.T, args.inner) == (None, None, None)
+        assert not hasattr(args, "step")
+        with pytest.raises(SystemExit):
+            parser.parse_args(["reconstruct", "--kspace", "k.cks", "--mask", "m.cks",
+                               "--estimate-sens", "--out-prefix", "r", "--step", "0.5"])
         assert args.tv_iters == DenoiserSpec().iterations
         args = parser.parse_args(["evaluate", "--truth", "t.cks", "--pred", "p.cks",
                                   "--out", "e.csv"])

@@ -371,16 +371,18 @@ class TestDataConsistencyOperator:
         (box row, box col, box col) in the solve's dtype, Hermitian, with x N
         on the box and zero off it equal to B^H B x through B's apply_arr /
         adjoint_arr, for maps with full support and for maps zero outside a
-        random box with holes inside; and RowGramSteps on B and y_dc, which
-        forms the step matrix (1 - s lam) I - s N for its config in place in
-        the N of its own row_gram call, a new array on each call."""
+        random box with holes inside. N is zero in each row's columns off the
+        support, so RowGramSteps on B and y_dc crops each block of rows to the
+        union of its rows' support columns: it forms H_b = N_b + lam I in
+        place in the N of its own ``row_gram(rows, cols)`` call, a new array
+        for each block, and leaves the whole box's N as it was."""
         rng = np.random.default_rng(seed)
         mask = sampling.make_mask(scheme, height, width, accel, seed, acs_lines=2)
         sens = random_sens(rng, n_coils, height, width, boxed)
         op = ForwardOperator(mask=mask, sens=sens, dtype=dtype)
         x = rand_image(rng, n_frames, height, width).astype(dtype)
         y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
-        step, lam = 0.7, 0.3
+        lam = 0.3
         op_dc, y_dc = for_data_consistency(y, mask, sens)
         normal = op_dc.row_gram()
         box = op_dc.box
@@ -394,17 +396,23 @@ class TestDataConsistencyOperator:
         want = op_dc.adjoint_arr(op_dc.apply_arr(x))
         assert np.abs(got - want).max() <= tol * max(np.abs(want).max(), 1e-30)
         before = normal.copy()
-        cfg = AdmmConfig(T=1, inner_iters=1, lam=lam, step_size=step)
+        cfg = AdmmConfig(T=1, inner_iters=1, lam=lam)
         built, row_gram = [], ColumnOperator.row_gram
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ColumnOperator, "row_gram",
-                          lambda op: built.append(row_gram(op)) or built[-1])
+                          lambda op, *a: built.append(row_gram(op, *a)) or built[-1])
             gram = RowGramSteps(op_dc, y_dc, cfg)
         assert gram.op is op_dc and gram.y is y_dc and gram.cfg is cfg
-        assert len(built) == 1 and gram.step is built[0] and gram.step is not normal
         assert normal.tobytes() == before.tobytes()
-        eye = np.eye(width_box)
-        assert np.abs(gram.step - ((1 - step * lam) * eye - step * before)).max() <= tol
+        support = sens.support[box[1:]]
+        assert len(built) == len(gram.blocks) >= support.any()
+        for (block, cols, h), new in zip(gram.blocks, built):
+            assert h is new and h.dtype == dtype
+            assert np.array_equal(cols, np.flatnonzero(support[block].any(axis=0)))
+            off = np.delete(before[block], cols, axis=1)
+            assert not off.any() and not np.delete(before[block], cols, axis=2).any()
+            want = before[block][:, cols][:, :, cols] + lam * np.eye(cols.size)
+            assert np.abs(h - want).max() <= tol
 
     @pytest.mark.parametrize(
         "height, width, gram",

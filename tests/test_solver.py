@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ALL_SCHEMES, make_mask, random_sens
@@ -23,6 +23,7 @@ from mcrecon.solver import (
     _grad2,
     _tv_prox_real,
     admm_reconstruct,
+    chebyshev_values,
     data_consistency_step,
     dc_gradient,
     dc_objective,
@@ -59,13 +60,40 @@ def dense_forward_matrix(op, h, w):
 
 
 class TestConfigs:
-    def test_invalid_step_rejected(self):
-        with pytest.raises(ValueError):
-            AdmmConfig(lam=1.0, step_size=1.5)
+    def test_step_size_is_no_field(self):
+        """The Chebyshev iteration takes its coefficients from lam and the
+        interval [lam, 1 + lam]; there is no step size to set."""
+        with pytest.raises(TypeError):
+            AdmmConfig(lam=1.0, step_size=0.5)
 
-    def test_default_step(self):
-        cfg = AdmmConfig(lam=3.0)
-        assert cfg.step_size == pytest.approx(0.25)
+    @pytest.mark.parametrize("dtype, counts", [
+        (np.complex64, {0.1: 27, 0.5: 13, 1.0: 10, 2.0: 8}),
+        (np.complex128, {0.1: 60, 0.5: 28, 1.0: 21, 2.0: 17}),
+    ])
+    def test_inner_iterations_stop_at_the_dtype_round_off(self, dtype, counts):
+        """With no cap, a solve runs k_u iterations, the least k with
+        T_k(1 + 2 lam) * eps >= 1; the static and dynamic counts (14 and 8 at
+        lam 0.1) stay below it in complex64, and lam 1 stops at 10."""
+        for lam, k_u in counts.items():
+            assert len(chebyshev_values(1000, lam, dtype)) - 1 == k_u
+            assert len(chebyshev_values(k_u + 1, lam, dtype)) - 1 == k_u
+            assert len(chebyshev_values(k_u - 1, lam, dtype)) - 1 == k_u - 1
+        assert len(chebyshev_values(14, 0.1, dtype)) - 1 == 14
+        assert len(chebyshev_values(8, 0.1, dtype)) - 1 == 8
+
+    @settings(max_examples=200, deadline=None)
+    @given(inner=st.integers(1, 80), lam=st.floats(1e-3, 1e3),
+           dtype=st.sampled_from([np.complex64, np.complex128]))
+    def test_inner_iterations_are_the_least_past_round_off_or_the_cap(self, inner, lam, dtype):
+        """chebyshev_values gives T_0 .. T_K at sigma = 1 + 2 lam, and K is the
+        least k with T_k * eps >= 1, or inner_iters if that comes first."""
+        tau, eps = chebyshev_values(inner, lam, dtype), np.finfo(dtype).eps
+        k = len(tau) - 1
+        sigma = 1 + 2 * lam
+        want = np.cosh(np.arange(k + 1) * np.arccosh(sigma))
+        assert np.allclose(tau, want, rtol=1e-9, atol=0)
+        assert 1 <= k <= inner and all(t * eps < 1 for t in tau[:-1])
+        assert k == inner or tau[-1] * eps >= 1
 
     def test_identity_denoiser_requires_zero_strength(self):
         with pytest.raises(ValueError):
@@ -128,9 +156,8 @@ class TestConfigs:
     def test_for_mode_defaults_and_overrides(self):
         static = AdmmConfig.for_mode("static")
         assert (static.T, static.inner_iters) == (16, 14)
-        dyn = AdmmConfig.for_mode("dynamic", T=None, inner_iters=3, lam=0.5, step_size=None)
+        dyn = AdmmConfig.for_mode("dynamic", T=None, inner_iters=3, lam=0.5)
         assert (dyn.T, dyn.inner_iters, dyn.lam) == (10, 3, 0.5)
-        assert dyn.step_size == pytest.approx(2 / 3)
         with pytest.raises(ValueError):
             AdmmConfig.for_mode("cine")
 
@@ -433,10 +460,11 @@ class TestDataConsistency:
         inner=st.integers(1, 5),
         dtype=st.sampled_from([np.complex64, np.complex128]),
         boxed=st.booleans(),
+        rows_per_block=st.sampled_from([None, 1, 3]),
         seed=st.integers(0, 2**16),
     )
     def test_row_gram_steps_equal_the_column_steps(
-        self, scheme, height, width, frames, n_coils, inner, dtype, boxed, seed
+        self, scheme, height, width, frames, n_coils, inner, dtype, boxed, rows_per_block, seed
     ):
         """RowGramSteps runs the same iterate as GradientSteps on the
         column-DFT operator, to the round-off of its dtype, from a start off
@@ -444,10 +472,13 @@ class TestDataConsistency:
         (whose (row, frame, col) views are transposed), for maps with full
         support and for maps zero outside a random box with holes inside,
         where both run on the support's bounding box and RowGramSteps takes
-        the closed form off it. With one inner iteration RowGramSteps
-        never reaches Q: both compute x0 - s*g from the same dc_gradient g on
+        g times a scalar off its blocks. Blocks of one or three box rows'
+        worth of bytes crop their H_b to the union of their rows' support
+        columns, fewer than the box has where the holes leave ragged rows.
+        With one inner iteration RowGramSteps never reaches a block matrix:
+        both compute x0 - g / (lam + 1/2) from the same dc_gradient g on
         (B, y_dc), so their iterates are the same bytes. One frame is
-        included: the path rule counts frames * T * (inner - 1), so a single
+        included: the path rule counts frames * T * (K - 1), so a single
         frame takes the row Gram path too."""
         rng = np.random.default_rng(seed)
         mask = sampling.make_mask(scheme, height, width, 2, seed, acs_lines=2)
@@ -456,7 +487,12 @@ class TestDataConsistency:
         y = (mask.pattern * rand_image(rng, n_coils, frames, height, width)).astype(dtype)
         cfg = AdmmConfig(T=1, inner_iters=inner, lam=0.3)
         op_dc, y_dc = for_data_consistency(y, mask, sens)
-        dc = RowGramSteps(op_dc, y_dc, cfg)
+        with pytest.MonkeyPatch.context() as patch:
+            if rows_per_block:
+                box_width = sens.support[op_dc.box[1:]].shape[1]
+                limit = rows_per_block * box_width**2 * np.dtype(dtype).itemsize
+                patch.setattr(solver, "GRAM_BLOCK_BYTES", limit)
+            dc = RowGramSteps(op_dc, y_dc, cfg)
         got = data_consistency_step(x, wv, m, dc)
         want = data_consistency_step(x, wv, m, GradientSteps(op_dc, y_dc, cfg))
         assert got.dtype == dtype and got.shape == x.shape and got.flags.c_contiguous
@@ -474,56 +510,135 @@ class TestDataConsistency:
         inner=st.integers(1, 6),
         dtype=st.sampled_from([np.complex64, np.complex128]),
         boxed=st.booleans(),
-        budget=st.sampled_from(["one row", "remainder", "whole box"]),
-        slack=st.integers(0, 2**20),
+        budget=st.sampled_from(["one row", "some rows", "whole box"]),
         data=st.data(),
         seed=st.integers(0, 2**16),
     )
-    def test_row_gram_blocks_equal_the_unblocked_loop(
-        self, scheme, height, width, frames, inner, dtype, boxed, budget, slack, data, seed
+    def test_row_gram_blocks_run_the_recurrence_on_their_support_columns(
+        self, scheme, height, width, frames, inner, dtype, boxed, budget, data, seed
     ):
-        """RowGramSteps runs all inner iterations on one block of box rows, as
-        many rows of Q as GRAM_BLOCK_BYTES holds, before the next block. Each
-        row's iterate is independent and every block runs the same batched
-        matmul, so its output is, byte for byte, that of the loop over the
-        whole box written out below: with one row per block, with blocks that
-        leave a smaller last block (box heights that are no multiple of the
-        block), and with the whole box in one block."""
+        """RowGramSteps splits the box into blocks of consecutive rows, each
+        with the union of its rows' support columns, grown while its rows *
+        columns**2 * itemsize bytes fit GRAM_BLOCK_BYTES (one row at least),
+        and leaves out rows with no support. It runs all inner iterations on
+        one block before the next, so its output is, byte for byte, that of the
+        Chebyshev recurrence written out below on each block's H_b; off the
+        blocks H is lam I, and e is g times the same recurrence on a scalar.
+        That stays within round-off of the uncropped loop over the whole box.
+        Budgets of one row per block, of a few rows (unions that grow and
+        ragged last blocks) and of the whole box are drawn."""
         rng = np.random.default_rng(seed)
         mask = sampling.make_mask(scheme, height, width, 2, seed, acs_lines=2)
         sens = random_sens(rng, 2, height, width, boxed)
         x, wv, m = (rand_image(rng, frames, height, width).astype(dtype) for _ in range(3))
         y = (mask.pattern * rand_image(rng, 2, frames, height, width)).astype(dtype)
         op_dc, y_dc = for_data_consistency(y, mask, sens)
-        normal = op_dc.row_gram()
-        rows, row_bytes = len(normal), normal[0].nbytes
-        if budget == "one row":
-            block = 1
-        elif budget == "whole box":
-            block = rows
-        else:
-            assume(rows >= 3)
-            block = data.draw(st.integers(2, rows - 1).filter(lambda b: rows % b))
-        cfg = AdmmConfig(T=1, inner_iters=inner, lam=0.3)
+        box, lam = op_dc.box, 0.3
+        support, item = sens.support[box[1:]], np.dtype(dtype).itemsize
+        whole = len(support) * np.count_nonzero(support.any(axis=0)) ** 2 * item
+        limit = {"one row": 1, "whole box": whole,
+                 "some rows": data.draw(st.integers(1, max(whole, 1)))}[budget]
+        cfg = AdmmConfig(T=1, inner_iters=inner, lam=lam)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver, "GRAM_BLOCK_BYTES", block * row_bytes + slack % row_bytes)
+            patch.setattr(solver, "GRAM_BLOCK_BYTES", limit)
             dc = RowGramSteps(op_dc, y_dc, cfg)
-        assert dc.block_rows == block
+        done = 0
+        for rows, cols, h in dc.blocks:
+            assert not support[done : rows.start].any()
+            union = support[rows].any(axis=0)
+            assert np.array_equal(cols, np.flatnonzero(union)) and cols.size
+            n = rows.stop - rows.start
+            assert h.shape == (n, cols.size, cols.size)
+            assert n == 1 or n * cols.size**2 * item <= limit
+            if rows.stop < len(support):
+                grown = np.count_nonzero(union | support[rows.stop])
+                assert (n + 1) * grown**2 * item > limit
+            done = rows.stop
+        assert not support[done:].any()
+        if budget == "whole box" and support.any():
+            assert len(dc.blocks) == 1
         got = dc.descend(x, wv, m)
 
-        s, box = cfg.step_size, op_dc.box
-        g = dc_gradient(x, wv, m, y_dc, op_dc, cfg.lam)
-        g *= s
-        sg = np.ascontiguousarray(g[box].transpose(1, 0, 2))
-        e, nxt = sg.copy(), np.empty_like(sg)
-        for _ in range(inner - 1):
-            np.matmul(e, dc.step, out=nxt)
-            nxt += sg
-            e, nxt = nxt, e
-        g *= sum((1 - s * cfg.lam) ** k for k in range(inner))
-        g[box] = e.transpose(1, 0, 2)
-        want = x - g
-        assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+        tau = chebyshev_values(inner, lam, dtype)
+        coefs = [(tau[k - 1] / tau[k + 1], 4 * tau[k] / tau[k + 1]) for k in range(1, len(tau) - 1)]
+
+        def recurrence(g, matmul):
+            e = d = 2 / tau[1] * g
+            for a, b in coefs:
+                d = a * d + b * (g - matmul(e))
+                e = e + d
+            return e
+
+        g = dc_gradient(x, wv, m, y_dc, op_dc, lam)
+        want = g.copy()
+        rows_first = want[box].transpose(1, 0, 2)
+        off = recurrence(1.0, lambda e: lam * e)
+        want *= off
+        for rows, cols, h in dc.blocks:
+            gb = np.take(g[box].transpose(1, 0, 2)[rows], cols, axis=2)
+            rows_first[rows][:, :, cols] = recurrence(gb, lambda e: e @ h)
+        assert got.dtype == dtype and got.tobytes() == (x - want).tobytes()
+
+        whole_box = op_dc.row_gram() + lam * np.eye(support.shape[1])
+        uncropped = g * off
+        uncropped[box] = recurrence(g[box].transpose(1, 0, 2),
+                                    lambda e: e @ whole_box).transpose(1, 0, 2)
+        tol = 1e-12 if dtype == np.complex128 else 1e-5
+        assert np.abs(got - (x - uncropped)).max() <= tol * np.abs(x - uncropped).max()
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_one_frame_whole_grid_row_gram_solve_equals_the_column_path(
+        self, monkeypatch, gram_steps, dtype
+    ):
+        """With one frame and maps nonzero on the whole grid, the box's
+        (row, frame, col) view of g is contiguous, so a block's input taken as
+        a view would be scaled with g, by about 1 / lam off the blocks.
+        RowGramSteps takes a copy: a solve at the static defaults with lam 0.1
+        on the row Gram path equals the column-DFT solve to the round-off of
+        its dtype."""
+        img = shepp_logan(32)
+        sens, ksp = simulate_coils(img, 4, 0)
+        assert sens.support.all()
+        mask = make_mask("equispaced", 32, 32, 4, 1)
+        y = KSpaceData((mask.pattern * ksp.data).astype(dtype))
+        cfg = AdmmConfig(lam=0.1, denoiser=DenoiserSpec("l1-soft-threshold", 1e-3))
+        gram = admm_reconstruct(y, mask, sens, cfg).data
+        assert len(gram_steps) == 1
+        monkeypatch.setattr("mcrecon.solver.GRAM_MIN_ITERS", 10**9)
+        column = admm_reconstruct(y, mask, sens, cfg).data
+        assert len(gram_steps) == 1
+        tol = 1e-12 if dtype == np.complex128 else 1e-6
+        assert np.abs(gram - column).max() <= tol * np.abs(column).max()
+
+    @pytest.mark.parametrize("scheme", ["equispaced", "gaussian2d"])
+    def test_stopped_complex64_steps_match_the_full_count(self, rng, monkeypatch, scheme):
+        """At lam 1 a complex64 solve stops at 10 of 40 inner iterations, where
+        the error bound 1 / T_10(3) is below float32 round-off. The stopped
+        step, on the row Gram path (equispaced) and the point path
+        (gaussian2d), is within 1e-6 * max of 40 iterations of the recurrence
+        written out below in complex128."""
+        sens = random_sens(rng, 4, 24, 24, boxed=True)
+        mask = make_mask(scheme, 24, 24, 4, 1)
+        x, w, m = (rand_image(rng, 2, 24, 24) for _ in range(3))
+        y = mask.pattern * rand_image(rng, 4, 2, 24, 24)
+        lam, cfg = 1.0, AdmmConfig(T=1, inner_iters=40, lam=1.0)
+        op, y_dc = for_data_consistency(y.astype(np.complex64), mask, sens)
+        dc = (RowGramSteps if isinstance(op, ColumnOperator) else GradientSteps)(op, y_dc, cfg)
+        assert dc.iters == 10
+        got = dc.descend(*(v.astype(np.complex64) for v in (x, w, m)))
+
+        op, y_dc = for_data_consistency(y, mask, sens)
+        theta, delta, sigma = lam + 0.5, 0.5, 1 + 2 * lam
+        g = dc_gradient(x, w, m, y_dc, op, lam)
+        rho, e = 1 / sigma, g / theta
+        d = e.copy()
+        for _ in range(1, 40):
+            r = g - (op.adjoint_arr(op.apply_arr(e)) + lam * e)
+            rho, prev = 1 / (2 * sigma - rho), rho
+            d = rho * prev * d + 2 * rho / delta * r
+            e = e + d
+        want = x - e
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
     @pytest.mark.parametrize(
         "scheme, frames, gram_iters",
@@ -802,7 +917,8 @@ class TestOperatorCalls:
         the 2D ForwardOperator A on a point mask. The zero-filled start takes
         the adjoint of that operator, at T = 0 and T > 0, on the column path
         (1 and 4 frames with 2 inner iterations) and the row Gram path (one
-        frame with GRAM_MIN_ITERS Gram iterations)."""
+        frame with GRAM_MIN_ITERS Gram iterations, at lam 0.1, where no inner
+        count here reaches the stop)."""
         built = []
         for cls in (ForwardOperator, ColumnOperator):
 
@@ -814,7 +930,7 @@ class TestOperatorCalls:
         sens = random_sens(rng, 2, 16, 16)
         mask = make_mask(scheme, 16, 16, 4, 1)
         y = KSpaceData(mask.pattern * rand_image(rng, 2, frames, 16, 16))
-        admm_reconstruct(y, mask, sens, AdmmConfig(T=T, inner_iters=inner))
+        admm_reconstruct(y, mask, sens, AdmmConfig(T=T, inner_iters=inner, lam=0.1))
         ops = list({id(o): o for o in built}.values())
         want = ColumnOperator if scheme in RECTILINEAR_SCHEMES else ForwardOperator
         assert [type(o) for o in ops] == [want]
@@ -825,7 +941,8 @@ class TestOperatorCalls:
         "frames, T, inner, gram",
         [(1, 16, 14, True), (1, 3, 5, False), (1, 5, 3, False), (12, 10, 1, False),
          (1, GRAM_MIN_ITERS, 2, True), (1, GRAM_MIN_ITERS - 1, 2, False),
-         (4, GRAM_MIN_ITERS // 4, 2, True), (4, GRAM_MIN_ITERS // 4 - 1, 2, False)],
+         (4, GRAM_MIN_ITERS // 4, 2, True), (4, GRAM_MIN_ITERS // 4 - 1, 2, False),
+         (1, 3, 30, False), (1, 4, 30, True)],
     )
     def test_the_row_gram_path_is_chosen_by_the_gram_iterations(
         self, rng, gram_steps, frames, T, inner, gram
@@ -835,7 +952,10 @@ class TestOperatorCalls:
         column path below: one frame at the static defaults (T 16, 14 inner)
         takes it; 3 outer steps of 5 and 5 of 3, and one inner iteration on
         any number of frames, do not; one frame or four frames at the
-        threshold take it, and one step fewer does not."""
+        threshold take it, and one step fewer does not. The count is of the
+        iterations run: at lam 1 a complex128 solve stops at 21 of 30 inner
+        iterations, so 3 outer steps make 60 Gram iterations, not 87, and 4
+        make 80."""
         sens = random_sens(rng, 2, 16, 16)
         mask = make_mask("equispaced", 16, 16, 4, 1)
         y = KSpaceData(mask.pattern * rand_image(rng, 2, frames, 16, 16))
@@ -865,27 +985,39 @@ class TestOperatorCalls:
         assert got.data.tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-    def test_row_gram_setup_holds_one_step_matrix_on_the_box(self, rng, dtype):
+    def test_row_gram_setup_holds_only_the_cropped_blocks(self, rng, monkeypatch, dtype):
         """Building RowGramSteps for 12 frames of 64x64, with maps zero
-        outside a box smaller than the grid both ways, allocates at its peak
-        little more than its step matrix Q, which is formed in place in the
-        box's N in the solve's dtype: no whole-grid matrix, no complex128 N
-        beside a complex64 Q, no second (H', W', W') array."""
+        outside a box smaller than the grid both ways and outside a disc in
+        it, and blocks of about an eighth of the box, allocates at its peak
+        little more than its blocks' H_b, each in the solve's dtype and
+        cropped to its rows' support columns, which together hold less than
+        the box's N would: no (H', W', W') array, no complex128 N beside a
+        complex64 H_b."""
         maps = random_sens(rng, 4, 64, 64).maps.copy()
         maps[:, :6] = maps[:, -5:] = maps[:, :, :9] = maps[:, :, -3:] = 0
+        rows, cols = np.mgrid[:64, :64]
+        maps[:, np.hypot(rows - 32, cols - 34) > 28] = 0
         sens = SensitivityMaps(maps)
         mask = make_mask("equispaced", 64, 64, 4, 1)
         y = (mask.pattern * rand_image(rng, 4, 12, 64, 64)).astype(dtype)
         op_dc, y_dc = for_data_consistency(y, mask, sens)
         cfg = AdmmConfig.for_mode("dynamic", lam=0.1)
+        support = sens.support[op_dc.box[1:]]
+        assert support.shape == (64 - 11, 64 - 12)
+        box_bytes = support.shape[0] * support.shape[1] ** 2 * np.dtype(dtype).itemsize
+        monkeypatch.setattr(solver, "GRAM_BLOCK_BYTES", box_bytes // 8)
         tracemalloc.start()
         try:
             dc = RowGramSteps(op_dc, y_dc, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert dc.step.shape == (64 - 11, 64 - 12, 64 - 12) and dc.step.dtype == dtype
-        assert peak < 1.25 * dc.step.nbytes
+        held = 0
+        for block, cols, h in dc.blocks:
+            assert h.dtype == dtype and h.shape == (len(support[block]), cols.size, cols.size)
+            held += h.nbytes
+        assert len(dc.blocks) >= 8 and held < 0.9 * box_bytes
+        assert peak < 1.25 * held
 
     @pytest.mark.parametrize("frames", [1, 4])
     @pytest.mark.parametrize("scheme", ["equispaced", "random-rectilinear"])
@@ -896,7 +1028,8 @@ class TestOperatorCalls:
         for one frame and for several, the inner iterations run on the row
         Gram form: apply_arr T times and adjoint_arr T + 1 times (one gradient
         per outer step and the zero-filled start), and one operator built per
-        solve."""
+        solve. lam is 0.1, so that the stop (60 iterations in complex128) keeps
+        every inner iteration."""
         calls = {"apply_arr": 0, "adjoint_arr": 0}
         for name, method in [(n, getattr(ForwardOperator, n)) for n in calls]:
 
@@ -913,7 +1046,7 @@ class TestOperatorCalls:
         mask = make_mask(scheme, 16, 16, 4, 1)
         y = KSpaceData(mask.pattern * rand_image(rng, 2, frames, 16, 16))
         inner = -(-GRAM_MIN_ITERS // (frames * 3)) + 1
-        admm_reconstruct(y, mask, sens, AdmmConfig(T=3, inner_iters=inner))
+        admm_reconstruct(y, mask, sens, AdmmConfig(T=3, inner_iters=inner, lam=0.1))
         assert len(gram_steps) == 1
         assert calls == {"apply_arr": 3, "adjoint_arr": 4}
         assert len(built) == 1
