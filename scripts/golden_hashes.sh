@@ -41,11 +41,14 @@
 # by evaluate (e_odd.csv, rc_eval_odd), with no ssim3d row since it has fewer
 # frames than the SSIM window.
 #
-# A solve runs K = min(inner, k_u) Chebyshev iterations, k_u the least k
-# whose error bound reaches its dtype's round-off (solver.chebyshev_values);
+# A solve runs at most K = min(inner, k_u) Chebyshev iterations, k_u the least
+# k whose error bound reaches its dtype's round-off (solver.chebyshev_values);
 # CKS inputs solve in complex64, where k_u is 27 at lam 0.1 and 10 at lam 1.
+# Each outer step stops sooner once its bound, taken from the step's
+# gradient, is below the round-off of its start (solver.GradientSteps).
 # r_gstop (a gaussian2d point-mask solve at lam 1 and the static defaults)
-# stops at 10 of its 14 inner iterations, as j1, j2 and r_full do too.
+# runs at most 10 of its 14 inner iterations per step, fewer as the step's
+# gradient shrinks, as j1, j2 and r_full do too.
 # A rectilinear solve takes the row Gram path when its Gram iterations,
 # frames * T * (K - 1), reach solver.GRAM_MIN_ITERS (64); the rule is
 # admm_reconstruct's, set out in the solver docstring. Below it, on

@@ -276,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float)
     p.add_argument("--T", type=int, help="outer iterations; 0 gives the zero-filled image")
     p.add_argument("--inner", type=int,
-                   help="at most this many inner Chebyshev iterations per outer step; a solve "
-                        "stops sooner where their error bound reaches its dtype's round-off")
+                   help="at most this many inner Chebyshev iterations per outer step; a step "
+                        "stops at the least k with |g| <= lam*eps*T_k(1+2lam)*|x0|, where their "
+                        "error bound falls below the round-off of its start x0")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_reconstruct)

@@ -35,9 +35,12 @@ Methods, 12.1), with theta = lam + 1/2, delta = 1/2 and sigma = 1 + 2 lam:
 e_1 = g / theta, then d_k = rho_k rho_{k-1} d_{k-1} + (2 rho_k / delta) r_k
 and e_{k+1} = e_k + d_k, with rho_k = T_k(sigma) / T_{k+1}(sigma) and
 r_k = g - H e_k. It needs no inner product and its error is at most
-1 / T_k(sigma) of the first, so a solve runs K = min(inner_iters, k_u)
+1 / T_k(sigma) of the first, so a solve runs at most K = min(inner_iters, k_u)
 iterations, k_u the least k with T_k(sigma) * eps >= 1 for its dtype's eps
-(:func:`chebyshev_values`; 10 at lam 1 in complex64).
+(:func:`chebyshev_values`; 10 at lam 1 in complex64). Each outer step stops
+sooner, at the least k with |g| <= lam * eps * T_k(sigma) * |x0|: the first
+error |H^-1 g| is at most |g| / lam, so from there on the iterations move
+x0 - e by less than its own round-off (:meth:`GradientSteps.stop`).
 :class:`GradientSteps` takes each residual as one more :func:`dc_gradient`.
 
 On a rectilinear mask, when the solve's Gram iterations, frames * T * (K - 1),
@@ -118,9 +121,10 @@ class AdmmConfig:
 
     The field defaults are the static 2D configuration (16 outer steps, at
     most 14 inner Chebyshev iterations); :meth:`for_mode` applies a mode's
-    overrides from :data:`MODE_DEFAULTS`, e.g. dynamic 10 and 8. A solve runs
-    fewer inner iterations where the iteration's error bound reaches its
-    dtype's round-off first (:func:`chebyshev_values`).
+    overrides from :data:`MODE_DEFAULTS`, e.g. dynamic 10 and 8. An outer
+    step runs fewer inner iterations where the iteration's error bound,
+    |g| / (lam * T_k(1 + 2 lam)) for its gradient g, falls below the round-off
+    eps * |x0| of its start x0 first (:meth:`GradientSteps.stop`).
     """
 
     T: int = 16
@@ -305,9 +309,11 @@ def dc_gradient(
 
 def chebyshev_values(inner_iters: int, lam: float, dtype) -> list[float]:
     """T_0(sigma), ..., T_K(sigma) at sigma = 1 + 2*lam for a solve in
-    ``dtype``, which runs K = min(inner_iters, k_u) Chebyshev iterations: k_u is
-    the least k with T_k(sigma) * eps >= 1 (eps of the dtype's real part), where
-    the iteration's error bound 1 / T_k(sigma) reaches round-off."""
+    ``dtype``, which runs at most K = min(inner_iters, k_u) Chebyshev
+    iterations: k_u is the least k with T_k(sigma) * eps >= 1 (eps of the
+    dtype's real part), where the iteration's error bound 1 / T_k(sigma)
+    reaches round-off. An outer step stops at the least k with
+    |g| <= lam * eps * T_k(sigma) * |x0| (:meth:`GradientSteps.stop`)."""
     sigma, eps = 1 + 2 * lam, np.finfo(dtype).eps
     tau = [1.0, sigma]
     while len(tau) <= inner_iters and tau[-1] * eps < 1:
@@ -319,8 +325,8 @@ class GradientSteps:
     """Data consistency by Chebyshev iteration on an operator and its data, the
     pair of ``fourier.for_data_consistency``: A and y, or B and y_dc. It solves
     H e = g for the correction e = x0 - x, with g the :func:`dc_gradient` at x0,
-    taking each iteration's residual g - H e afresh as one more
-    :func:`dc_gradient`."""
+    in :meth:`stop` iterations, taking each iteration's residual g - H e afresh
+    as one more :func:`dc_gradient`."""
 
     def __init__(self, op: ForwardOperator, y: np.ndarray, cfg: AdmmConfig):
         self.op, self.y, self.cfg = op, y, cfg
@@ -329,13 +335,27 @@ class GradientSteps:
         # d_k = rho_k rho_{k-1} d_{k-1} + 4 rho_k r_k, rho_k = T_k / T_{k+1}
         self.coefs = [(tau[k - 1] / tau[k + 1], 4 * tau[k] / tau[k + 1])
                       for k in range(1, self.iters)]
+        eps = float(np.finfo(op.dtype).eps)
+        self.bounds = [cfg.lam * eps * t for t in tau[1:]]  # k = 1 .. K
+
+    def stop(self, g: np.ndarray, x0: np.ndarray) -> int:
+        """k_t, the iterations an outer step runs: the least k in 1 .. K with
+        |g| <= lam * eps * T_k(sigma) * |x0|, else K (so too for x0 = 0 or a
+        norm that is not finite). Both norms are numpy's pairwise sums over the
+        real view, not BLAS dots, so k_t does not depend on BLAS threading."""
+        norm_g, norm_x = (math.sqrt(np.sum(np.square(v.view(v.real.dtype)))) for v in (g, x0))
+        if not 0 < norm_x < math.inf:
+            return self.iters
+        return next((k for k, bound in enumerate(self.bounds, 1) if norm_g <= bound * norm_x),
+                    self.iters)
 
     def descend(self, x0: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
         g = dc_gradient(x0, w, m, self.y, self.op, self.cfg.lam)
+        k = self.stop(g, x0)
         d = g * self.first
         e = d.copy()
         np.negative(g, out=g)  # the m of dc_gradient(e, 0, -g, 0) = H e - g = -r
-        for a, b in self.coefs:
+        for a, b in self.coefs[: k - 1]:
             q = dc_gradient(e, 0, g, 0, self.op, self.cfg.lam)
             d *= a
             q *= b
@@ -349,7 +369,8 @@ class RowGramSteps(GradientSteps):
     ``ColumnOperator`` B and its y_dc: one :func:`dc_gradient` g per outer
     step, then, block by block of box rows, matmuls with H_b = N_b + lam I,
     formed in place in the N of ``op.row_gram`` on the block's rows and the
-    union of their support columns; elsewhere H is lam I and e a factor of g."""
+    union of their support columns; elsewhere H is lam I and e a factor of g,
+    ``off_blocks[k]`` after k iterations."""
 
     def __init__(self, op: ColumnOperator, y: np.ndarray, cfg: AdmmConfig):
         super().__init__(op, y, cfg)
@@ -358,27 +379,29 @@ class RowGramSteps(GradientSteps):
             h = op.row_gram(rows, cols)
             np.einsum("hjj->hj", h)[...] += cfg.lam  # a view of each diagonal
             self.blocks.append((rows, cols, h))
-        d = e = self.first  # the same iteration on the scalar H = lam
+        d = self.first  # the same iteration on the scalar H = lam
+        self.off_blocks = [0.0, d]
         for a, b in self.coefs:
-            d = a * d + b * (1 - cfg.lam * e)
-            e += d
-        self.off_blocks = e
+            d = a * d + b * (1 - cfg.lam * self.off_blocks[-1])
+            self.off_blocks.append(self.off_blocks[-1] + d)
 
     def descend(self, x0: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
-        # every block takes its (row, frame, col) g, a copy, before g is scaled
+        # k and every block's (row, frame, col) g, a copy, are taken before g
+        # is scaled
         g = dc_gradient(x0, w, m, self.y, self.op, self.cfg.lam)
+        k = self.stop(g, x0)
         rows_first = g[self.op.box].transpose(1, 0, 2)
-        solved = [(rows, cols, self._block(np.take(rows_first[rows], cols, axis=2), h))
+        solved = [(rows, cols, self._block(np.take(rows_first[rows], cols, axis=2), h, k))
                   for rows, cols, h in self.blocks]
-        g *= self.off_blocks
+        g *= self.off_blocks[k]
         for rows, cols, e in solved:
             rows_first[rows][:, :, cols] = e
         return x0 - g
 
-    def _block(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    def _block(self, g: np.ndarray, h: np.ndarray, k: int) -> np.ndarray:
         d = g * self.first
         e, r = d.copy(), np.empty_like(d)
-        for a, b in self.coefs:
+        for a, b in self.coefs[: k - 1]:
             np.matmul(e, h, out=r)
             np.subtract(g, r, out=r)
             d *= a
@@ -408,7 +431,7 @@ def _row_blocks(support: np.ndarray, itemsize: int) -> list[tuple[slice, np.ndar
 
 
 def data_consistency_step(x_in: np.ndarray, w: np.ndarray, m: np.ndarray, dc) -> np.ndarray:
-    """The ``dc.iters`` Chebyshev iterations on the data-consistency
+    """At most ``dc.iters`` Chebyshev iterations on the data-consistency
     subproblem from x_in, on raw (frame, row, col) images, by the solve's
     :class:`GradientSteps` or :class:`RowGramSteps` ``dc``."""
     return dc.descend(x_in, w, m)

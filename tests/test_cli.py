@@ -673,6 +673,40 @@ class TestReconstructCommand:
             for got in (f"j1_b{name}", f"j2_a{name}", f"j2_b{name}"):
                 assert (tmp_path / got).read_bytes() == want
 
+    def test_stopped_point_mask_solve_writes_the_same_bytes_for_copies_at_any_jobs(
+        self, tmp_path, monkeypatch
+    ):
+        """Each outer step's iteration count comes from norms that are numpy
+        sums, not BLAS dots: a lam-1 reconstruct of two copies of one
+        gaussian2d volume, whose steps stop short of K, writes the same bytes
+        for both at --jobs 2, where the two solves run at once, and at
+        --jobs 1."""
+        from mcrecon.solver import GradientSteps
+
+        picks, stop = [], GradientSteps.stop
+        monkeypatch.setattr(GradientSteps, "stop",
+                            lambda dc, g, x0: picks.append((dc.iters, stop(dc, g, x0)))
+                            or picks[-1][1])
+        mask_path, prefix = tmp_path / "m.cks", tmp_path / "sim"
+        assert run(["mask", "--scheme", "gaussian2d", "--size", "48x48", "--accel", "4",
+                    "--acs-radius", "3", "--seed", "3", "--out", mask_path]) == 0
+        assert run(["simulate", "--size", 48, "--coils", 4, "--seed", 5,
+                    "--mask", mask_path, "--out-prefix", prefix]) == 0
+        copies = [tmp_path / "a.cks", tmp_path / "b.cks"]
+        for copy in copies:
+            shutil.copy(tmp_path / "sim_kspace_masked.cks", copy)
+        for jobs in ("1", "2"):
+            assert run(["reconstruct", "--kspace", *copies, "--mask", mask_path,
+                        "--estimate-sens", "--lam", "1", "--jobs", jobs,
+                        "--out-prefix", tmp_path / f"j{jobs}"]) == 0
+        assert len(picks) == 4 * 16 and any(k < iters for iters, k in picks)
+        outs = sorted(p.name.removeprefix("j1_a") for p in tmp_path.glob("j1_a*"))
+        assert len(outs) == 3  # the CKS image, a magnitude PGM and its scale
+        for name in outs:
+            want = (tmp_path / f"j1_a{name}").read_bytes()
+            for got in (f"j1_b{name}", f"j2_a{name}", f"j2_b{name}"):
+                assert (tmp_path / got).read_bytes() == want
+
     def test_dynamic_mode_defaults_and_overrides(self, sim_files, tmp_path):
         ksp = read_cks(sim_files["masked"])
         mask = read_cks(sim_files["mask"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -671,6 +672,170 @@ class TestDataConsistency:
                 obj = dc_objective(cur, w, m, y_dc, op_dc, lam)
                 assert obj <= prev + 1e-10
                 prev = obj
+
+
+def pairwise_norm(v):
+    """|v| as the per-step stop takes it: numpy's pairwise sum of the squared
+    real view, then the square root."""
+    return math.sqrt(np.sum(np.square(v.view(v.real.dtype))))
+
+
+def least_stop(g, x0, lam, inner, dtype):
+    """The least k in 1 .. K with |g| <= lam * eps * T_k(1 + 2 lam) * |x0|, or
+    K = len(chebyshev_values) - 1 when none qualifies or |x0| is 0 or not
+    finite."""
+    tau, eps = chebyshev_values(inner, lam, dtype), float(np.finfo(dtype).eps)
+    norm_g, norm_x = pairwise_norm(g), pairwise_norm(x0)
+    qualify = [k for k in range(1, len(tau)) if norm_g <= lam * eps * tau[k] * norm_x]
+    return qualify[0] if qualify and 0 < norm_x < math.inf else len(tau) - 1
+
+
+def recording_stops(dc):
+    """Make ``dc`` append (k_t, the bytes of the g it was taken from) for each
+    outer step to the returned list."""
+    picks, stop = [], dc.stop
+    dc.stop = lambda g, x0: picks.append((stop(g, x0), g.tobytes())) or picks[-1][0]
+    return picks
+
+
+class TestPerStepStop:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lam=st.sampled_from([0.1, 0.5, 1.0, 2.0]),
+        dtype=st.sampled_from([np.complex64, np.complex128]),
+        inner=st.integers(1, 30),
+        ratio=st.one_of(st.just(0.0), st.floats(-20, 1).map(lambda p: 10.0**p),
+                        st.just(math.nan)),
+        zero_start=st.booleans(),
+        size=st.integers(1, 300),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_step_runs_the_least_k_whose_bound_is_under_round_off(
+        self, lam, dtype, inner, ratio, zero_start, size, seed
+    ):
+        """k_t is the least k in 1 .. K with |g| <= lam eps T_k(1 + 2 lam) |x0|,
+        for |g| / |x0| from 0 to 10, and K, the cap of chebyshev_values, when
+        no k qualifies, when g holds NaN and when x0 = 0."""
+        rng = np.random.default_rng(seed)
+        op = ForwardOperator(mask=full_mask(4, 4), sens=random_sens(rng, 1, 4, 4), dtype=dtype)
+        cfg = AdmmConfig(T=1, inner_iters=inner, lam=lam)
+        dc = GradientSteps(op, np.zeros((1, 1, 4, 4), dtype), cfg)
+        x0 = rand_image(rng, size) * (0 if zero_start else 1)
+        g = rand_image(rng, size)
+        g *= ratio * (np.linalg.norm(x0) if not zero_start else 1) / np.linalg.norm(g)
+        x0, g = x0.astype(dtype), g.astype(dtype)
+        want = least_stop(g, x0, lam, inner, dtype)
+        assert dc.stop(g, x0) == want
+        assert 1 <= want <= dc.iters == len(chebyshev_values(inner, lam, dtype)) - 1
+        if zero_start or math.isnan(ratio):
+            assert want == dc.iters
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_gradient_on_the_bound_stops_there(self, rng, dtype, lam, k):
+        """The bound holds with equality: for |x0| = 1 and |g| exactly
+        lam eps T_k(1 + 2 lam) (an integer times a power of two here, so that
+        its square and root are exact) the step stops at k, not k + 1."""
+        op = ForwardOperator(mask=full_mask(4, 4), sens=random_sens(rng, 1, 4, 4), dtype=dtype)
+        dc = GradientSteps(op, np.zeros((1, 1, 4, 4), dtype), AdmmConfig(T=1, lam=lam))
+        tau = chebyshev_values(14, lam, dtype)
+        assert k < dc.iters and tau[k] == int(tau[k])
+        g = np.array([lam * np.finfo(dtype).eps * tau[k]], dtype)
+        assert dc.stop(g, np.ones(1, dtype)) == k
+
+    def test_norms_are_numpy_pairwise_sums_not_blas_dots(self, rng):
+        """Both norms are numpy's pairwise sums, so k_t cannot depend on how a
+        BLAS splits a dot product across its threads: for a g whose pairwise
+        and BLAS norms differ, and an x0 that puts the k = 2 bound between
+        them, the step stops where the pairwise norm says."""
+        lam, dtype = 1.0, np.complex64
+        op = ForwardOperator(mask=full_mask(4, 4), sens=random_sens(rng, 1, 4, 4), dtype=dtype)
+        dc = GradientSteps(op, np.zeros((1, 1, 4, 4), dtype), AdmmConfig(T=1, lam=lam))
+        tau, eps = chebyshev_values(14, lam, dtype), float(np.finfo(dtype).eps)
+        for _ in range(20):
+            g = rand_image(rng, 1, 256, 256).astype(dtype)
+            pairwise, blas = pairwise_norm(g), float(np.linalg.norm(g))
+            if pairwise != blas:
+                break
+        assert pairwise != blas
+        x0 = np.array([(pairwise + blas) / 2 / (lam * eps * tau[2])])
+        want = least_stop(g, x0, lam, 14, dtype)
+        assert want == (2 if pairwise < blas else 3)
+        assert dc.stop(g, x0) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.sampled_from([0.5, 1.0, 2.0]),
+        dtype=st.sampled_from([np.complex64, np.complex128]),
+        scale=st.floats(-12, 0).map(lambda p: 10.0**p),
+        boxed=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_column_and_row_gram_paths_stop_alike(self, lam, dtype, scale, boxed, seed):
+        """On one ColumnOperator the column path (GradientSteps) and the row
+        Gram path take the same g at the same x0 and pick the same k_t, the
+        least k under round-off, before either scales or negates g. m sets
+        |g| to about scale * |x0|, so the steps stop anywhere from the first
+        iteration to the cap. At lam 1 their iterates agree within
+        1e-6 * max."""
+        rng = np.random.default_rng(seed)
+        sens = random_sens(rng, 4, 16, 16, boxed)
+        mask = make_mask("equispaced", 16, 16, 4, 1)
+        x, w = (rand_image(rng, 1, 16, 16).astype(dtype) for _ in range(2))
+        y = (mask.pattern * rand_image(rng, 4, 1, 16, 16)).astype(dtype)
+        op, y_dc = for_data_consistency(y, mask, sens)
+        target = rand_image(rng, 1, 16, 16)
+        target *= scale * np.linalg.norm(x) / np.linalg.norm(target)
+        m = (target - dc_gradient(x, w, 0, y_dc, op, lam)).astype(dtype)
+        cfg = AdmmConfig(T=1, inner_iters=14, lam=lam)
+        column, gram = GradientSteps(op, y_dc, cfg), RowGramSteps(op, y_dc, cfg)
+        picks = [recording_stops(dc) for dc in (column, gram)]
+        outs = [dc.descend(x, w, m) for dc in (column, gram)]
+        assert picks[0] == picks[1] and len(picks[0]) == 1
+        (k, g_bytes), = picks[0]
+        g = dc_gradient(x, w, m, y_dc, op, lam)
+        assert g_bytes == g.tobytes() and k == least_stop(g, x, lam, 14, dtype)
+        if lam == 1.0:
+            assert np.abs(outs[0] - outs[1]).max() <= 1e-6 * np.abs(outs[0]).max()
+
+    def test_stopped_complex64_point_mask_solve_matches_complex128(self):
+        """A complex64 solve at lam 1 on a gaussian2d mask stops most outer
+        steps short of their K = 10 iterations, and stays within 1e-6 * max of
+        the complex128 solve written out below with 40 Chebyshev iterations
+        per step."""
+        img = shepp_logan(32)
+        sens, ksp = simulate_coils(img, 4, 0)
+        mask = make_mask("gaussian2d", 32, 32, 4, 7)
+        y = (mask.pattern * ksp.data).astype(np.complex64)
+        lam, spec = 1.0, DenoiserSpec("tikhonov-smooth", 1e-3)
+        cfg = AdmmConfig(lam=lam, denoiser=spec)
+        picks, stop = [], GradientSteps.stop
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(GradientSteps, "stop",
+                          lambda dc, g, x0: picks.append(stop(dc, g, x0)) or picks[-1])
+            got = admm_reconstruct(KSpaceData(y), mask, sens, cfg).data
+        assert len(chebyshev_values(cfg.inner_iters, lam, np.complex64)) == 11
+        assert len(picks) == cfg.T and max(picks) <= 10 and sum(k < 10 for k in picks) > cfg.T // 2
+
+        y = y.astype(np.complex128)
+        op = ForwardOperator(mask=mask, sens=sens, dtype=np.complex128)
+        sigma = 1 + 2 * lam
+        x = w = op.adjoint_arr(y)
+        m = np.zeros_like(x)
+        for _ in range(cfg.T):
+            w = denoise_step(x + m / lam, spec, lam)
+            g = dc_gradient(x, w, m, y, op, lam)
+            rho, e = 1 / sigma, g / (lam + 0.5)
+            d = e.copy()
+            for _ in range(1, 40):
+                r = g - (op.adjoint_arr(op.apply_arr(e)) + lam * e)
+                rho, prev = 1 / (2 * sigma - rho), rho
+                d = rho * prev * d + 4 * rho * r
+                e = e + d
+            x = x - e
+            m = m + lam * (x - w)
+        assert np.abs(got - x).max() <= 1e-6 * np.abs(x).max()
 
 
 class TestMultiplierUpdate:
