@@ -12,16 +12,11 @@ steps per outer step. The TV prox runs frame by frame on the frame's real and
 imaginary parts. Its weight strength/lam is the same at every outer step, so
 each frame's dual is carried from one outer step to the next:
 :func:`admm_reconstruct` holds one array of them per solve, zero at the first
-step, and each step resumes from it. The gradient, divergence and magnitude
-buffers are allocated once per frame and step as flat contiguous arrays, and
-every buffer is updated in place, in the order of the plain expressions, so
-the values are theirs bit for bit (k iterations resumed after k are 2k from
-zero). Each difference is one pass over a flat buffer: a row difference is a
-shift by the row length, a column difference a shift by one. Where such a
-shift crosses a row or channel edge, the gradient sets the entry to zero, and
-the divergence subtracts an exact zero, because the dual's row part keeps a
-zero last row and its column part a zero last column. The solve returns the
-final image x only.
+step, and each step resumes from it. Its buffers are flat and contiguous,
+allocated once per frame and step and updated in place in the order of the
+plain expressions, so the values are theirs bit for bit (k iterations resumed
+after k are 2k from zero); :func:`_grad2` and :func:`_div2` give the flat
+passes' row and channel edges. The solve returns the final image x only.
 
 Data consistency solves (A^H A + lam I) x = A^H y + lam w - m on the pair
 that ``fourier.for_data_consistency`` builds once per solve (on rectilinear
@@ -40,8 +35,9 @@ iterations, k_u the least k with T_k(sigma) * eps >= 1 for its dtype's eps
 (:func:`chebyshev_values`; 10 at lam 1 in complex64). Each outer step stops
 sooner, at the least k with |g| <= lam * eps * T_k(sigma) * |x0|: the first
 error |H^-1 g| is at most |g| / lam, so from there on the iterations move
-x0 - e by less than its own round-off (:meth:`GradientSteps.stop`).
-:class:`GradientSteps` takes each residual as one more :func:`dc_gradient`.
+x0 - e by less than its own round-off (:meth:`GradientSteps.stop`). One loop,
+:meth:`GradientSteps.iterate`, runs it on every path, given H e - g, which
+:class:`GradientSteps` takes as one more :func:`dc_gradient`.
 
 On a rectilinear mask, when the solve's Gram iterations, frames * T * (K - 1),
 reach :data:`GRAM_MIN_ITERS` on a grid of at most :data:`GRAM_MAX_SIDE` rows
@@ -51,7 +47,8 @@ H e is e (N + lam I) row by row, with N = B^H B of ``ColumnOperator.row_gram``
 is one batched (row, frame, col) matmul. The rows are independent, so it runs
 all iterations on one block of rows before the next, and each block holds
 only the union of its rows' support columns (N is zero in the others), up
-to :data:`GRAM_BLOCK_BYTES`; off the blocks H is lam I and e a factor of g.
+to :data:`GRAM_BLOCK_BYTES`; off the blocks H is lam I, and e is g times the
+same iteration on the scalar 1.
 g comes from the residual B x0 - y_dc, so the solve's dtype is enough for
 it. Both paths give the same iterate up to round-off; the measurements behind
 the rule and the block size are in ``BENCH_28.json`` and CHANGES.md.
@@ -74,8 +71,9 @@ from .fourier import ColumnOperator, ForwardOperator, for_data_consistency
 DENOISER_KINDS = ("identity", "l1-soft-threshold", "tikhonov-smooth", "tv-chambolle")
 # The row Gram path's rule (admm_reconstruct): the fewest Gram iterations,
 # frames * T * (K - 1), that pay back building N, and the widest grid whose N
-# fits the memory bound, both measured on the gradient-descent loop that the
-# Chebyshev iteration replaced (BENCH_28.json, CHANGES.md).
+# fits the memory bound. On the Chebyshev loop one frame breaks even at 4
+# (64^2) to 28 (256^2) Gram iterations, so both stand (table in ROADMAP.md); the
+# perfbench count test's G = 2 * (3 - 1) = 4 stays below, on the column path.
 GRAM_MIN_ITERS = 64
 GRAM_MAX_SIDE = 256
 # Bytes of H_b that one block of rows may hold in RowGramSteps, so that the
@@ -294,8 +292,9 @@ def dc_gradient(
     op: ForwardOperator,
     lam: float,
 ) -> np.ndarray:
-    """Gradient of :func:`dc_objective` with respect to x (Wirtinger, scaled
-    so gradient descent matches real-valued descent on re/im parts)."""
+    """Gradient of :func:`dc_objective` with respect to x (Wirtinger): at an
+    outer step's start x0 the g of H e = g on which the Chebyshev iteration
+    anchors, and at x0 - e that system's residual g - H e."""
     resid = op.apply_arr(x)
     resid -= y
     # adjoint(resid) + lam * (x - w) + m, in that order, accumulated in place
@@ -349,18 +348,24 @@ class GradientSteps:
         return next((k for k, bound in enumerate(self.bounds, 1) if norm_g <= bound * norm_x),
                     self.iters)
 
-    def descend(self, x0: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
-        g = dc_gradient(x0, w, m, self.y, self.op, self.cfg.lam)
-        k = self.stop(g, x0)
+    def iterate(self, g, excess, k: int):
+        """e after k Chebyshev iterations on H e = g from e_0 = 0, where
+        ``excess(e)`` returns H e - g in an array the loop may overwrite."""
         d = g * self.first
         e = d.copy()
-        np.negative(g, out=g)  # the m of dc_gradient(e, 0, -g, 0) = H e - g = -r
         for a, b in self.coefs[: k - 1]:
-            q = dc_gradient(e, 0, g, 0, self.op, self.cfg.lam)
+            q = excess(e)
             d *= a
             q *= b
             d -= q
             e += d
+        return e
+
+    def descend(self, x0: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
+        g = dc_gradient(x0, w, m, self.y, self.op, self.cfg.lam)
+        neg = -g  # the m of dc_gradient(e, 0, -g, 0), which is H e - g
+        e = self.iterate(g, lambda e: dc_gradient(e, 0, neg, 0, self.op, self.cfg.lam),
+                         self.stop(g, x0))
         return x0 - e
 
 
@@ -369,8 +374,8 @@ class RowGramSteps(GradientSteps):
     ``ColumnOperator`` B and its y_dc: one :func:`dc_gradient` g per outer
     step, then, block by block of box rows, matmuls with H_b = N_b + lam I,
     formed in place in the N of ``op.row_gram`` on the block's rows and the
-    union of their support columns; elsewhere H is lam I and e a factor of g,
-    ``off_blocks[k]`` after k iterations."""
+    union of their support columns. Elsewhere H is lam I, so e is g times
+    the same iteration run on the scalar 1."""
 
     def __init__(self, op: ColumnOperator, y: np.ndarray, cfg: AdmmConfig):
         super().__init__(op, y, cfg)
@@ -379,36 +384,19 @@ class RowGramSteps(GradientSteps):
             h = op.row_gram(rows, cols)
             np.einsum("hjj->hj", h)[...] += cfg.lam  # a view of each diagonal
             self.blocks.append((rows, cols, h))
-        d = self.first  # the same iteration on the scalar H = lam
-        self.off_blocks = [0.0, d]
-        for a, b in self.coefs:
-            d = a * d + b * (1 - cfg.lam * self.off_blocks[-1])
-            self.off_blocks.append(self.off_blocks[-1] + d)
 
     def descend(self, x0: np.ndarray, w: np.ndarray, m: np.ndarray) -> np.ndarray:
-        # k and every block's (row, frame, col) g, a copy, are taken before g
-        # is scaled
         g = dc_gradient(x0, w, m, self.y, self.op, self.cfg.lam)
         k = self.stop(g, x0)
-        rows_first = g[self.op.box].transpose(1, 0, 2)
-        solved = [(rows, cols, self._block(np.take(rows_first[rows], cols, axis=2), h, k))
-                  for rows, cols, h in self.blocks]
-        g *= self.off_blocks[k]
-        for rows, cols, e in solved:
-            rows_first[rows][:, :, cols] = e
-        return x0 - g
-
-    def _block(self, g: np.ndarray, h: np.ndarray, k: int) -> np.ndarray:
-        d = g * self.first
-        e, r = d.copy(), np.empty_like(d)
-        for a, b in self.coefs[: k - 1]:
-            np.matmul(e, h, out=r)
-            np.subtract(g, r, out=r)
-            d *= a
-            r *= b
-            d += r
-            e += d
-        return e
+        # a Python float, so that a complex64 g is scaled in complex64
+        e = g * float(self.iterate(np.float64(1), lambda s: self.cfg.lam * s - 1, k))
+        g_rows, e_rows = (v[self.op.box].transpose(1, 0, 2) for v in (g, e))
+        for rows, cols, h in self.blocks:
+            gb = np.take(g_rows[rows], cols, axis=2)
+            r = np.empty_like(gb)
+            e_rows[rows][:, :, cols] = self.iterate(
+                gb, lambda eb: np.subtract(np.matmul(eb, h, out=r), gb, out=r), k)
+        return x0 - e
 
 
 def _row_blocks(support: np.ndarray, itemsize: int) -> list[tuple[slice, np.ndarray]]:

@@ -1,5 +1,5 @@
 """Test helpers shared by several test modules: a direct DFT oracle, random
-sensitivity maps and one mask per scheme."""
+complex images, random sensitivity maps and one mask per scheme."""
 
 import numpy as np
 
@@ -31,6 +31,11 @@ def dft2c_oracle(x, inverse=False):
                         acc += x[lead + (r, c)] * np.exp(sign * 2 * np.pi * ph)
                 out[lead + (p, q)] = acc / np.sqrt(h * w)
     return out
+
+
+def rand_image(rng, *shape):
+    """Complex array of ``shape`` with standard normal real and imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def random_sens(rng, n_coils, h, w, boxed=False):

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import ALL_SCHEMES, make_mask, random_sens
+from helpers import ALL_SCHEMES, make_mask, rand_image, random_sens
 from mcrecon.core import KSpaceData
 from mcrecon.data import (
     FormatError,
@@ -47,10 +47,6 @@ def report(number, label, elapsed, limit=None):
     print(f"PASS criterion {number}: {label}{extra}")
     if limit is not None:
         assert elapsed < limit
-
-
-def rand_image(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def test_criterion_1_adjoint_correctness():

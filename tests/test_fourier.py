@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ALL_SCHEMES, dft2c_oracle, make_mask, random_sens
+from helpers import ALL_SCHEMES, dft2c_oracle, make_mask, rand_image, random_sens
 from mcrecon.core import RECTILINEAR_SCHEMES, KSpaceData
 from mcrecon.fourier import ColumnOperator, ForwardOperator, fft2c, for_data_consistency, ifft2c
 from mcrecon import sampling
@@ -16,10 +16,6 @@ from mcrecon.solver import (
     admm_reconstruct,
     dc_objective,
 )
-
-
-def rand_image(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestFft2c:

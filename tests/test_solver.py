@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ALL_SCHEMES, make_mask, random_sens
+from helpers import ALL_SCHEMES, make_mask, rand_image, random_sens
 from mcrecon import sampling, solver
 from mcrecon.core import RECTILINEAR_SCHEMES, KSpaceData, SensitivityMaps
 from mcrecon.fourier import ColumnOperator, ForwardOperator, for_data_consistency
@@ -32,10 +32,6 @@ from mcrecon.solver import (
     multiplier_update,
     zero_filled_init,
 )
-
-
-def rand_image(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def periodic_laplacian(h, w):
@@ -592,11 +588,11 @@ class TestDataConsistency:
         self, monkeypatch, gram_steps, dtype
     ):
         """With one frame and maps nonzero on the whole grid, the box's
-        (row, frame, col) view of g is contiguous, so a block's input taken as
-        a view would be scaled with g, by about 1 / lam off the blocks.
-        RowGramSteps takes a copy: a solve at the static defaults with lam 0.1
-        on the row Gram path equals the column-DFT solve to the round-off of
-        its dtype."""
+        (row, frame, col) views of g and of e = g * factor cover the whole
+        arrays, so a block read from e in place of g would be off by about
+        1 / lam. RowGramSteps reads each block from g: a solve at the static
+        defaults with lam 0.1 on the row Gram path equals the column-DFT solve
+        to the round-off of its dtype."""
         img = shepp_logan(32)
         sens, ksp = simulate_coils(img, 4, 0)
         assert sens.support.all()
@@ -943,13 +939,20 @@ class TestAdmmReconstruct:
     @pytest.mark.parametrize("frames", [1, 3])
     @pytest.mark.parametrize("support", ["empty", "first row", "last row", "first column",
                                          "last column"])
+    @pytest.mark.parametrize("kind", ["l1-soft-threshold", "tikhonov-smooth"])
+    @pytest.mark.parametrize("path", ["column", "row Gram"])
     def test_edge_supports_solve_like_the_uncropped_operator(
-        self, rng, monkeypatch, support, frames, dtype
+        self, rng, monkeypatch, gram_steps, path, kind, support, frames, dtype
     ):
-        """The column-DFT path crops to the bounding box of the maps' support.
-        All-zero maps (a valid SensitivityMaps, whose solve is 0) and maps
-        nonzero on one edge row or one edge column give the solve on A and y
-        over the whole grid (the 2D FFT path)."""
+        """The column-DFT and row Gram paths crop to the bounding box of the
+        maps' support. All-zero maps (a valid SensitivityMaps, whose solve is
+        0; on the row Gram path they leave no block, so only the scalar factor
+        off the blocks runs) and maps nonzero on one edge row or one edge
+        column give the solve on A and y over the whole grid (the 2D FFT
+        path). The Tikhonov prox smooths w onto the rest of the grid, so
+        there the iterate is not zero and the factor off the blocks shows."""
+        if path == "row Gram":
+            monkeypatch.setattr("mcrecon.solver.GRAM_MIN_ITERS", 1)
         h, w, coils = 12, 10, 2
         maps = np.zeros((coils, h, w), complex)
         line = {"empty": np.s_[:, :0], "first row": np.s_[:, 0], "last row": np.s_[:, -1],
@@ -959,9 +962,12 @@ class TestAdmmReconstruct:
         sens = SensitivityMaps(maps)
         mask = make_mask("equispaced", h, w, 2, 1)
         y = KSpaceData((mask.pattern * rand_image(rng, coils, frames, h, w)).astype(dtype))
-        spec = DenoiserSpec(kind="l1-soft-threshold", strength=1e-2)
+        spec = DenoiserSpec(kind=kind, strength=1e-2)
         cfg = AdmmConfig(T=3, inner_iters=4, lam=0.3, denoiser=spec)
         got = admm_reconstruct(y, mask, sens, cfg).data
+        assert len(gram_steps) == (path == "row Gram")
+        if gram_steps and support == "empty":
+            assert gram_steps[0].blocks == []
         monkeypatch.setattr("mcrecon.solver.for_data_consistency",
                             lambda y, mask, sens: (ForwardOperator(mask, sens, y.dtype), y))
         want = admm_reconstruct(y, mask, sens, cfg).data
