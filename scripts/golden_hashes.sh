@@ -21,11 +21,10 @@
 # --inner 5 (r_cropC: the column-DFT path on that box), a 6-frame dynamic TV
 # solve with --estimate-sens on that mask (r_dynC: the row Gram path with its
 # box), --jobs 1 and 2, evaluate,
-# and the exit codes in rcs.txt. Seven are bad arguments and
+# and the exit codes in rcs.txt. Six are bad arguments and
 # exit 2: an unknown scheme (rc_bogus), an unknown denoiser (rc_den), a
 # gaussian2d budget below its ACS disc (rc_budget), R=0.5 (rc_acc), a 0x0
-# grid (rc_grid), --strength nan (rc_nan) and an evaluate with k-space files
-# and --w-nmae -1 (rc_weight). Three have their outputs deleted:
+# grid (rc_grid) and --strength nan (rc_nan). Three have their outputs deleted:
 # --estimate-sens with an R=4 pseudo-radial mask, which has no ACS region,
 # fails its solve and exits 1 (rc_est_radial); with an R=1 equispaced mask
 # with 8 ACS lines it exits 0 (rc_est_r1); with a 2-line ACS block, whose
@@ -145,7 +144,6 @@ $M reconstruct --kspace m_equispaced.cks --mask m_equispaced.cks --sens s_sens.c
 $M evaluate --truth s_truth.cks --pred o_truth.cks --out x_eval.csv >/dev/null 2>&1; echo "rc_eval_shape=$?" >> rcs.txt
 $M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens o_sens.cks --out-prefix x_grid >/dev/null 2>&1; echo "rc_sens_grid=$?" >> rcs.txt
 ev e_odd.csv --truth o_truth.cks --pred r_odd.cks --kspace-truth o_kspace_full.cks --kspace-pred o_kspace_full.cks 2>/dev/null; echo "rc_eval_odd=$?" >> rcs.txt
-$M evaluate --truth s_truth.cks --pred r_tv.cks --kspace-truth s_kspace_full.cks --kspace-pred s_kspace_full.cks --w-nmae -1 --out x_weight.csv >/dev/null 2>&1; echo "rc_weight=$?" >> rcs.txt
 $M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --estimate-sens --out-prefix x_both >/dev/null 2>&1; echo "rc_sens_both=$?" >> rcs.txt
 $M mask --scheme equispaced --size 16x16 --accel 2 --seed 0 --out x_small.cks >/dev/null 2>&1; echo "rc_mask_small=$?" >> rcs.txt
 printf 'estimate-sens=true\n' > x_flag.conf

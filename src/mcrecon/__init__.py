@@ -4,7 +4,6 @@ undersampling schemes, sensitivity estimation, and quality metrics."""
 from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps, rss
 from .fourier import ForwardOperator, fft2c, ifft2c
 from .metrics import (
-    LossWeights,
     UndefinedMetricError,
     dual_domain_loss,
     hfen1,

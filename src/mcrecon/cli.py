@@ -12,7 +12,6 @@ volume's maps, before it solves any volume, so such a fault writes nothing.
 import argparse
 import contextlib
 import csv
-import dataclasses
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +22,7 @@ import numpy as np
 from . import data as dio
 from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps, check_inputs, check_maps
 from .fourier import ifft2c  # noqa: F401  (perfbench's tracer test looks it up here)
-from .metrics import LossWeights, score_volume
+from .metrics import score_volume
 from .sampling import GENERATORS, achieved_acceleration, make_mask
 from .sensitivity import estimate_from_acs
 from .solver import DENOISER_KINDS, MODE_DEFAULTS, AdmmConfig, DenoiserSpec, admm_reconstruct
@@ -61,11 +60,12 @@ def _parse_size(text: str) -> tuple[int, int]:
 def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Replace '--config FILE' (or '--config=FILE') with the file's key=value
     pairs as flags, inserted before the remaining flags so explicit flags win.
-    Each key must be the full name of one of the command's options, and each
-    value one that the option accepts; else the error names FILE:LINE. A flag
-    that takes no value (such as --estimate-sens) is set by key=true and left
-    out by key=false. A second --config is an error; without a known command
-    the file is not read, and argparse reports the command."""
+    FILE must be a readable text file, else the error names it. Each key must
+    be the full name of one of the command's options, and each value one that
+    the option accepts; else the error names FILE:LINE. A flag that takes no
+    value (such as --estimate-sens) is set by key=true and left out by
+    key=false. A second --config is an error; without a known command the
+    file is not read, and argparse reports the command."""
     argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if argv.count("--config") > 1:
         raise CliError("--config may be given only once")
@@ -75,15 +75,19 @@ def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str
     if i + 1 >= len(argv):
         raise CliError("--config needs a file argument")
     path = Path(argv[i + 1])
-    if not path.exists():
+    if not path.is_file():
         raise CliError(f"config file not found: {path}")
     rest = argv[:i] + argv[i + 2 :]
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     command = sub.choices.get(rest[0]) if rest else None
     if command is None:
         return rest
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read config file {path}: {exc}") from exc
     extra: list[str] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -183,7 +187,7 @@ def cmd_reconstruct(args) -> int:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
     outs = _recon_paths(args.kspace, args.out_prefix)
     with _blame(error=CliError):
-        spec = DenoiserSpec(_DENOISER_ALIASES[args.denoiser], args.strength, args.tv_iters)
+        spec = DenoiserSpec(_DENOISER_ALIASES[args.denoiser], args.strength)
         cfg = AdmmConfig.for_mode(args.mode, T=args.T, inner_iters=args.inner, lam=args.lam,
                                   denoiser=spec)
     # every input is read and checked, and every volume given its maps, before any is solved
@@ -209,9 +213,6 @@ def cmd_evaluate(args) -> int:
     if bool(args.kspace_truth) != bool(args.kspace_pred):
         missing = "--kspace-truth" if args.kspace_pred else "--kspace-pred"
         raise CliError(f"{missing} is missing: --kspace-truth and --kspace-pred go together")
-    with _blame(error=CliError):
-        weights = LossWeights(**{f.name: getattr(args, f.name)
-                                 for f in dataclasses.fields(LossWeights)})
     truth = _load_as(args.truth, ComplexImage)
     pred = _load_as(args.pred, ComplexImage, _shaped_like(truth))
     kspace = []
@@ -219,7 +220,7 @@ def cmd_evaluate(args) -> int:
         y_t = _load_as(args.kspace_truth, KSpaceData)
         kspace = [y_t.data, _load_as(args.kspace_pred, KSpaceData, _shaped_like(y_t)).data]
     with _blame(f"scoring {args.pred} against {args.truth}"):
-        rows = score_volume(np.abs(truth.data), np.abs(pred.data), *kspace, weights=weights,
+        rows = score_volume(np.abs(truth.data), np.abs(pred.data), *kspace,
                             frame_range=args.normalize == "frame")
     with open(args.out, "w", newline="") as f:
         writer = csv.writer(f)
@@ -270,9 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=tuple(MODE_DEFAULTS), default="static")
     p.add_argument("--denoiser", choices=sorted(_DENOISER_ALIASES), default="tikhonov")
     p.add_argument("--strength", type=float, default=1e-2)
-    p.add_argument("--tv-iters", type=int, default=DenoiserSpec.iterations,
-                   help="TV dual iterations per outer step, each frame resuming from its "
-                        "dual of the step before")
     p.add_argument("--lam", type=float)
     p.add_argument("--T", type=int, help="outer iterations; 0 gives the zero-filled image")
     p.add_argument("--inner", type=int,
@@ -290,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kspace-pred")
     p.add_argument("--volume-id", default="vol0")
     p.add_argument("--normalize", choices=("volume", "frame"), default="volume")
-    for weight in dataclasses.fields(LossWeights):  # --w-ssim, ..., --w-nmae
-        p.add_argument("--" + weight.name.replace("_", "-"), type=float, default=weight.default)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 

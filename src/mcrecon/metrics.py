@@ -20,35 +20,18 @@ SSIM3D only for at least SSIM_WINDOW frames, and the loss sum. ``mcrecon
 evaluate`` writes its rows, and :func:`dual_domain_loss` is its loss row.
 """
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 SSIM_WINDOW = 7
 LOG_SIZE = 15
 LOG_SIGMA = 2.5
+# Weights of the dual-domain loss's terms, in score_volume's order of summation
+W_SSIM, W_L1, W_HFEN1, W_SSIM3D, W_NMAE = 1.0, 1.0, 1.0, 1.0, 3.0
 
 
 class UndefinedMetricError(ValueError):
     """Raised when a metric's normalizer vanishes (e.g. a zero reference)."""
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights of the dual-domain loss components; defaults (1, 1, 1, 1, 3)."""
-
-    w_ssim: float = 1.0
-    w_ssim3d: float = 1.0
-    w_l1: float = 1.0
-    w_hfen1: float = 1.0
-    w_nmae: float = 3.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{f.name} must be finite and nonnegative")
 
 
 def _same_shape(u, v, dtype=None) -> tuple[np.ndarray, np.ndarray]:
@@ -209,15 +192,15 @@ def _data_range(mag: np.ndarray) -> float:
 
 
 def score_volume(x_true: np.ndarray, x_pred: np.ndarray, y_true=None, y_pred=None,
-                 weights: LossWeights = LossWeights(), frame_range: bool = False) -> list[tuple]:
+                 frame_range: bool = False) -> list[tuple]:
     """``mcrecon evaluate``'s ``(frame, metric, value)`` rows for the real
     magnitudes x_true, x_pred (2D or (frame, row, col)): per frame ssim, nmse,
     psnr and hfen1; ssim3d for at least SSIM_WINDOW frames; and, given the
-    k-space pair, nmae and dual_domain_loss, the sum w_ssim * mean(1 - SSIM)
-    + w_l1 * ||x_true - x_pred||_1 + w_hfen1 * mean(HFEN1) + w_ssim3d *
-    (1 - SSIM3D) + w_nmae * NMAE (the SSIM3D term only with its row). SSIM
-    and PSNR use the volume's data range, or each frame's with
-    ``frame_range``; SSIM3D and the loss always use the volume's."""
+    k-space pair, nmae and dual_domain_loss, the sum W_SSIM * mean(1 - SSIM)
+    + W_L1 * ||x_true - x_pred||_1 + W_HFEN1 * mean(HFEN1) + W_SSIM3D *
+    (1 - SSIM3D) + W_NMAE * NMAE, weights (1, 1, 1, 1, 3), the SSIM3D term
+    only with its row. SSIM and PSNR use the volume's data range, or each
+    frame's with ``frame_range``; SSIM3D and the loss always use the volume's."""
     x_true, x_pred = _same_shape(x_true, x_pred, float)
     frames_t = x_true[np.newaxis] if x_true.ndim == 2 else x_true
     frames_p = x_pred[np.newaxis] if x_pred.ndim == 2 else x_pred
@@ -238,17 +221,18 @@ def score_volume(x_true: np.ndarray, x_pred: np.ndarray, y_true=None, y_pred=Non
     nm = nmae(y_true, y_pred)
     if frame_range:
         ssims = [ssim(ft, fp, vol_range) for ft, fp in zip(frames_t, frames_p)]
-    loss = (weights.w_ssim * np.mean([1.0 - s for s in ssims])
-            + weights.w_l1 * float(np.abs(x_true - x_pred).sum())
-            + weights.w_hfen1 * np.mean(hfens))
+    loss = (W_SSIM * np.mean([1.0 - s for s in ssims])
+            + W_L1 * float(np.abs(x_true - x_pred).sum())
+            + W_HFEN1 * np.mean(hfens))
     if s3 is not None:
-        loss += weights.w_ssim3d * (1.0 - s3)
-    loss += weights.w_nmae * nm
+        loss += W_SSIM3D * (1.0 - s3)
+    loss += W_NMAE * nm
     return rows + [("all", "nmae", nm), ("all", "dual_domain_loss", float(loss))]
 
 
 def dual_domain_loss(x_true: np.ndarray, x_pred: np.ndarray, y_true: np.ndarray,
-                     y_pred: np.ndarray, weights: LossWeights = LossWeights()) -> float:
+                     y_pred: np.ndarray) -> float:
     """The dual-domain loss of real magnitudes (2D or (frame, row, col)) and
-    their k-space: the ``dual_domain_loss`` row of :func:`score_volume`."""
-    return score_volume(x_true, x_pred, y_true, y_pred, weights)[-1][2]
+    their k-space, with the fixed weights W_*: the ``dual_domain_loss`` row of
+    :func:`score_volume`."""
+    return score_volume(x_true, x_pred, y_true, y_pred)[-1][2]

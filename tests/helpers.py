@@ -3,15 +3,8 @@ complex images, random sensitivity maps and one mask per scheme."""
 
 import numpy as np
 
+from mcrecon import sampling
 from mcrecon.core import SensitivityMaps
-from mcrecon.sampling import (
-    equispaced_mask,
-    full_mask,
-    gaussian2d_mask,
-    pseudo_radial_mask,
-    pseudo_spiral_mask,
-    random_rectilinear_mask,
-)
 
 
 def dft2c_oracle(x, inverse=False):
@@ -56,25 +49,11 @@ def random_sens(rng, n_coils, h, w, boxed=False):
 
 
 def make_mask(scheme, h, w, accel, seed):
+    """The full mask, or the library's mask of ``scheme`` with min(4, w) ACS
+    lines (rectilinear schemes) or an ACS disc of radius 1 (gaussian2d)."""
     if scheme == "full":
-        return full_mask(h, w)
-    if scheme == "equispaced":
-        return equispaced_mask(h, w, accel, min(4, w), seed)
-    if scheme == "random-rectilinear":
-        return random_rectilinear_mask(h, w, accel, min(4, w), seed)
-    if scheme == "gaussian2d":
-        return gaussian2d_mask(h, w, accel, 1, seed)
-    if scheme == "pseudo-radial":
-        return pseudo_radial_mask(h, w, accel, seed)
-    if scheme == "pseudo-spiral":
-        return pseudo_spiral_mask(h, w, accel, seed)
-    raise ValueError(scheme)
+        return sampling.full_mask(h, w)
+    return sampling.make_mask(scheme, h, w, accel, seed, acs_lines=min(4, w), acs_radius=1)
 
 
-ALL_SCHEMES = (
-    "equispaced",
-    "random-rectilinear",
-    "gaussian2d",
-    "pseudo-radial",
-    "pseudo-spiral",
-)
+ALL_SCHEMES = tuple(sampling.GENERATORS)

@@ -18,7 +18,7 @@ from mcrecon.data import (
     write_cks,
 )
 from mcrecon.fourier import ForwardOperator, ifft2c
-from mcrecon.metrics import hfen1, nmae, nmse, psnr, ssim, dual_domain_loss, LossWeights
+from mcrecon.metrics import hfen1, nmae, nmse, psnr, ssim, dual_domain_loss
 from mcrecon.sampling import (
     achieved_acceleration,
     equispaced_mask,
@@ -229,14 +229,13 @@ def test_criterion_7_metric_contracts():
 
     yk = rng.standard_normal((2, 1, 16, 16)) + 1j * rng.standard_normal((2, 1, 16, 16))
     ykp = yk + 0.05 * rng.standard_normal((2, 1, 16, 16))
-    weights = LossWeights(w_ssim=1, w_l1=1, w_hfen1=1, w_nmae=3)
     expected = (
         (1 - ssim(u, v, float(u.max())))
         + np.abs(u - v).sum()
         + hfen1(u, v)
         + 3 * nmae(yk, ykp)
     )
-    assert dual_domain_loss(u, v, yk, ykp, weights) == pytest.approx(expected, abs=1e-8)
+    assert dual_domain_loss(u, v, yk, ykp) == pytest.approx(expected, abs=1e-8)
     report(7, "metric identities, oracles, and loss component sum", time.perf_counter() - start)
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mcrecon import cli
 from mcrecon.core import ComplexImage, KSpaceData
 from mcrecon.data import dynamic_phantom, read_cks, simulate_coils, write_cks
-from mcrecon.metrics import LossWeights, dual_domain_loss, hfen1, nmae, nmse, psnr, ssim, ssim3d
+from mcrecon.metrics import dual_domain_loss, hfen1, nmae, nmse, psnr, ssim, ssim3d
 from mcrecon.sampling import GENERATORS, make_mask
 from mcrecon.sensitivity import estimate_from_acs
 from mcrecon.solver import DENOISER_KINDS, AdmmConfig, DenoiserSpec, admm_reconstruct
@@ -252,20 +252,29 @@ class TestMaskCommand:
         assert "--config" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("fault", ["last token", "missing file", "no equals"])
+    @pytest.mark.parametrize("fault", ["last token", "missing file", "no equals", "empty name",
+                                       "directory", "not utf-8"])
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys, fault):
-        """--config with no file after it, a file that does not exist and a
-        line without '=' each exit 2, name the cause and write nothing."""
+        """--config with no file after it, a file that does not exist, a line
+        without '=', an empty name (read as '.'), a directory and a file that
+        is not UTF-8 text each exit 2, name the cause and write nothing."""
         cfg = tmp_path / "c.conf"
         cfg.write_text("scheme=equispaced\nacs 8\n")
+        binary = tmp_path / "b.conf"
+        binary.write_bytes(b"scheme=equispaced\n\xff\n")
         given, message = {
-            "last token": ([], "--config needs a file argument"),
-            "missing file": ([tmp_path / "none.conf"], f"config file not found: {tmp_path}"),
-            "no equals": ([cfg], f"{cfg}:2: expected key=value, got 'acs 8'"),
+            "last token": (["--config"], "--config needs a file argument"),
+            "missing file": (["--config", tmp_path / "none.conf"],
+                             f"config file not found: {tmp_path}"),
+            "no equals": (["--config", cfg], f"{cfg}:2: expected key=value, got 'acs 8'"),
+            "empty name": (["--config="], "config file not found: ."),
+            "directory": (["--config", tmp_path], f"config file not found: {tmp_path}"),
+            "not utf-8": (["--config", binary],
+                          f"cannot read config file {binary}: 'utf-8' codec can't decode"),
         }[fault]
         out = tmp_path / "m.cks"
         rc = run(["mask", "--size", "16x16", "--accel", "2", "--seed", "0", "--out", out,
-                  "--config", *given])
+                  *given])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("m.*"))
@@ -534,7 +543,7 @@ class TestReconstructCommand:
         assert list(denoiser.choices) == sorted(cli._DENOISER_ALIASES)
 
     def test_flag_defaults_are_the_librarys(self):
-        """Unset solver and loss-weight flags give the library's own defaults."""
+        """Unset solver flags give the library's own defaults."""
         parser = cli.build_parser()
         args = parser.parse_args(["reconstruct", "--kspace", "k.cks", "--mask", "m.cks",
                                   "--estimate-sens", "--out-prefix", "r"])
@@ -543,11 +552,25 @@ class TestReconstructCommand:
         with pytest.raises(SystemExit):
             parser.parse_args(["reconstruct", "--kspace", "k.cks", "--mask", "m.cks",
                                "--estimate-sens", "--out-prefix", "r", "--step", "0.5"])
-        assert args.tv_iters == DenoiserSpec().iterations
-        args = parser.parse_args(["evaluate", "--truth", "t.cks", "--pred", "p.cks",
-                                  "--out", "e.csv"])
-        weights = {n: getattr(args, n) for n in ("w_ssim", "w_ssim3d", "w_l1", "w_hfen1", "w_nmae")}
-        assert weights == vars(LossWeights())
+
+    def test_removed_flags_are_usage_errors(self, sim_files, tmp_path, capsys):
+        """The TV iteration count and the loss weights are library constants,
+        not options: reconstruct --tv-iters 5, evaluate --w-nmae 1 and a
+        --config line tv-iters=5 each exit 2 and write nothing."""
+        recon = ["reconstruct", "--kspace", sim_files["masked"], "--mask", sim_files["mask"],
+                 "--sens", sim_files["sens"], "--denoiser", "tv", "--out-prefix", tmp_path / "x"]
+        evaluate = ["evaluate", "--truth", sim_files["truth"], "--pred", sim_files["truth"],
+                    "--out", tmp_path / "x.csv"]
+        for argv in ([*recon, "--tv-iters", "5"], [*evaluate, "--w-nmae", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        cfg = tmp_path / "c.conf"
+        cfg.write_text("tv-iters=5\n")
+        assert run([*recon, "--config", cfg]) == 2
+        assert f"{cfg}:1: reconstruct has no option --tv-iters" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
 
     def test_zero_filled_checks_solver_flags(self, sim_files, tmp_path, capsys):
         """--T 0 builds its config from the flags like any solve, so a bad
@@ -853,19 +876,6 @@ class TestEvaluateCommand:
             yt, yp = (read_cks(paths[k]).data for k in ("yt", "yp"))
             want = dual_domain_loss(mt, mp, yt, yp)
             assert got[("all", "dual_domain_loss")] == pytest.approx(want, rel=1e-12)
-
-    @pytest.mark.parametrize("weight, with_kspace", [("-1", True), ("nan", False)])
-    def test_bad_loss_weight_is_usage_error(self, sim_files, tmp_path, capsys, weight,
-                                           with_kspace):
-        """A --w-* flag is checked as a flag, before any file is read, whether
-        or not the k-space files that the loss needs are given."""
-        out = tmp_path / "m.csv"
-        kspace = ["--kspace-truth", sim_files["full"], "--kspace-pred", sim_files["full"]]
-        rc = run(["evaluate", "--truth", sim_files["truth"], "--pred", sim_files["truth"],
-                  *(kspace if with_kspace else []), "--w-nmae", weight, "--out", out])
-        assert rc == 2
-        assert "w_nmae must be finite and nonnegative" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_grid_under_the_ssim_window_names_the_truth(self, tmp_path, capsys):
         truth, pred, out = tmp_path / "t.cks", tmp_path / "p.cks", tmp_path / "m.csv"

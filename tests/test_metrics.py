@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mcrecon.metrics import (
     _log_factors,
-    LossWeights,
     UndefinedMetricError,
     dual_domain_loss,
     hfen1,
@@ -335,12 +334,6 @@ class TestDualDomainLoss:
         y = rng.standard_normal((2, 1, 16, 16)) + 1j * rng.standard_normal((2, 1, 16, 16))
         assert dual_domain_loss(x, x.copy(), y, y.copy()) == pytest.approx(0.0, abs=1e-12)
 
-    def test_zero_weights_give_zero(self, rng):
-        w = LossWeights(0, 0, 0, 0, 0)
-        x, xp = rng.random((16, 16)), rng.random((16, 16))
-        y, yp = rng.random((1, 1, 16, 16)), rng.random((1, 1, 16, 16))
-        assert dual_domain_loss(x, xp, y, yp, w) == 0.0
-
     def test_matches_component_sum(self, rng):
         x, xp = rng.random((16, 16)), rng.random((16, 16))
         y = rng.standard_normal((2, 1, 16, 16)) + 1j * rng.standard_normal((2, 1, 16, 16))
@@ -352,7 +345,7 @@ class TestDualDomainLoss:
             + hfen1(x, xp)
             + 3.0 * nmae(y, yp)
         )
-        got = dual_domain_loss(x, xp, y, yp, LossWeights(w_nmae=3.0))
+        got = dual_domain_loss(x, xp, y, yp)
         assert got == pytest.approx(expected, abs=1e-8)
 
     def test_multiframe_includes_ssim3d(self, rng):
@@ -384,10 +377,6 @@ class TestDualDomainLoss:
             + 3.0 * nmae(y, yp)
         )
         assert dual_domain_loss(x, xp, y, yp) == pytest.approx(expected, abs=1e-8)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(w_ssim=-1.0)
 
 
 class TestScoreVolume:

@@ -114,11 +114,10 @@ class TestConfigs:
     @pytest.mark.parametrize(
         "make, message",
         [
-            (lambda: DenoiserSpec("tv-chambolle", 1e-3, iterations=0), "iterations must be >= 1"),
             (lambda: AdmmConfig(T=-1), "T must be >= 0"),
             (lambda: AdmmConfig(inner_iters=0), "inner_iters must be >= 1"),
         ],
-        ids=["iterations=0", "T=-1", "inner_iters=0"],
+        ids=["T=-1", "inner_iters=0"],
     )
     def test_counts_below_their_minimum_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
@@ -131,9 +130,8 @@ class TestConfigs:
             lambda: AdmmConfig(T=1.5),
             lambda: AdmmConfig(T=2.0),
             lambda: AdmmConfig(T="3"),
-            lambda: DenoiserSpec("tv-chambolle", 1e-3, iterations=2.5),
         ],
-        ids=["inner_iters=2.5", "T=1.5", "T=2.0", "T='3'", "iterations=2.5"],
+        ids=["inner_iters=2.5", "T=1.5", "T=2.0", "T='3'"],
     )
     def test_counts_must_be_integers(self, make):
         """A count that operator.index refuses raises ValueError at
@@ -142,11 +140,11 @@ class TestConfigs:
             make()
 
     def test_numpy_integer_counts_accepted(self, rng):
-        spec = DenoiserSpec("tv-chambolle", 1e-3, iterations=np.int16(3))
+        spec = DenoiserSpec("tv-chambolle", 1e-3)
         cfg = AdmmConfig(T=np.int64(2), inner_iters=np.int32(3), denoiser=spec)
         sens = random_sens(rng, 2, 8, 8)
         y = KSpaceData(rand_image(rng, 2, 1, 8, 8))
-        want = AdmmConfig(T=2, inner_iters=3, denoiser=DenoiserSpec("tv-chambolle", 1e-3, 3))
+        want = AdmmConfig(T=2, inner_iters=3, denoiser=spec)
         got = admm_reconstruct(y, full_mask(8, 8), sens, cfg).data
         assert got.tobytes() == admm_reconstruct(y, full_mask(8, 8), sens, want).data.tobytes()
 
@@ -258,7 +256,7 @@ class TestDenoiseStep:
 
     def test_tv_reduces_total_variation(self, rng):
         v = rand_image(rng, 1, 16, 16)
-        spec = DenoiserSpec(kind="tv-chambolle", strength=0.5, iterations=50)
+        spec = DenoiserSpec(kind="tv-chambolle", strength=0.5)
         out = denoise_step(v, spec, 1.0)
 
         def tv(u):
@@ -279,7 +277,7 @@ class TestDenoiseStep:
         result on the transposed grid, and along a length-1 axis (whose
         gradient is zero) the result of the grid with that axis doubled."""
         v = rand_image(np.random.default_rng(seed), frames, h, w).astype(dtype)
-        spec = DenoiserSpec(kind="tv-chambolle", strength=0.3, iterations=7)
+        spec = DenoiserSpec(kind="tv-chambolle", strength=0.3)
         out = denoise_step(v, spec, 0.5)
         assert out.dtype == dtype and out.shape == v.shape
         assert np.isfinite(out).all()
@@ -393,6 +391,21 @@ def test_tv_prox_resumes_from_its_dual(h, w, channels, dtype, weight, k, seed):
     assert warm.dtype == cold.dtype == dtype
     assert warm.tobytes() == cold.tobytes()
     assert p.tobytes() == cold_p.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_denoise_step_resumes_each_frame_from_its_dual(rng, dtype):
+    """Two tv-chambolle steps that share the dual give, byte for byte, each
+    frame's prox of 2 * TV_ITERATIONS dual steps from zero."""
+    v = rand_image(rng, 2, 9, 7).astype(dtype)
+    spec, lam = DenoiserSpec("tv-chambolle", 0.3), 0.5
+    dual = np.zeros((2, 2, 2 * 9 * 7), v.real.dtype)
+    denoise_step(v, spec, lam, dual)
+    warm = denoise_step(v, spec, lam, dual)
+    for t in range(2):
+        re, im = _tv_prox_real(np.stack((v[t].real, v[t].imag)), spec.strength / lam,
+                               2 * solver.TV_ITERATIONS)
+        assert warm[t].tobytes() == (re + 1j * im).tobytes()
 
 
 class TestDataConsistency:
@@ -999,7 +1012,7 @@ class TestAdmmReconstruct:
         ):
             mask = make_mask(scheme, 32, 32, 2, 2)
             y = (mask.pattern * ksp.data).astype(dtype)
-            spec = DenoiserSpec(kind=kind, strength=1e-3, iterations=5)
+            spec = DenoiserSpec(kind=kind, strength=1e-3)
             cfg = AdmmConfig(T=4, inner_iters=6, denoiser=spec)
 
             def solve(frames):
@@ -1039,7 +1052,7 @@ def test_operator_and_denoisers_neither_mutate_nor_alias(rng, scheme, dtype):
     held = [a for a in vars(op).values() if isinstance(a, np.ndarray)]
     calls = [(op.apply_arr, x), (op.adjoint_arr, r)]
     calls += [
-        (lambda v, k=k: denoise_step(v, DenoiserSpec(kind=k, strength=0.1, iterations=3), 0.5), x)
+        (lambda v, k=k: denoise_step(v, DenoiserSpec(kind=k, strength=0.1), 0.5), x)
         for k in DENOISER_KINDS
         if k != "identity"
     ]
