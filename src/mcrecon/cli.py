@@ -1,12 +1,9 @@
 """Command-line front end: mask generation, phantom simulation,
 reconstruction, and metric evaluation as reproducible pipelines.
 
-Every command that uses randomness takes a mandatory --seed. An optional
---config FILE of key=value lines is merged before the flags, so explicit
-flags always win; a flag that takes no value is key=true or key=false there.
-A bad flag exits 2 and a bad input file exits 1, naming the file. reconstruct
-reads and checks every input, and under --estimate-sens calibrates every
-volume's maps, before it solves any volume, so such a fault writes nothing.
+A bad flag exits 2 (:class:`CliError`) and a bad input file exits 1, naming
+the file (:func:`_load_as`); :func:`_expand_config` reads ``--config``. The
+README's CLI section states each command's rules.
 """
 
 import argparse
@@ -59,13 +56,11 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Replace '--config FILE' (or '--config=FILE') with the file's key=value
-    pairs as flags, inserted before the remaining flags so explicit flags win.
-    FILE must be a readable text file, else the error names it. Each key must
-    be the full name of one of the command's options, and each value one that
-    the option accepts; else the error names FILE:LINE. A flag that takes no
-    value (such as --estimate-sens) is set by key=true and left out by
-    key=false. A second --config is an error; without a known command the
-    file is not read, and argparse reports the command."""
+    pairs as flags, before the remaining flags so explicit flags win. Each key
+    must be the full name of one of the command's options and each value one
+    it accepts, else the error names FILE:LINE; a flag that takes no value is
+    key=true or key=false. An unreadable FILE or a second --config is an error;
+    without a known command the file is not read, and argparse reports it."""
     argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if argv.count("--config") > 1:
         raise CliError("--config may be given only once")
@@ -273,10 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strength", type=float, default=1e-2)
     p.add_argument("--lam", type=float)
     p.add_argument("--T", type=int, help="outer iterations; 0 gives the zero-filled image")
-    p.add_argument("--inner", type=int,
-                   help="at most this many inner Chebyshev iterations per outer step; a step "
-                        "stops at the least k with |g| <= lam*eps*T_k(1+2lam)*|x0|, where their "
-                        "error bound falls below the round-off of its start x0")
+    p.add_argument("--inner", type=int, help="at most this many inner Chebyshev iterations per "
+                   "outer step, fewer where solver.GradientSteps.stop ends a step")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_reconstruct)

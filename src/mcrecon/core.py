@@ -4,9 +4,10 @@ All containers are immutable after construction: the wrapped numpy arrays
 are marked read-only, so instances can be shared freely across threads.
 Complex containers keep complex64 data as complex64 and store every other
 dtype as complex128. CKS files (see the ``data`` module) hold float32
-components and read back as complex64, so a solve on CKS inputs runs in
-complex64 and a solve on in-memory complex128 data in complex128; there is
-no precision flag.
+components and read back as complex64. A solve runs in its k-space's dtype,
+its operator casting the maps once and each step and denoiser keeping the
+dtype it is given, so CKS inputs solve in complex64 and in-memory complex128
+data in complex128; there is no precision flag.
 
 Grids are compared only in :func:`check_maps` and :func:`check_inputs`,
 which the operator, the solver, ACS calibration and the CLI call.

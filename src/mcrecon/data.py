@@ -1,18 +1,13 @@
 """Phantom simulation, k-space cropping, and file I/O.
 
-The on-disk CKS container is a fixed little-endian layout:
-magic "CKS1" | u16 version | u8 kind | 4 x u32 dims (coils, frames, rows,
-cols) | payload. ``_LAYOUT`` is the one table of kinds: for each, its
-format version, bytes per element, the dims that must be 1, and the core
-container and array it holds. Complex payloads (version 1) are interleaved
-(re, im) float32 in (coil, frame, row, col) row-major order, i.e.
-little-endian complex64: writing rounds complex128 data to it, and reading
-returns complex64 containers holding an aligned array the payload is read
-into (no intermediate copy). Mask payloads (version 2) start with a fixed
-metadata block -- the scheme name as 24 NUL-padded ASCII bytes, f64
-nominal acceleration, u32 ACS lines, u32 ACS disc radius -- followed by
-one byte per element. Version-1 masks carried no metadata
-and are rejected.
+A CKS file is a little-endian header -- magic "CKS1", u16 version, u8 kind,
+4 x u32 dims (coils, frames, rows, cols) -- and a payload; the README's CKS
+file format section gives each kind's payload. ``_LAYOUT`` is the one table
+of kinds: for each, its format version, bytes per element, the dims that must
+be 1, and the core container and array it holds. Writing rounds complex128
+data to complex64, and reading returns complex64 containers holding an
+aligned array the payload is read into (no intermediate copy). Version-1
+masks carried no metadata and are rejected.
 """
 
 import math

@@ -1,75 +1,34 @@
-"""Centered orthonormal 2D FFTs and the per-coil SENSE forward operator.
+"""Centered orthonormal 2D FFTs and the SENSE forward operator.
 
-Convention: unitary transforms (1/sqrt(N) both directions) with the DC
-component at index (h//2, w//2). With RSS-normalized sensitivity maps this
-makes the stacked forward operator nonexpansive and adjoint == inverse for
-the full-sampling case.
+Transforms are unitary (1/sqrt(N) both ways) with DC at (h//2, w//2), so with
+RSS-normalized maps the stacked operator is nonexpansive and, fully sampled,
+its adjoint is its inverse. :func:`fft2c` / :func:`ifft2c` are the plain
+shifted ``np.fft`` reference that ``data``, ``sensitivity`` and the tests use.
 
-:func:`fft2c` / :func:`ifft2c` are the plain shifted ``np.fft`` reference used
-by ``data``, ``sensitivity`` and the tests; :class:`ForwardOperator` does not.
+:class:`ForwardOperator` A computes ``mask * fft2c(S * x)`` with no shifts:
+along an axis of length n, c = n//2, ``fft2c(v) == r_k * fft2(r_n * v)`` with
+r_n[j] = exp(2*pi*i*c*j/n) and r_k[p] = exp(2*pi*i*c*(p - c)/n), so A folds
+r_n into the maps and r_k into the mask once. Its transform hooks ``_to_k``
+and ``_from_k`` write over buffers of their own, never the caller's array.
 
-:class:`ForwardOperator` computes the same map as ``mask * fft2c(S * x)``
-without shifting on each call. Along an axis of length n with c = n//2, the
-centred transform is a plain FFT between two phase ramps,
-``fft2c(v) == r_k * fft2(r_n * v)`` with r_n[j] = exp(2*pi*i*c*j/n) and
-r_k[p] = exp(2*pi*i*c*(p - c)/n), exact +-1 checkerboards at even n. The
-operator folds r_n into the maps and r_k into the mask once, at
-construction. ``apply_arr`` multiplies the maps into ``x[box]`` and runs the
-transform hook ``_to_k``; ``adjoint_arr`` runs ``_from_k``, multiplies the
-conjugate maps and sums the coils into ``x[box]`` of a zeroed image. Here the
-box is the whole grid, and each hook is the mask and one ``numpy.fft``
-transform over (-2, -1), written over a buffer of its own (``out=``), never
-over the caller's array.
+On a rectilinear mask M commutes with the centred height transform F_h, so
+A = F_h M F_w S. With B the K sampled columns of F_w S and y_dc those of
+F_h^H y, ``A^H (A x - y) == B^H (B x - y_dc)`` for any y, and at x = 0
+``A^H y == B^H y_dc``. :class:`ColumnOperator` is B: its hooks are one GEMM
+each on the flattened (coil*frame*row, col or K) matrix, ``v @ D`` and
+``y @ D^H``, with D the (W, K) centred width DFT at the sampled columns, both
+ramps folded in (a pruned DFT, Markel 1971),
+``D[j, p] = exp(-2*pi*i*(j - c)*(col_p - c)/W) / sqrt(W)``: O(W*K) work per
+row against the FFT's O(W log W), less time at R4 and more at R1 and R2
+(``BENCH_10.json``). B keeps only the H' x W' bounding box of the maps'
+support (``sens.support``), outside which S x is zero: the box's maps, W' rows
+of D and H' rows of y_dc. The gradient is the same up to the order of the
+GEMM sums, and with y_off the sampled columns of F_h^H y outside the box's
+rows, ``||B x - y_dc||^2 == ||A x - y||^2 - ||(1 - M) y||^2 - ||y_off||^2``.
+All-zero maps keep the whole grid.
 
-Data consistency needs only ``A^H (A x - y)``. On a rectilinear mask every
-column is sampled fully or not at all, so M commutes with the centred
-unitary height transform F_h: A = F_h M F_w S. With B the K sampled columns
-of F_w S and y_dc those of F_h^H y, ``A^H (A x - y) == B^H (B x - y_dc)``
-for any y, and ``||B x - y_dc||^2 == ||A x - y||^2 - ||(1 - M) y||^2``, equal
-for y on the mask. At x = 0 the gradient identity reads ``A^H y == B^H y_dc``,
-so the zero-filled start needs no A either. :func:`for_data_consistency`
-``(y, mask, sens)`` is the one place that decides which operator a solve
-builds: it returns B, a :class:`ColumnOperator`, and y_dc on a rectilinear
-mask, and A and y on a point mask, in y's dtype. B shares A's ``__init__``,
-so it checks its maps' grid and its dtype as A does, and overrides only the
-array setup ``_prepare``, which refuses a point mask, and the hooks, each
-hook one GEMM on the flattened (coil*frame*row, col or K) matrix: ``_to_k``
-is ``v @ D`` and ``_from_k`` ``y @ D^H``, with D the (W, K) centred width
-DFT at the sampled columns, both ramps folded in (a pruned DFT, Markel
-1971), ``D[j, p] = exp(-2*pi*i*(j - c)*(col_p - c)/W) / sqrt(W)``, on the
-unramped maps. The GEMMs do O(W*K) work per row against the FFT's
-O(W log W), less time at R4 and more at R1 and R2, which no workload or
-paper setting uses. A rectilinear solve therefore builds only B; building A
-for the zero-filled start alone would cost more than the start (CHANGES.md).
-
-B's box is the H' x W' bounding box of the maps' support (``sens.support``):
-maps calibrated from the ACS region are zero outside the body, as SENSE and
-ESPIRiT maps are. Outside the box S * x is zero in every coil, so the columns
-there add exact zeros to each GEMM row, and B x is zero in the rows there,
-which B^H maps back to zero through conj(S). So B keeps the box's maps, the
-box's W' rows of D and y_dc's H' rows. The gradient is the same up to the
-order of the GEMM sums. The objective identity gains one constant, the
-energy of y_off, F_h^H y's sampled columns in the rows outside the box:
-``||B x - y_dc||^2 == ||A x - y||^2 - ||(1 - M) y||^2 - ||y_off||^2``.
-All-zero maps are a valid input and keep the whole grid.
-
-On a rectilinear mask B^H B also splits into independent image rows
-(Pruessmann et al. 1999): row h of ``B^H B x`` is ``x_h N_h`` with one
-Hermitian (W', W') matrix ``N_h = (sum_c S_ch S_ch^H) * (D D^H)``
-(elementwise product) per box row, the same for every frame (a Gram normal
-operator, Fessler et al. 2005); off the box N is zero.
-:meth:`ColumnOperator.row_gram` builds N from B's box maps and D in its
-dtype on given box rows and columns, by default the whole box. In a row
-whose maps are zero at column j, row and column j of N_h are zero, so
-``solver`` builds N block by block of rows on the union of their support
-columns, never the whole (H', W', W') array, and forms H_b = N_b + lam I in
-place in each block; ``solver`` decides which solves take this form.
-
-The operator computes in one complex dtype, by default that of the maps: it
-casts its maps and its mask or D to it once, and ``apply_arr`` /
-``adjoint_arr`` then return arrays of that dtype for inputs of it. The
-solver builds it in the dtype of the k-space, so complex64 CKS data runs
-single-precision FFTs and matmuls.
+:func:`for_data_consistency` picks a solve's operator; B^H B row by row is
+:meth:`ColumnOperator.row_gram`; precision is in the ``core`` docstring.
 """
 
 import numpy as np
@@ -198,8 +157,14 @@ class ColumnOperator(ForwardOperator):
     def row_gram(self, rows=np.s_[:], cols=np.s_[:]) -> np.ndarray:
         """N = B^H B on the box's ``rows`` and ``cols`` (slices or index arrays
         into the box, by default all of it), a new (rows, cols, cols) array in
-        ``dtype`` (see the module docstring)."""
-        # N_h = (sum_c S_ch S_ch^H) * (D D^H)
+        ``dtype``.
+
+        On a rectilinear mask B^H B splits into independent image rows
+        (Pruessmann et al. 1999): row h of ``B^H B x`` is ``x_h N_h`` with one
+        Hermitian (W', W') matrix ``N_h = (sum_c S_ch S_ch^H) * (D D^H)``
+        (elementwise product) per box row, the same for every frame (a Gram
+        normal operator, Fessler et al. 2005). Where row h's maps are zero at
+        column j, row and column j of N_h are zero."""
         maps, dft = self._maps[:, rows][:, :, cols], self._dft[cols]
         normal = maps.transpose(1, 2, 0) @ maps.conj().transpose(1, 0, 2)
         normal *= dft @ dft.conj().T

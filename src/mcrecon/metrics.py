@@ -2,21 +2,13 @@
 
 SSIM uses dense (stride-1) uniform 7x7 windows (7x7x7 for volumes) with
 population statistics and stabilizers C1 = (0.01 * data_range)^2,
-C2 = (0.03 * data_range)^2; with inputs normalized to [0, 1] and
-data_range = 1 this reduces to raw constants 0.01 and 0.03. A uniform
-window mean is a box filter, so the five window means (of u, v, u*u, v*v,
-u*v) are computed one axis at a time, each pass adding 7 shifted slices of
-the valid region: O(7 * ndim) operations per pixel instead of O(7^ndim).
-HFEN uses a 15x15 Laplacian-of-Gaussian filter (sigma 2.5, zero-sum) with
-symmetric boundary padding (``np.pad(mode="symmetric")``, which keeps
-mirroring when the pad is wider than the image); the kernel is a sum of four
-separable terms, so it is applied as six 1D passes along rows and columns,
-each a matrix product of the padded axis's 15-wide windows with the taps.
-Both equal the dense definitions up to round-off. Every metric computes in double precision,
-whatever the precision of its inputs.
-
-:func:`score_volume` holds every rule of scoring a volume: the data ranges,
-SSIM3D only for at least SSIM_WINDOW frames, and the loss sum. ``mcrecon
+C2 = (0.03 * data_range)^2; its window means take O(7 * ndim) operations per
+pixel, one axis at a time (:func:`_window_means`), not O(7^ndim). HFEN uses a
+15x15 Laplacian-of-Gaussian filter (sigma 2.5, zero-sum) on symmetric
+padding, which keeps mirroring when the pad is wider than the image, as six
+1D passes (:func:`_log_filter`). Both equal the dense definitions up to
+round-off. Every metric computes in double precision, whatever its inputs.
+:func:`score_volume` holds every rule of scoring a volume; ``mcrecon
 evaluate`` writes its rows, and :func:`dual_domain_loss` is its loss row.
 """
 

@@ -1,9 +1,8 @@
 """Undersampling mask generators.
 
-All randomness comes from a self-contained 64-bit linear congruential
-generator (Knuth MMIX constants: state <- state * 6364136223846793005 +
-1442695040888963407 mod 2^64, uniforms from the top 53 bits), so masks are
-bit-reproducible across platforms and languages for a fixed seed.
+All randomness comes from :class:`Lcg`, a self-contained 64-bit linear
+congruential generator (Knuth MMIX constants, uniforms from the top 53 bits),
+so masks are bit-reproducible across platforms and languages for a seed.
 """
 
 import math

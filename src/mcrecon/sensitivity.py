@@ -5,11 +5,8 @@ it (numpy's Hann window ``np.hanning`` over the rows and over the ACS
 columns, or a raised-cosine taper over the radius of an ACS disc),
 inverse-transform per coil, and normalize by the RSS image on its support,
 where it exceeds SUPPORT_THRESHOLD times its maximum; the maps are zero
-elsewhere. The support is empty only when the windowed ACS data is all zero:
-when the k-space is zero in the ACS region, or under the all-zero Hann window
-of 2 ACS lines or of a 2-row grid; that raises a ValueError rather than
-return empty maps. The k-space must lie on the mask's grid, which
-``core.check_inputs`` checks.
+elsewhere. An empty support, which only all-zero windowed ACS data gives,
+raises a ValueError rather than return empty maps.
 """
 
 import numpy as np

@@ -1,62 +1,16 @@
 """Unrolled ADMM reconstruction via half-quadratic variable splitting.
 
-Each outer step alternates a proximal denoising update on the auxiliary
-image w, a fixed number of Chebyshev iterations enforcing data consistency
-on x, and the scaled Lagrange-multiplier update m <- m + lam * (x - w).
-Multipliers start at zero; x and w start from the zero-filled reconstruction
-A^H y, taken as the adjoint ``op^H y_dc`` of the solve's one data-consistency
-pair (op, y_dc), which a T = 0 solve returns before it builds any row Gram
-form. The denoiser is pluggable: identity, complex soft-thresholding, a
-closed-form Tikhonov smoother, or a Chambolle TV prox of TV_ITERATIONS dual
-steps per outer step. The TV prox runs frame by frame on the frame's real and
-imaginary parts. Its weight strength/lam is the same at every outer step, so
-each frame's dual is carried from one outer step to the next:
-:func:`admm_reconstruct` holds one array of them per solve, zero at the first
-step, and each step resumes from it. Its buffers are flat and contiguous,
-allocated once per frame and step and updated in place in the order of the
-plain expressions, so the values are theirs bit for bit (k iterations resumed
-after k are 2k from zero); :func:`_grad2` and :func:`_div2` give the flat
-passes' row and channel edges. The solve returns the final image x only.
-
-Data consistency solves (A^H A + lam I) x = A^H y + lam w - m on the pair
-that ``fourier.for_data_consistency`` builds once per solve (on rectilinear
-masks the ``ColumnOperator`` B on the maps' support box and y_dc; on point
-masks the 2D operator A and y), as H e = g for the correction e = x0 - x,
-with H = A^H A + lam I and g the :func:`dc_gradient` at the step's start x0.
-``SensitivityMaps`` holds sum_c |S_c|^2 to 0 or 1 within 1e-6, so with the
-unitary FFT and a 0/1 mask the spectrum of H lies in [lam, 1 + lam]. On that
-interval the iteration is Chebyshev's (Golub and Varga 1961; Saad, Iterative
-Methods, 12.1), with theta = lam + 1/2, delta = 1/2 and sigma = 1 + 2 lam:
-e_1 = g / theta, then d_k = rho_k rho_{k-1} d_{k-1} + (2 rho_k / delta) r_k
-and e_{k+1} = e_k + d_k, with rho_k = T_k(sigma) / T_{k+1}(sigma) and
-r_k = g - H e_k. It needs no inner product and its error is at most
-1 / T_k(sigma) of the first, so a solve runs at most K = min(inner_iters, k_u)
-iterations, k_u the least k with T_k(sigma) * eps >= 1 for its dtype's eps
-(:func:`chebyshev_values`; 10 at lam 1 in complex64). Each outer step stops
-sooner, at the least k with |g| <= lam * eps * T_k(sigma) * |x0|: the first
-error |H^-1 g| is at most |g| / lam, so from there on the iterations move
-x0 - e by less than its own round-off (:meth:`GradientSteps.stop`). One loop,
-:meth:`GradientSteps.iterate`, runs it on every path, given H e - g, which
-:class:`GradientSteps` takes as one more :func:`dc_gradient`.
-
-On a rectilinear mask, when the solve's Gram iterations, frames * T * (K - 1),
-reach :data:`GRAM_MIN_ITERS` on a grid of at most :data:`GRAM_MAX_SIDE` rows
-and columns, :func:`admm_reconstruct` builds :class:`RowGramSteps` instead:
-H e is e (N + lam I) row by row, with N = B^H B of ``ColumnOperator.row_gram``
-(one matrix per box row), so after its one g per outer step every residual
-is one batched (row, frame, col) matmul. The rows are independent, so it runs
-all iterations on one block of rows before the next, and each block holds
-only the union of its rows' support columns (N is zero in the others), up
-to :data:`GRAM_BLOCK_BYTES`; off the blocks H is lam I, and e is g times the
-same iteration on the scalar 1.
-g comes from the residual B x0 - y_dc, so the solve's dtype is enough for
-it. Both paths give the same iterate up to round-off; the measurements behind
-the rule and the block size are in ``BENCH_28.json`` and CHANGES.md.
-
-The solve runs in the dtype of the k-space: the operator casts the maps to
-it once, and every step and denoiser returns the dtype it is given, so
-complex64 data (as read from CKS files) is solved in complex64 and
-complex128 data in complex128.
+Each outer step of :func:`admm_reconstruct` runs :func:`denoise_step` on the
+auxiliary image w, :func:`data_consistency_step` on x and
+:func:`multiplier_update`, from m = 0 and x = w = :func:`zero_filled_init`.
+Each rule lives with its code: the Chebyshev recurrence in
+:class:`GradientSteps`, its cap K in :func:`chebyshev_values` and each outer
+step's stop in :meth:`GradientSteps.stop`; the row Gram form in
+:class:`RowGramSteps` and the rule that picks it beside
+:data:`GRAM_MIN_ITERS`; the operator pair in the ``fourier`` docstring; the
+TV dual carried across outer steps in :func:`denoise_step` and the flat
+passes in :func:`_tv_prox_real`, :func:`_grad2` and :func:`_div2`; precision
+in the ``core`` docstring.
 """
 
 import math
@@ -69,15 +23,19 @@ from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps, check
 from .fourier import ColumnOperator, ForwardOperator, for_data_consistency
 
 DENOISER_KINDS = ("identity", "l1-soft-threshold", "tikhonov-smooth", "tv-chambolle")
-# The row Gram path's rule (admm_reconstruct): the fewest Gram iterations,
-# frames * T * (K - 1), that pay back building N, and the widest grid whose N
-# fits the memory bound. On the Chebyshev loop one frame breaks even at 4
-# (64^2) to 28 (256^2) Gram iterations, so both stand (table in ROADMAP.md); the
-# perfbench count test's G = 2 * (3 - 1) = 4 stays below, on the column path.
+# The row Gram path's rule, applied in admm_reconstruct alone: a solve on a
+# rectilinear mask takes RowGramSteps when its Gram iterations,
+# frames * T * (K - 1) with K of chebyshev_values, reach GRAM_MIN_ITERS, the
+# fewest that pay back building N, on a grid of at most GRAM_MAX_SIDE rows and
+# columns, the widest whose N fits the memory bound; larger grids were not
+# measured. One frame breaks even at 4 (64^2) to 28 (256^2) Gram iterations
+# (the row Gram break-even table in CHANGES.md); the perfbench count test's
+# G = 2 * (3 - 1) = 4 stays below, on the column path.
 GRAM_MIN_ITERS = 64
 GRAM_MAX_SIDE = 256
 # Bytes of H_b that one block of rows may hold in RowGramSteps, so that the
-# block stays in cache over all inner iterations: half of a 2 MiB per-core L2.
+# block stays in cache over all inner iterations: half of a 2 MiB per-core L2
+# (BENCH_28.json).
 GRAM_BLOCK_BYTES = 1 << 20
 # Chambolle dual steps per outer step of a tv-chambolle solve, each frame resuming
 # from its dual of the step before: on the dynamic128x12-tv inputs 12 such steps
@@ -98,9 +56,7 @@ def _check_count(name: str, value, least: int) -> None:
 
 @dataclass(frozen=True)
 class DenoiserSpec:
-    """Proximal denoiser choice standing in for the prior term: its kind and
-    strength (``tv-chambolle`` runs :data:`TV_ITERATIONS` dual steps per outer
-    step)."""
+    """Proximal denoiser choice standing in for the prior term: its kind and strength."""
 
     kind: str = "identity"
     strength: float = 0.0
@@ -119,11 +75,9 @@ class AdmmConfig:
     """Hyperparameters of the unrolled solve.
 
     The field defaults are the static 2D configuration (16 outer steps, at
-    most 14 inner Chebyshev iterations); :meth:`for_mode` applies a mode's
-    overrides from :data:`MODE_DEFAULTS`, e.g. dynamic 10 and 8. An outer
-    step runs fewer inner iterations where the iteration's error bound,
-    |g| / (lam * T_k(1 + 2 lam)) for its gradient g, falls below the round-off
-    eps * |x0| of its start x0 first (:meth:`GradientSteps.stop`).
+    most 14 inner Chebyshev iterations, fewer where :meth:`GradientSteps.stop`
+    ends a step); :meth:`for_mode` applies a mode's overrides from
+    :data:`MODE_DEFAULTS`, e.g. dynamic 10 and 8.
     """
 
     T: int = 16
@@ -212,12 +166,12 @@ def _div2(p: np.ndarray, out: np.ndarray, tmp: np.ndarray, shape: tuple[int, ...
 
 def _tv_prox_real(v: np.ndarray, weight: float, iterations: int,
                   p: np.ndarray | None = None) -> np.ndarray:
-    # Chambolle dual projection for prox of weight * TV on each (row, col)
-    # image of the real (channel, row, col) stack v, fixed iterations, in place
-    # on flat contiguous buffers allocated once per call. The iterations start
-    # from the flat (2, v.size) dual p and update it in place, so a caller can
-    # pass it to the next call; None starts from zero. The unary out= calls
-    # (np.square, np.sqrt) see only contiguous 1-D arrays.
+    # Chambolle dual projection for prox of weight * TV on each (row, col) image
+    # of the real (channel, row, col) stack v, in place on flat contiguous
+    # buffers allocated on each call, in the order of the plain expressions, so
+    # the values are theirs bit for bit. The iterations start from the flat
+    # (2, v.size) dual p, None for zero, and leave their last dual in it. The
+    # unary out= calls (np.square, np.sqrt) see only contiguous 1-D arrays.
     if weight == 0:
         return v.copy()
     tau = 0.25
@@ -250,10 +204,13 @@ def denoise_step(v: np.ndarray, spec: DenoiserSpec, lam: float,
     """Proximal update of the auxiliary variable: prox of the prior (scaled
     by 1/lam) applied to the (frame, row, col) array v = x + m/lam.
 
-    ``dual``, for ``tv-chambolle`` only, is the real (frame, 2, 2*rows*cols)
-    array, in ``v.real.dtype``, of each frame's Chambolle dual: frame t's
-    iterations start from ``dual[t]`` and leave their last dual in it. Without
-    it every frame starts from zero and the step keeps no state."""
+    ``tv-chambolle`` runs :data:`TV_ITERATIONS` dual steps on each frame's real
+    and imaginary parts. Its weight strength/lam is the same at every outer
+    step, so :func:`admm_reconstruct` carries each frame's dual across steps in
+    ``dual``, the real (frame, 2, 2*rows*cols) array in ``v.real.dtype``, zero
+    at the first step: frame t resumes from ``dual[t]`` and leaves its last
+    dual there, so k iterations resumed after k are 2k from zero. Without
+    ``dual`` every frame starts from zero and the step keeps no state."""
     if spec.kind == "identity":
         return v
     if spec.kind == "l1-soft-threshold":
@@ -312,8 +269,7 @@ def chebyshev_values(inner_iters: int, lam: float, dtype) -> list[float]:
     ``dtype``, which runs at most K = min(inner_iters, k_u) Chebyshev
     iterations: k_u is the least k with T_k(sigma) * eps >= 1 (eps of the
     dtype's real part), where the iteration's error bound 1 / T_k(sigma)
-    reaches round-off. An outer step stops at the least k with
-    |g| <= lam * eps * T_k(sigma) * |x0| (:meth:`GradientSteps.stop`)."""
+    reaches round-off (10 at lam 1 in complex64)."""
     sigma, eps = 1 + 2 * lam, np.finfo(dtype).eps
     tau = [1.0, sigma]
     while len(tau) <= inner_iters and tau[-1] * eps < 1:
@@ -323,16 +279,25 @@ def chebyshev_values(inner_iters: int, lam: float, dtype) -> list[float]:
 
 class GradientSteps:
     """Data consistency by Chebyshev iteration on an operator and its data, the
-    pair of ``fourier.for_data_consistency``: A and y, or B and y_dc. It solves
-    H e = g for the correction e = x0 - x, with g the :func:`dc_gradient` at x0,
-    in :meth:`stop` iterations, taking each iteration's residual g - H e afresh
-    as one more :func:`dc_gradient`."""
+    pair of ``fourier.for_data_consistency``: A and y, or B and y_dc.
+
+    It solves H e = g for the correction e = x0 - x, with H = A^H A + lam I and
+    g the :func:`dc_gradient` at the step's start x0. ``SensitivityMaps`` holds
+    sum_c |S_c|^2 to 0 or 1 within 1e-6, so with the unitary FFT and a 0/1 mask
+    the spectrum of H lies in [lam, 1 + lam], where the iteration is
+    Chebyshev's (Golub and Varga 1961; Saad, Iterative Methods, 12.1): with
+    theta = lam + 1/2, delta = 1/2 and sigma = 1 + 2 lam, e_1 = g / theta, then
+    d_k = rho_k rho_{k-1} d_{k-1} + (2 rho_k / delta) r_k, e_{k+1} = e_k + d_k,
+    with rho_k = T_k(sigma) / T_{k+1}(sigma) and r_k = g - H e_k, each r_k one
+    more :func:`dc_gradient`. It needs no inner product, and its error after k
+    iterations is at most 1 / T_k(sigma) of the first. An outer step runs
+    :meth:`stop` iterations, at most K of :func:`chebyshev_values`."""
 
     def __init__(self, op: ForwardOperator, y: np.ndarray, cfg: AdmmConfig):
         self.op, self.y, self.cfg = op, y, cfg
         tau = chebyshev_values(cfg.inner_iters, cfg.lam, op.dtype)
         self.iters, self.first = len(tau) - 1, 2 / tau[1]  # e_1 = g / (lam + 1/2)
-        # d_k = rho_k rho_{k-1} d_{k-1} + 4 rho_k r_k, rho_k = T_k / T_{k+1}
+        # (rho_k rho_{k-1}, 2 rho_k / delta) for k = 1 .. K - 1
         self.coefs = [(tau[k - 1] / tau[k + 1], 4 * tau[k] / tau[k + 1])
                       for k in range(1, self.iters)]
         eps = float(np.finfo(op.dtype).eps)
@@ -341,8 +306,10 @@ class GradientSteps:
     def stop(self, g: np.ndarray, x0: np.ndarray) -> int:
         """k_t, the iterations an outer step runs: the least k in 1 .. K with
         |g| <= lam * eps * T_k(sigma) * |x0|, else K (so too for x0 = 0 or a
-        norm that is not finite). Both norms are numpy's pairwise sums over the
-        real view, not BLAS dots, so k_t does not depend on BLAS threading."""
+        norm that is not finite). The first error |H^-1 g| is at most
+        |g| / lam, so from that k on the iterations move x0 - e by less than
+        its own round-off. Both norms are numpy's pairwise sums over the real
+        view, not BLAS dots, so k_t does not depend on BLAS threading."""
         norm_g, norm_x = (math.sqrt(np.sum(np.square(v.view(v.real.dtype)))) for v in (g, x0))
         if not 0 < norm_x < math.inf:
             return self.iters
@@ -375,8 +342,11 @@ class RowGramSteps(GradientSteps):
     ``ColumnOperator`` B and its y_dc: one :func:`dc_gradient` g per outer
     step, then, block by block of box rows, matmuls with H_b = N_b + lam I,
     formed in place in the N of ``op.row_gram`` on the block's rows and the
-    union of their support columns. Elsewhere H is lam I, so e is g times
-    the same iteration run on the scalar 1."""
+    union of their support columns. The rows are independent, so each block
+    runs all its iterations before the next. Elsewhere H is lam I, so e is g
+    times the same iteration run on the scalar 1. g comes from the residual
+    B x0 - y_dc, not the plain x0 N - B^H y_dc, which cancels in complex64, so
+    both paths give the same iterate up to round-off."""
 
     def __init__(self, op: ColumnOperator, y: np.ndarray, cfg: AdmmConfig):
         super().__init__(op, y, cfg)
@@ -439,13 +409,10 @@ def admm_reconstruct(
     sens: SensitivityMaps,
     cfg: AdmmConfig,
 ) -> ComplexImage:
-    """Run the full unrolled solve, in the dtype of ``y``, and return the
-    final image x.
-
-    The solve builds one operator, that of ``fourier.for_data_consistency``,
-    and takes its zero-filled start from it. T = 0 returns that start and
-    builds no row Gram form.
-    """
+    """Run the full unrolled solve in the dtype of ``y`` and return the final
+    image x. It builds one operator, that of ``fourier.for_data_consistency``,
+    and takes its zero-filled start from it; T = 0 returns that start and
+    builds no row Gram form."""
     check_inputs(y, mask, sens)
     op, y_dc = pair = for_data_consistency(y.data, mask, sens)
     start = zero_filled_init(y, mask, sens, pair)

@@ -35,6 +35,23 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("command", [None, "mask", "simulate", "reconstruct", "evaluate"])
+def test_help_exits_0_and_prints_every_option(command, capsys):
+    """``mcrecon --help`` and ``mcrecon CMD --help`` exit 0 and print each of
+    the command's option strings (and, at the top, each command). argparse
+    %-formats help text, so a stray % in one would raise instead."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    with pytest.raises(SystemExit) as done:
+        run(["--help"] if command is None else [command, "--help"])
+    assert done.value.code == 0
+    printed = capsys.readouterr().out
+    target = parser if command is None else sub.choices[command]
+    expected = [*target._option_string_actions, *(sub.choices if command is None else ())]
+    assert len(expected) > 2
+    assert [name for name in expected if name not in printed] == []
+
+
 @pytest.fixture
 def mask_file(tmp_path):
     out = tmp_path / "mask.cks"
