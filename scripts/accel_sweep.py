@@ -2,11 +2,13 @@
 """Sweep acceleration factors and undersampling schemes on a simulated
 phantom, comparing zero-filled and ADMM reconstructions.
 
-The ACS region takes about half of each mask's budget, so that it fits at
-every R: ceil(size / R) // 2 of the ceil(size / R) rectilinear columns, and
-a gaussian2d disc of radius isqrt(budget // 7) (pi r^2 <= budget / 2) in its
-budget of ceil(size^2 / R) points. A rectilinear mask then samples exactly
-ceil(size / R) columns, and its R_eff is size / ceil(size / R).
+Each mask gets the one ACS size that its scheme takes (half_budget_acs),
+about half of its budget, so that it fits at every R: ceil(size / R) // 2 of
+the ceil(size / R) rectilinear columns, a gaussian2d disc of radius
+isqrt(budget // 7) (pi r^2 <= budget / 2) in its budget of ceil(size^2 / R)
+points, and none for pseudo-radial and pseudo-spiral. A rectilinear mask
+then samples exactly ceil(size / R) columns, and its R_eff is
+size / ceil(size / R).
 
 Usage: python3 scripts/accel_sweep.py [--size 64] [--coils 4] [--seed 1]
 """
@@ -27,8 +29,19 @@ from mcrecon import (
     ssim,
     zero_filled_init,
 )
+from mcrecon.core import RECTILINEAR_SCHEMES
 from mcrecon.data import shepp_logan, simulate_coils
 from mcrecon.sampling import GENERATORS, achieved_acceleration
+
+
+def half_budget_acs(scheme: str, size: int, accel: float) -> int:
+    """make_mask's acs for ``scheme`` on a size x size grid at R ``accel``:
+    an ACS region of about half the mask's budget (module docstring)."""
+    if scheme in RECTILINEAR_SCHEMES:
+        return math.ceil(size / accel) // 2
+    if scheme == "gaussian2d":
+        return math.isqrt(math.ceil(size**2 / accel) // 7)
+    return 0
 
 
 def main(argv=None):
@@ -52,10 +65,8 @@ def main(argv=None):
     print(f"{'scheme':<20}{'R':>4}{'R_eff':>8}{'SSIM(zf)':>10}{'SSIM':>8}{'PSNR':>8}{'NMSE':>10}")
     for scheme in GENERATORS:
         for R in (4, 8, 10):
-            # the ACS region takes about half of the budget (module docstring)
-            cols, points = math.ceil(args.size / R), math.ceil(args.size**2 / R)
             mask = make_mask(scheme, args.size, args.size, R, args.seed,
-                             acs_lines=cols // 2, acs_radius=math.isqrt(points // 7))
+                             half_budget_acs(scheme, args.size, R))
             y = KSpaceData(mask.pattern * kfull.data)
             zf = np.abs(zero_filled_init(y, mask, sens).data[0])
             rec = np.abs(admm_reconstruct(y, mask, sens, cfg).data[0])

@@ -5,7 +5,9 @@
 # mcrecon package exits 2.
 # Running it on two checkouts and diffing the two hashes.txt files shows
 # whether a change keeps every CLI output byte-identical. It covers all five
-# mask schemes at R=4 and R=1, a 64x64 R=8 pseudo-radial mask (many more
+# mask schemes at R=4 and R=1, each with its own --acs (8 ACS lines for the
+# rectilinear schemes, a disc of radius 3 for gaussian2d, 0 for pseudo-radial
+# and pseudo-spiral), a 64x64 R=8 pseudo-radial mask (many more
 # spokes than 48x48 R=4), every denoiser name, zero-filled (--T 0), --config,
 # --estimate-sens, --mode dynamic with and without --T/--inner, a dynamic
 # TV solve with --estimate-sens on a random-rectilinear mask, one with
@@ -21,10 +23,13 @@
 # --inner 5 (r_cropC: the column-DFT path on that box), a 6-frame dynamic TV
 # solve with --estimate-sens on that mask (r_dynC: the row Gram path with its
 # box), --jobs 1 and 2, evaluate,
-# and the exit codes in rcs.txt. Six are bad arguments and
+# and the exit codes in rcs.txt. Nine are bad arguments and
 # exit 2: an unknown scheme (rc_bogus), an unknown denoiser (rc_den), a
 # gaussian2d budget below its ACS disc (rc_budget), R=0.5 (rc_acc), a 0x0
-# grid (rc_grid) and --strength nan (rc_nan). Three have their outputs deleted:
+# grid (rc_grid), --strength nan (rc_nan), the --acs-radius flag, which is
+# not an option (rc_acs_radius), --acs 8 for pseudo-spiral, which has no ACS
+# region (rc_acs_spiral), and 24 ACS lines on a 64x64 R=8 equispaced mask,
+# more than its 8 columns (rc_acs_r8). Three have their outputs deleted:
 # --estimate-sens with an R=4 pseudo-radial mask, which has no ACS region,
 # fails its solve and exits 1 (rc_est_radial); with an R=1 equispaced mask
 # with 8 ACS lines it exits 0 (rc_est_r1); with a 2-line ACS block, whose
@@ -40,17 +45,13 @@
 # by evaluate (e_odd.csv, rc_eval_odd), with no ssim3d row since it has fewer
 # frames than the SSIM window.
 #
-# A solve runs at most K = min(inner, k_u) Chebyshev iterations, k_u the least
-# k whose error bound reaches its dtype's round-off (solver.chebyshev_values);
-# CKS inputs solve in complex64, where k_u is 27 at lam 0.1 and 10 at lam 1.
-# Each outer step stops sooner once its bound, taken from the step's
-# gradient, is below the round-off of its start (solver.GradientSteps).
-# r_gstop (a gaussian2d point-mask solve at lam 1 and the static defaults)
-# runs at most 10 of its 14 inner iterations per step, fewer as the step's
-# gradient shrinks, as j1, j2 and r_full do too.
+# solver.chebyshev_values sets the inner Chebyshev cap K and
+# solver.GradientSteps.stop the per-step stop. r_gstop (a gaussian2d
+# point-mask solve at lam 1 and the static defaults) runs at most 10 of its
+# 14 inner iterations per step, as j1, j2 and r_full do too.
 # A rectilinear solve takes the row Gram path when its Gram iterations,
 # frames * T * (K - 1), reach solver.GRAM_MIN_ITERS (64); the rule is
-# admm_reconstruct's, set out in the solver docstring. Below it, on
+# admm_reconstruct's, set out in the comment beside that constant. Below it, on
 # the column-DFT path: r_conf (1 frame, T 5, inner 3: 10), r_explicit (T 3,
 # inner 5: 12) and r_cropC (T 4, inner 5: 16). At or above it, on the row
 # Gram path: r_dynI (7 frames, T 10, inner 2: 70, the nearest), the one-frame
@@ -77,9 +78,10 @@ if [ -n "$(ls -A "$OUT" 2>/dev/null)" ]; then echo "error: $OUT is not empty" >&
 mkdir -p "$OUT"; cd "$OUT"
 export PYTHONPATH=$SRC
 M="python3 -m mcrecon.cli"
-for s in equispaced random-rectilinear gaussian2d pseudo-radial pseudo-spiral; do
-  $M mask --scheme $s --size 48x48 --accel 4 --acs 8 --acs-radius 3 --seed 5 --out m_$s.cks >/dev/null
-  $M mask --scheme $s --size 48x48 --accel 1 --acs 8 --acs-radius 3 --seed 5 --out m1_$s.cks >/dev/null
+for sa in equispaced:8 random-rectilinear:8 gaussian2d:3 pseudo-radial:0 pseudo-spiral:0; do
+  s=${sa%:*}; a=${sa#*:}
+  $M mask --scheme $s --size 48x48 --accel 4 --acs $a --seed 5 --out m_$s.cks >/dev/null
+  $M mask --scheme $s --size 48x48 --accel 1 --acs $a --seed 5 --out m1_$s.cks >/dev/null
 done
 $M mask --scheme pseudo-radial --size 64x64 --accel 8 --seed 5 --out m64_pseudo-radial.cks >/dev/null
 $M mask --scheme random-rectilinear --size 40x56 --accel 3.3 --acs 6 --seed 9 --out mr.cks >/dev/null
@@ -133,7 +135,7 @@ ev e_zf.csv --truth s_truth.cks --pred r_zf.cks
 set +e
 $M mask --scheme bogus --size 8x8 --accel 2 --seed 0 --out x.cks >/dev/null 2>&1; echo "rc_bogus=$?" > rcs.txt
 $M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --denoiser wavelet --out-prefix x >/dev/null 2>&1; echo "rc_den=$?" >> rcs.txt
-$M mask --scheme gaussian2d --size 16x16 --accel 8 --acs-radius 6 --seed 0 --out x.cks >/dev/null 2>&1; echo "rc_budget=$?" >> rcs.txt
+$M mask --scheme gaussian2d --size 16x16 --accel 8 --acs 6 --seed 0 --out x.cks >/dev/null 2>&1; echo "rc_budget=$?" >> rcs.txt
 $M mask --scheme equispaced --size 16x16 --accel 0.5 --seed 0 --out x.cks >/dev/null 2>&1; echo "rc_acc=$?" >> rcs.txt
 $M mask --scheme pseudo-radial --size 0x0 --accel 4 --seed 0 --out x.cks >/dev/null 2>&1; echo "rc_grid=$?" >> rcs.txt
 $M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --denoiser tv --strength nan --out-prefix x_nan >/dev/null 2>&1; echo "rc_nan=$?" >> rcs.txt
@@ -146,9 +148,12 @@ $M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens o_sen
 ev e_odd.csv --truth o_truth.cks --pred r_odd.cks --kspace-truth o_kspace_full.cks --kspace-pred o_kspace_full.cks 2>/dev/null; echo "rc_eval_odd=$?" >> rcs.txt
 $M reconstruct --kspace s_kspace_masked.cks --mask m_equispaced.cks --sens s_sens.cks --estimate-sens --out-prefix x_both >/dev/null 2>&1; echo "rc_sens_both=$?" >> rcs.txt
 $M mask --scheme equispaced --size 16x16 --accel 2 --seed 0 --out x_small.cks >/dev/null 2>&1; echo "rc_mask_small=$?" >> rcs.txt
+$M mask --scheme gaussian2d --size 16x16 --accel 4 --acs-radius 3 --seed 0 --out x_acs.cks >/dev/null 2>&1; echo "rc_acs_radius=$?" >> rcs.txt
+$M mask --scheme pseudo-spiral --size 16x16 --accel 4 --acs 8 --seed 0 --out x_acs.cks >/dev/null 2>&1; echo "rc_acs_spiral=$?" >> rcs.txt
+$M mask --scheme equispaced --size 64x64 --accel 8 --acs 24 --seed 0 --out x_acs.cks >/dev/null 2>&1; echo "rc_acs_r8=$?" >> rcs.txt
 printf 'estimate-sens=true\n' > x_flag.conf
 $M reconstruct --config x_flag.conf --kspace s_kspace_masked.cks --mask m_equispaced.cks --T 2 --out-prefix x_flag >/dev/null 2>&1; echo "rc_conf_flag=$?" >> rcs.txt
-rm -f x_rad* x_r1* x_nan* x_acs2* x_both* x_small* x_flag*
+rm -f x_rad* x_r1* x_nan* x_acs* x_both* x_small* x_flag*
 set -e
 find . -type f ! -name hashes.txt | sort | xargs sha256sum > hashes.txt
 wc -l hashes.txt

@@ -128,9 +128,8 @@ def _shaped_like(ref):
 
 def cmd_mask(args) -> int:
     h, w = _parse_size(args.size)
-    acs = {k: getattr(args, k) for k in ("acs_lines", "acs_radius") if k in args}
     with _blame(error=CliError):
-        mask = make_mask(args.scheme, h, w, args.accel, args.seed, **acs)
+        mask = make_mask(args.scheme, h, w, args.accel, args.seed, args.acs)
     out = Path(args.out)
     dio.write_cks(out, mask)
     dio.write_pgm(out.with_suffix(".pgm"), mask.pattern)
@@ -238,11 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True, choices=sorted(GENERATORS))
     p.add_argument("--size", required=True, help="grid size as HxW")
     p.add_argument("--accel", type=float, required=True)
-    # no ACS default here: an unset flag leaves make_mask's keyword at its default
-    p.add_argument("--acs", type=int, dest="acs_lines", default=argparse.SUPPRESS,
-                   help="ACS lines (rectilinear schemes)")
-    p.add_argument("--acs-radius", type=int, default=argparse.SUPPRESS,
-                   help="ACS disc radius (gaussian2d)")
+    p.add_argument("--acs", type=int, default=0, help="ACS lines (equispaced, "
+                   "random-rectilinear) or ACS disc radius (gaussian2d); 0 for none")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mask)

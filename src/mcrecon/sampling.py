@@ -1,5 +1,10 @@
 """Undersampling mask generators.
 
+Every generator in :data:`GENERATORS` takes ``(height, width, accel, acs,
+seed)``. ``acs`` sizes the scheme's fully sampled autocalibration region:
+central columns for the rectilinear schemes, a central disc's radius for
+gaussian2d; pseudo-radial and pseudo-spiral have none and take only 0.
+
 All randomness comes from :class:`Lcg`, a self-contained 64-bit linear
 congruential generator (Knuth MMIX constants, uniforms from the top 53 bits),
 so masks are bit-reproducible across platforms and languages for a seed.
@@ -9,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import RECTILINEAR_SCHEMES, SamplingMask
+from .core import SamplingMask
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -60,24 +65,24 @@ def _check_grid(height: int, width: int, accel: float) -> None:
         raise ValueError(f"need a grid >= 1x1 and finite R >= 1, got {height}x{width}, R={accel}")
 
 
-def _rectilinear_plan(height: int, width: int, accel: float, n_acs: int) -> tuple[set, list, int]:
+def _rectilinear_plan(height: int, width: int, accel: float, acs: int) -> tuple[set, list, int]:
     """Check the arguments; return the centered ACS columns, the other
     columns in order, and how many of those to add for ceil(width / accel)
-    columns in all."""
+    columns in all. Raises ValueError when the ACS columns alone exceed that
+    count, as the mask could not reach its R."""
     _check_grid(height, width, accel)
-    if n_acs > width:
-        raise ValueError(f"ACS lines ({n_acs}) exceed width ({width})")
-    lo = (width - n_acs) // 2
-    outside = [c for c in range(width) if not lo <= c < lo + n_acs]
-    return set(range(lo, lo + n_acs)), outside, max(math.ceil(width / accel) - n_acs, 0)
+    total = math.ceil(width / accel)
+    if acs > total:
+        raise ValueError(f"{acs} ACS lines exceed the {total} columns of R={accel} on width {width}")
+    lo = (width - acs) // 2
+    outside = [c for c in range(width) if not lo <= c < lo + acs]
+    return set(range(lo, lo + acs)), outside, total - acs
 
 
-def _columns_to_mask(height, width, cols, scheme, accel, n_acs) -> SamplingMask:
+def _columns_to_mask(height, width, cols, scheme, accel, acs) -> SamplingMask:
     pattern = np.zeros((height, width), dtype=np.uint8)
     pattern[:, sorted(cols)] = 1
-    return SamplingMask(
-        pattern=pattern, scheme=scheme, nominal_acceleration=float(accel), acs_lines=n_acs
-    )
+    return SamplingMask(pattern, scheme, float(accel), acs_lines=acs)
 
 
 def _fully_sampled(height, width, scheme, acs_radius=0) -> SamplingMask:
@@ -92,52 +97,49 @@ def full_mask(height: int, width: int) -> SamplingMask:
     return _fully_sampled(height, width, "full")
 
 
-def equispaced_mask(height: int, width: int, accel: float, n_acs: int, seed: int) -> SamplingMask:
-    """Rectilinear equispaced columns; n_acs centered columns always sampled.
+def equispaced_mask(height: int, width: int, accel: float, acs: int, seed: int) -> SamplingMask:
+    """Rectilinear equispaced columns; ``acs`` centered columns always sampled.
 
-    Target total sampled columns is ceil(width / accel), ACS included
-    (floored at n_acs); the seed chooses the stride offset of the
-    non-ACS columns.
+    It samples ceil(width / accel) columns, ACS included; the seed chooses
+    the stride offset of the non-ACS columns.
     """
-    cols, outside, extra = _rectilinear_plan(height, width, accel, n_acs)
+    cols, outside, extra = _rectilinear_plan(height, width, accel, acs)
     if extra > 0:
         stride = len(outside) / extra
         rng = Lcg(seed)
         offset = rng.uniform() * stride
         for i in range(extra):
             cols.add(outside[int(offset + i * stride) % len(outside)])
-    return _columns_to_mask(height, width, cols, "equispaced", accel, n_acs)
+    return _columns_to_mask(height, width, cols, "equispaced", accel, acs)
 
 
 def random_rectilinear_mask(
-    height: int, width: int, accel: float, n_acs: int, seed: int
+    height: int, width: int, accel: float, acs: int, seed: int
 ) -> SamplingMask:
     """Like :func:`equispaced_mask` but non-ACS columns drawn uniformly
     without replacement to the same total count."""
-    cols, outside, extra = _rectilinear_plan(height, width, accel, n_acs)
+    cols, outside, extra = _rectilinear_plan(height, width, accel, acs)
     Lcg(seed).shuffle(outside)
     cols.update(outside[:extra])
-    return _columns_to_mask(height, width, cols, "random-rectilinear", accel, n_acs)
+    return _columns_to_mask(height, width, cols, "random-rectilinear", accel, acs)
 
 
-def gaussian2d_mask(
-    height: int, width: int, accel: float, acs_radius: int, seed: int
-) -> SamplingMask:
+def gaussian2d_mask(height: int, width: int, accel: float, acs: int, seed: int) -> SamplingMask:
     """2D points from a centered bivariate Gaussian (sigma = dim/6 per axis),
     without replacement, up to a budget of ceil(h*w / accel) points.
 
-    A centered disc of ``acs_radius`` is fully sampled and counts toward
+    A centered disc of radius ``acs`` is fully sampled and counts toward
     the budget. Raises ValueError if GAUSS_DRAWS_PER_POINT
     draws per budgeted point leave the budget unfilled (R just above 1).
     """
     _check_grid(height, width, accel)
     if accel == 1:
-        return _fully_sampled(height, width, "gaussian2d", acs_radius=acs_radius)
+        return _fully_sampled(height, width, "gaussian2d", acs_radius=acs)
     budget = math.ceil(height * width / accel)
     cy, cx = height // 2, width // 2
     pattern = np.zeros((height, width), dtype=np.uint8)
     yy, xx = np.mgrid[0:height, 0:width]
-    disc = (yy - cy) ** 2 + (xx - cx) ** 2 <= acs_radius**2
+    disc = (yy - cy) ** 2 + (xx - cx) ** 2 <= acs**2
     disc_size = int(disc.sum())
     if budget < disc_size:
         raise ValueError(
@@ -161,15 +163,10 @@ def gaussian2d_mask(
             f"gaussian2d: {GAUSS_DRAWS_PER_POINT * budget} draws filled {budget - remaining} of "
             f"{budget} points at R={accel} on a {height}x{width} grid; use a larger R"
         )
-    return SamplingMask(
-        pattern=pattern,
-        scheme="gaussian2d",
-        nominal_acceleration=float(accel),
-        acs_radius=acs_radius,
-    )
+    return SamplingMask(pattern, "gaussian2d", float(accel), acs_radius=acs)
 
 
-def pseudo_radial_mask(height: int, width: int, accel: float, seed: int) -> SamplingMask:
+def pseudo_radial_mask(height: int, width: int, accel: float, acs: int, seed: int) -> SamplingMask:
     """Union of golden-angle digital spokes through the grid center.
 
     Spoke i lies at angle offset + i * GOLDEN_ANGLE, with the offset drawn
@@ -179,6 +176,8 @@ def pseudo_radial_mask(height: int, width: int, accel: float, seed: int) -> Samp
     achieved acceleration falls below accel / 1.5, or at 2 * max(h, w)
     spokes.
     """
+    if acs:
+        raise ValueError(f"pseudo-radial masks have no ACS region; acs must be 0, got {acs}")
     _check_grid(height, width, accel)
     if accel == 1:
         return _fully_sampled(height, width, "pseudo-radial")
@@ -226,13 +225,15 @@ def _rasterize_spiral(
 _SPIRAL_PITCHES = (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 
 
-def pseudo_spiral_mask(height: int, width: int, accel: float, seed: int) -> SamplingMask:
+def pseudo_spiral_mask(height: int, width: int, accel: float, acs: int, seed: int) -> SamplingMask:
     """Union of Archimedean spiral arms (r = a*theta) from center to edge.
 
     Arm count and pitch are chosen by a seed-independent search targeting
     the nominal acceleration; the seed only rotates the arm phase, so the
     sampled-point count is stable across seeds.
     """
+    if acs:
+        raise ValueError(f"pseudo-spiral masks have no ACS region; acs must be 0, got {acs}")
     _check_grid(height, width, accel)
     if accel == 1:
         return _fully_sampled(height, width, "pseudo-spiral")
@@ -264,20 +265,13 @@ GENERATORS = {
 
 
 def make_mask(
-    scheme: str, height: int, width: int, accel: float, seed: int,
-    acs_lines: int = 0, acs_radius: int = 0,
+    scheme: str, height: int, width: int, accel: float, seed: int, acs: int = 0
 ) -> SamplingMask:
-    """Mask of the named scheme in :data:`GENERATORS`. Rectilinear schemes
-    use ``acs_lines`` and gaussian2d uses ``acs_radius``; the radial and
-    spiral schemes take neither."""
+    """Mask of the named scheme in :data:`GENERATORS`, with ``acs`` as the
+    generator's ACS size (module docstring)."""
     if scheme not in GENERATORS:
         raise ValueError(f"unknown mask scheme {scheme!r}; expected one of {sorted(GENERATORS)}")
-    gen = GENERATORS[scheme]
-    if scheme in RECTILINEAR_SCHEMES:
-        return gen(height, width, accel, acs_lines, seed)
-    if scheme == "gaussian2d":
-        return gen(height, width, accel, acs_radius, seed)
-    return gen(height, width, accel, seed)
+    return GENERATORS[scheme](height, width, accel, acs, seed)
 
 
 def achieved_acceleration(mask: SamplingMask) -> float:

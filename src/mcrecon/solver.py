@@ -27,10 +27,12 @@ DENOISER_KINDS = ("identity", "l1-soft-threshold", "tikhonov-smooth", "tv-chambo
 # rectilinear mask takes RowGramSteps when its Gram iterations,
 # frames * T * (K - 1) with K of chebyshev_values, reach GRAM_MIN_ITERS, the
 # fewest that pay back building N, on a grid of at most GRAM_MAX_SIDE rows and
-# columns, the widest whose N fits the memory bound; larger grids were not
-# measured. One frame breaks even at 4 (64^2) to 28 (256^2) Gram iterations
-# (the row Gram break-even table in CHANGES.md); the perfbench count test's
-# G = 2 * (3 - 1) = 4 stays below, on the column path.
+# columns. In the row Gram break-even table in CHANGES.md one frame breaks
+# even at 4 (64^2) to 28 (256^2) Gram iterations, well below GRAM_MIN_ITERS;
+# 384^2 and 512^2 break even at 58 and 72, near or past it, while N's build
+# peak grows from 46 MiB (256^2) to 150 and 353 MiB, so GRAM_MAX_SIDE stays
+# 256. The perfbench count test's G = 2 * (3 - 1) = 4 stays below, on the
+# column path.
 GRAM_MIN_ITERS = 64
 GRAM_MAX_SIDE = 256
 # Bytes of H_b that one block of rows may hold in RowGramSteps, so that the

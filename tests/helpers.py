@@ -1,10 +1,12 @@
 """Test helpers shared by several test modules: a direct DFT oracle, random
 complex images, random sensitivity maps and one mask per scheme."""
 
+import math
+
 import numpy as np
 
 from mcrecon import sampling
-from mcrecon.core import SensitivityMaps
+from mcrecon.core import RECTILINEAR_SCHEMES, SensitivityMaps
 
 
 def dft2c_oracle(x, inverse=False):
@@ -48,12 +50,21 @@ def random_sens(rng, n_coils, h, w, boxed=False):
     return SensitivityMaps(maps=np.divide(maps, norm, out=np.zeros_like(maps), where=norm > 0))
 
 
-def make_mask(scheme, h, w, accel, seed):
-    """The full mask, or the library's mask of ``scheme`` with min(4, w) ACS
-    lines (rectilinear schemes) or an ACS disc of radius 1 (gaussian2d)."""
+def scheme_acs(scheme, lines, radius):
+    """make_mask's ``acs`` for ``scheme``: ``lines`` ACS columns for a
+    rectilinear scheme, an ACS disc of ``radius`` for gaussian2d, and 0 for
+    the schemes with no ACS region."""
+    return lines if scheme in RECTILINEAR_SCHEMES else radius if scheme == "gaussian2d" else 0
+
+
+def make_mask(scheme, h, w, accel, seed, lines=4, radius=1):
+    """The full mask, or the library's mask of ``scheme`` with an ACS block of
+    min(lines, ceil(w / accel)) columns, as many as the mask samples at most
+    (rectilinear schemes), or an ACS disc of ``radius`` (gaussian2d)."""
     if scheme == "full":
         return sampling.full_mask(h, w)
-    return sampling.make_mask(scheme, h, w, accel, seed, acs_lines=min(4, w), acs_radius=1)
+    acs = scheme_acs(scheme, min(lines, math.ceil(w / accel)), radius)
+    return sampling.make_mask(scheme, h, w, accel, seed, acs)
 
 
 ALL_SCHEMES = tuple(sampling.GENERATORS)

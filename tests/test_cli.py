@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import scheme_acs
 from mcrecon import cli
 from mcrecon.core import ComplexImage, KSpaceData
 from mcrecon.data import dynamic_phantom, read_cks, simulate_coils, write_cks
@@ -300,7 +301,7 @@ class TestMaskCommand:
         a, b = tmp_path / "a.cks", tmp_path / "b.cks"
         for out in (a, b):
             run(["mask", "--scheme", "gaussian2d", "--size", "32x32", "--accel", "4",
-                 "--acs-radius", "3", "--seed", "11", "--out", out])
+                 "--acs", "3", "--seed", "11", "--out", out])
         assert a.read_bytes() == b.read_bytes()
 
     def test_unreachable_gaussian_budget_is_usage_error(self, tmp_path, capsys):
@@ -317,8 +318,16 @@ class TestMaskCommand:
           "acs_lines must be in"),
          (["--scheme", "equispaced", "--size", "16x16", "--accel", "0.5"], "finite R >= 1"),
          (["--scheme", "pseudo-radial", "--size", "0x0", "--accel", "4"], "grid >= 1x1"),
-         (["--scheme", "gaussian2d", "--size", "16x16", "--accel", "8", "--acs-radius", "6"],
-          "smaller than ACS disc")],
+         (["--scheme", "gaussian2d", "--size", "16x16", "--accel", "8", "--acs", "6"],
+          "smaller than ACS disc"),
+         (["--scheme", "equispaced", "--size", "64x64", "--accel", "8", "--acs", "24"],
+          "24 ACS lines exceed the 8 columns of R=8.0 on width 64"),
+         (["--scheme", "random-rectilinear", "--size", "64x64", "--accel", "10", "--acs", "24"],
+          "24 ACS lines exceed the 7 columns of R=10.0 on width 64"),
+         (["--scheme", "pseudo-spiral", "--size", "16x16", "--accel", "4", "--acs", "8"],
+          "pseudo-spiral masks have no ACS region; acs must be 0, got 8"),
+         (["--scheme", "pseudo-radial", "--size", "16x16", "--accel", "4", "--acs", "3"],
+          "pseudo-radial masks have no ACS region; acs must be 0, got 3")],
     )
     def test_bad_mask_arguments_are_usage_errors(self, tmp_path, capsys, flags, message):
         out = tmp_path / "m.cks"
@@ -326,19 +335,30 @@ class TestMaskCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_acs_radius_is_not_an_option(self, tmp_path, capsys):
+        """One --acs sizes every scheme's ACS region: --acs-radius 3 exits 2
+        and writes nothing."""
+        with pytest.raises(SystemExit) as exc:
+            run(["mask", "--scheme", "gaussian2d", "--size", "16x16", "--accel", "4",
+                 "--acs-radius", "3", "--seed", "0", "--out", tmp_path / "m.cks"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --acs-radius 3" in capsys.readouterr().err
+        assert not list(tmp_path.glob("m.*"))
+
     def test_scheme_choices_are_the_registry(self):
         parser = cli.build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         scheme = next(a for a in sub.choices["mask"]._actions if a.dest == "scheme")
         assert list(scheme.choices) == sorted(GENERATORS)
 
-    @pytest.mark.parametrize("scheme, size", [("equispaced", 16), ("gaussian2d", 12)])
-    def test_unset_acs_flags_take_make_masks_defaults(self, tmp_path, scheme, size):
-        """Without --acs or --acs-radius, a mask is make_mask's with its own
-        ACS defaults, so grids narrower than the paper's 24 ACS lines work."""
+    @pytest.mark.parametrize("scheme, size", [("equispaced", 16), ("gaussian2d", 12),
+                                              ("pseudo-spiral", 12)])
+    def test_unset_acs_flag_takes_make_masks_default(self, tmp_path, scheme, size):
+        """Without --acs, a mask is make_mask's with its default acs of 0 for
+        every scheme, so grids narrower than the paper's 24 ACS lines work."""
         args = cli.build_parser().parse_args(["mask", "--scheme", scheme, "--size", "8x8",
                                               "--accel", "2", "--seed", "0", "--out", "m.cks"])
-        assert "acs_lines" not in args and "acs_radius" not in args
+        assert args.acs == 0
         out, want = tmp_path / "m.cks", tmp_path / "want.cks"
         assert run(["mask", "--scheme", scheme, "--size", f"{size}x{size}", "--accel", "2",
                     "--seed", "0", "--out", out]) == 0
@@ -486,7 +506,7 @@ class TestReconstructCommand:
                     "--estimate-sens", "--T", "2", "--inner", "3",
                     "--out-prefix", tmp_path / "est"]) == 0
         ksp = read_cks(sim_files["masked"])
-        mask = make_mask("equispaced", 64, 64, 1, 0, acs_lines=8)
+        mask = make_mask("equispaced", 64, 64, 1, 0, acs=8)
         cfg = AdmmConfig(T=2, inner_iters=3, denoiser=DenoiserSpec("tikhonov-smooth", 1e-2))
         want = admm_reconstruct(ksp, mask, estimate_from_acs(ksp, mask), cfg).data
         got = read_cks(tmp_path / "est.cks").data
@@ -729,7 +749,7 @@ class TestReconstructCommand:
                             or picks[-1][1])
         mask_path, prefix = tmp_path / "m.cks", tmp_path / "sim"
         assert run(["mask", "--scheme", "gaussian2d", "--size", "48x48", "--accel", "4",
-                    "--acs-radius", "3", "--seed", "3", "--out", mask_path]) == 0
+                    "--acs", "3", "--seed", "3", "--out", mask_path]) == 0
         assert run(["simulate", "--size", 48, "--coils", 4, "--seed", 5,
                     "--mask", mask_path, "--out-prefix", prefix]) == 0
         copies = [tmp_path / "a.cks", tmp_path / "b.cks"]
@@ -1002,7 +1022,7 @@ class TestLibraryMatchesCli:
         frames = 7 if mode == "dynamic" else 1  # evaluate's ssim3d needs 7 frames
         mask_path, prefix = tmp / "m.cks", tmp / "sim"
         assert run(["mask", "--scheme", scheme, "--size", f"{height}x{width}", "--accel", "3",
-                    "--acs", "6", "--acs-radius", "2", "--seed", seed, "--out", mask_path]) == 0
+                    "--acs", scheme_acs(scheme, 6, 2), "--seed", seed, "--out", mask_path]) == 0
         phantom = dynamic_phantom(max(height, width), frames).data[:, :height, :width]
         sens, full = simulate_coils(ComplexImage(phantom), 4, seed)
         if height == width:
@@ -1074,14 +1094,12 @@ class TestLibraryMatchesCli:
         raises, reconstruct exits 1. evaluate of a grid under the 7-point
         SSIM window exits 1 and names both files."""
         tmp = tmp_path_factory.mktemp("small")
-        acs_kw = {} if acs is None else {"acs_lines": min(acs, width), "acs_radius": acs % 3}
-        acs_flags = [] if acs is None else ["--acs", acs_kw["acs_lines"],
-                                            "--acs-radius", acs_kw["acs_radius"]]
+        acs_flags = [] if acs is None else ["--acs", scheme_acs(scheme, min(acs, width), acs % 3)]
         mask_path = tmp / "m.cks"
         rc = run(["mask", "--scheme", scheme, "--size", f"{height}x{width}", "--accel", "2",
                   *acs_flags, "--seed", seed, "--out", mask_path])
         try:
-            want_mask = make_mask(scheme, height, width, 2, seed, **acs_kw)
+            want_mask = make_mask(scheme, height, width, 2, seed, *acs_flags[1:])
         except ValueError:
             assert rc == 2
             return

@@ -12,7 +12,6 @@ from mcrecon.core import (
     SensitivityMaps,
     rss,
 )
-from mcrecon.sampling import make_mask
 
 
 def rand_coils(rng, n_coils, h, w):
@@ -145,9 +144,8 @@ class TestSamplingMask:
         with pytest.raises(ValueError, match="nominal acceleration 1 must sample every"):
             SamplingMask(p, "pseudo-radial", 1.0)
         assert SamplingMask(np.ones((4, 4)), "pseudo-radial", 1.0).n_sampled == 16
-        # a nominal R above 1 is not tied to the achieved one: R4 with 24 ACS
-        # lines on 64 columns samples 24 columns, R = 2.67
-        assert make_mask("equispaced", 8, 64, 4, 1, acs_lines=24).n_sampled == 8 * 24
+        # a nominal R above 1 is not tied to the achieved one: R 8 on 4 of 16
+        assert SamplingMask(p, "pseudo-radial", 8.0).n_sampled == 4
 
     @pytest.mark.parametrize(
         "fields", [{"acs_lines": -1}, {"acs_radius": -1}, {"acs_lines": 5}, {"acs_radius": 5}]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import scheme_acs
 from mcrecon.core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps
 from mcrecon.data import (
     SHEPP_LOGAN_ELLIPSES,
@@ -174,7 +175,7 @@ class TestCksFormat:
         assert np.array_equal(back_mask.pattern, mask.pattern)
         assert back_mask.acs_lines == 4
         masks = [full_mask(24, 32)] + [
-            make_mask(scheme, 24, 32, accel, 3, acs_lines=6, acs_radius=2)
+            make_mask(scheme, 24, 32, accel, 3, scheme_acs(scheme, 6, 2))
             for scheme in GENERATORS
             for accel in (4, 1)
         ]
@@ -409,8 +410,8 @@ class TestCksFuzz:
         objs = [
             KSpaceData(np.ones((2, 2, 4, 4), dtype=complex)),
             ComplexImage(np.ones((2, 4, 4))),
-            make_mask("equispaced", 4, 6, 2, 0, acs_lines=2),
-            make_mask("gaussian2d", 5, 5, 2, 0, acs_radius=1),
+            make_mask("equispaced", 4, 6, 2, 0, 2),
+            make_mask("gaussian2d", 5, 5, 2, 0, 1),
             SensitivityMaps(maps=np.full((2, 4, 4), 1 / np.sqrt(2), dtype=complex)),
         ]
         p = tmp_path / "f.cks"

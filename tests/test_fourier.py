@@ -188,10 +188,7 @@ class TestOperatorProperties:
         self, scheme, accel, height, width, n_frames, n_coils, seed
     ):
         rng = np.random.default_rng(seed)
-        if scheme == "full":
-            mask = full_mask(height, width)
-        else:
-            mask = sampling.make_mask(scheme, height, width, accel, seed, acs_lines=2)
+        mask = make_mask(scheme, height, width, accel, seed, lines=2, radius=0)
         sens = random_sens(rng, n_coils, height, width)
         op = ForwardOperator(mask=mask, sens=sens)
         x = rand_image(rng, n_frames, height, width)
@@ -226,10 +223,7 @@ class TestOperatorProperties:
         own: the caller's x and y keep every byte, on the 2D FFT path and on
         the column path of a rectilinear mask."""
         rng = np.random.default_rng(seed)
-        if scheme == "full":
-            mask = full_mask(height, width)
-        else:
-            mask = sampling.make_mask(scheme, height, width, 2, seed, acs_lines=2)
+        mask = make_mask(scheme, height, width, 2, seed, lines=2, radius=0)
         sens = random_sens(rng, n_coils, height, width)
         op = ForwardOperator(mask=mask, sens=sens, dtype=dtype)
         y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
@@ -285,7 +279,7 @@ class TestDataConsistencyOperator:
         self, scheme, accel, height, width, n_frames, n_coils, dtype, boxed, seed
     ):
         rng = np.random.default_rng(seed)
-        mask = sampling.make_mask(scheme, height, width, accel, seed, acs_lines=2)
+        mask = make_mask(scheme, height, width, accel, seed, lines=2, radius=0)
         sens = random_sens(rng, n_coils, height, width, boxed)
         op = ForwardOperator(mask=mask, sens=sens, dtype=dtype)
         x, w, m = (rand_image(rng, n_frames, height, width).astype(dtype) for _ in range(3))
@@ -373,7 +367,7 @@ class TestDataConsistencyOperator:
         place in the N of its own ``row_gram(rows, cols)`` call, a new array
         for each block, and leaves the whole box's N as it was."""
         rng = np.random.default_rng(seed)
-        mask = sampling.make_mask(scheme, height, width, accel, seed, acs_lines=2)
+        mask = make_mask(scheme, height, width, accel, seed, lines=2, radius=0)
         sens = random_sens(rng, n_coils, height, width, boxed)
         op = ForwardOperator(mask=mask, sens=sens, dtype=dtype)
         x = rand_image(rng, n_frames, height, width).astype(dtype)

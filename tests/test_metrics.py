@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcrecon.metrics import (
@@ -59,20 +59,19 @@ def ssim3d_oracle(u, v, data_range, win=7):
     return float(np.mean(vals))
 
 
+def log_oracle(u):
+    """The LoG of ``u`` as a dense 15x15 correlation over its symmetric padding."""
+    k = log_kernel()[::-1, ::-1]
+    up = np.pad(u, 7, mode="symmetric")
+    out = np.zeros_like(u)
+    for r in range(u.shape[0]):
+        for c in range(u.shape[1]):
+            out[r, c] = np.sum(up[r : r + 15, c : c + 15] * k)
+    return out
+
+
 def hfen1_oracle(u, v):
-    k = log_kernel()
-    pad = 7
-    up = np.pad(u, pad, mode="symmetric")
-    vp = np.pad(v, pad, mode="symmetric")
-
-    def conv(img):
-        out = np.zeros_like(u)
-        for r in range(u.shape[0]):
-            for c in range(u.shape[1]):
-                out[r, c] = np.sum(img[r : r + 15, c : c + 15] * k[::-1, ::-1])
-        return out
-
-    gu, gv = conv(up), conv(vp)
+    gu, gv = log_oracle(u), log_oracle(v)
     return np.abs(gu - gv).sum() / np.abs(gu).sum()
 
 
@@ -205,6 +204,7 @@ class TestAgainstLoopOracles:
             assert abs(hfen1(u, v) - hfen1_oracle(u, v)) <= 1e-12
 
     @given(pair=image_pairs(2, st.integers(1, 13)))
+    @example(pair=(np.array([[0.78525311, 0.78585936]]), np.array([[0.96913602, 0.74805977]])))
     @settings(max_examples=60, deadline=None)
     def test_hfen1_on_grids_smaller_than_the_kernel(self, pair):
         """Sides 1 to 13: the 7-wide reflect padding is wider than the image
@@ -213,8 +213,20 @@ class TestAgainstLoopOracles:
         if np.ptp(u) == 0:
             with pytest.raises(UndefinedMetricError):
                 hfen1(u, v)
-        else:
-            assert abs(hfen1(u, v) - hfen1_oracle(u, v)) <= 1e-12
+            return
+        gu, gv = log_oracle(u), log_oracle(v)
+        num, den = np.abs(gu - gv).sum(), np.abs(gu).sum()
+        # Each filtered pixel carries round-off of a few eps times |k|_1 times
+        # the image values it sums, on both sides, so HFEN1 = num / den moves
+        # by up to that over num plus that over den, relative to its value. A
+        # nearly flat u on a tiny grid leaves den small next to those values:
+        # the example's u gives HFEN1 366, where the filter and this oracle
+        # differ by 4e-9 (1.1e-11 relative), so no absolute bound holds. Over
+        # 15,000 random pairs of sides 1-13 the difference reached 0.58 of
+        # this bound before its factor of 4.
+        rel = 4 * np.finfo(float).eps * np.abs(log_kernel()).sum() * (
+            np.abs(u).sum() + np.abs(v).sum()) * (1 / num + 1 / den)
+        assert abs(hfen1(u, v) - num / den) <= rel * num / den
 
     def test_log_factors_rebuild_the_kernel(self):
         c, g, q, mean = _log_factors()

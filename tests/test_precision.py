@@ -18,7 +18,6 @@ from mcrecon.core import ComplexImage, KSpaceData, SensitivityMaps
 from mcrecon.data import dynamic_phantom, read_cks, shepp_logan, simulate_coils, write_cks
 from mcrecon.fourier import ForwardOperator
 from mcrecon.metrics import hfen1, nmae, nmse, psnr, ssim, ssim3d
-from mcrecon.sampling import make_mask
 from mcrecon.solver import (
     DENOISER_KINDS,
     GRAM_MIN_ITERS,
@@ -34,7 +33,7 @@ from mcrecon.solver import (
     zero_filled_init,
 )
 
-from helpers import random_sens
+from helpers import make_mask, random_sens
 
 DTYPES = (np.complex64, np.complex128)
 QUALITY_BOUNDS = {
@@ -55,7 +54,7 @@ def _spec(kind):
 
 
 def _problem(rng, dtype, scheme="equispaced", frames=2):
-    mask = make_mask(scheme, 16, 16, 2, 0, acs_lines=4, acs_radius=2)
+    mask = make_mask(scheme, 16, 16, 2, 0, lines=4, radius=2)
     sens = random_sens(rng, 3, 16, 16)
     x = (rng.standard_normal((frames, 16, 16)) + 1j * rng.standard_normal((frames, 16, 16)))
     y = (rng.standard_normal((3, frames, 16, 16)) + 1j * rng.standard_normal((3, frames, 16, 16)))
@@ -210,7 +209,7 @@ def _quality(mag, truth):
 
 def _check_complex64_solve(phantom, scheme, kind):
     truth, maps64, full64 = phantom
-    mask = make_mask(scheme, 64, 64, 4, 1, acs_lines=12, acs_radius=4)
+    mask = make_mask(scheme, 64, 64, 4, 1, lines=12, radius=4)
     y64 = KSpaceData(mask.pattern * full64)
     y128 = KSpaceData(y64.data.astype(np.complex128))
     maps128 = SensitivityMaps(maps64.maps.astype(np.complex128))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import scheme_acs
 from mcrecon.core import MASK_SCHEMES, RECTILINEAR_SCHEMES, SamplingMask
 from mcrecon.sampling import (
     GENERATORS,
@@ -62,10 +63,11 @@ class TestRandomRectilinear:
         b = random_rectilinear_mask(32, 128, 4, 16, 5)
         assert np.array_equal(a.pattern, b.pattern)
 
-    def test_acs_floor_dominates(self):
-        # ceil(128/8) = 16 < 24 ACS lines: mask is ACS only
-        m = random_rectilinear_mask(32, 128, 8, 24, 5)
-        assert sampled_columns(m) == 24
+    def test_acs_wider_than_the_column_budget_rejected(self):
+        # ceil(128/8) = 16 columns: 16 ACS lines fill them, 24 would give R 5.33
+        assert sampled_columns(random_rectilinear_mask(32, 128, 8, 16, 5)) == 16
+        with pytest.raises(ValueError, match="24 ACS lines exceed the 16 columns of R=8"):
+            random_rectilinear_mask(32, 128, 8, 24, 5)
 
     def test_total_column_count(self):
         m = random_rectilinear_mask(32, 256, 4, 24, 5)
@@ -116,35 +118,35 @@ class TestGaussian2d:
 class TestPseudoRadial:
     def test_center_always_sampled(self):
         for seed in range(5):
-            m = pseudo_radial_mask(32, 32, 8, seed)
+            m = pseudo_radial_mask(32, 32, 8, 0, seed)
             assert m.pattern[16, 16] == 1
 
     @pytest.mark.parametrize("accel", [2, 4, 8, 10])
     def test_achieved_within_30_percent(self, accel):
-        m = pseudo_radial_mask(64, 64, accel, 1)
+        m = pseudo_radial_mask(64, 64, accel, 0, 1)
         assert 0.7 * accel <= achieved_acceleration(m) <= 1.3 * accel
 
     def test_deterministic(self):
-        a = pseudo_radial_mask(64, 64, 8, 13)
-        b = pseudo_radial_mask(64, 64, 8, 13)
+        a = pseudo_radial_mask(64, 64, 8, 0, 13)
+        b = pseudo_radial_mask(64, 64, 8, 0, 13)
         assert np.array_equal(a.pattern, b.pattern)
 
 
 class TestPseudoSpiral:
     def test_center_sampled(self):
-        m = pseudo_spiral_mask(32, 32, 4, 3)
+        m = pseudo_spiral_mask(32, 32, 4, 0, 3)
         assert m.pattern[16, 16] == 1
 
     @pytest.mark.parametrize("accel", [2, 4, 8, 10])
     def test_achieved_within_30_percent(self, accel):
-        m = pseudo_spiral_mask(64, 64, accel, 1)
+        m = pseudo_spiral_mask(64, 64, accel, 0, 1)
         assert 0.7 * accel <= achieved_acceleration(m) <= 1.3 * accel
 
     def test_seed_rotates_but_count_stable(self):
-        base = pseudo_spiral_mask(64, 64, 4, 0)
+        base = pseudo_spiral_mask(64, 64, 4, 0, 0)
         changed = False
         for seed in (1, 2, 3):
-            m = pseudo_spiral_mask(64, 64, 4, seed)
+            m = pseudo_spiral_mask(64, 64, 4, 0, seed)
             changed = changed or not np.array_equal(m.pattern, base.pattern)
             assert abs(m.n_sampled - base.n_sampled) <= 0.02 * base.n_sampled
         assert changed
@@ -170,14 +172,14 @@ class TestAchievedAcceleration:
         assert achieved_acceleration(m) == pytest.approx(4.0)
 
 
-# Each scheme's generator called directly, on a non-square grid with ACS
-# values that make_mask passes as acs_lines=6, acs_radius=2.
+# Each scheme's generator called directly, on a non-square grid, with the
+# acs of make_mask's call in test_equals_direct_generator_call.
 DIRECT_CALLS = {
     "equispaced": lambda accel: equispaced_mask(24, 40, accel, 6, 9),
     "random-rectilinear": lambda accel: random_rectilinear_mask(24, 40, accel, 6, 9),
     "gaussian2d": lambda accel: gaussian2d_mask(24, 40, accel, 2, 9),
-    "pseudo-radial": lambda accel: pseudo_radial_mask(24, 40, accel, 9),
-    "pseudo-spiral": lambda accel: pseudo_spiral_mask(24, 40, accel, 9),
+    "pseudo-radial": lambda accel: pseudo_radial_mask(24, 40, accel, 0, 9),
+    "pseudo-spiral": lambda accel: pseudo_spiral_mask(24, 40, accel, 0, 9),
 }
 
 
@@ -188,7 +190,7 @@ class TestMakeMask:
     @pytest.mark.parametrize("accel", [1, 3])
     @pytest.mark.parametrize("scheme", sorted(DIRECT_CALLS))
     def test_equals_direct_generator_call(self, scheme, accel):
-        got = make_mask(scheme, 24, 40, accel, 9, acs_lines=6, acs_radius=2)
+        got = make_mask(scheme, 24, 40, accel, 9, scheme_acs(scheme, 6, 2))
         want = DIRECT_CALLS[scheme](accel)
         assert np.array_equal(got.pattern, want.pattern)
         assert (got.scheme, got.nominal_acceleration, got.acs_lines, got.acs_radius) == (
@@ -202,6 +204,23 @@ class TestMakeMask:
         with pytest.raises(ValueError, match="unknown mask scheme"):
             make_mask("cartesian", 16, 16, 2, 0)
 
+    @pytest.mark.parametrize("acs", [1, 8, -1])
+    @pytest.mark.parametrize("scheme", ["pseudo-radial", "pseudo-spiral"])
+    def test_schemes_without_an_acs_region_reject_a_nonzero_acs(self, scheme, acs):
+        message = f"{scheme} masks have no ACS region; acs must be 0, got {acs}"
+        with pytest.raises(ValueError, match=message):
+            make_mask(scheme, 16, 16, 4, 0, acs)
+        with pytest.raises(ValueError, match=message):
+            GENERATORS[scheme](16, 16, 4, acs, 0)
+
+    @pytest.mark.parametrize("accel, columns", [(8, 8), (10, 7)])
+    @pytest.mark.parametrize("scheme", RECTILINEAR_SCHEMES)
+    def test_acs_block_past_the_asked_r_rejected(self, scheme, accel, columns):
+        """24 ACS lines on 64 columns would give R 2.67 at a nominal R of 8
+        or 10, so the call raises instead."""
+        with pytest.raises(ValueError, match=f"24 ACS lines exceed the {columns} columns"):
+            make_mask(scheme, 64, 64, accel, 0, 24)
+
     @settings(max_examples=60, deadline=None)
     @given(
         scheme=st.sampled_from(RECTILINEAR_SCHEMES),
@@ -214,7 +233,7 @@ class TestMakeMask:
         """At R=1 a rectilinear generator's general path adds every column
         outside the ACS band, for any ACS width from 0 to the grid width."""
         n_acs = round(acs_share * width)
-        got = make_mask(scheme, height, width, 1, seed, acs_lines=n_acs)
+        got = make_mask(scheme, height, width, 1, seed, n_acs)
         want = SamplingMask(np.ones((height, width)), scheme, 1.0, acs_lines=n_acs)
         assert np.array_equal(got.pattern, want.pattern)
         assert (got.scheme, got.nominal_acceleration, got.acs_lines, got.acs_radius) == (
@@ -230,13 +249,18 @@ class TestMakeMask:
         seed=st.integers(0, 2**32),
     )
     def test_rectilinear_column_count(self, scheme, height, width, acs_share, accel, seed):
-        """Every rectilinear mask samples whole columns, exactly
-        max(ceil(W/R), n_acs) of them, with the n_acs centred ones among them."""
+        """Every rectilinear mask samples whole columns, exactly ceil(W/R) of
+        them, with the n_acs centred ones among them; more ACS lines than
+        ceil(W/R) raise ValueError."""
         n_acs = round(acs_share * width)
-        pattern = make_mask(scheme, height, width, accel, seed, acs_lines=n_acs).pattern
+        if n_acs > math.ceil(width / accel):
+            with pytest.raises(ValueError, match="ACS lines exceed"):
+                make_mask(scheme, height, width, accel, seed, n_acs)
+            return
+        pattern = make_mask(scheme, height, width, accel, seed, n_acs).pattern
         columns = pattern.max(axis=0)
         assert np.array_equal(pattern.min(axis=0), columns)
-        assert int(columns.sum()) == max(math.ceil(width / accel), n_acs)
+        assert int(columns.sum()) == math.ceil(width / accel)
         lo = (width - n_acs) // 2
         assert columns[lo : lo + n_acs].all()
 
@@ -276,5 +300,5 @@ PINNED_PATTERNS = [
 
 @pytest.mark.parametrize("scheme, height, width, accel, digest", PINNED_PATTERNS)
 def test_mask_bits_are_pinned(scheme, height, width, accel, digest):
-    m = make_mask(scheme, height, width, accel, 5, acs_lines=8, acs_radius=3)
+    m = make_mask(scheme, height, width, accel, 5, scheme_acs(scheme, 8, 3))
     assert hashlib.sha256(m.pattern.tobytes()).hexdigest() == digest

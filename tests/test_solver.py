@@ -209,10 +209,7 @@ class TestZeroFilledInit:
         scheme, for maps with full support and maps zero outside a random box
         with holes inside, and for y nonzero off the mask."""
         rng = np.random.default_rng(seed)
-        if scheme == "full":
-            mask = full_mask(height, width)
-        else:
-            mask = sampling.make_mask(scheme, height, width, 2, seed, acs_lines=2)
+        mask = make_mask(scheme, height, width, 2, seed, lines=2, radius=0)
         sens = random_sens(rng, n_coils, height, width, boxed)
         y = rand_image(rng, n_coils, n_frames, height, width).astype(dtype)
         got = zero_filled_init(KSpaceData(y), mask, sens).data
@@ -491,7 +488,7 @@ class TestDataConsistency:
         included: the path rule counts frames * T * (K - 1), so a single
         frame takes the row Gram path too."""
         rng = np.random.default_rng(seed)
-        mask = sampling.make_mask(scheme, height, width, 2, seed, acs_lines=2)
+        mask = make_mask(scheme, height, width, 2, seed, lines=2, radius=0)
         sens = random_sens(rng, n_coils, height, width, boxed)
         x, wv, m = (rand_image(rng, frames, height, width).astype(dtype) for _ in range(3))
         y = (mask.pattern * rand_image(rng, n_coils, frames, height, width)).astype(dtype)
@@ -538,7 +535,7 @@ class TestDataConsistency:
         Budgets of one row per block, of a few rows (unions that grow and
         ragged last blocks) and of the whole box are drawn."""
         rng = np.random.default_rng(seed)
-        mask = sampling.make_mask(scheme, height, width, 2, seed, acs_lines=2)
+        mask = make_mask(scheme, height, width, 2, seed, lines=2, radius=0)
         sens = random_sens(rng, 2, height, width, boxed)
         x, wv, m = (rand_image(rng, frames, height, width).astype(dtype) for _ in range(3))
         y = (mask.pattern * rand_image(rng, 2, frames, height, width)).astype(dtype)
