@@ -23,13 +23,14 @@
 # --inner 5 (r_cropC: the column-DFT path on that box), a 6-frame dynamic TV
 # solve with --estimate-sens on that mask (r_dynC: the row Gram path with its
 # box), --jobs 1 and 2, evaluate,
-# and the exit codes in rcs.txt. Nine are bad arguments and
+# and the exit codes in rcs.txt. Ten are bad arguments and
 # exit 2: an unknown scheme (rc_bogus), an unknown denoiser (rc_den), a
 # gaussian2d budget below its ACS disc (rc_budget), R=0.5 (rc_acc), a 0x0
 # grid (rc_grid), --strength nan (rc_nan), the --acs-radius flag, which is
 # not an option (rc_acs_radius), --acs 8 for pseudo-spiral, which has no ACS
 # region (rc_acs_spiral), and 24 ACS lines on a 64x64 R=8 equispaced mask,
-# more than its 8 columns (rc_acs_r8). Three have their outputs deleted:
+# more than its 8 columns (rc_acs_r8), and --out m.pgm, the path the mask's
+# own PGM preview would overwrite (rc_out_pgm). Three have their outputs deleted:
 # --estimate-sens with an R=4 pseudo-radial mask, which has no ACS region,
 # fails its solve and exits 1 (rc_est_radial); with an R=1 equispaced mask
 # with 8 ACS lines it exits 0 (rc_est_r1); with a 2-line ACS block, whose
@@ -44,6 +45,10 @@
 # its outputs are deleted. The 3-frame 45x45 solve is scored
 # by evaluate (e_odd.csv, rc_eval_odd), with no ssim3d row since it has fewer
 # frames than the SSIM window.
+#
+# Masks are written as CKS version 3 files, whose metadata holds one ACS
+# size; the .cks hashes of a checkout that writes version 2 masks differ from
+# them, but the masks' .pgm previews and everything made from the masks do not.
 #
 # solver.chebyshev_values sets the inner Chebyshev cap K and
 # solver.GradientSteps.stop the per-step stop. r_gstop (a gaussian2d
@@ -151,9 +156,10 @@ $M mask --scheme equispaced --size 16x16 --accel 2 --seed 0 --out x_small.cks >/
 $M mask --scheme gaussian2d --size 16x16 --accel 4 --acs-radius 3 --seed 0 --out x_acs.cks >/dev/null 2>&1; echo "rc_acs_radius=$?" >> rcs.txt
 $M mask --scheme pseudo-spiral --size 16x16 --accel 4 --acs 8 --seed 0 --out x_acs.cks >/dev/null 2>&1; echo "rc_acs_spiral=$?" >> rcs.txt
 $M mask --scheme equispaced --size 64x64 --accel 8 --acs 24 --seed 0 --out x_acs.cks >/dev/null 2>&1; echo "rc_acs_r8=$?" >> rcs.txt
+$M mask --scheme equispaced --size 16x16 --accel 2 --seed 0 --out x_out.pgm >/dev/null 2>&1; echo "rc_out_pgm=$?" >> rcs.txt
 printf 'estimate-sens=true\n' > x_flag.conf
 $M reconstruct --config x_flag.conf --kspace s_kspace_masked.cks --mask m_equispaced.cks --T 2 --out-prefix x_flag >/dev/null 2>&1; echo "rc_conf_flag=$?" >> rcs.txt
-rm -f x_rad* x_r1* x_nan* x_acs* x_both* x_small* x_flag*
+rm -f x_rad* x_r1* x_nan* x_acs* x_both* x_small* x_flag* x_out*
 set -e
 find . -type f ! -name hashes.txt | sort | xargs sha256sum > hashes.txt
 wc -l hashes.txt

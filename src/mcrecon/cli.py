@@ -127,10 +127,12 @@ def _shaped_like(ref):
 
 
 def cmd_mask(args) -> int:
+    out = Path(args.out)
+    if out.suffix == ".pgm":
+        raise CliError(f"--out {out} is the path of the mask's PGM preview; use another suffix")
     h, w = _parse_size(args.size)
     with _blame(error=CliError):
         mask = make_mask(args.scheme, h, w, args.accel, args.seed, args.acs)
-    out = Path(args.out)
     dio.write_cks(out, mask)
     dio.write_pgm(out.with_suffix(".pgm"), mask.pattern)
     print(f"achieved acceleration: {achieved_acceleration(mask):.4f}")
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True, choices=sorted(GENERATORS))
     p.add_argument("--size", required=True, help="grid size as HxW")
     p.add_argument("--accel", type=float, required=True)
-    p.add_argument("--acs", type=int, default=0, help="ACS lines (equispaced, "
+    p.add_argument("--acs", type=int, default=0, help="ACS columns (equispaced, "
                    "random-rectilinear) or ACS disc radius (gaussian2d); 0 for none")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)

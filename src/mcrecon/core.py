@@ -10,9 +10,11 @@ dtype it is given, so CKS inputs solve in complex64 and in-memory complex128
 data in complex128; there is no precision flag.
 
 Grids are compared only in :func:`check_maps` and :func:`check_inputs`,
-which the operator, the solver, ACS calibration and the CLI call.
+which the operator, the solver, ACS calibration and the CLI call; ACS
+sizes are checked only in :class:`SamplingMask`, counts in :func:`check_count`.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +23,18 @@ RECTILINEAR_SCHEMES = ("equispaced", "random-rectilinear")
 MASK_SCHEMES = RECTILINEAR_SCHEMES + ("gaussian2d", "pseudo-radial", "pseudo-spiral", "full")
 
 SENS_NORMALIZATION_TOL = 1e-6
+
+
+def check_count(name: str, value, least: int) -> int:
+    """Return ``value`` as an int; raise ValueError unless it is an integer (as
+    ``operator.index`` takes it, numpy integers too) of at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -104,19 +118,19 @@ class KSpaceData:
 
 @dataclass(frozen=True)
 class SamplingMask:
-    """Binary Cartesian undersampling pattern with ACS metadata.
+    """Binary Cartesian undersampling pattern with its ACS size.
 
-    ``acs_lines`` counts contiguous fully-sampled central columns
-    (rectilinear schemes); ``acs_radius`` is the fully-sampled central
-    disc radius for 2D point schemes. Whichever does not apply is 0. A
-    ``nominal_acceleration`` of 1 requires a pattern that samples everywhere.
+    The scheme fixes what ``acs`` means: the centered, fully sampled columns
+    of a rectilinear scheme, at most the ceil(width / R) columns such a mask
+    samples; the radius of a centered, fully sampled disc for gaussian2d, at
+    most max(height, width); and 0 (no ACS region) for every other scheme.
+    A ``nominal_acceleration`` of 1 requires a pattern that samples everywhere.
     """
 
     pattern: np.ndarray
     scheme: str
     nominal_acceleration: float
-    acs_lines: int = 0
-    acs_radius: int = 0
+    acs: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.pattern)
@@ -135,24 +149,31 @@ class SamplingMask:
             raise ValueError("a 'full' mask must sample every location")
         if self.nominal_acceleration == 1 and not arr.all():
             raise ValueError("a mask of nominal acceleration 1 must sample every location")
-        if self.scheme in RECTILINEAR_SCHEMES:
+        rectilinear = self.scheme in RECTILINEAR_SCHEMES
+        if not rectilinear and self.scheme != "gaussian2d" and self.acs != 0:
+            raise ValueError(f"{self.scheme} masks have no ACS region; acs must be 0, "
+                             f"got {self.acs}")
+        acs = check_count("acs", self.acs, 0)
+        h, w = arr.shape
+        if rectilinear:
             cols = arr.max(axis=0)
             if not np.array_equal(arr, np.broadcast_to(cols, arr.shape)):
                 raise ValueError("rectilinear mask columns must be constant")
-        h, w = arr.shape
-        if not 0 <= self.acs_lines <= w:
-            raise ValueError(f"acs_lines must be in [0, {w}], got {self.acs_lines}")
-        if not 0 <= self.acs_radius <= max(h, w):
-            raise ValueError(f"acs_radius must be in [0, {max(h, w)}], got {self.acs_radius}")
-        start = (w - self.acs_lines) // 2
-        if not np.all(arr[:, start : start + self.acs_lines] == 1):
-            raise ValueError("ACS columns must be centered and fully sampled")
-        if self.acs_radius > 0:
+            total = int(np.ceil(w / self.nominal_acceleration))
+            if acs > total:
+                raise ValueError(f"{acs} ACS columns exceed the {total} columns of "
+                                 f"R={self.nominal_acceleration} on width {w}")
+            start = (w - acs) // 2
+            if not cols[start : start + acs].all():
+                raise ValueError("ACS columns must be centered and fully sampled")
+        elif acs > max(h, w):
+            raise ValueError(f"ACS disc radius must be at most {max(h, w)}, got {acs}")
+        elif acs:
             yy, xx = np.ogrid[:h, :w]
-            disc = (yy - h // 2) ** 2 + (xx - w // 2) ** 2 <= self.acs_radius**2
-            if not np.all(arr[disc] == 1):
+            if not arr[(yy - h // 2) ** 2 + (xx - w // 2) ** 2 <= acs**2].all():
                 raise ValueError("ACS disc must be centered and fully sampled")
         object.__setattr__(self, "pattern", _readonly(arr))
+        object.__setattr__(self, "acs", acs)
 
     @property
     def height(self) -> int:

@@ -6,8 +6,8 @@ file format section gives each kind's payload. ``_LAYOUT`` is the one table
 of kinds: for each, its format version, bytes per element, the dims that must
 be 1, and the core container and array it holds. Writing rounds complex128
 data to complex64, and reading returns complex64 containers holding an
-aligned array the payload is read into (no intermediate copy). Version-1
-masks carried no metadata and are rejected.
+aligned array the payload is read into (no intermediate copy). Mask files
+before version 3, which records one ACS size, are rejected.
 """
 
 import math
@@ -31,7 +31,7 @@ KIND_SENSMAPS = 3
 _HEADER = struct.Struct("<4sHB4I")
 _DIMS_OFFSET = 7
 _DIM_NAMES = ("coils", "frames", "rows", "cols")
-_MASK_META = struct.Struct("<24sdII")
+_MASK_META = struct.Struct("<24sdI")
 
 
 class _Layout(NamedTuple):
@@ -45,7 +45,7 @@ class _Layout(NamedTuple):
 _LAYOUT = {
     KIND_KSPACE: _Layout(1, 8, (), KSpaceData, "data"),
     KIND_IMAGE: _Layout(1, 8, (0,), ComplexImage, "data"),
-    KIND_MASK: _Layout(2, 1, (0, 1), SamplingMask, "pattern"),
+    KIND_MASK: _Layout(3, 1, (0, 1), SamplingMask, "pattern"),
     KIND_SENSMAPS: _Layout(1, 8, (1,), SensitivityMaps, "maps"),
 }
 
@@ -170,9 +170,7 @@ def write_cks(path, obj) -> None:
     layout = _LAYOUT[kind]
     arr = getattr(obj, layout.field)
     if kind == KIND_MASK:
-        meta = _MASK_META.pack(
-            obj.scheme.encode("ascii"), obj.nominal_acceleration, obj.acs_lines, obj.acs_radius
-        )
+        meta = _MASK_META.pack(obj.scheme.encode("ascii"), obj.nominal_acceleration, obj.acs)
         payload = meta + arr.tobytes()
     else:
         payload = np.asarray(arr, dtype="<c8").tobytes()
@@ -222,10 +220,10 @@ def read_cks(path):
             raise length_mismatch(size)
         if kind == KIND_MASK:
             meta = f.read(_MASK_META.size)
-            scheme, accel, acs_lines, acs_radius = _MASK_META.unpack(meta)
+            scheme, accel, acs = _MASK_META.unpack(meta)
             pattern = np.frombuffer(f.read(), dtype=np.uint8).reshape(dims[2:])
             scheme = scheme.rstrip(b"\0").decode("ascii", "backslashreplace")
-            return SamplingMask(pattern, scheme, accel, acs_lines, acs_radius)
+            return SamplingMask(pattern, scheme, accel, acs)
         # Read straight into a fresh (aligned) array: the payload starts at an
         # odd byte, and numpy is up to 1.8x slower on unaligned complex64 operands.
         arr = np.empty(dims, dtype="<c8")

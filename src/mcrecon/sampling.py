@@ -1,9 +1,8 @@
 """Undersampling mask generators.
 
 Every generator in :data:`GENERATORS` takes ``(height, width, accel, acs,
-seed)``. ``acs`` sizes the scheme's fully sampled autocalibration region:
-central columns for the rectilinear schemes, a central disc's radius for
-gaussian2d; pseudo-radial and pseudo-spiral have none and take only 0.
+seed)`` and passes ``acs``, the ACS size, to the :class:`SamplingMask` it
+returns, which states and checks what the size means for each scheme.
 
 All randomness comes from :class:`Lcg`, a self-contained 64-bit linear
 congruential generator (Knuth MMIX constants, uniforms from the top 53 bits),
@@ -66,31 +65,27 @@ def _check_grid(height: int, width: int, accel: float) -> None:
 
 
 def _rectilinear_plan(height: int, width: int, accel: float, acs: int) -> tuple[set, list, int]:
-    """Check the arguments; return the centered ACS columns, the other
-    columns in order, and how many of those to add for ceil(width / accel)
-    columns in all. Raises ValueError when the ACS columns alone exceed that
-    count, as the mask could not reach its R."""
+    """Check the grid; return the centered ACS columns, the other columns in
+    order, and how many of those to add for ceil(width / accel) columns in
+    all. ``acs`` is checked by the mask the columns become."""
     _check_grid(height, width, accel)
-    total = math.ceil(width / accel)
-    if acs > total:
-        raise ValueError(f"{acs} ACS lines exceed the {total} columns of R={accel} on width {width}")
     lo = (width - acs) // 2
-    outside = [c for c in range(width) if not lo <= c < lo + acs]
-    return set(range(lo, lo + acs)), outside, total - acs
+    inside = {c for c in range(width) if lo <= c < lo + acs}
+    outside = [c for c in range(width) if c not in inside]
+    return inside, outside, math.ceil(width / accel) - len(inside)
 
 
 def _columns_to_mask(height, width, cols, scheme, accel, acs) -> SamplingMask:
     pattern = np.zeros((height, width), dtype=np.uint8)
     pattern[:, sorted(cols)] = 1
-    return SamplingMask(pattern, scheme, float(accel), acs_lines=acs)
+    return SamplingMask(pattern, scheme, float(accel), acs)
 
 
-def _fully_sampled(height, width, scheme, acs_radius=0) -> SamplingMask:
+def _fully_sampled(height, width, scheme, acs=0) -> SamplingMask:
     """The fully sampled mask of :func:`full_mask`, and of the point
     generators at acceleration 1, which their sampling cannot fill. The
     rectilinear generators reach it on their general path."""
-    pattern = np.ones((height, width), dtype=np.uint8)
-    return SamplingMask(pattern, scheme, 1.0, acs_radius=acs_radius)
+    return SamplingMask(np.ones((height, width), dtype=np.uint8), scheme, 1.0, acs)
 
 
 def full_mask(height: int, width: int) -> SamplingMask:
@@ -134,7 +129,7 @@ def gaussian2d_mask(height: int, width: int, accel: float, acs: int, seed: int) 
     """
     _check_grid(height, width, accel)
     if accel == 1:
-        return _fully_sampled(height, width, "gaussian2d", acs_radius=acs)
+        return _fully_sampled(height, width, "gaussian2d", acs)
     budget = math.ceil(height * width / accel)
     cy, cx = height // 2, width // 2
     pattern = np.zeros((height, width), dtype=np.uint8)
@@ -163,7 +158,7 @@ def gaussian2d_mask(height: int, width: int, accel: float, acs: int, seed: int) 
             f"gaussian2d: {GAUSS_DRAWS_PER_POINT * budget} draws filled {budget - remaining} of "
             f"{budget} points at R={accel} on a {height}x{width} grid; use a larger R"
         )
-    return SamplingMask(pattern, "gaussian2d", float(accel), acs_radius=acs)
+    return SamplingMask(pattern, "gaussian2d", float(accel), acs)
 
 
 def pseudo_radial_mask(height: int, width: int, accel: float, acs: int, seed: int) -> SamplingMask:
@@ -176,11 +171,9 @@ def pseudo_radial_mask(height: int, width: int, accel: float, acs: int, seed: in
     achieved acceleration falls below accel / 1.5, or at 2 * max(h, w)
     spokes.
     """
-    if acs:
-        raise ValueError(f"pseudo-radial masks have no ACS region; acs must be 0, got {acs}")
     _check_grid(height, width, accel)
     if accel == 1:
-        return _fully_sampled(height, width, "pseudo-radial")
+        return _fully_sampled(height, width, "pseudo-radial", acs)
     rng = Lcg(seed)
     offset = rng.uniform() * 2 * math.pi
     cy, cx = height // 2, width // 2
@@ -200,7 +193,7 @@ def pseudo_radial_mask(height: int, width: int, accel: float, acs: int, seed: in
             best_gap, best = gap, pattern.copy()
         if achieved < accel / 1.5:
             break
-    return SamplingMask(pattern=best, scheme="pseudo-radial", nominal_acceleration=float(accel))
+    return SamplingMask(best, "pseudo-radial", float(accel), acs)
 
 
 def _rasterize_spiral(
@@ -232,11 +225,9 @@ def pseudo_spiral_mask(height: int, width: int, accel: float, acs: int, seed: in
     the nominal acceleration; the seed only rotates the arm phase, so the
     sampled-point count is stable across seeds.
     """
-    if acs:
-        raise ValueError(f"pseudo-spiral masks have no ACS region; acs must be 0, got {acs}")
     _check_grid(height, width, accel)
     if accel == 1:
-        return _fully_sampled(height, width, "pseudo-spiral")
+        return _fully_sampled(height, width, "pseudo-spiral", acs)
     best = None
     for pitch in _SPIRAL_PITCHES:
         for n_arms in range(1, 17):
@@ -250,9 +241,7 @@ def pseudo_spiral_mask(height: int, width: int, accel: float, acs: int, seed: in
     rng = Lcg(seed)
     phase = rng.uniform() * 2 * math.pi
     pattern = _rasterize_spiral(height, width, best[2], best[1], phase)
-    return SamplingMask(
-        pattern=pattern, scheme="pseudo-spiral", nominal_acceleration=float(accel)
-    )
+    return SamplingMask(pattern, "pseudo-spiral", float(accel), acs)
 
 
 GENERATORS = {

@@ -1,36 +1,35 @@
 """Coil sensitivity estimation from the autocalibration (ACS) region.
 
-Classical pipeline: keep only the fully-sampled central k-space, apodize
-it (numpy's Hann window ``np.hanning`` over the rows and over the ACS
-columns, or a raised-cosine taper over the radius of an ACS disc),
+Classical pipeline: keep only the fully-sampled central k-space that the
+mask's ACS size marks, apodize it (numpy's Hann window ``np.hanning`` over
+the rows and over the ACS columns of a rectilinear scheme, or a
+raised-cosine taper over the radius of gaussian2d's ACS disc),
 inverse-transform per coil, and normalize by the RSS image on its support,
 where it exceeds SUPPORT_THRESHOLD times its maximum; the maps are zero
-elsewhere. An empty support, which only all-zero windowed ACS data gives,
-raises a ValueError rather than return empty maps.
+elsewhere. A mask of ACS size 0 has no ACS region and raises a ValueError,
+as does an empty support, which only all-zero windowed ACS data gives.
 """
 
 import numpy as np
 
-from .core import KSpaceData, SamplingMask, SensitivityMaps, check_inputs, rss
+from .core import RECTILINEAR_SCHEMES, KSpaceData, SamplingMask, SensitivityMaps, check_inputs, rss
 from .fourier import ifft2c
 
 SUPPORT_THRESHOLD = 0.05
 
 
 def _acs_window(mask: SamplingMask) -> np.ndarray:
-    h, w = mask.height, mask.width
-    if mask.acs_lines >= 1:
-        start = (w - mask.acs_lines) // 2
+    h, w, acs = mask.height, mask.width, mask.acs
+    if acs == 0:
+        raise ValueError(f"the {mask.scheme} mask has no ACS region (acs 0)")
+    if mask.scheme in RECTILINEAR_SCHEMES:
+        start = (w - acs) // 2
         win = np.zeros((h, w))
-        block = np.outer(np.hanning(h), np.hanning(mask.acs_lines))
-        win[:, start : start + mask.acs_lines] = block
+        win[:, start : start + acs] = np.outer(np.hanning(h), np.hanning(acs))
         return win
-    if mask.acs_radius >= 1:
-        cy, cx = h // 2, w // 2
-        yy, xx = np.mgrid[0:h, 0:w]
-        r = np.sqrt((yy - cy) ** 2 + (xx - cx) ** 2)
-        return 0.5 * (1.0 + np.cos(np.pi * np.minimum(r / mask.acs_radius, 1.0)))
-    raise ValueError("mask has no ACS region (acs_lines and acs_radius are both 0)")
+    yy, xx = np.mgrid[0:h, 0:w]
+    r = np.sqrt((yy - h // 2) ** 2 + (xx - w // 2) ** 2)
+    return 0.5 * (1.0 + np.cos(np.pi * np.minimum(r / acs, 1.0)))
 
 
 def estimate_from_acs(ksp: KSpaceData, mask: SamplingMask) -> SensitivityMaps:
@@ -47,7 +46,7 @@ def estimate_from_acs(ksp: KSpaceData, mask: SamplingMask) -> SensitivityMaps:
     if not support.any():
         raise ValueError(f"ACS calibration gives empty maps: the windowed ACS data of the "
                          f"{mask.height}x{mask.width} mask is all zero (zero k-space in the "
-                         "ACS region, or the all-zero Hann window of 2 ACS lines or 2 rows)")
+                         "ACS region, or the all-zero Hann window of 2 ACS columns or 2 rows)")
     maps = np.zeros_like(lowres)
     np.divide(lowres, mag, out=maps, where=support)
     return SensitivityMaps(maps)

@@ -14,12 +14,12 @@ in the ``core`` docstring.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps, check_inputs
+from .core import (ComplexImage, KSpaceData, SamplingMask, SensitivityMaps, check_count,
+                   check_inputs)
 from .fourier import ColumnOperator, ForwardOperator, for_data_consistency
 
 DENOISER_KINDS = ("identity", "l1-soft-threshold", "tikhonov-smooth", "tv-chambolle")
@@ -43,17 +43,6 @@ GRAM_BLOCK_BYTES = 1 << 20
 # from its dual of the step before: on the dynamic128x12-tv inputs 12 such steps
 # beat 20 from zero on SSIM, PSNR and NMSE on every seed checked (BENCH_30.json).
 TV_ITERATIONS = 12
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Raise ValueError unless ``value`` is an integer (as ``operator.index``
-    takes it, numpy integers too) of at least ``least``."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +77,8 @@ class AdmmConfig:
     denoiser: DenoiserSpec = field(default_factory=DenoiserSpec)
 
     def __post_init__(self):
-        _check_count("T", self.T, 0)
-        _check_count("inner_iters", self.inner_iters, 1)
+        check_count("T", self.T, 0)
+        check_count("inner_iters", self.inner_iters, 1)
         if not 0 < self.lam < math.inf:
             raise ValueError(f"lam must be finite and > 0, got {self.lam}")
 

@@ -50,11 +50,12 @@ def random_sens(rng, n_coils, h, w, boxed=False):
     return SensitivityMaps(maps=np.divide(maps, norm, out=np.zeros_like(maps), where=norm > 0))
 
 
-def scheme_acs(scheme, lines, radius):
-    """make_mask's ``acs`` for ``scheme``: ``lines`` ACS columns for a
-    rectilinear scheme, an ACS disc of ``radius`` for gaussian2d, and 0 for
-    the schemes with no ACS region."""
-    return lines if scheme in RECTILINEAR_SCHEMES else radius if scheme == "gaussian2d" else 0
+def scheme_acs(scheme, columns, radius):
+    """``SamplingMask.acs`` for ``scheme``, as make_mask takes it: ``columns``
+    ACS columns for a rectilinear scheme, an ACS disc of ``radius`` for
+    gaussian2d, and 0 for pseudo-radial, pseudo-spiral and full, which have
+    no ACS region."""
+    return columns if scheme in RECTILINEAR_SCHEMES else radius if scheme == "gaussian2d" else 0
 
 
 def make_mask(scheme, h, w, accel, seed, lines=4, radius=1):

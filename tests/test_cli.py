@@ -158,7 +158,7 @@ class TestMaskCommand:
         out = tmp_path / "m.cks"
         assert run(["mask", "--config", cfg, "--accel", "4", "--seed", "5", "--out", out]) == 0
         mask = read_cks(out)
-        assert mask.pattern.shape == (32, 32) and mask.acs_lines == 8
+        assert mask.pattern.shape == (32, 32) and mask.acs == 8
 
     @pytest.mark.parametrize("size", ["16", "16x", "x16", "16x16x1", "axb"])
     def test_bad_size_is_usage_error(self, tmp_path, capsys, size):
@@ -177,7 +177,7 @@ class TestMaskCommand:
         given = [f.format(cfg) for f in form]
         assert run(["mask", *given, "--scheme", "equispaced", "--size", "64x64",
                     "--accel", "4", "--seed", "1", "--out", out]) == 0
-        assert read_cks(out).acs_lines == 8  # not make_mask's default 0
+        assert read_cks(out).acs == 8  # not make_mask's default 0
 
     def test_config_file_sets_a_switch_like_its_flag(self, sim_files, tmp_path):
         """A flag that takes no value is key=true (set) or key=false (unset) in
@@ -315,15 +315,15 @@ class TestMaskCommand:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--scheme", "equispaced", "--size", "16x16", "--accel", "2", "--acs", "-1"],
-          "acs_lines must be in"),
+          "acs must be >= 0"),
          (["--scheme", "equispaced", "--size", "16x16", "--accel", "0.5"], "finite R >= 1"),
          (["--scheme", "pseudo-radial", "--size", "0x0", "--accel", "4"], "grid >= 1x1"),
          (["--scheme", "gaussian2d", "--size", "16x16", "--accel", "8", "--acs", "6"],
           "smaller than ACS disc"),
          (["--scheme", "equispaced", "--size", "64x64", "--accel", "8", "--acs", "24"],
-          "24 ACS lines exceed the 8 columns of R=8.0 on width 64"),
+          "24 ACS columns exceed the 8 columns of R=8.0 on width 64"),
          (["--scheme", "random-rectilinear", "--size", "64x64", "--accel", "10", "--acs", "24"],
-          "24 ACS lines exceed the 7 columns of R=10.0 on width 64"),
+          "24 ACS columns exceed the 7 columns of R=10.0 on width 64"),
          (["--scheme", "pseudo-spiral", "--size", "16x16", "--accel", "4", "--acs", "8"],
           "pseudo-spiral masks have no ACS region; acs must be 0, got 8"),
          (["--scheme", "pseudo-radial", "--size", "16x16", "--accel", "4", "--acs", "3"],
@@ -344,6 +344,16 @@ class TestMaskCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --acs-radius 3" in capsys.readouterr().err
         assert not list(tmp_path.glob("m.*"))
+
+    def test_out_at_the_preview_path_is_usage_error(self, tmp_path, capsys):
+        """The PGM preview goes to --out with suffix .pgm, so an --out ending
+        in .pgm would be overwritten by it: exit 2 before anything is made."""
+        out = tmp_path / "m.pgm"
+        rc = run(["mask", "--scheme", "equispaced", "--size", "16x16", "--accel", "2",
+                  "--acs", "4", "--seed", "0", "--out", out])
+        assert rc == 2
+        assert f"--out {out} is the path of the mask's PGM preview" in capsys.readouterr().err
+        assert not list(tmp_path.glob("m*"))
 
     def test_scheme_choices_are_the_registry(self):
         parser = cli.build_parser()
@@ -481,6 +491,21 @@ class TestReconstructCommand:
         assert rc == 1
         assert "no ACS region" in capsys.readouterr().err
         assert not (tmp_path / "x.cks").exists()
+
+    def test_estimate_sens_with_an_acs_its_scheme_lacks_names_the_mask(
+            self, sim_files, tmp_path, capsys):
+        """A hand-written version-3 pseudo-radial mask recording an ACS size of
+        1 is refused as it is read: exit 1 naming the file, nothing written."""
+        mask_path = tmp_path / "radial_acs1.cks"
+        header = struct.pack("<4sHB4I", b"CKS1", 3, 2, 1, 1, 64, 64)
+        meta = struct.pack("<24sdI", b"pseudo-radial", 1.0, 1)
+        mask_path.write_bytes(header + meta + bytes([1]) * (64 * 64))
+        rc = run(["reconstruct", "--kspace", sim_files["full"], "--mask", mask_path,
+                  "--estimate-sens", "--T", "2", "--out-prefix", tmp_path / "x"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{mask_path}: pseudo-radial masks have no ACS region; acs must be 0, got 1" in err
+        assert not list(tmp_path.glob("x*"))
 
     def test_estimate_sens_with_two_acs_lines_fails_like_the_library(
             self, sim_files, tmp_path, capsys):

@@ -130,8 +130,10 @@ class TestSamplingMask:
     def test_acs_columns_must_be_full(self):
         p = np.zeros((4, 8))
         p[:, 0] = 1
-        with pytest.raises(ValueError):
-            SamplingMask(p, "equispaced", 4.0, acs_lines=2)
+        with pytest.raises(ValueError, match="ACS columns must be centered and fully sampled"):
+            SamplingMask(p, "equispaced", 4.0, acs=2)
+        p[:, 3:5] = 1
+        assert SamplingMask(p, "equispaced", 4.0, acs=2).acs == 2
 
     @pytest.mark.parametrize("accel", [0.0, -2.0, float("nan"), float("inf"), 0.5, 0.999])
     def test_nominal_acceleration_must_be_finite_and_positive(self, accel):
@@ -148,22 +150,54 @@ class TestSamplingMask:
         assert SamplingMask(p, "pseudo-radial", 8.0).n_sampled == 4
 
     @pytest.mark.parametrize(
-        "fields", [{"acs_lines": -1}, {"acs_radius": -1}, {"acs_lines": 5}, {"acs_radius": 5}]
+        "scheme, acs, message",
+        [("equispaced", -1, "acs must be >= 0"), ("gaussian2d", -1, "acs must be >= 0"),
+         ("equispaced", 5, "5 ACS columns exceed the 4 columns of R=1.0 on width 4"),
+         ("gaussian2d", 5, "ACS disc radius must be at most 4, got 5")],
     )
-    def test_acs_extent_must_fit_the_grid(self, fields):
-        with pytest.raises(ValueError, match="must be in"):
-            SamplingMask(np.ones((4, 4)), "equispaced", 1.0, **fields)
+    def test_acs_extent_must_fit_the_grid(self, scheme, acs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SamplingMask(np.ones((4, 4)), scheme, 1.0, acs)
+        assert SamplingMask(np.ones((4, 4)), scheme, 1.0, 4).acs == 4
 
     def test_acs_disc_must_be_full(self):
         p = np.zeros((9, 9))
         p[3:6, 3:6] = 1  # covers the radius-1 disc around (4, 4), not radius 2
-        assert SamplingMask(p, "gaussian2d", 9.0, acs_radius=1).acs_radius == 1
+        assert SamplingMask(p, "gaussian2d", 9.0, acs=1).acs == 1
         p[4, 5] = 0
         with pytest.raises(ValueError, match="ACS disc"):
-            SamplingMask(p, "gaussian2d", 9.0, acs_radius=1)
+            SamplingMask(p, "gaussian2d", 9.0, acs=1)
         p[4, 5] = 1
         with pytest.raises(ValueError, match="ACS disc"):
-            SamplingMask(p, "gaussian2d", 9.0, acs_radius=2)
+            SamplingMask(p, "gaussian2d", 9.0, acs=2)
+
+    @pytest.mark.parametrize("acs", [1, 3, -1, 2.5])
+    @pytest.mark.parametrize("scheme", ["pseudo-radial", "pseudo-spiral", "full"])
+    def test_schemes_without_an_acs_region_take_only_zero(self, scheme, acs):
+        """The pattern samples everywhere, so only the scheme rules the size out."""
+        with pytest.raises(ValueError, match=f"{scheme} masks have no ACS region; acs must be 0"):
+            SamplingMask(np.ones((8, 8)), scheme, 1.0, acs)
+        assert SamplingMask(np.ones((8, 8)), scheme, 1.0, 0).acs == 0
+
+    @pytest.mark.parametrize("scheme", ["equispaced", "random-rectilinear"])
+    @pytest.mark.parametrize("accel, most", [(4.0, 4), (3.0, 6), (5.0, 4), (16.0, 1)])
+    def test_rectilinear_acs_at_most_the_columns_of_r(self, scheme, accel, most):
+        """On 16 columns the ACS block may fill the ceil(16/R) columns of R,
+        and one column more raises, however many columns the pattern samples."""
+        p = np.ones((4, 16))
+        assert SamplingMask(p, scheme, accel, most).acs == most
+        with pytest.raises(ValueError, match=f"{most + 1} ACS columns exceed the {most} columns"):
+            SamplingMask(p, scheme, accel, most + 1)
+
+    @pytest.mark.parametrize("acs", [2.5, "2", None, 2.0])
+    def test_acs_must_be_an_integer(self, acs):
+        with pytest.raises(ValueError, match="acs must be an integer"):
+            SamplingMask(np.ones((8, 8)), "gaussian2d", 1.0, acs)
+
+    def test_acs_is_stored_as_a_python_int(self):
+        mask = SamplingMask(np.ones((8, 8)), "equispaced", 1.0, np.int64(3))
+        assert type(mask.acs) is int and mask.acs == 3
+        assert type(SamplingMask(np.ones((8, 8)), "equispaced", 1.0, True).acs) is int
 
 
 class TestSensitivityMaps:

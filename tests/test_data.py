@@ -173,7 +173,7 @@ class TestCksFormat:
             assert type(back) is type(obj)
         back_mask = read_cks(tmp_path / "m.cks")
         assert np.array_equal(back_mask.pattern, mask.pattern)
-        assert back_mask.acs_lines == 4
+        assert back_mask.acs == 4
         masks = [full_mask(24, 32)] + [
             make_mask(scheme, 24, 32, accel, 3, scheme_acs(scheme, 6, 2))
             for scheme in GENERATORS
@@ -183,8 +183,25 @@ class TestCksFormat:
             write_cks(tmp_path / "m.cks", mask)
             back = read_cks(tmp_path / "m.cks")
             assert np.array_equal(back.pattern, mask.pattern)
-            fields = ("scheme", "nominal_acceleration", "acs_lines", "acs_radius")
-            assert [getattr(back, f) for f in fields] == [getattr(mask, f) for f in fields]
+            assert [getattr(back, f) for f in _MASK_FIELDS] == [getattr(mask, f) for f in _MASK_FIELDS]
+
+    @pytest.mark.parametrize("accel", [1, 3])
+    @pytest.mark.parametrize("scheme", sorted(GENERATORS))
+    def test_every_scheme_round_trips_its_acs_through_version_3(self, tmp_path, scheme, accel):
+        """The file holds the one ACS size in a 36-byte block after the header:
+        scheme, nominal R and acs."""
+        acs = scheme_acs(scheme, 5, 3)
+        mask = make_mask(scheme, 30, 34, accel, 4, acs)
+        p = tmp_path / "m.cks"
+        write_cks(p, mask)
+        raw = p.read_bytes()
+        assert struct.unpack_from("<H", raw, 4) == (3,)
+        assert len(raw) == 23 + 36 + 30 * 34
+        assert struct.unpack_from("<24sdI", raw, 23) == (
+            scheme.encode().ljust(24, b"\0"), float(accel), acs)
+        back = read_cks(p)
+        assert back.acs == acs and type(back.acs) is int
+        assert back.pattern.tobytes() == mask.pattern.tobytes()
 
     def test_truncated_file_rejected_with_lengths(self, tmp_path, rng):
         ksp = KSpaceData(np.ones((1, 1, 4, 4), dtype=complex))
@@ -210,13 +227,43 @@ class TestCksFormat:
         with pytest.raises(FormatError, match="version 1 at byte 4.*regenerate.*mcrecon mask"):
             read_cks(p)
 
+    def test_version_2_mask_rejected(self, tmp_path):
+        """A version-2 file (a 40-byte block with ACS lines and radius) is
+        refused at its version field, whatever it holds."""
+        meta = struct.pack("<24sdII", b"equispaced", 4.0, 2, 0)
+        pattern = np.zeros((4, 8), dtype=np.uint8)
+        pattern[:, 3:5] = 1
+        p = tmp_path / "m.cks"
+        p.write_bytes(_header(2, 2, (1, 1, 4, 8)) + meta + pattern.tobytes())
+        with pytest.raises(FormatError, match="version 2 at byte 4 for kind 2: expected 3; "
+                           "regenerate the mask with `mcrecon mask`"):
+            read_cks(p)
+
+    @pytest.mark.parametrize(
+        "scheme, accel, acs, message",
+        [("pseudo-radial", 1.0, 1, "pseudo-radial masks have no ACS region; acs must be 0"),
+         ("full", 1.0, 2, "full masks have no ACS region; acs must be 0"),
+         ("equispaced", 8.0, 24, "24 ACS columns exceed the 8 columns of R=8.0 on width 64")],
+    )
+    def test_acs_the_scheme_does_not_allow_rejected_as_content(
+            self, tmp_path, scheme, accel, acs, message):
+        pattern = np.ones((64, 64), dtype=np.uint8)
+        if accel > 1:
+            pattern[:, :8] = 0  # R 1.14, its ACS block fully sampled
+        meta = struct.pack("<24sdI", scheme.encode(), accel, acs)
+        p = tmp_path / "m.cks"
+        p.write_bytes(_header(3, 2, (1, 1, 64, 64)) + meta + pattern.tobytes())
+        with pytest.raises(ValueError, match=message) as err:
+            read_cks(p)
+        assert not isinstance(err.value, FormatError)
+
     def test_undersampled_full_mask_rejected_as_content(self, tmp_path):
         # the layout is valid, so the error is the mask's ValueError, not a FormatError
         pattern = np.zeros((4, 4), dtype=np.uint8)
         pattern[:, 1] = 1
-        meta = struct.pack("<24sdII", b"full", 1.0, 0, 0)
+        meta = struct.pack("<24sdI", b"full", 1.0, 0)
         p = tmp_path / "m.cks"
-        p.write_bytes(_header(2, 2, (1, 1, 4, 4)) + meta + pattern.tobytes())
+        p.write_bytes(_header(3, 2, (1, 1, 4, 4)) + meta + pattern.tobytes())
         with pytest.raises(ValueError, match="'full' mask must sample every location") as err:
             read_cks(p)
         assert not isinstance(err.value, FormatError)
@@ -224,9 +271,9 @@ class TestCksFormat:
     def test_nominal_r1_on_undersampled_pattern_rejected_as_content(self, tmp_path):
         pattern = np.zeros((4, 4), dtype=np.uint8)
         pattern[0] = 1
-        meta = struct.pack("<24sdII", b"pseudo-radial", 1.0, 0, 0)
+        meta = struct.pack("<24sdI", b"pseudo-radial", 1.0, 0)
         p = tmp_path / "m.cks"
-        p.write_bytes(_header(2, 2, (1, 1, 4, 4)) + meta + pattern.tobytes())
+        p.write_bytes(_header(3, 2, (1, 1, 4, 4)) + meta + pattern.tobytes())
         with pytest.raises(ValueError, match="nominal acceleration 1") as err:
             read_cks(p)
         assert not isinstance(err.value, FormatError)
@@ -237,7 +284,7 @@ class TestCksFormat:
     )
     def test_unused_axis_must_be_one(self, tmp_path, kind, dims, byte):
         p = tmp_path / "x.cks"
-        p.write_bytes(_header(2 if kind == 2 else 1, kind, dims) + bytes(_payload_size(kind, dims)))
+        p.write_bytes(_header(3 if kind == 2 else 1, kind, dims) + bytes(_payload_size(kind, dims)))
         with pytest.raises(FormatError, match=f"must be 1 for kind {kind}, got .* at byte {byte}"):
             read_cks(p)
 
@@ -250,7 +297,7 @@ _KINDS = {
     2: (SamplingMask, (0, 1)),
     3: (SensitivityMaps, (1,)),
 }
-_MASK_FIELDS = ("scheme", "nominal_acceleration", "acs_lines", "acs_radius")
+_MASK_FIELDS = ("scheme", "nominal_acceleration", "acs")
 
 
 def _layout_object(kind, dims, dtype, rng, draw):
@@ -258,16 +305,20 @@ def _layout_object(kind, dims, dtype, rng, draw):
     values are float32-representable, held as ``dtype``."""
     rows, cols = dims[2:]
     if kind == 2:
-        pattern = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
-        acs_lines = draw(st.integers(0, cols))
-        acs_radius = draw(st.integers(0, max(rows, cols)))
-        start = (cols - acs_lines) // 2
-        pattern[:, start : start + acs_lines] = 1
-        yy, xx = np.ogrid[:rows, :cols]
-        pattern[(yy - rows // 2) ** 2 + (xx - cols // 2) ** 2 <= acs_radius**2] = 1
-        scheme = draw(st.sampled_from(["gaussian2d", "pseudo-radial", "pseudo-spiral"]))
+        scheme = draw(st.sampled_from(["equispaced", "gaussian2d", "pseudo-radial"]))
         accel = draw(st.floats(1.5, 20.0))
-        return SamplingMask(pattern, scheme, accel, acs_lines, acs_radius)
+        if scheme == "equispaced":  # random columns, the centre one and the ACS block sampled
+            acs = draw(st.integers(0, math.ceil(cols / accel)))
+            sampled = rng.integers(0, 2, cols, dtype=np.uint8)
+            start = (cols - acs) // 2
+            sampled[start : start + acs] = sampled[cols // 2] = 1
+            pattern = np.repeat(sampled[np.newaxis], rows, axis=0)
+        else:
+            pattern = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+            acs = draw(st.integers(0, max(rows, cols))) if scheme == "gaussian2d" else 0
+            yy, xx = np.ogrid[:rows, :cols]
+            pattern[(yy - rows // 2) ** 2 + (xx - cols // 2) ** 2 <= acs**2] = 1
+        return SamplingMask(pattern, scheme, accel, acs)
     shape = tuple(n for i, n in enumerate(dims) if i not in _KINDS[kind][1])
     arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if kind == 3:  # zero some pixels on every coil, RSS-normalize the rest
@@ -298,7 +349,7 @@ class TestCksLayout:
         p = tmp_path / "x.cks"
         write_cks(p, obj)
         magic, version, got_kind, *got_dims = struct.unpack_from("<4sHB4I", p.read_bytes())
-        want_version = 2 if kind == 2 else 1
+        want_version = 3 if kind == 2 else 1
         assert (magic, version, got_kind, tuple(got_dims)) == (CKS_MAGIC, want_version, kind, dims)
         back = read_cks(p)
         assert type(back) is cls
@@ -326,7 +377,7 @@ def _header(version, kind, dims, magic=CKS_MAGIC):
 
 
 def _payload_size(kind, dims):
-    return 40 + math.prod(dims) if kind == 2 else 8 * math.prod(dims)
+    return 36 + math.prod(dims) if kind == 2 else 8 * math.prod(dims)
 
 
 def _layout_ok(raw):
@@ -336,7 +387,7 @@ def _layout_ok(raw):
         return False
     magic, version, kind, *dims = struct.unpack_from("<4sHB4I", raw)
     unit = {0: (), 1: (0,), 2: (0, 1), 3: (1,)}.get(kind)
-    if magic != CKS_MAGIC or unit is None or version != (2 if kind == 2 else 1):
+    if magic != CKS_MAGIC or unit is None or version != (3 if kind == 2 else 1):
         return False
     if any(dims[i] != 1 for i in unit):
         return False
@@ -387,7 +438,7 @@ class TestCksFuzz:
     @example(CKS_MAGIC, 1, 0, (65536,) * 4, b"", False, None)
     @example(CKS_MAGIC, 1, 0, (2**32 - 1,) * 4, b"", False, None)
     @example(CKS_MAGIC, 1, 1, (2, 1, 2, 2), b"\0", True, None)
-    @example(CKS_MAGIC, 2, 2, (1, 1, 2, 2), struct.pack("<24sdII", b"full", 1, 0, 0) + b"\1" * 4,
+    @example(CKS_MAGIC, 3, 2, (1, 1, 2, 2), struct.pack("<24sdI", b"full", 1, 0) + b"\1" * 4,
              True, None)
     def test_random_headers_and_payloads(
         self, tmp_path, magic, version, kind, dims, payload, fit, cut

@@ -66,7 +66,7 @@ class TestRandomRectilinear:
     def test_acs_wider_than_the_column_budget_rejected(self):
         # ceil(128/8) = 16 columns: 16 ACS lines fill them, 24 would give R 5.33
         assert sampled_columns(random_rectilinear_mask(32, 128, 8, 16, 5)) == 16
-        with pytest.raises(ValueError, match="24 ACS lines exceed the 16 columns of R=8"):
+        with pytest.raises(ValueError, match="24 ACS columns exceed the 16 columns of R=8"):
             random_rectilinear_mask(32, 128, 8, 24, 5)
 
     def test_total_column_count(self):
@@ -193,12 +193,8 @@ class TestMakeMask:
         got = make_mask(scheme, 24, 40, accel, 9, scheme_acs(scheme, 6, 2))
         want = DIRECT_CALLS[scheme](accel)
         assert np.array_equal(got.pattern, want.pattern)
-        assert (got.scheme, got.nominal_acceleration, got.acs_lines, got.acs_radius) == (
-            want.scheme,
-            want.nominal_acceleration,
-            want.acs_lines,
-            want.acs_radius,
-        )
+        assert (got.scheme, got.nominal_acceleration, got.acs) == (
+            want.scheme, want.nominal_acceleration, want.acs)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown mask scheme"):
@@ -218,8 +214,16 @@ class TestMakeMask:
     def test_acs_block_past_the_asked_r_rejected(self, scheme, accel, columns):
         """24 ACS lines on 64 columns would give R 2.67 at a nominal R of 8
         or 10, so the call raises instead."""
-        with pytest.raises(ValueError, match=f"24 ACS lines exceed the {columns} columns"):
+        with pytest.raises(ValueError, match=f"24 ACS columns exceed the {columns} columns"):
             make_mask(scheme, 64, 64, accel, 0, 24)
+
+    @pytest.mark.parametrize("acs", [2.5, -1])
+    @pytest.mark.parametrize("scheme", sorted(GENERATORS))
+    def test_acs_that_is_not_a_count_rejected(self, scheme, acs):
+        """A fractional or negative ACS size is a ValueError from every
+        generator, not a mask carrying it or a TypeError."""
+        with pytest.raises(ValueError, match="acs must be|has no ACS region"):
+            make_mask(scheme, 32, 32, 4, 0, acs)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -234,10 +238,10 @@ class TestMakeMask:
         outside the ACS band, for any ACS width from 0 to the grid width."""
         n_acs = round(acs_share * width)
         got = make_mask(scheme, height, width, 1, seed, n_acs)
-        want = SamplingMask(np.ones((height, width)), scheme, 1.0, acs_lines=n_acs)
+        want = SamplingMask(np.ones((height, width)), scheme, 1.0, n_acs)
         assert np.array_equal(got.pattern, want.pattern)
-        assert (got.scheme, got.nominal_acceleration, got.acs_lines, got.acs_radius) == (
-            want.scheme, want.nominal_acceleration, want.acs_lines, want.acs_radius)
+        assert (got.scheme, got.nominal_acceleration, got.acs) == (
+            want.scheme, want.nominal_acceleration, want.acs)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -254,7 +258,7 @@ class TestMakeMask:
         ceil(W/R) raise ValueError."""
         n_acs = round(acs_share * width)
         if n_acs > math.ceil(width / accel):
-            with pytest.raises(ValueError, match="ACS lines exceed"):
+            with pytest.raises(ValueError, match="ACS columns exceed"):
                 make_mask(scheme, height, width, accel, seed, n_acs)
             return
         pattern = make_mask(scheme, height, width, accel, seed, n_acs).pattern
