@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps
+from .core import ComplexImage, KSpaceData, SamplingMask, SensitivityMaps, check_count
 from .fourier import fft2c, ifft2c
 from .sampling import Lcg
 
@@ -97,10 +97,8 @@ def shepp_logan(n: int) -> ComplexImage:
 def dynamic_phantom(n: int, n_frames: int) -> ComplexImage:
     """Shepp-Logan stack whose upper interior ellipse contracts and
     re-expands once over the frame sequence; frame 0 is the static phantom."""
-    if n < 16:
-        raise ValueError("phantom side length must be >= 16")
-    if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
+    check_count("phantom side length", n, 16)
+    check_count("n_frames", n_frames, 1)
     yy, xx = _phantom_grid(n)
     base = np.zeros((n, n))
     for i, e in enumerate(SHEPP_LOGAN_ELLIPSES):
@@ -123,8 +121,7 @@ def simulate_coils(
     FOV, RSS-normalized everywhere; coil 0 carries zero phase so the
     single-coil case reduces to S == 1 and k-space == fft2c(x).
     """
-    if n_coils < 1:
-        raise ValueError("n_coils must be >= 1")
+    check_count("n_coils", n_coils, 1)
     n_h, n_w = img.height, img.width
     ys = (np.arange(n_h) - n_h // 2) / (n_h / 2.0)
     xs = (np.arange(n_w) - n_w // 2) / (n_w / 2.0)
@@ -148,12 +145,12 @@ def random_kspace_crop(ksp: KSpaceData, crop_h: int, crop_w: int, seed: int) -> 
     """Crop fully-sampled k-space in the image domain: per coil/frame
     ifft2c -> extract one seed-chosen window (shared by all coils and
     frames) -> fft2c."""
+    check_count("crop_h", crop_h, 1)
+    check_count("crop_w", crop_w, 1)
     if crop_h > ksp.height or crop_w > ksp.width:
         raise ValueError(
             f"crop {crop_h}x{crop_w} exceeds grid {ksp.height}x{ksp.width}"
         )
-    if crop_h < 1 or crop_w < 1:
-        raise ValueError("crop dimensions must be >= 1")
     rng = Lcg(seed)
     r0 = rng.randint(ksp.height - crop_h + 1)
     c0 = rng.randint(ksp.width - crop_w + 1)

@@ -10,10 +10,11 @@ so masks are bit-reproducible across platforms and languages for a seed.
 """
 
 import math
+import operator
 
 import numpy as np
 
-from .core import SamplingMask
+from .core import SamplingMask, check_count
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -31,7 +32,7 @@ class Lcg:
     """Minimal splittable-by-seed 64-bit LCG used by every mask generator."""
 
     def __init__(self, seed: int):
-        self.state = (int(seed) ^ 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (operator.index(seed) ^ 0x9E3779B97F4A7C15) & _MASK64
         self.next_u64()
 
     def next_u64(self) -> int:
@@ -59,9 +60,11 @@ class Lcg:
 
 
 def _check_grid(height: int, width: int, accel: float) -> None:
-    """Raise ValueError unless the grid is at least 1x1 and accel is a finite R >= 1."""
-    if not (height >= 1 and width >= 1 and 1 <= accel < math.inf):
-        raise ValueError(f"need a grid >= 1x1 and finite R >= 1, got {height}x{width}, R={accel}")
+    """Check height and width by ``core.check_count`` and accel as a finite R >= 1."""
+    check_count("height", height, 1)
+    check_count("width", width, 1)
+    if not 1 <= accel < math.inf:
+        raise ValueError(f"need a finite R >= 1, got R={accel}")
 
 
 def _rectilinear_plan(height: int, width: int, accel: float, acs: int) -> tuple[set, list, int]:
@@ -89,6 +92,7 @@ def _fully_sampled(height, width, scheme, acs=0) -> SamplingMask:
 
 
 def full_mask(height: int, width: int) -> SamplingMask:
+    _check_grid(height, width, 1)
     return _fully_sampled(height, width, "full")
 
 

@@ -2,7 +2,8 @@
 
 Each outer step of :func:`admm_reconstruct` runs :func:`denoise_step` on the
 auxiliary image w, :func:`data_consistency_step` on x and
-:func:`multiplier_update`, from m = 0 and x = w = :func:`zero_filled_init`.
+:func:`multiplier_update`, from m = 0 and x = w = A^H y, which it alone builds
+(:func:`zero_filled_init` is its T = 0 solve).
 Each rule lives with its code: the Chebyshev recurrence in
 :class:`GradientSteps`, its cap K in :func:`chebyshev_values` and each outer
 step's stop in :meth:`GradientSteps.stop`; the row Gram form in
@@ -93,17 +94,6 @@ class AdmmConfig:
 
 
 MODE_DEFAULTS = {"static": {}, "dynamic": {"T": 10, "inner_iters": 8}}
-
-
-def zero_filled_init(y: KSpaceData, mask: SamplingMask, sens: SensitivityMaps,
-                     pair: tuple[ForwardOperator, np.ndarray] | None = None) -> ComplexImage:
-    """Coil-combined adjoint of the measured data, the solver's x^(0) and w^(0):
-    ``op.adjoint_arr(y_dc)`` of the data-consistency pair ``(op, y_dc)`` of
-    ``fourier.for_data_consistency``, which equals A^H y. ``pair``, if given,
-    is that pair for y, ``mask`` and ``sens``; else it is built here."""
-    check_inputs(y, mask, sens)
-    op, y_dc = for_data_consistency(y.data, mask, sens) if pair is None else pair
-    return ComplexImage(op.adjoint_arr(y_dc))
 
 
 def _soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
@@ -380,11 +370,11 @@ def _row_blocks(support: np.ndarray, itemsize: int) -> list[tuple[slice, np.ndar
     return blocks
 
 
-def data_consistency_step(x_in: np.ndarray, w: np.ndarray, m: np.ndarray, dc) -> np.ndarray:
+def data_consistency_step(x: np.ndarray, w: np.ndarray, m: np.ndarray, dc) -> np.ndarray:
     """At most ``dc.iters`` Chebyshev iterations on the data-consistency
-    subproblem from x_in, on raw (frame, row, col) images, by the solve's
+    subproblem from x, on raw (frame, row, col) images, by the solve's
     :class:`GradientSteps` or :class:`RowGramSteps` ``dc``."""
-    return dc.descend(x_in, w, m)
+    return dc.descend(x, w, m)
 
 
 def multiplier_update(
@@ -405,11 +395,10 @@ def admm_reconstruct(
     and takes its zero-filled start from it; T = 0 returns that start and
     builds no row Gram form."""
     check_inputs(y, mask, sens)
-    op, y_dc = pair = for_data_consistency(y.data, mask, sens)
-    start = zero_filled_init(y, mask, sens, pair)
+    op, y_dc = for_data_consistency(y.data, mask, sens)
+    x = w = op.adjoint_arr(y_dc)
     if cfg.T == 0:
-        return start
-    x = w = start.data
+        return ComplexImage(x)
     inner = len(chebyshev_values(cfg.inner_iters, cfg.lam, op.dtype)) - 1
     gram = (isinstance(op, ColumnOperator) and max(mask.height, mask.width) <= GRAM_MAX_SIDE
             and y.data.shape[1] * cfg.T * (inner - 1) >= GRAM_MIN_ITERS)
@@ -423,3 +412,9 @@ def admm_reconstruct(
         x = data_consistency_step(x, w, m, dc)
         m = multiplier_update(m, x, w, cfg.lam)
     return ComplexImage(x)
+
+
+def zero_filled_init(y: KSpaceData, mask: SamplingMask, sens: SensitivityMaps) -> ComplexImage:
+    """Coil-combined adjoint A^H y of the measured data: the T = 0 solve of
+    :func:`admm_reconstruct`, whose x^(0) and w^(0) it is."""
+    return admm_reconstruct(y, mask, sens, AdmmConfig(T=0))

@@ -317,7 +317,7 @@ class TestMaskCommand:
         [(["--scheme", "equispaced", "--size", "16x16", "--accel", "2", "--acs", "-1"],
           "acs must be >= 0"),
          (["--scheme", "equispaced", "--size", "16x16", "--accel", "0.5"], "finite R >= 1"),
-         (["--scheme", "pseudo-radial", "--size", "0x0", "--accel", "4"], "grid >= 1x1"),
+         (["--scheme", "pseudo-radial", "--size", "0x0", "--accel", "4"], "height must be >= 1"),
          (["--scheme", "gaussian2d", "--size", "16x16", "--accel", "8", "--acs", "6"],
           "smaller than ACS disc"),
          (["--scheme", "equispaced", "--size", "64x64", "--accel", "8", "--acs", "24"],

@@ -74,6 +74,15 @@ class TestDynamicPhantom:
         img = dynamic_phantom(32, 5)
         assert np.allclose(img.data[0], shepp_logan(32).data[0])
 
+    @pytest.mark.parametrize(
+        "n, n_frames, message",
+        [(32.0, 2, "phantom side length must be an integer"),
+         (32, 2.0, "n_frames must be an integer")],
+    )
+    def test_size_that_is_not_an_integer_rejected(self, n, n_frames, message):
+        with pytest.raises(ValueError, match=message):
+            dynamic_phantom(n, n_frames)
+
 
 class TestSimulateCoils:
     def test_single_coil_is_unit_and_kspace_is_fft(self):
@@ -101,6 +110,14 @@ class TestSimulateCoils:
         sens, _ = simulate_coils(img, 6, 2)
         sq = np.sum(np.abs(sens.maps) ** 2, axis=0)
         assert np.allclose(sq, 1.0, atol=1e-9)
+
+    def test_coil_count_that_is_not_an_integer_rejected(self):
+        with pytest.raises(ValueError, match="n_coils must be an integer"):
+            simulate_coils(shepp_logan(32), 2.0, 0)
+
+    def test_float_seed_rejected_not_truncated(self):
+        with pytest.raises(TypeError):
+            simulate_coils(shepp_logan(32), 2, 0.9)
 
 
 class TestRandomKspaceCrop:
@@ -144,9 +161,15 @@ class TestRandomKspaceCrop:
         with pytest.raises(ValueError):
             random_kspace_crop(self._ksp(), 64, 16, 0)
 
-    @pytest.mark.parametrize("crop", [(0, 16), (16, 0)])
-    def test_empty_crop_rejected(self, crop):
-        with pytest.raises(ValueError, match="crop dimensions must be >= 1"):
+    @pytest.mark.parametrize(
+        "crop, message",
+        [((0, 16), "crop_h must be >= 1"), ((16, 0), "crop_w must be >= 1"),
+         ((16.0, 16), "crop_h must be an integer"), ((16, 16.5), "crop_w must be an integer"),
+         ((64.5, 16), "crop_h must be an integer")],
+    )
+    def test_empty_crop_rejected(self, crop, message):
+        """Both crop sizes go through core.check_count, before the grid check."""
+        with pytest.raises(ValueError, match=message):
             random_kspace_crop(self._ksp(), *crop, 0)
 
 

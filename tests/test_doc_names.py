@@ -7,7 +7,10 @@ cite names such as ``solver.GRAM_MIN_ITERS``, ``solver.GradientSteps.stop``
 or ``fourier.for_data_consistency(y, mask, sens)``, and the module
 docstrings cite names of their own module as ``:meth:`GradientSteps.stop```.
 A name that moves or is renamed leaves such a citation stale; this test
-resolves each one, attribute by attribute, on the module it names. The same
+resolves each one, attribute by attribute, on the module it names. A citation
+written as a call, such as ``make_mask(scheme, height, width, accel, seed,
+acs=0)``, must also list the parameters of the signature it cites, in order;
+a parameter that is added, dropped or renamed leaves it stale. The same
 sources cite measurements and scripts by file (``BENCH_30.json``,
 ``CHANGES.md``, ``tests/test_precision.py``); the file check finds one that
 is gone. A removed or renamed flag leaves the README naming an option that
@@ -86,6 +89,50 @@ def stale_names(path: str, text: str) -> list[str]:
     return stale
 
 
+# a call in backticks, `name(args)` or `module.Class.method(args)`
+CALL = re.compile(r"`((?:\w+\.)*\w+)\(([^`()]*)\)`")
+
+
+def cited_object(name: str):
+    """The mcrecon function, class or method the dotted ``name`` cites, looked
+    up in the module it starts with, else in ``mcrecon`` or any of its
+    modules; None for a name that none of them defines, such as
+    ``np.any`` or ``dc.descend``."""
+    chain = name.removeprefix("mcrecon.")
+    head, _, rest = chain.partition(".")
+    if head in MODULES and rest:
+        owners, chain = [f"mcrecon.{head}"], rest
+    else:
+        owners = ["mcrecon", *(f"mcrecon.{m}" for m in MODULES)]
+    for owner in map(importlib.import_module, owners):
+        obj = owner
+        for attr in chain.split("."):
+            obj = getattr(obj, attr, None)
+        if callable(obj) and getattr(obj, "__module__", "").startswith("mcrecon"):
+            return obj
+    return None
+
+
+def stale_signatures(path: str, text: str) -> list[str]:
+    """The calls cited in ``text`` whose parameter names, with ``*``, ``**``
+    and ``=default`` stripped, are not those of the cited signature in order,
+    a leading ``self`` skipped. A call with an argument that is not a name,
+    such as ``AdmmConfig.for_mode("dynamic")``, cites no signature."""
+    stale = []
+    for number, line in enumerate(text.splitlines(), 1):
+        for name, args in CALL.findall(line):
+            cited = [a.split("=")[0].strip().lstrip("*") for a in args.split(",")] if args else []
+            obj = cited_object(name)
+            if obj is None or not all(a.isidentifier() for a in cited):
+                continue
+            params = list(inspect.signature(obj).parameters)
+            if params[:1] == ["self"]:
+                params = params[1:]
+            if cited != params:
+                stale.append(f"{path}:{number}: {name}({args}), not ({', '.join(params)})")
+    return stale
+
+
 def missing_files(text: str) -> list[str]:
     """The files ``text`` cites that do not exist under the repo root."""
     return [name for name in CITED_FILE.findall(text) if not (ROOT / name).exists()]
@@ -126,6 +173,23 @@ def test_sources_cite_modules():
 @pytest.mark.parametrize("path", SOURCES)
 def test_every_cited_name_exists(path):
     assert stale_names(path, (ROOT / path).read_text()) == []
+
+
+def test_the_signature_check_finds_a_call_with_other_parameters():
+    text = ("`make_mask(scheme, height, width, accel, seed, acs=0)`, `GradientSteps(op, y, cfg)`,"
+            " `GradientSteps.stop(g, x0)`, `AdmmConfig.for_mode(mode, **given)`\n"
+            "`AdmmConfig.for_mode(\"dynamic\")`, `np.any(maps != 0, axis=0)`, `dc.descend(x, w, m)`"
+            "; `zero_filled_init(y, mask, sens, pair=None)` and"
+            " `solver.data_consistency_step(x_in, w, m, dc)`")
+    assert stale_signatures("README.md", text) == [
+        "README.md:2: zero_filled_init(y, mask, sens, pair=None), not (y, mask, sens)",
+        "README.md:2: solver.data_consistency_step(x_in, w, m, dc), not (x, w, m, dc)",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES)
+def test_every_cited_call_lists_its_parameters(path):
+    assert stale_signatures(path, (ROOT / path).read_text()) == []
 
 
 def test_the_file_check_finds_a_file_that_is_not_there():

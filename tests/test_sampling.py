@@ -14,6 +14,7 @@ from mcrecon.sampling import (
     Lcg,
     achieved_acceleration,
     equispaced_mask,
+    full_mask,
     gaussian2d_mask,
     make_mask,
     pseudo_radial_mask,
@@ -273,12 +274,35 @@ class TestMakeMask:
         assert set(MASK_SCHEMES) == set(GENERATORS) | {"full"}
 
     @pytest.mark.parametrize(
-        "height, width, accel", [(0, 0, 4), (0, 5, 4), (5, 0, 4), (5, 5, float("nan"))]
+        "height, width, accel, message",
+        [(0, 0, 4, "height must be >= 1"), (0, 5, 4, "height must be >= 1"),
+         (5, 0, 4, "width must be >= 1"), (5, 5, float("nan"), "need a finite R >= 1"),
+         (32.0, 32, 4, "height must be an integer"), (32.5, 32, 4, "height must be an integer"),
+         (32, 32.0, 4, "width must be an integer"), (32, 32.5, 4, "width must be an integer")],
     )
     @pytest.mark.parametrize("scheme", sorted(GENERATORS))
-    def test_empty_grid_or_nan_acceleration_rejected(self, scheme, height, width, accel):
-        with pytest.raises(ValueError, match="need a grid >= 1x1 and finite R >= 1"):
+    def test_empty_grid_or_nan_acceleration_rejected(self, scheme, height, width, accel, message):
+        """Each generator checks height and width by core.check_count, which
+        rejects a non-integer size, and R as a finite number >= 1."""
+        with pytest.raises(ValueError, match=message):
             make_mask(scheme, height, width, accel, 0)
+
+    @pytest.mark.parametrize("height, width, message",
+                             [(32.0, 32, "height must be an integer"),
+                              (32, 32.5, "width must be an integer")])
+    def test_full_mask_checks_its_grid(self, height, width, message):
+        with pytest.raises(ValueError, match=message):
+            full_mask(height, width)
+
+    @pytest.mark.parametrize("scheme", sorted(GENERATORS))
+    def test_seed_that_is_not_an_integer_rejected(self, scheme):
+        """A float seed raises instead of being truncated to the seed below it;
+        a negative or numpy integer seed is an integer like any other."""
+        acs = scheme_acs(scheme, 4, 2)
+        with pytest.raises(TypeError):
+            make_mask(scheme, 32, 32, 4, 1.5, acs)
+        assert np.array_equal(make_mask(scheme, 32, 32, 4, np.int64(-1), acs).pattern,
+                              make_mask(scheme, 32, 32, 4, -1, acs).pattern)
 
 
 # SHA-256 of the pattern bytes, recorded with the generators of this version:

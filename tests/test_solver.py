@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -158,6 +159,11 @@ class TestConfigs:
 
 
 class TestZeroFilledInit:
+    def test_takes_only_the_solve_inputs(self):
+        """zero_filled_init is the T = 0 solve: its parameters are y, mask and
+        sens, with no operator of its own to pass in."""
+        assert list(inspect.signature(zero_filled_init).parameters) == ["y", "mask", "sens"]
+
     @pytest.mark.parametrize(
         "solve",
         [zero_filled_init, lambda y, mask, sens: admm_reconstruct(y, mask, sens, AdmmConfig(T=1))],
