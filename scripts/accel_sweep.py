@@ -6,9 +6,9 @@ Each mask gets the one ACS size that its scheme takes (half_budget_acs),
 about half of its budget, so that it fits at every R: ceil(size / R) // 2 of
 the ceil(size / R) rectilinear columns, a gaussian2d disc of radius
 isqrt(budget // 7) (pi r^2 <= budget / 2) in its budget of ceil(size^2 / R)
-points, and none for pseudo-radial and pseudo-spiral. A rectilinear mask
-then samples exactly ceil(size / R) columns, and its R_eff is
-size / ceil(size / R).
+points, and none for pseudo-radial and pseudo-spiral. Every mask samples
+exactly its budget, so the R_eff of a rectilinear row is size / ceil(size / R)
+and that of any other row size^2 / ceil(size^2 / R).
 
 Usage: python3 scripts/accel_sweep.py [--size 64] [--coils 4] [--seed 1]
 """

@@ -7,8 +7,9 @@
 # whether a change keeps every CLI output byte-identical. It covers all five
 # mask schemes at R=4 and R=1, each with its own --acs (8 ACS lines for the
 # rectilinear schemes, a disc of radius 3 for gaussian2d, 0 for pseudo-radial
-# and pseudo-spiral), a 64x64 R=8 pseudo-radial mask (many more
-# spokes than 48x48 R=4), every denoiser name, zero-filled (--T 0), --config,
+# and pseudo-spiral), a 64x64 R=8 pseudo-radial mask (7 spokes, the last
+# cut short at the point budget, where 48x48 R=4 takes 11), every denoiser
+# name, zero-filled (--T 0), --config,
 # --estimate-sens, --mode dynamic with and without --T/--inner, a dynamic
 # TV solve with --estimate-sens on a random-rectilinear mask, one with
 # --sens at 6 frames (r_dynG, on the row Gram path like the 7-frame dynamic

@@ -4,6 +4,11 @@ Every generator in :data:`GENERATORS` takes ``(height, width, accel, acs,
 seed)`` and passes ``acs``, the ACS size, to the :class:`SamplingMask` it
 returns, which states and checks what the size means for each scheme.
 
+Every mask samples exactly its budget, ACS region included: ceil(width /
+accel) whole columns for the rectilinear schemes, and ceil(height * width /
+accel) points for gaussian2d, pseudo-radial and pseudo-spiral. A budget
+that a scheme cannot reach raises ValueError.
+
 All randomness comes from :class:`Lcg`, a self-contained 64-bit linear
 congruential generator (Knuth MMIX constants, uniforms from the top 53 bits),
 so masks are bit-reproducible across platforms and languages for a seed.
@@ -59,19 +64,23 @@ class Lcg:
             items[i], items[j] = items[j], items[i]
 
 
-def _check_grid(height: int, width: int, accel: float) -> None:
-    """Check height and width by ``core.check_count`` and accel as a finite R >= 1."""
+def _check_grid(height: int, width: int, accel: float, seed: int = 0) -> None:
+    """Check height and width by ``core.check_count``, accel as a finite
+    R >= 1, and the seed as an integer (TypeError), at every R alike."""
     check_count("height", height, 1)
     check_count("width", width, 1)
     if not 1 <= accel < math.inf:
         raise ValueError(f"need a finite R >= 1, got R={accel}")
+    operator.index(seed)
 
 
-def _rectilinear_plan(height: int, width: int, accel: float, acs: int) -> tuple[set, list, int]:
+def _rectilinear_plan(
+    height: int, width: int, accel: float, acs: int, seed: int
+) -> tuple[set, list, int]:
     """Check the grid; return the centered ACS columns, the other columns in
-    order, and how many of those to add for ceil(width / accel) columns in
-    all. ``acs`` is checked by the mask the columns become."""
-    _check_grid(height, width, accel)
+    order, and how many of those to add for the column budget. ``acs`` is
+    checked by the mask the columns become."""
+    _check_grid(height, width, accel, seed)
     lo = (width - acs) // 2
     inside = {c for c in range(width) if lo <= c < lo + acs}
     outside = [c for c in range(width) if c not in inside]
@@ -98,11 +107,8 @@ def full_mask(height: int, width: int) -> SamplingMask:
 
 def equispaced_mask(height: int, width: int, accel: float, acs: int, seed: int) -> SamplingMask:
     """Rectilinear equispaced columns; ``acs`` centered columns always sampled.
-
-    It samples ceil(width / accel) columns, ACS included; the seed chooses
-    the stride offset of the non-ACS columns.
-    """
-    cols, outside, extra = _rectilinear_plan(height, width, accel, acs)
+    The seed chooses the stride offset of the non-ACS columns."""
+    cols, outside, extra = _rectilinear_plan(height, width, accel, acs, seed)
     if extra > 0:
         stride = len(outside) / extra
         rng = Lcg(seed)
@@ -117,7 +123,7 @@ def random_rectilinear_mask(
 ) -> SamplingMask:
     """Like :func:`equispaced_mask` but non-ACS columns drawn uniformly
     without replacement to the same total count."""
-    cols, outside, extra = _rectilinear_plan(height, width, accel, acs)
+    cols, outside, extra = _rectilinear_plan(height, width, accel, acs, seed)
     Lcg(seed).shuffle(outside)
     cols.update(outside[:extra])
     return _columns_to_mask(height, width, cols, "random-rectilinear", accel, acs)
@@ -125,13 +131,13 @@ def random_rectilinear_mask(
 
 def gaussian2d_mask(height: int, width: int, accel: float, acs: int, seed: int) -> SamplingMask:
     """2D points from a centered bivariate Gaussian (sigma = dim/6 per axis),
-    without replacement, up to a budget of ceil(h*w / accel) points.
+    without replacement, up to the point budget.
 
     A centered disc of radius ``acs`` is fully sampled and counts toward
     the budget. Raises ValueError if GAUSS_DRAWS_PER_POINT
     draws per budgeted point leave the budget unfilled (R just above 1).
     """
-    _check_grid(height, width, accel)
+    _check_grid(height, width, accel, seed)
     if accel == 1:
         return _fully_sampled(height, width, "gaussian2d", acs)
     budget = math.ceil(height * width / accel)
@@ -165,87 +171,64 @@ def gaussian2d_mask(height: int, width: int, accel: float, acs: int, seed: int) 
     return SamplingMask(pattern, "gaussian2d", float(accel), acs)
 
 
-def pseudo_radial_mask(height: int, width: int, accel: float, acs: int, seed: int) -> SamplingMask:
-    """Union of golden-angle digital spokes through the grid center.
+def _golden_curves_mask(height, width, accel, acs, seed, scheme, radii, angles) -> SamplingMask:
+    """Mask of ``scheme`` along turned copies of one curve through the grid
+    center, given in polar form by ``radii`` and ``angles`` and ordered from
+    the center outwards.
 
-    Spoke i lies at angle offset + i * GOLDEN_ANGLE, with the offset drawn
-    from the seed, so n spokes are n - 1 spokes plus one. The search adds
-    one spoke per step and keeps the first spoke count whose achieved
-    acceleration (total/sampled) is closest to nominal. It stops once the
-    achieved acceleration falls below accel / 1.5, or at 2 * max(h, w)
-    spokes.
+    Copy i is turned by offset + i * GOLDEN_ANGLE, with the offset drawn
+    from the seed. Each copy adds its unsampled in-grid points in order
+    until the point budget is met, so only the last copy is cut, and the cut
+    keeps its center. Raises ValueError if 2 * max(h, w) copies leave the
+    budget unfilled (R just above 1).
     """
-    _check_grid(height, width, accel)
     if accel == 1:
-        return _fully_sampled(height, width, "pseudo-radial", acs)
-    rng = Lcg(seed)
-    offset = rng.uniform() * 2 * math.pi
+        return _fully_sampled(height, width, scheme, acs)
+    offset = Lcg(seed).uniform() * 2 * math.pi
+    budget = math.ceil(height * width / accel)
     cy, cx = height // 2, width // 2
-    half = math.hypot(height, width)
-    ts = np.arange(-2 * half, 2 * half + 1) * 0.5
-    pattern = np.zeros((height, width), dtype=np.uint8)
-    best_gap = math.inf
-    for i in range(2 * max(height, width)):
-        theta = offset + i * GOLDEN_ANGLE
-        ys = np.round(cy + ts * math.sin(theta)).astype(int)
-        xs = np.round(cx + ts * math.cos(theta)).astype(int)
+    pattern = np.zeros(height * width, dtype=np.uint8)
+    filled, limit = 0, 2 * max(height, width)
+    for i in range(limit):
+        turned = angles + (offset + i * GOLDEN_ANGLE)
+        ys = np.round(cy + radii * np.sin(turned)).astype(int)
+        xs = np.round(cx + radii * np.cos(turned)).astype(int)
         ok = (ys >= 0) & (ys < height) & (xs >= 0) & (xs < width)
-        pattern[ys[ok], xs[ok]] = 1
-        achieved = height * width / pattern.sum()
-        gap = abs(achieved - accel)
-        if gap < best_gap:
-            best_gap, best = gap, pattern.copy()
-        if achieved < accel / 1.5:
-            break
-    return SamplingMask(best, "pseudo-radial", float(accel), acs)
+        points = ys[ok] * width + xs[ok]
+        points = points[pattern[points] == 0]
+        _, first = np.unique(points, return_index=True)
+        points = points[np.sort(first)[: budget - filled]]
+        pattern[points] = 1
+        filled += len(points)
+        if filled == budget:
+            return SamplingMask(pattern.reshape(height, width), scheme, float(accel), acs)
+    raise ValueError(
+        f"{scheme}: {limit} curves filled {filled} of {budget} points at R={accel} on a "
+        f"{height}x{width} grid; use a larger R"
+    )
 
 
-def _rasterize_spiral(
-    height: int, width: int, n_arms: int, pitch: float, phase: float
-) -> np.ndarray:
-    cy, cx = height // 2, width // 2
-    pattern = np.zeros((height, width), dtype=np.uint8)
-    r_max = math.hypot(max(cy, height - 1 - cy), max(cx, width - 1 - cx))
-    a = pitch / (2 * math.pi)
-    theta_max = r_max / a
-    thetas = np.linspace(0.0, theta_max, int(theta_max * 60) + 2)
-    radii = a * thetas
-    for j in range(n_arms):
-        phi = phase + 2 * math.pi * j / n_arms
-        ys = np.round(cy + radii * np.sin(thetas + phi)).astype(int)
-        xs = np.round(cx + radii * np.cos(thetas + phi)).astype(int)
-        ok = (ys >= 0) & (ys < height) & (xs >= 0) & (xs < width)
-        pattern[ys[ok], xs[ok]] = 1
-    return pattern
-
-
-_SPIRAL_PITCHES = (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
+def pseudo_radial_mask(height: int, width: int, accel: float, acs: int, seed: int) -> SamplingMask:
+    """Golden-angle digital spokes through the grid center, each sampled at
+    half-pixel steps alternating on either side of the center."""
+    _check_grid(height, width, accel, seed)
+    n = math.ceil(math.hypot(height // 2, width // 2))
+    radii = (np.arange(4 * n + 1) + 1) // 2 * 0.5
+    radii[1::2] *= -1
+    return _golden_curves_mask(height, width, accel, acs, seed, "pseudo-radial",
+                               radii, np.zeros_like(radii))
 
 
 def pseudo_spiral_mask(height: int, width: int, accel: float, acs: int, seed: int) -> SamplingMask:
-    """Union of Archimedean spiral arms (r = a*theta) from center to edge.
-
-    Arm count and pitch are chosen by a seed-independent search targeting
-    the nominal acceleration; the seed only rotates the arm phase, so the
-    sampled-point count is stable across seeds.
-    """
-    _check_grid(height, width, accel)
-    if accel == 1:
-        return _fully_sampled(height, width, "pseudo-spiral", acs)
-    best = None
-    for pitch in _SPIRAL_PITCHES:
-        for n_arms in range(1, 17):
-            pattern = _rasterize_spiral(height, width, n_arms, pitch, 0.0)
-            achieved = height * width / pattern.sum()
-            gap = abs(achieved - accel)
-            if best is None or gap < best[0]:
-                best = (gap, pitch, n_arms)
-            if achieved < accel / 1.5:
-                break
-    rng = Lcg(seed)
-    phase = rng.uniform() * 2 * math.pi
-    pattern = _rasterize_spiral(height, width, best[2], best[1], phase)
-    return SamplingMask(pattern, "pseudo-spiral", float(accel), acs)
+    """Archimedean spiral arms r = a * theta of pitch 2 * accel pixels, from
+    the center to the farthest corner at 60 samples per radian, so that the
+    samples thin out beyond a radius of 60 pixels."""
+    _check_grid(height, width, accel, seed)
+    a = accel / math.pi
+    theta_max = math.hypot(height // 2, width // 2) / a
+    thetas = np.linspace(0.0, theta_max, int(theta_max * 60) + 2)
+    return _golden_curves_mask(height, width, accel, acs, seed, "pseudo-spiral",
+                               a * thetas, thetas)
 
 
 GENERATORS = {

@@ -1,6 +1,7 @@
 """scripts/accel_sweep.py at a small size: every scheme and R gives a row,
-and each rectilinear row samples exactly ceil(size / R) columns, so its ACS
-block fits the column budget at every R."""
+and each row samples exactly its budget, ceil(size / R) columns for a
+rectilinear scheme (so its ACS block fits at every R) and ceil(size^2 / R)
+points for any other."""
 
 import importlib.util
 import math
@@ -17,7 +18,7 @@ accel_sweep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(accel_sweep)
 
 
-def test_rectilinear_rows_state_the_asked_acceleration(capsys):
+def test_every_row_states_its_budget_acceleration(capsys):
     size = 30  # ceil(30 / R) is 8, 4 and 3 columns at R 4, 8 and 10
     accel_sweep.main(["--size", str(size), "--coils", "2"])
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
@@ -25,6 +26,6 @@ def test_rectilinear_rows_state_the_asked_acceleration(capsys):
         (s, R) for s in GENERATORS for R in (4, 8, 10)
     ]
     for scheme, R, r_eff, *_ in rows:
-        if scheme in RECTILINEAR_SCHEMES:
-            assert float(r_eff) == pytest.approx(size / math.ceil(size / int(R)), abs=0.005)
+        n = size if scheme in RECTILINEAR_SCHEMES else size**2
+        assert float(r_eff) == pytest.approx(n / math.ceil(n / int(R)), abs=0.005)
 

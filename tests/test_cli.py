@@ -320,6 +320,8 @@ class TestMaskCommand:
          (["--scheme", "pseudo-radial", "--size", "0x0", "--accel", "4"], "height must be >= 1"),
          (["--scheme", "gaussian2d", "--size", "16x16", "--accel", "8", "--acs", "6"],
           "smaller than ACS disc"),
+         (["--scheme", "pseudo-radial", "--size", "64x64", "--accel", "1.01"],
+          "pseudo-radial: 128 curves filled 3954 of 4056 points at R=1.01 on a 64x64 grid"),
          (["--scheme", "equispaced", "--size", "64x64", "--accel", "8", "--acs", "24"],
           "24 ACS columns exceed the 8 columns of R=8.0 on width 64"),
          (["--scheme", "random-rectilinear", "--size", "64x64", "--accel", "10", "--acs", "24"],
